@@ -111,6 +111,13 @@ class ProblemSpec:
     declared, and globally otherwise.  ``component_grad_batch`` is an
     optional vectorized oracle returning the stacked gradients for an index
     array; when absent, callers fall back to per-index calls.
+
+    ``grad_diff_batch(idx, x_new, x_old)`` is an optional difference oracle
+    returning ``mean_i(grad_i(x_new) - grad_i(x_old))`` over the index
+    array in one call, for problems whose per-component term cancels in
+    the difference.  When absent, the recursive and snapshot estimators
+    take two batched gradient calls and subtract their means.  Either way
+    a step over b indices is charged 2b raw SFO (b nominal).
     """
 
     n: float
@@ -122,6 +129,7 @@ class ProblemSpec:
     component_grad: Callable[[int, Vector], Vector]
     full_grad: Callable[[Vector], Vector] | None = None
     component_grad_batch: Callable[[np.ndarray, Vector], np.ndarray] | None = None
+    grad_diff_batch: Callable[[np.ndarray, Vector, Vector], Vector] | None = None
     hvp: Callable[[Vector, Vector], Vector] | None = None
     variance_bound: float = 0.0
     domain_radius: float | None = None

@@ -10,9 +10,11 @@ Four estimators share the ``EstimatorState`` container:
 * snapshot estimator
   ``v = mean_{i in I_b}(grad_i(x) - grad_i(anchor)) + full_grad(anchor)``.
 
-The same index multiset is used for both evaluation points of a step, and
-component gradients are reduced in fixed slot order so results are
-deterministic regardless of how the oracle evaluates the batch internally.
+The same index multiset is used for both evaluation points of a step.  A
+problem that supplies ``grad_diff_batch`` answers the difference in one
+call; otherwise (the fallback path) the two endpoints' component gradients
+are reduced in fixed slot order, so results are deterministic regardless of
+how the oracle evaluates the batch internally.
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ def component_gradients(problem: ProblemSpec, indices, x: Vector) -> np.ndarray:
     return grads
 
 
+def _mean_grad_diff(problem: ProblemSpec, idx: np.ndarray, x_new: Vector, x_old: Vector) -> Vector:
+    """``mean_i(grad_i(x_new) - grad_i(x_old))`` over ``idx``: one difference
+    oracle call when the problem has one, two batched gradients otherwise."""
+    if problem.grad_diff_batch is not None:
+        return np.asarray(problem.grad_diff_batch(idx, x_new, x_old), dtype=float)
+    g_new = component_gradients(problem, idx, x_new)
+    g_old = component_gradients(problem, idx, x_old)
+    return g_new.mean(axis=0) - g_old.mean(axis=0)
+
+
 def full_gradient(problem: ProblemSpec, x: Vector, sfo: SfoCounter | None = None) -> Vector:
     """Exact mean of all component gradients; costs n oracle evaluations."""
     if problem.mode is not Mode.FINITE_SUM or problem.full_grad is None:
@@ -109,9 +121,7 @@ def recursive_step(
     idx = np.asarray(batch, dtype=np.int64)
     if idx.size == 0:
         raise ConfigError("empty minibatch")
-    g_new = component_gradients(problem, idx, x_new)
-    g_old = component_gradients(problem, idx, state.prev_x)
-    state.v = state.v + (g_new.mean(axis=0) - g_old.mean(axis=0))
+    state.v = state.v + _mean_grad_diff(problem, idx, x_new, state.prev_x)
     state.prev_x = np.array(x_new, dtype=float)
     if sfo is not None:
         sfo.add(2 * idx.size, idx.size)
@@ -131,8 +141,7 @@ def svrg_step(
     idx = np.asarray(batch, dtype=np.int64)
     if idx.size == 0:
         raise ConfigError("empty minibatch")
-    g_x = component_gradients(problem, idx, x)
-    g_anchor = component_gradients(problem, idx, state.anchor)
+    g = _mean_grad_diff(problem, idx, x, state.anchor) + state.anchor_grad
     if sfo is not None:
         sfo.add(2 * idx.size, idx.size)
-    return (g_x.mean(axis=0) - g_anchor.mean(axis=0)) + state.anchor_grad
+    return g

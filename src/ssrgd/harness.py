@@ -55,7 +55,7 @@ import numpy as np
 from . import algorithm, baselines, core, diagnostics, problems, spectral, svgplot
 from .algorithm import SsrgdOutcome, Termination
 from .baselines import BaselineKind
-from .core import ConfigError, Event, NonFiniteError, RunConfig, TraceRecord
+from .core import ConfigError, Event, RunConfig, SsrgdError, TraceRecord
 
 logger = logging.getLogger("ssrgd")
 
@@ -538,8 +538,9 @@ def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
 def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
     """Run every cell, persist traces/summaries, and write the aggregate.
 
-    A cell that aborts (non-finite oracle value) is marked failed in the
-    aggregate without stopping the other cells.
+    A cell that aborts with a package error (a non-finite oracle value, or
+    a setting its run config rejects) is marked failed in the aggregate,
+    with its error, without stopping the other cells.
     """
     out_root = Path(plan.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -587,7 +588,7 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
 def _run_cell_safely(cell: Cell) -> tuple[dict, str]:
     try:
         return run_cell(cell)
-    except NonFiniteError as exc:
+    except SsrgdError as exc:
         logger.error("cell %s aborted: %s", cell.run_id, exc)
         summary = {
             "run_id": cell.run_id,
@@ -600,7 +601,7 @@ def _run_cell_safely(cell: Cell) -> tuple[dict, str]:
             "error": str(exc),
             "sfo_raw": 0,
         }
-        return summary, _trace_to_csv(exc.trace)
+        return summary, _trace_to_csv(getattr(exc, "trace", []))
 
 
 def scaling_report(aggregate, axis: str, subtract_n: bool = False) -> dict:

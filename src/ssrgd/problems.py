@@ -177,6 +177,10 @@ def make_separable_saddle(
     def component_grad_batch(idx, x):
         return (D * x + gamma4 * x**3)[None, :] + z[idx]
 
+    def grad_diff_batch(idx, x_new, x_old):
+        # the linear z_i terms cancel in every component's difference
+        return full_grad(x_new) - full_grad(x_old)
+
     def hvp(x, vec):
         return D * vec + 3.0 * gamma4 * (x * x) * vec
 
@@ -190,6 +194,7 @@ def make_separable_saddle(
         component_grad=component_grad,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
+        grad_diff_batch=grad_diff_batch,
         hvp=hvp,
         domain_radius=R,
     )
@@ -313,10 +318,15 @@ def make_nonconvex_logistic(
     )
 
 
-def _hashed_uniforms(ids: np.ndarray, lane: int) -> np.ndarray:
-    """Deterministic id -> U[0,1) map (splitmix64), one lane per draw."""
+def _hashed_uniforms(ids: np.ndarray, lane: int | np.ndarray) -> np.ndarray:
+    """Deterministic id -> U[0,1) map (splitmix64), one lane per draw.
+
+    ``lane`` may be an integer array that broadcasts against ``ids``.
+    """
     with np.errstate(over="ignore"):  # uint64 wrap-around is the point
-        z = ids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * np.uint64(2 * lane + 1)
+        z = ids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * np.asarray(
+            2 * lane + 1, dtype=np.uint64
+        )
         for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
             z = z ^ (z >> np.uint64(shift))
             z = z * np.uint64(mult)
@@ -325,7 +335,8 @@ def _hashed_uniforms(ids: np.ndarray, lane: int) -> np.ndarray:
 
 
 def _hashed_ball_noise(ids: np.ndarray, d: int, radius: float, seed: int) -> np.ndarray:
-    """Uniform-in-ball noise vectors keyed by sample id (vectorized).
+    """Uniform-in-ball noise vectors keyed by sample id (vectorized over
+    ids and lanes).
 
     Box-Muller gaussians from hashed uniforms give the isotropic direction;
     the radius is scaled by U^(1/d).  Stateless, so the same (seed, id)
@@ -336,16 +347,15 @@ def _hashed_ball_noise(ids: np.ndarray, d: int, radius: float, seed: int) -> np.
         ids = np.asarray(ids, dtype=np.uint64) ^ np.uint64(seed % 2**64) * np.uint64(
             0xD1342543DE82EF95
         )
-    m = len(ids)
-    z = np.empty((m, d))
-    pairs = (d + 1) // 2
-    for p in range(pairs):
-        u1 = np.clip(_hashed_uniforms(ids, 3 * p), 1e-300, None)
-        u2 = _hashed_uniforms(ids, 3 * p + 1)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z[:, 2 * p] = r * np.cos(2.0 * np.pi * u2)
-        if 2 * p + 1 < d:
-            z[:, 2 * p + 1] = r * np.sin(2.0 * np.pi * u2)
+    # pair p of coordinates (2p, 2p+1) reads lanes 3p and 3p+1; lane 2 is
+    # the radius draw
+    lanes = 3 * np.arange((d + 1) // 2)
+    u1 = np.clip(_hashed_uniforms(ids[:, None], lanes), 1e-300, None)
+    u2 = _hashed_uniforms(ids[:, None], lanes + 1)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty((len(ids), d))
+    z[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[:, 1::2] = (r * np.sin(2.0 * np.pi * u2))[:, : d // 2]
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0] = 1.0
     scale = radius * _hashed_uniforms(ids, 2) ** (1.0 / d) / norms
@@ -375,6 +385,10 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     def component_grad_batch(idx, x):
         return bspec.full_grad(x)[None, :] + _hashed_ball_noise(idx, d, sigma, seed)
 
+    def grad_diff_batch(idx, x_new, x_old):
+        # the id-keyed noise does not depend on x and cancels exactly
+        return bspec.full_grad(x_new) - bspec.full_grad(x_old)
+
     spec = ProblemSpec(
         n=math.inf,
         d=d,
@@ -385,6 +399,7 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
         component_grad=component_grad,
         full_grad=None,
         component_grad_batch=component_grad_batch,
+        grad_diff_batch=grad_diff_batch,
         hvp=bspec.hvp,
         variance_bound=sigma,
         domain_radius=bspec.domain_radius,

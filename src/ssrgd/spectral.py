@@ -1,7 +1,7 @@
 """Second-order stationarity certification.
 
 A point x passes when its measured gradient norm is at most eps and the
-smallest Hessian eigenvalue estimate (plus the estimator's slack) is at
+smallest Hessian eigenvalue estimate, minus the estimator's slack, is at
 least -delta.  For small dimensions the Hessian is assembled column by
 column from Hessian-vector products and solved densely (zero slack); larger
 problems fall back to shifted power iteration on L*I - H, which never needs
@@ -80,12 +80,13 @@ def lambda_min_power(
 ) -> tuple[float, float]:
     """Smallest-eigenvalue estimate via power iteration on L*I - H.
 
-    The shift makes the operator positive semidefinite, so its top
-    eigenvalue is L - lambda_min and the Rayleigh quotient only ever
-    under-shoots it; the returned estimate therefore upper-bounds the true
-    lambda_min, and ``slack`` bounds the gap via the standard random-start
-    tail: after k steps the relative error is below
-    (0.5 log d + log(1/zeta))/k with probability 1 - zeta.
+    Returns ``(est, slack)``.  ``est`` is an *upper* bound on the true
+    lambda_min: the shift makes the operator positive semidefinite, so its
+    top eigenvalue is L - lambda_min and the Rayleigh quotient only ever
+    under-shoots it.  ``slack`` bounds the gap via the standard
+    random-start tail (after k steps the relative error is below
+    (0.5 log d + log(1/zeta))/k with probability 1 - zeta), so
+    ``est - slack`` is the lower bound a certificate may rely on.
     """
     if problem.hvp is None:
         raise UnsupportedOracleError("power iteration needs a Hessian-vector oracle")
@@ -152,6 +153,6 @@ def certify(
         lambda_min_est=lam,
         lambda_min_ci=slack,
         is_fosp=is_fosp,
-        is_sosp=bool(is_fosp and lam + slack >= -delta),
+        is_sosp=bool(is_fosp and lam - slack >= -delta),
         method=method,
     )

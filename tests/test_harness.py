@@ -290,6 +290,26 @@ class TestCli:
         assert harness.main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_rejected_cell_setting_fails_only_its_cell(self, tmp_path, capsys):
+        # a step size above the cap is refused when the cell's run config is
+        # validated; the other cell must still run and be written
+        text = MINIMAL.replace(
+            "[output]",
+            "[optimizer:hot]\nkind = ssrgd\neps = 0.05\nsfo_budget = 4000\n"
+            "step_size = 100\n\n[output]",
+        )
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["cells"] == 2 and len(report["failed"]) == 1
+        out = tmp_path / "runs"
+        agg = json.loads((out / "aggregate.json").read_text())
+        bad = [c for c in agg["cells"] if c["failed"]]
+        good = [c for c in agg["cells"] if not c["failed"]]
+        assert [c["optimizer"] for c in bad] == ["hot"]
+        assert "step_size" in bad[0]["error"]
+        assert len(good) == 1 and good[0]["sfo_raw"] > 0
+        assert (out / good[0]["run_id"] / "trace.csv").read_text().count("\n") > 1
+
     def test_certify_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         ckpt = tmp_path / "x.npy"

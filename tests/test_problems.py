@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ssrgd
-from ssrgd import core, estimators
+from ssrgd import core, estimators, problems
 from ssrgd.core import ConfigError, DatasetError
 from ssrgd.problems import (
     load_libsvm,
@@ -241,3 +242,67 @@ class TestQuadratic:
         inst = make_quadratic(d=2, n=1, seed=0, matrix=M, spread=0.0)
         H = assemble_hessian(inst.spec, np.zeros(2))
         assert np.allclose(H, M, atol=1e-15)
+
+
+def reference_hashed_ball_noise(ids, d, radius, seed):
+    """Per-lane loop form of ``problems._hashed_ball_noise``."""
+    with np.errstate(over="ignore"):
+        ids = np.asarray(ids, dtype=np.uint64) ^ np.uint64(seed % 2**64) * np.uint64(
+            0xD1342543DE82EF95
+        )
+    z = np.empty((len(ids), d))
+    for p in range((d + 1) // 2):
+        u1 = np.clip(problems._hashed_uniforms(ids, 3 * p), 1e-300, None)
+        u2 = problems._hashed_uniforms(ids, 3 * p + 1)
+        r = np.sqrt(-2.0 * np.log(u1))
+        z[:, 2 * p] = r * np.cos(2.0 * np.pi * u2)
+        if 2 * p + 1 < d:
+            z[:, 2 * p + 1] = r * np.sin(2.0 * np.pi * u2)
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0] = 1.0
+    scale = radius * problems._hashed_uniforms(ids, 2) ** (1.0 / d) / norms
+    return z * scale[:, None]
+
+
+class TestHashedNoise:
+    @pytest.mark.parametrize("d", [1, 2, 7, 20, 256])
+    def test_lane_vectorized_matches_loop(self, d):
+        ids = np.random.default_rng(d).integers(0, 2**62, size=64, dtype=np.int64)
+        ids[:3] = (0, 1, 2**62 - 1)
+        expected = reference_hashed_ball_noise(ids, d, 0.7, seed=5)
+        assert np.array_equal(problems._hashed_ball_noise(ids, d, 0.7, 5), expected)
+
+
+def two_call_difference(spec, idx, x_new, x_old):
+    return (spec.component_grad_batch(idx, x_new).mean(axis=0)
+            - spec.component_grad_batch(idx, x_old).mean(axis=0))
+
+
+class TestDifferenceOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: make_online_stream(make_nonconvex_logistic(n=128, d=20, seed=1), 0.5, seed=2),
+        lambda: make_separable_saddle(d=10, n=32, delta_plant=0.4, noise=0.3, seed=3),
+    ])
+    def test_matches_two_call_reference(self, make):
+        spec = make().spec
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            idx = core.sample_minibatch(rng, spec.n, 64)
+            x_old = 0.5 * rng.standard_normal(spec.d)
+            x_new = x_old + 0.1 * rng.standard_normal(spec.d)
+            got = spec.grad_diff_batch(idx, x_new, x_old)
+            ref = two_call_difference(spec, idx, x_new, x_old)
+            assert got.shape == (spec.d,)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_online_run_matches_fallback_path(self):
+        inst = make_online_stream(make_nonconvex_logistic(n=256, d=20, seed=0), 0.5, seed=1)
+        spec = inst.spec
+        cfg = ssrgd.derive_config_online_first_order(spec, 0.1, sfo_budget=10_000, seed=4)
+        x0 = 0.5 * np.ones(spec.d)
+        fused = ssrgd.run_ssrgd(spec, cfg, x0=x0)
+        fallback = ssrgd.run_ssrgd(dataclasses.replace(spec, grad_diff_batch=None), cfg, x0=x0)
+        assert [r.event for r in fused.trace] == [r.event for r in fallback.trace]
+        assert len(fused.trace) == len(fallback.trace)
+        assert (fused.sfo_raw, fused.sfo_nominal) == (fallback.sfo_raw, fallback.sfo_nominal)
+        assert np.allclose(fused.final_x, fallback.final_x, rtol=0, atol=1e-12)

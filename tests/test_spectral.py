@@ -123,6 +123,17 @@ class TestCertify:
         assert cert.method == "shifted_power"
         assert cert.lambda_min_ci > 0
 
+    @pytest.mark.parametrize("iters", [50, 100, 200])
+    def test_power_certificate_never_overclaims(self, iters):
+        # lambda_min = -0.12 < -delta; est is an upper bound on lambda_min,
+        # so only est - slack may be compared against -delta
+        diag = np.linspace(-0.12, 1.0, 50)
+        inst = make_quadratic(d=50, n=1, seed=0, matrix=np.diag(diag), spread=0.0)
+        cert = spectral.certify(inst.spec, np.zeros(50), 0.01, 0.1,
+                                dense_cap=10, power_iters=iters)
+        assert cert.method == "shifted_power" and cert.is_fosp
+        assert not cert.is_sosp
+
     def test_online_uses_large_batch(self):
         base = make_quadratic(d=4, n=2, seed=4, spread=0.0)
         inst = make_online_stream(base, 0.5, seed=5)
