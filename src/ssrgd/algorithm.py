@@ -10,13 +10,13 @@ online) and then runs up to ``epoch_len`` inner steps
 ending early, outside super epochs, with probability 1/(m-k+1) at inner
 step k, which makes the stopping index uniform over the epoch.
 
-Super epochs: when the algorithm is not already inside one and the anchor
-gradient norm is at most ``grad_threshold``, it records the trigger point,
-adds a perturbation drawn uniformly from the ball of radius
-``perturb_radius``, and suppresses random stopping until either the
-function value has dropped by ``fval_threshold`` below the trigger point or
-``super_epoch_len`` steps have elapsed.  After a timeout the run simply
-continues; the event is logged for diagnostics.
+Super epochs (``core.SuperEpoch``): when the algorithm is not already
+inside one and the anchor gradient norm is at most ``grad_threshold``, it
+records the trigger point, adds a perturbation drawn uniformly from the
+ball of radius ``perturb_radius``, and suppresses random stopping until
+either the function value has dropped by ``fval_threshold`` below the
+trigger point or ``super_epoch_len`` steps have elapsed.  After a timeout
+the run simply continues; the event is logged for diagnostics.
 
 Termination is an artifact addition: an SFO budget, an optional epoch cap,
 and an optional certification hook evaluated at each super-epoch trigger
@@ -87,141 +87,95 @@ class SsrgdOutcome:
     certificate: Any = None
 
 
-def derive_config_first_order(
-    problem: ProblemSpec,
-    eps: float,
-    *,
-    sfo_budget: int = DEFAULT_SFO_BUDGET,
-    seed: int = 0,
-) -> RunConfig:
-    """First-order-mode parameters: step size (sqrt(5)-1)/(2L), m = b = ceil(sqrt(n)),
-    perturbation disabled."""
-    if problem.mode is Mode.ONLINE:
-        raise UnsupportedOracleError(
-            "component count unknown in online mode; use derive_config_online_first_order"
-        )
-    m = _ceil_sqrt(problem.n)
-    return RunConfig(
-        step_size=STEP_FACTOR_LIMIT / problem.lipschitz_grad,
-        epoch_len=m,
-        minibatch=m,
-        eps=eps,
-        sfo_budget=sfo_budget,
-        seed=seed,
-    )
-
-
-def derive_config_second_order(
-    problem: ProblemSpec,
-    eps: float,
-    delta: float,
-    logfactor: float = 1.0,
-    *,
-    sfo_budget: int = DEFAULT_SFO_BUDGET,
-    seed: int = 0,
-) -> RunConfig:
-    """Second-order-mode parameters.
-
-    m = b = ceil(sqrt(n)); step size logfactor/L capped at the first-order
-    limit; grad_threshold = eps; fval_threshold = logfactor * delta^3/rho^2;
+def super_epoch_params(
+    problem: ProblemSpec, eps: float, delta: float, logfactor: float, step_size: float
+) -> dict:
+    """The four super-epoch settings for an (eps, delta) target:
+    grad_threshold = eps; fval_threshold = logfactor * delta^3/rho^2;
     super_epoch_len = ceil(logfactor/(step_size * delta)); perturb_radius =
-    logfactor * min(delta^3/(rho^2 eps), delta^(3/2)/(rho sqrt(L))).
-    """
-    if problem.mode is Mode.ONLINE:
-        raise UnsupportedOracleError(
-            "component count unknown in online mode; use derive_config_online_second_order"
-        )
-    if eps <= 0 or delta <= 0:
-        raise ConfigError("second-order targets need eps > 0 and delta > 0")
-    rho = problem.lipschitz_hess
-    if rho <= 0:
-        raise ConfigError(
-            "second-order mode needs a positive Hessian Lipschitz constant"
-        )
-    if logfactor <= 0:
-        raise ConfigError("logfactor must be positive")
-    L = problem.lipschitz_grad
-    m = _ceil_sqrt(problem.n)
-    eta = min(logfactor / L, STEP_FACTOR_LIMIT / L)
-    return RunConfig(
-        step_size=eta,
-        epoch_len=m,
-        minibatch=m,
-        eps=eps,
-        delta=delta,
-        sfo_budget=sfo_budget,
-        seed=seed,
-        perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),
-        grad_threshold=eps,
-        fval_threshold=logfactor * delta**3 / rho**2,
-        super_epoch_len=math.ceil(logfactor / (eta * delta)),
-        logfactor=logfactor,
-    )
-
-
-def derive_config_online_first_order(
-    problem: ProblemSpec,
-    eps: float,
-    *,
-    sfo_budget: int = DEFAULT_SFO_BUDGET,
-    seed: int = 0,
-) -> RunConfig:
-    """Online first-order parameters: B = 4 sigma^2/eps^2, b = m = ceil(sqrt(B))."""
-    if problem.mode is not Mode.ONLINE:
-        raise UnsupportedOracleError("problem is finite-sum; use derive_config_first_order")
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    sigma = problem.variance_bound
-    B = max(1, math.ceil(4.0 * sigma**2 / eps**2))
-    m = _ceil_sqrt(B)
-    return RunConfig(
-        step_size=STEP_FACTOR_LIMIT / problem.lipschitz_grad,
-        epoch_len=m,
-        minibatch=m,
-        eps=eps,
-        sfo_budget=sfo_budget,
-        seed=seed,
-        large_batch=B,
-    )
-
-
-def derive_config_online_second_order(
-    problem: ProblemSpec,
-    eps: float,
-    delta: float,
-    logfactor: float = 1.0,
-    *,
-    sfo_budget: int = DEFAULT_SFO_BUDGET,
-    seed: int = 0,
-) -> RunConfig:
-    """Online second-order parameters; thresholds as in the finite-sum case
-    with the large anchor batch B = logfactor * 4 sigma^2/eps^2."""
-    if problem.mode is not Mode.ONLINE:
-        raise UnsupportedOracleError("problem is finite-sum; use derive_config_second_order")
+    logfactor * min(delta^3/(rho^2 eps), delta^(3/2)/(rho sqrt(L)))."""
     if eps <= 0 or delta <= 0:
         raise ConfigError("second-order targets need eps > 0 and delta > 0")
     rho = problem.lipschitz_hess
     if rho <= 0:
         raise ConfigError("second-order mode needs a positive Hessian Lipschitz constant")
+    if logfactor <= 0:
+        raise ConfigError("logfactor must be positive")
     L = problem.lipschitz_grad
-    sigma = problem.variance_bound
-    B = max(1, math.ceil(logfactor * 4.0 * sigma**2 / eps**2))
-    m = _ceil_sqrt(B)
-    eta = min(logfactor / L, STEP_FACTOR_LIMIT / L)
-    return RunConfig(
-        step_size=eta,
-        epoch_len=m,
-        minibatch=m,
-        eps=eps,
-        delta=delta,
-        sfo_budget=sfo_budget,
-        seed=seed,
-        large_batch=B,
+    return dict(
         perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),
         grad_threshold=eps,
         fval_threshold=logfactor * delta**3 / rho**2,
-        super_epoch_len=math.ceil(logfactor / (eta * delta)),
-        logfactor=logfactor,
+        super_epoch_len=math.ceil(logfactor / (step_size * delta)),
+    )
+
+
+def derive_config(
+    problem: ProblemSpec, eps: float, delta: float | None = None, logfactor: float = 1.0, *,
+    mode: Mode | None = None, sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
+) -> RunConfig:
+    """The one parameter derivation, keyed on the problem's mode and the order.
+
+    The anchor batch is n in finite-sum mode and B = logfactor * 4 sigma^2/eps^2
+    online, and m = b = ceil(sqrt(anchor)).  First order (``delta`` None) uses
+    logfactor = 1: step size (sqrt(5)-1)/(2L), no perturbation.  Second order
+    caps logfactor/L at that step size and adds ``super_epoch_params``.  A
+    ``mode`` other than the problem's is refused, naming the entry to use.
+    """
+    online = problem.mode is Mode.ONLINE
+    second = delta is not None
+    if mode is not None and mode is not problem.mode:
+        entry = f"derive_config_{'online_' if online else ''}{'second' if second else 'first'}_order"
+        why = "component count unknown in online mode" if online else "problem is finite-sum"
+        raise UnsupportedOracleError(f"{why}; use {entry}")
+    if eps <= 0:
+        raise ConfigError("eps must be positive")
+    if not second:
+        logfactor = 1.0
+    anchor = problem.n
+    if online:
+        anchor = max(1, math.ceil(logfactor * 4.0 * problem.variance_bound**2 / eps**2))
+    m = _ceil_sqrt(anchor)
+    eta = min(logfactor, STEP_FACTOR_LIMIT) / problem.lipschitz_grad
+    super_epoch = super_epoch_params(problem, eps, delta, logfactor, eta) if second else {}
+    return RunConfig(
+        step_size=eta, epoch_len=m, minibatch=m, eps=eps, sfo_budget=sfo_budget, seed=seed,
+        large_batch=anchor if online else None, delta=delta if second else 0.0,
+        logfactor=logfactor, **super_epoch,
+    )
+
+
+def derive_config_first_order(
+    problem: ProblemSpec, eps: float, *, sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0
+) -> RunConfig:
+    """First-order finite-sum parameters (see ``derive_config``)."""
+    return derive_config(problem, eps, mode=Mode.FINITE_SUM, sfo_budget=sfo_budget, seed=seed)
+
+
+def derive_config_second_order(
+    problem: ProblemSpec, eps: float, delta: float, logfactor: float = 1.0, *,
+    sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
+) -> RunConfig:
+    """Second-order finite-sum parameters (see ``derive_config``)."""
+    return derive_config(
+        problem, eps, delta, logfactor, mode=Mode.FINITE_SUM, sfo_budget=sfo_budget, seed=seed
+    )
+
+
+def derive_config_online_first_order(
+    problem: ProblemSpec, eps: float, *, sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0
+) -> RunConfig:
+    """First-order online parameters (see ``derive_config``)."""
+    return derive_config(problem, eps, mode=Mode.ONLINE, sfo_budget=sfo_budget, seed=seed)
+
+
+def derive_config_online_second_order(
+    problem: ProblemSpec, eps: float, delta: float, logfactor: float = 1.0, *,
+    sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
+) -> RunConfig:
+    """Second-order online parameters (see ``derive_config``)."""
+    return derive_config(
+        problem, eps, delta, logfactor, mode=Mode.ONLINE, sfo_budget=sfo_budget, seed=seed
     )
 
 
@@ -258,14 +212,7 @@ def run_ssrgd(
     cfg.validate(problem)
     if rng is None:
         rng = core.seeded_rng(cfg.seed, 0)
-    d = problem.d
-    if x0 is None:
-        x = np.zeros(d)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (d,):
-            raise InvalidInputError(f"x0 has shape {x.shape}, expected ({d},)")
-    core.ensure_finite(x, "initial point")
+    x = core.initial_point(x0, problem.d)
 
     online = problem.mode is Mode.ONLINE
     sfo = SfoCounter()
@@ -273,11 +220,7 @@ def run_ssrgd(
     candidates: list[tuple[int, Vector]] = []
     termination = Termination.BUDGET_EXHAUSTED
     certificate = None
-
-    in_super = False
-    x_tilde: Vector | None = None
-    t_init = -1
-    f_tilde = math.nan
+    se = cfg.super_epoch()
     t = 0
     epoch = 0
     warned_domain = False
@@ -293,9 +236,9 @@ def run_ssrgd(
             v=v.copy(),
             epoch=epoch,
             step_in_epoch=k,
-            super_epoch_active=in_super,
-            x_tilde=None if x_tilde is None else x_tilde.copy(),
-            t_init=t_init if in_super else None,
+            super_epoch_active=se.active,
+            x_tilde=None if se.x_tilde is None else se.x_tilde.copy(),
+            t_init=se.t_init if se.active else None,
             sfo_count=sfo.raw,
             iteration=t,
         )
@@ -316,7 +259,7 @@ def run_ssrgd(
         trace.append(TraceRecord(t, f_here, grad_norm, sfo.raw, Event.EPOCH_START))
         v = g
 
-        if not in_super and cfg.second_order and grad_norm <= cfg.grad_threshold:
+        if se.triggers(grad_norm):
             candidates.append((t, x.copy()))
             if certifier is not None:
                 cert = certifier(x)
@@ -324,11 +267,7 @@ def run_ssrgd(
                     termination = Termination.SOSP_CERTIFIED
                     certificate = cert
                     break
-            x_tilde = x.copy()
-            t_init = t
-            f_tilde = f_here
-            in_super = True
-            x = x_tilde + core.sample_uniform_ball(rng, d, cfg.perturb_radius)
+            x = se.start(rng, t, x, f_here)
             v = anchor(x)
             core.ensure_finite(v, "anchor gradient", trace, t)
             trace.append(
@@ -367,17 +306,11 @@ def run_ssrgd(
 
             event = Event.NONE
             f_t = None
-            if in_super:
+            if se.active:
                 f_t = float(problem.value(x))
-                if f_tilde - f_t >= cfg.fval_threshold:
-                    in_super = False
-                    event = Event.SUPER_EPOCH_END_FDECREASE
-                elif t - t_init >= cfg.super_epoch_len:
-                    in_super = False
-                    event = Event.SUPER_EPOCH_END_TIMEOUT
-            else:
-                if random_stop_decision(rng, k, cfg.epoch_len):
-                    event = Event.RANDOM_STOP
+                event = se.exit_event(t, f_t)
+            elif random_stop_decision(rng, k, cfg.epoch_len):
+                event = Event.RANDOM_STOP
             if step_callback is not None:
                 step_callback(snapshot(k), event)
             if full_trace or event is not Event.NONE:

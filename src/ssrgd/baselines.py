@@ -5,12 +5,12 @@ Four kinds: full-batch gradient descent (``gd``), its perturbed variant
 SVRG (``svrg``).  All return ``SsrgdOutcome`` so any analysis that consumes
 an SSRGD trace consumes these unchanged.
 
-The perturbed variant reuses the same trigger pattern as the main
-algorithm (gradient threshold, uniform-ball kick, escape window) rather
-than the original schedule of that method, so ablations isolate the
-estimator difference.  SGD uses a constant step size; its trace rows log
-the exact full gradient every ``eval_every`` steps as an out-of-band
-measurement that is not charged to the SFO count.
+The perturbed variant runs the same ``core.SuperEpoch`` code as the main
+algorithm (gradient threshold, uniform-ball kick, f-decrease or timeout
+exit) rather than the original schedule of that method, so ablations
+isolate the estimator difference.  SGD uses a constant step size; its
+trace rows log the exact full gradient every ``eval_every`` steps as an
+out-of-band measurement that is not charged to the SFO count.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     Mode,
     ProblemSpec,
     SfoCounter,
+    SuperEpoch,
     TraceRecord,
     UnsupportedOracleError,
     Vector,
@@ -63,14 +64,12 @@ class BaselineKind:
         if self.kind == "svrg" and (self.epoch_len is None or self.epoch_len < 1):
             raise ConfigError("svrg needs epoch_len >= 1")
         if self.kind == "perturbed_gd":
-            if self.perturb_radius <= 0:
-                raise ConfigError("perturbed_gd needs perturb_radius > 0")
-            if self.grad_threshold <= 0:
-                raise ConfigError("perturbed_gd needs grad_threshold > 0")
-            if not (0 < self.fval_threshold < math.inf):
-                raise ConfigError("perturbed_gd needs a finite fval_threshold > 0")
-            if self.super_epoch_len < 1:
-                raise ConfigError("perturbed_gd needs super_epoch_len >= 1")
+            self.super_epoch().check("perturbed_gd")
+
+    def super_epoch(self) -> SuperEpoch:
+        """Super-epoch state for ``perturbed_gd``; inert (radius 0) for the other kinds."""
+        radius = self.perturb_radius if self.kind == "perturbed_gd" else 0.0
+        return SuperEpoch(radius, self.grad_threshold, self.fval_threshold, self.super_epoch_len)
 
 
 def run_baseline(
@@ -88,24 +87,21 @@ def run_baseline(
         raise ConfigError("sfo_budget must be positive")
     if rng is None:
         rng = core.seeded_rng(kind.seed, 0)
-    x = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
-    core.ensure_finite(x, "initial point")
+    x = core.initial_point(x0, problem.d)
     if kind.kind in ("gd", "perturbed_gd"):
-        return _run_gd(kind, problem, sfo_budget, rng, x, perturbed=kind.kind == "perturbed_gd")
+        return _run_gd(kind, problem, sfo_budget, rng, x)
     if kind.kind == "sgd":
         return _run_sgd(kind, problem, sfo_budget, rng, x)
     return _run_svrg(kind, problem, sfo_budget, rng, x, full_trace)
 
 
-def _run_gd(kind, problem, budget, rng, x, perturbed):
+def _run_gd(kind, problem, budget, rng, x):
     if problem.mode is not Mode.FINITE_SUM:
         raise UnsupportedOracleError("gd variants need the finite-sum full gradient")
     sfo = SfoCounter()
     trace: list[TraceRecord] = []
     candidates: list[tuple[int, Vector]] = []
-    in_window = False
-    f_tilde = math.nan
-    t_init = -1
+    se = kind.super_epoch()
     t = 0
     term = Termination.BUDGET_EXHAUSTED
     while sfo.raw < budget:
@@ -115,21 +111,10 @@ def _run_gd(kind, problem, budget, rng, x, perturbed):
         g = estimators.full_gradient(problem, x, sfo=sfo)
         gn = float(np.linalg.norm(g))
         f = float(problem.value(x))
-        event = Event.NONE
-        if in_window:
-            if f_tilde - f >= kind.fval_threshold:
-                in_window = False
-                event = Event.SUPER_EPOCH_END_FDECREASE
-            elif t - t_init >= kind.super_epoch_len:
-                in_window = False
-                event = Event.SUPER_EPOCH_END_TIMEOUT
-        trace.append(TraceRecord(t, f, gn, sfo.raw, event))
-        if perturbed and not in_window and gn <= kind.grad_threshold:
+        trace.append(TraceRecord(t, f, gn, sfo.raw, se.exit_event(t, f)))
+        if se.triggers(gn):
             candidates.append((t, x.copy()))
-            f_tilde = f
-            t_init = t
-            in_window = True
-            x = x + core.sample_uniform_ball(rng, problem.d, kind.perturb_radius)
+            x = se.start(rng, t, x, f)
             g = estimators.full_gradient(problem, x, sfo=sfo)
             trace.append(
                 TraceRecord(t, float(problem.value(x)), float(np.linalg.norm(g)), sfo.raw, Event.PERTURBATION)

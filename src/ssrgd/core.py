@@ -185,6 +185,9 @@ class RunConfig:
     def second_order(self) -> bool:
         return self.perturb_radius > 0
 
+    def super_epoch(self) -> SuperEpoch:
+        return SuperEpoch(self.perturb_radius, self.grad_threshold, self.fval_threshold, self.super_epoch_len)
+
     def validate(self, problem: ProblemSpec) -> None:
         if self.step_size <= 0:
             raise ConfigError("step_size must be > 0")
@@ -198,34 +201,72 @@ class RunConfig:
             raise ConfigError("eps must be nonnegative")
         if self.perturb_radius < 0:
             raise ConfigError("perturb_radius must be nonnegative")
-        L = problem.lipschitz_grad
+        order, step_factor = "first-order", STEP_FACTOR_LIMIT
         if self.second_order:
             if self.minibatch < self.epoch_len:
                 raise ConfigError(
                     "second-order mode needs minibatch >= epoch_len "
                     f"(got b={self.minibatch}, m={self.epoch_len})"
                 )
-            if self.grad_threshold <= 0:
-                raise ConfigError("second-order mode needs grad_threshold > 0")
-            if not (0 < self.fval_threshold < math.inf):
-                raise ConfigError("second-order mode needs a finite fval_threshold > 0")
-            if self.super_epoch_len < 1:
-                raise ConfigError("second-order mode needs super_epoch_len >= 1")
-            cap = max(self.logfactor, STEP_FACTOR_LIMIT) / L
-            if self.step_size > cap * (1 + _REL_TOL):
-                raise ConfigError(
-                    f"step_size {self.step_size:g} exceeds second-order cap {cap:g}"
-                )
+            self.super_epoch().check("second-order mode")
+            order, step_factor = "second-order", max(self.logfactor, STEP_FACTOR_LIMIT)
+        cap = step_factor / problem.lipschitz_grad
+        if self.step_size > cap * (1 + _REL_TOL):
+            raise ConfigError(f"step_size {self.step_size:g} exceeds {order} cap {cap:g}")
+        if problem.mode is Mode.ONLINE and (self.large_batch is None or self.large_batch < 1):
+            raise ConfigError("online mode needs large_batch >= 1")
+
+
+@dataclass
+class SuperEpoch:
+    """Super-epoch state machine of Li 2019, Alg. 2, run by SSRGD and perturbed GD.
+
+    It triggers when none is active, the radius is positive and the gradient
+    norm is at most ``grad_threshold``; ``start`` records x~, f~ and t_init
+    and returns x~ plus a uniform-ball draw.  It ends once f has dropped by
+    ``fval_threshold`` below f~ or, failing that, ``length`` steps after t_init.
+    """
+
+    radius: float
+    grad_threshold: float
+    fval_threshold: float
+    length: int
+    active: bool = False
+    x_tilde: Vector | None = None
+    f_tilde: float = math.nan
+    t_init: int = -1
+
+    def check(self, who: str) -> None:
+        if self.radius <= 0:
+            raise ConfigError(f"{who} needs perturb_radius > 0")
+        if self.grad_threshold <= 0:
+            raise ConfigError(f"{who} needs grad_threshold > 0")
+        if not (0 < self.fval_threshold < math.inf):
+            raise ConfigError(f"{who} needs a finite fval_threshold > 0")
+        if self.length < 1:
+            raise ConfigError(f"{who} needs super_epoch_len >= 1")
+
+    def triggers(self, grad_norm: float) -> bool:
+        return not self.active and self.radius > 0 and grad_norm <= self.grad_threshold
+
+    def start(self, rng: np.random.Generator, t: int, x: Vector, f: float) -> Vector:
+        self.active, self.t_init, self.f_tilde = True, t, f
+        self.x_tilde = x.copy()
+        return self.x_tilde + sample_uniform_ball(rng, x.shape[0], self.radius)
+
+    def exit_event(self, t: int, f: float) -> Event:
+        """Close the active super epoch at (t, f) if either exit condition
+        holds, the f-decrease first; ``Event.NONE`` otherwise."""
+        if not self.active:
+            return Event.NONE
+        if self.f_tilde - f >= self.fval_threshold:
+            event = Event.SUPER_EPOCH_END_FDECREASE
+        elif t - self.t_init >= self.length:
+            event = Event.SUPER_EPOCH_END_TIMEOUT
         else:
-            cap = STEP_FACTOR_LIMIT / L
-            if self.step_size > cap * (1 + _REL_TOL):
-                raise ConfigError(
-                    f"step_size {self.step_size:g} exceeds first-order cap "
-                    f"(sqrt(5)-1)/(2L) = {cap:g}"
-                )
-        if problem.mode is Mode.ONLINE:
-            if self.large_batch is None or self.large_batch < 1:
-                raise ConfigError("online mode needs large_batch >= 1")
+            return Event.NONE
+        self.active = False
+        return event
 
 
 @dataclass
@@ -316,6 +357,16 @@ def sample_minibatch(
     if b > n:
         raise ConfigError("without replacement needs b <= n")
     return rng.choice(n, size=b, replace=False).astype(np.int64)
+
+
+def initial_point(x0, d: int) -> Vector:
+    """A float copy of ``x0`` (zeros when None), checked to be a finite
+    vector of shape (d,)."""
+    x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (d,):
+        raise InvalidInputError(f"x0 has shape {x.shape}, expected ({d},)")
+    ensure_finite(x, "initial point")
+    return x
 
 
 def ensure_finite(x: Vector, what: str, trace=None, iteration: int | None = None) -> None:

@@ -26,6 +26,7 @@ exceeding a bound by more than three of them.  High-probability statements
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -213,7 +214,7 @@ def verify_epoch_decrease(
         raise ConfigError("need at least two replications")
     if rng is None:
         rng = core.seeded_rng(cfg.seed, 7)
-    x_start = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float)
+    x_start = core.initial_point(x0, problem.d)
     n = int(problem.n)
     eta = cfg.step_size
     m = cfg.epoch_len
@@ -526,7 +527,7 @@ def collect_super_epoch_paths(
                 segment = None
                 fvals = []
 
-        run_cfg = cfg if cfg.seed == seed else _with_seed(cfg, seed)
+        run_cfg = cfg if cfg.seed == seed else dataclasses.replace(cfg, seed=seed)
         algorithm.run_ssrgd(
             problem, run_cfg, x0=x0, full_trace=False, step_callback=on_step
         )
@@ -537,12 +538,6 @@ def collect_super_epoch_paths(
     if max_paths is not None:
         paths = paths[:max_paths]
     return paths
-
-
-def _with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, seed=seed)
 
 
 def verify_localization(

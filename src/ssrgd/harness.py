@@ -46,7 +46,6 @@ import logging
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,6 +129,17 @@ class Cell:
             "problem": self.problem,
             "optimizer_name": self.optimizer_name,
             "optimizer": self.optimizer,
+            "seed": self.seed,
+            "sweep_axis": self.sweep_axis,
+            "sweep_value": self.sweep_value,
+        }
+
+    def summary_header(self) -> dict:
+        """The keys every ``summary.json`` starts with, failed cells included."""
+        return {
+            "run_id": self.run_id,
+            "problem": self.problem_name,
+            "optimizer": self.optimizer_name,
             "seed": self.seed,
             "sweep_axis": self.sweep_axis,
             "sweep_value": self.sweep_value,
@@ -357,24 +367,12 @@ def build_run_config(
 ) -> RunConfig:
     """Derived defaults for the problem, then explicit overrides."""
     eps = float(eps_override if eps_override is not None else oparams.get("eps", 0.01))
-    order = oparams.get("order", "first")
-    online = inst.spec.mode is core.Mode.ONLINE
-    if order == "second":
+    delta = None
+    if oparams.get("order", "first") == "second":
         delta = oparams.get("delta", math.sqrt(inst.spec.lipschitz_hess * eps) or 0.1)
-        lf = oparams.get("logfactor", 1.0)
-        if online:
-            cfg = algorithm.derive_config_online_second_order(inst.spec, eps, delta, lf, seed=seed)
-        else:
-            cfg = algorithm.derive_config_second_order(inst.spec, eps, delta, lf, seed=seed)
-    else:
-        if online:
-            cfg = algorithm.derive_config_online_first_order(inst.spec, eps, seed=seed)
-        else:
-            cfg = algorithm.derive_config_first_order(inst.spec, eps, seed=seed)
+    cfg = algorithm.derive_config(inst.spec, eps, delta, oparams.get("logfactor", 1.0), seed=seed)
     overrides = {k: oparams[k] for k in _RUNCONFIG_OVERRIDES if k in oparams}
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _trace_to_csv(trace: list[TraceRecord]) -> str:
@@ -423,7 +421,6 @@ def sfo_at_first_fosp(trace: list[TraceRecord], eps: float) -> int | None:
 
 def run_cell(cell: Cell) -> tuple[dict, str]:
     """Execute one cell; returns (summary dict, trace CSV text)."""
-    t0 = time.perf_counter()
     n_override = None
     eps_override = None
     if cell.sweep_axis == "n":
@@ -436,13 +433,8 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
     full_trace = cell.optimizer.get("trace", "full") == "full"
 
     summary: dict = {
-        "run_id": cell.run_id,
-        "problem": cell.problem_name,
-        "optimizer": cell.optimizer_name,
+        **cell.summary_header(),
         "kind": okind,
-        "seed": cell.seed,
-        "sweep_axis": cell.sweep_axis,
-        "sweep_value": cell.sweep_value,
         "n": None if math.isinf(inst.spec.n) else int(inst.spec.n),
         "d": inst.spec.d,
         "failed": False,
@@ -488,7 +480,6 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
             "f_final": outcome.trace[-1].f_value if outcome.trace else None,
             "final_grad_norm": _last_grad_norm(outcome.trace),
             "certificate": cert.to_dict() if cert is not None else None,
-            "wall_time": time.perf_counter() - t0,
         }
     )
     return summary, _trace_to_csv(outcome.trace)
@@ -518,20 +509,14 @@ def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
         seed=seed,
         max_iters=oparams.get("max_iters"),
     )
-    if kind == "svrg" and bk.epoch_len is None:
+    if kind == "svrg" and bk.epoch_len is None and inst.spec.mode is core.Mode.FINITE_SUM:
         m = algorithm._ceil_sqrt(inst.spec.n)
         bk = dataclasses.replace(bk, epoch_len=m, minibatch=oparams.get("minibatch", m))
     if kind == "perturbed_gd" and bk.perturb_radius <= 0:
-        rho = inst.spec.lipschitz_hess
         delta = oparams.get("delta", 0.1)
-        if rho > 0:
-            bk = dataclasses.replace(
-                bk,
-                perturb_radius=min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),
-                grad_threshold=eps,
-                fval_threshold=delta**3 / rho**2,
-                super_epoch_len=math.ceil(1.0 / (bk.step_size * delta)),
-            )
+        bk = dataclasses.replace(
+            bk, **algorithm.super_epoch_params(inst.spec, eps, delta, 1.0, bk.step_size)
+        )
     return bk
 
 
@@ -591,12 +576,7 @@ def _run_cell_safely(cell: Cell) -> tuple[dict, str]:
     except SsrgdError as exc:
         logger.error("cell %s aborted: %s", cell.run_id, exc)
         summary = {
-            "run_id": cell.run_id,
-            "problem": cell.problem_name,
-            "optimizer": cell.optimizer_name,
-            "seed": cell.seed,
-            "sweep_axis": cell.sweep_axis,
-            "sweep_value": cell.sweep_value,
+            **cell.summary_header(),
             "failed": True,
             "error": str(exc),
             "sfo_raw": 0,
@@ -826,33 +806,27 @@ def _cmd_diagnose(args) -> int:
         report = diagnostics.verify_epoch_decrease(
             spec, cfg, args.replications, core.seeded_rng(args.seed, 7)
         ).to_dict()
-    elif args.subcommand == "coupled":
+    else:  # coupled or localization, both around the first listed saddle
         if not inst.saddle_points:
-            raise ConfigError("coupled diagnostics need a problem with a listed saddle")
+            raise ConfigError(f"{args.subcommand} diagnostics need a problem with a listed saddle")
+        saddle = inst.saddle_points[0][0]
         cfg = algorithm.derive_config_second_order(
-            spec, args.eps, args.delta, args.logfactor, seed=args.seed
+            spec, args.eps, args.delta, args.logfactor, seed=args.seed, sfo_budget=args.budget
         )
-        report = diagnostics.run_coupled_experiment(
-            inst, inst.saddle_points[0][0], cfg, args.pairs
-        ).to_dict()
-    else:  # localization
-        if not inst.saddle_points:
-            raise ConfigError("localization diagnostics need a problem with a listed saddle")
-        cfg = algorithm.derive_config_second_order(
-            spec, args.eps, args.delta, args.logfactor, seed=args.seed,
-            sfo_budget=args.budget,
-        )
-        cap = 1.0 / (2.0 * spec.lipschitz_grad)
-        if cfg.step_size > cap:
-            cfg = dataclasses.replace(cfg, step_size=0.95 * cap)
-        paths = diagnostics.collect_super_epoch_paths(
-            inst, cfg, seeds=range(args.seed, args.seed + args.super_epochs),
-            x0=inst.saddle_points[0][0], max_paths=args.super_epochs,
-        )
-        report = diagnostics.verify_localization(
-            paths, lipschitz_grad=spec.lipschitz_grad, cprime=1.0,
-            step_size=cfg.step_size,
-        ).to_dict()
+        if args.subcommand == "coupled":
+            report = diagnostics.run_coupled_experiment(inst, saddle, cfg, args.pairs).to_dict()
+        else:
+            cap = 1.0 / (2.0 * spec.lipschitz_grad)
+            if cfg.step_size > cap:
+                cfg = dataclasses.replace(cfg, step_size=0.95 * cap)
+            paths = diagnostics.collect_super_epoch_paths(
+                inst, cfg, seeds=range(args.seed, args.seed + args.super_epochs),
+                x0=saddle, max_paths=args.super_epochs,
+            )
+            report = diagnostics.verify_localization(
+                paths, lipschitz_grad=spec.lipschitz_grad, cprime=1.0,
+                step_size=cfg.step_size,
+            ).to_dict()
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssrgd
 from ssrgd import algorithm, core, spectral
@@ -99,6 +101,77 @@ class TestDeriveOnline:
         cfg = ssrgd.derive_config_online_second_order(inst.spec, 0.1, 0.3, 1.0)
         assert cfg.large_batch == 400 and cfg.second_order
         cfg.validate(inst.spec)
+
+
+class TestDeriveRejections:
+    """The one derivation applies every check any of the four entries made."""
+
+    def test_first_order_finite_sum_needs_positive_eps(self):
+        inst = ssrgd.make_quadratic(d=2, n=16, seed=0)
+        for eps in (0.0, -0.1):
+            with pytest.raises(ConfigError, match="eps must be positive"):
+                ssrgd.derive_config_first_order(inst.spec, eps)
+
+    def test_online_second_order_needs_positive_logfactor(self):
+        base = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
+        inst = ssrgd.make_online_stream(base, 1.0)
+        for lf in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="logfactor must be positive"):
+                ssrgd.derive_config_online_second_order(inst.spec, 0.1, 0.3, lf)
+
+    def test_online_entries_redirect_finite_sum(self):
+        inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
+        with pytest.raises(UnsupportedOracleError, match="use derive_config_first_order"):
+            ssrgd.derive_config_online_first_order(inst.spec, 0.1)
+        with pytest.raises(UnsupportedOracleError, match="use derive_config_second_order"):
+            ssrgd.derive_config_online_second_order(inst.spec, 0.1, 0.3)
+
+
+def _spec(online, n, L, rho, sigma):
+    return core.ProblemSpec(
+        n=math.inf if online else n, d=3, lipschitz_grad=L, lipschitz_hess=rho,
+        mode=Mode.ONLINE if online else Mode.FINITE_SUM,
+        value=lambda x: 0.0, component_grad=lambda i, x: x,
+        full_grad=None if online else (lambda x: x), variance_bound=sigma,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    online=st.booleans(),
+    second=st.booleans(),
+    eps=st.floats(1e-3, 1.0),
+    delta=st.floats(1e-3, 1.0),
+    logfactor=st.floats(0.05, 32.0),
+    L=st.floats(1e-2, 1e3),
+    rho=st.floats(1e-2, 1e2),
+    sigma=st.floats(0.0, 5.0),
+    n=st.integers(1, 10**7),
+)
+def test_derivation_properties(online, second, eps, delta, logfactor, L, rho, sigma, n):
+    spec = _spec(online, n, L, rho, sigma)
+    entry = {
+        (False, False): lambda: ssrgd.derive_config_first_order(spec, eps),
+        (False, True): lambda: ssrgd.derive_config_second_order(spec, eps, delta, logfactor),
+        (True, False): lambda: ssrgd.derive_config_online_first_order(spec, eps),
+        (True, True): lambda: ssrgd.derive_config_online_second_order(spec, eps, delta, logfactor),
+    }[(online, second)]
+    cfg = entry()
+    cfg.validate(spec)
+    lf = logfactor if second else 1.0
+    anchor = max(1, math.ceil(lf * 4.0 * sigma**2 / eps**2)) if online else n
+    assert cfg.large_batch == (anchor if online else None)
+    m = math.isqrt(anchor - 1) + 1 if anchor > 1 else 1
+    assert m * m >= anchor > (m - 1) ** 2
+    assert cfg.epoch_len == cfg.minibatch == m
+    assert cfg.second_order is second
+    assert 0 < cfg.step_size * L <= GOLDEN * (1 + 1e-12)
+    if second:
+        assert cfg.step_size * L <= lf * (1 + 1e-12)
+        assert cfg.grad_threshold == eps and cfg.delta == delta
+        assert cfg.super_epoch_len >= 1 and 0 < cfg.fval_threshold < math.inf
+    else:
+        assert cfg.perturb_radius == 0 and cfg.logfactor == 1.0
 
 
 class TestRandomStop:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ssrgd
-from ssrgd import core
-from ssrgd.core import ConfigError, Mode, RunConfig
+from ssrgd import baselines, core, diagnostics
+from ssrgd.core import ConfigError, Event, InvalidInputError, Mode, RunConfig, SuperEpoch
 
 from conftest import scalar_quadratic
 
@@ -108,6 +108,90 @@ class TestRunConfigValidation:
         cfg = RunConfig(step_size=0.1, epoch_len=2, minibatch=2, eps=0.1, sfo_budget=10)
         with pytest.raises(ConfigError, match="large_batch"):
             cfg.validate(inst.spec)
+
+
+class TestSuperEpoch:
+    def _started(self, length=3, fval_threshold=1.0):
+        se = SuperEpoch(0.1, 0.5, fval_threshold, length)
+        se.start(core.seeded_rng(0, 0), 10, np.zeros(3), 5.0)
+        return se
+
+    def test_start_records_trigger_and_perturbs_within_radius(self):
+        se = SuperEpoch(0.1, 0.5, 1.0, 3)
+        x = np.array([1.0, 2.0, 3.0])
+        y = se.start(core.seeded_rng(4, 0), 7, x, 2.5)
+        assert se.active and se.t_init == 7 and se.f_tilde == 2.5
+        assert np.array_equal(se.x_tilde, x) and se.x_tilde is not x
+        assert 0 < np.linalg.norm(y - x) <= 0.1
+
+    def test_fdecrease_wins_when_both_conditions_hold(self):
+        se = self._started()
+        # f dropped by 2 >= 1 and t - t_init = 3 >= 3
+        assert se.exit_event(13, 3.0) is Event.SUPER_EPOCH_END_FDECREASE
+        assert not se.active
+
+    def test_fdecrease_before_timeout(self):
+        se = self._started()
+        assert se.exit_event(11, 4.5) is Event.NONE and se.active
+        assert se.exit_event(12, 4.0) is Event.SUPER_EPOCH_END_FDECREASE
+
+    def test_timeout_fires_exactly_at_length(self):
+        se = self._started(length=3)
+        assert se.exit_event(12, 5.0) is Event.NONE and se.active
+        assert se.exit_event(13, 5.0) is Event.SUPER_EPOCH_END_TIMEOUT
+        assert not se.active
+
+    def test_no_exit_while_inactive(self):
+        se = SuperEpoch(0.1, 0.5, 1.0, 3)
+        assert se.exit_event(100, -1e9) is Event.NONE
+
+    def test_trigger_rules(self):
+        se = SuperEpoch(0.1, 0.5, 1.0, 3)
+        assert se.triggers(0.5) and not se.triggers(0.51)
+        se.start(core.seeded_rng(0, 0), 0, np.zeros(2), 0.0)
+        assert not se.triggers(0.0)  # already active
+        assert not SuperEpoch(0.0, 0.5, 1.0, 3).triggers(0.0)  # radius 0
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ((0.0, 0.5, 1.0, 3), "perturb_radius"),
+            ((0.1, 0.0, 1.0, 3), "grad_threshold"),
+            ((0.1, 0.5, math.inf, 3), "fval_threshold"),
+            ((0.1, 0.5, 1.0, 0), "super_epoch_len"),
+        ],
+    )
+    def test_check_names_the_setting(self, settings, key):
+        with pytest.raises(ConfigError, match=f"^who needs .*{key}"):
+            SuperEpoch(*settings).check("who")
+
+
+class TestInitialPointShape:
+    """Every optimizer entry point refuses a start of the wrong dimension."""
+
+    def test_run_ssrgd(self):
+        inst = ssrgd.make_separable_saddle(d=5, n=16, delta_plant=0.4, seed=0)
+        cfg = ssrgd.derive_config_second_order(inst.spec, 0.05, 0.3, sfo_budget=1000)
+        with pytest.raises(InvalidInputError, match=r"\(4,\)"):
+            ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(4))
+
+    def test_run_baseline(self):
+        inst = ssrgd.make_separable_saddle(d=5, n=16, delta_plant=0.4, seed=0)
+        kind = baselines.BaselineKind(kind="gd", step_size=0.1)
+        with pytest.raises(InvalidInputError, match=r"\(4,\)"):
+            baselines.run_baseline(kind, inst.spec, 1000, x0=np.zeros(4))
+
+    def test_verify_epoch_decrease(self):
+        inst = ssrgd.make_nonconvex_logistic(64, 5, seed=0)
+        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
+        with pytest.raises(InvalidInputError, match=r"\(4,\)"):
+            diagnostics.verify_epoch_decrease(inst.spec, cfg, 2, x0=np.zeros(4))
+
+    def test_non_finite_start_rejected(self):
+        inst = ssrgd.make_nonconvex_logistic(64, 5, seed=0)
+        kind = baselines.BaselineKind(kind="gd", step_size=0.1)
+        with pytest.raises(ssrgd.NonFiniteError, match="initial point"):
+            baselines.run_baseline(kind, inst.spec, 1000, x0=np.full(5, np.nan))
 
 
 class TestSfoAccounting:

@@ -47,6 +47,12 @@ def write_config(tmp_path, text, name="plan.ini"):
     return p
 
 
+def output_bytes(plan) -> dict:
+    """Bytes of every file under the plan's output directory, by relative path."""
+    root = Path(plan.out_dir)
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
@@ -141,14 +147,17 @@ class TestRunPlan:
         assert agg["failed"] == []
 
     def test_idempotent_byte_identical(self, tmp_path):
-        plan = parse_config(write_config(tmp_path, MINIMAL))
+        # every artifact of a plan, summaries, aggregate and plots included
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1\nplot = true")
+        plan = parse_config(write_config(tmp_path, text))
         agg1 = run_plan(plan)
         rid = agg1["cells"][0]["run_id"]
-        first = (Path(plan.out_dir) / rid / "trace.csv").read_bytes()
+        first = output_bytes(plan)
         agg2 = run_plan(plan)
-        second = (Path(plan.out_dir) / rid / "trace.csv").read_bytes()
-        assert first == second
+        assert output_bytes(plan) == first
         assert agg2["cells"][0]["run_id"] == rid
+        assert {"aggregate.json", f"{rid}/summary.json", f"{rid}/trace.csv",
+                "trace_f_vs_sfo.svg"} <= set(first)
 
     def test_csv_round_trip(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
@@ -310,6 +319,39 @@ class TestCli:
         assert len(good) == 1 and good[0]["sfo_raw"] > 0
         assert (out / good[0]["run_id"] / "trace.csv").read_text().count("\n") > 1
 
+    def test_svrg_on_online_problem_fails_only_its_cell(self, tmp_path, capsys):
+        # svrg needs the finite-sum full gradient: on an online stream its
+        # cell must fail with a package error while the sgd cell is written
+        text = """
+[problem]
+kind = quadratic
+n = 16
+d = 3
+sigma = 0.5
+
+[optimizer:sgd]
+kind = sgd
+eps = 0.05
+sfo_budget = 2000
+
+[optimizer:svrg]
+kind = svrg
+eps = 0.05
+sfo_budget = 2000
+
+[output]
+dir = {out}
+seeds = 0
+"""
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
+        by_opt = {c["optimizer"]: c for c in agg["cells"]}
+        assert by_opt["svrg"]["failed"] and "svrg" in by_opt["svrg"]["error"]
+        assert agg["failed"] == [by_opt["svrg"]["run_id"]]
+        assert not by_opt["sgd"]["failed"] and by_opt["sgd"]["sfo_raw"] > 0
+        trace = tmp_path / "runs" / by_opt["sgd"]["run_id"] / "trace.csv"
+        assert trace.read_text().count("\n") > 1
+
     def test_certify_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         ckpt = tmp_path / "x.npy"
@@ -353,20 +395,29 @@ seeds = 0, 1
 """
 
 
+class TestBaselineDefaults:
+    def test_perturbed_gd_defaults_are_the_super_epoch_params(self):
+        inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.4, seed=0)
+        bk = harness._baseline_from_params({"kind": "perturbed_gd", "delta": 0.3}, inst, 0, 0.05)
+        derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, 0.3, 1.0, bk.step_size)
+        assert derived == {
+            key: getattr(bk, key)
+            for key in ("perturb_radius", "grad_threshold", "fval_threshold", "super_epoch_len")
+        }
+        assert bk.perturb_radius == pytest.approx(1.5e-3, rel=1e-12)
+        assert bk.fval_threshold == pytest.approx(7.5e-5, rel=1e-12)
+        assert bk.grad_threshold == 0.05 and bk.super_epoch_len == 15
+
+
 class TestParallelWorkers:
     def test_worker_pool_matches_serial(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MULTI))
         run_plan(plan, workers=1)
-        serial = {
-            p.parent.name: p.read_bytes()
-            for p in Path(plan.out_dir).glob("*/trace.csv")
-        }
+        serial = output_bytes(plan)
         run_plan(plan, workers=2)
-        parallel = {
-            p.parent.name: p.read_bytes()
-            for p in Path(plan.out_dir).glob("*/trace.csv")
-        }
-        assert serial == parallel and len(serial) == 12
+        assert output_bytes(plan) == serial
+        assert sum(name.endswith("/trace.csv") for name in serial) == 12
+        assert sum(name.endswith("/summary.json") for name in serial) == 12
 
 
 class TestDiagnoseCli:
