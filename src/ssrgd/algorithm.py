@@ -224,6 +224,7 @@ def run_ssrgd(
     t = 0
     epoch = 0
     warned_domain = False
+    f_x = None  # f at the current x once a row has evaluated it; None after x moves
 
     def anchor(xp: Vector) -> Vector:
         if online:
@@ -255,8 +256,9 @@ def run_ssrgd(
         g = anchor(x)
         core.ensure_finite(g, "anchor gradient", trace, t)
         grad_norm = float(np.linalg.norm(g))
-        f_here = float(problem.value(x))
-        trace.append(TraceRecord(t, f_here, grad_norm, sfo.raw, Event.EPOCH_START))
+        if f_x is None:
+            f_x = float(problem.value(x))
+        trace.append(TraceRecord(t, f_x, grad_norm, sfo.raw, Event.EPOCH_START))
         v = g
 
         if se.triggers(grad_norm):
@@ -267,12 +269,11 @@ def run_ssrgd(
                     termination = Termination.SOSP_CERTIFIED
                     certificate = cert
                     break
-            x = se.start(rng, t, x, f_here)
+            x = se.start(rng, t, x, f_x)
             v = anchor(x)
             core.ensure_finite(v, "anchor gradient", trace, t)
-            trace.append(
-                TraceRecord(t, float(problem.value(x)), float(np.linalg.norm(v)), sfo.raw, Event.PERTURBATION)
-            )
+            f_x = float(problem.value(x))
+            trace.append(TraceRecord(t, f_x, float(np.linalg.norm(v)), sfo.raw, Event.PERTURBATION))
             if step_callback is not None:
                 step_callback(snapshot(0), Event.PERTURBATION)
 
@@ -284,6 +285,7 @@ def run_ssrgd(
                 break
             t += 1
             x = x - cfg.step_size * v
+            f_x = None
             core.ensure_finite(x, "iterate", trace, t)
             if (
                 problem.domain_radius is not None
@@ -305,18 +307,17 @@ def run_ssrgd(
             core.ensure_finite(v, "gradient estimate", trace, t)
 
             event = Event.NONE
-            f_t = None
             if se.active:
-                f_t = float(problem.value(x))
-                event = se.exit_event(t, f_t)
+                f_x = float(problem.value(x))
+                event = se.exit_event(t, f_x)
             elif random_stop_decision(rng, k, cfg.epoch_len):
                 event = Event.RANDOM_STOP
             if step_callback is not None:
                 step_callback(snapshot(k), event)
             if full_trace or event is not Event.NONE:
-                if f_t is None:
-                    f_t = float(problem.value(x))
-                trace.append(TraceRecord(t, f_t, None, sfo.raw, event))
+                if f_x is None:
+                    f_x = float(problem.value(x))
+                trace.append(TraceRecord(t, f_x, None, sfo.raw, event))
             if event is not Event.NONE:
                 break
         epoch += 1

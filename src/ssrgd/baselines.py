@@ -171,15 +171,16 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
     t = 0
     term = Termination.BUDGET_EXHAUSTED
     stop = False
+    f_x = None  # f at the current x once a row has evaluated it; None after x moves
     while not stop and sfo.raw < budget:
         if kind.max_iters is not None and t >= kind.max_iters:
             term = Termination.MAX_EPOCHS
             break
         anchor_grad = estimators.full_gradient(problem, x, sfo=sfo)
         state = EstimatorState(v=anchor_grad, anchor=x.copy(), anchor_grad=anchor_grad)
-        trace.append(
-            TraceRecord(t, float(problem.value(x)), float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START)
-        )
+        if f_x is None:
+            f_x = float(problem.value(x))
+        trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
         v = anchor_grad
         for _ in range(kind.epoch_len):
             if sfo.raw >= budget:
@@ -191,11 +192,13 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
                 break
             t += 1
             x = x - kind.step_size * v
+            f_x = None
             core.ensure_finite(x, "iterate", trace, t)
             batch = core.sample_minibatch(rng, problem.n, kind.minibatch)
             v = estimators.svrg_step(problem, state, x, batch, sfo=sfo)
             if full_trace:
-                trace.append(TraceRecord(t, float(problem.value(x)), None, sfo.raw, Event.NONE))
+                f_x = float(problem.value(x))
+                trace.append(TraceRecord(t, f_x, None, sfo.raw, Event.NONE))
     return SsrgdOutcome(
         final_x=x, trace=trace, termination=term,
         sfo_raw=sfo.raw, sfo_nominal=sfo.nominal,

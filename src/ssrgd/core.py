@@ -118,6 +118,11 @@ class ProblemSpec:
     the difference.  When absent, the recursive and snapshot estimators
     take two batched gradient calls and subtract their means.  Either way
     a step over b indices is charged 2b raw SFO (b nominal).
+
+    Every oracle must be a pure function of its arguments.  The online
+    stream answers repeated gradient requests at one point from a one-entry
+    slot, and the optimizers reuse an f value already computed at the
+    current point instead of asking for it again.
     """
 
     n: float

@@ -440,9 +440,14 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
         "failed": False,
     }
 
+    # certify at the delta the run targeted: an order = second ssrgd cell
+    # without a delta key derives sqrt(rho * eps)
+    delta = cell.optimizer.get("delta", 0.1)
     if okind == "ssrgd":
         cfg = build_run_config(cell.optimizer, inst, cell.seed, eps_override)
         eps = cfg.eps
+        if cfg.delta > 0:
+            delta = cfg.delta
         outcome = algorithm.run_ssrgd(inst.spec, cfg, x0=x0, full_trace=full_trace)
     else:
         eps = float(eps_override if eps_override is not None else cell.optimizer.get("eps", 0.01))
@@ -455,7 +460,6 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
     first_fosp = sfo_at_first_fosp(outcome.trace, eps)
     cert = None
     sfo_at_sosp = None
-    delta = cell.optimizer.get("delta", 0.1)
     if inst.spec.hvp is not None and inst.spec.d <= spectral.DENSE_CAP:
         cert = spectral.certify(inst.spec, outcome.final_x, eps, delta)
         sfo_by_iter = {
@@ -479,7 +483,7 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
             "termination": outcome.termination.value,
             "f_final": outcome.trace[-1].f_value if outcome.trace else None,
             "final_grad_norm": _last_grad_norm(outcome.trace),
-            "certificate": cert.to_dict() if cert is not None else None,
+            "certificate": {**cert.to_dict(), "delta": delta} if cert is not None else None,
         }
     )
     return summary, _trace_to_csv(outcome.trace)

@@ -348,17 +348,19 @@ def _hashed_ball_noise(ids: np.ndarray, d: int, radius: float, seed: int) -> np.
             0xD1342543DE82EF95
         )
     # pair p of coordinates (2p, 2p+1) reads lanes 3p and 3p+1; lane 2 is
-    # the radius draw
-    lanes = 3 * np.arange((d + 1) // 2)
-    u1 = np.clip(_hashed_uniforms(ids[:, None], lanes), 1e-300, None)
-    u2 = _hashed_uniforms(ids[:, None], lanes + 1)
+    # the radius draw.  One hash pass covers all of them.
+    pairs = (d + 1) // 2
+    lanes = 3 * np.arange(pairs)
+    u = _hashed_uniforms(ids[:, None], np.concatenate([lanes, lanes + 1, [2]]))
+    u1 = np.clip(u[:, :pairs], 1e-300, None)
+    u2 = u[:, pairs:-1]
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.empty((len(ids), d))
     z[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
     z[:, 1::2] = (r * np.sin(2.0 * np.pi * u2))[:, : d // 2]
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0] = 1.0
-    scale = radius * _hashed_uniforms(ids, 2) ** (1.0 / d) / norms
+    scale = radius * u[:, -1] ** (1.0 / d) / norms
     return z * scale[:, None]
 
 
@@ -370,7 +372,9 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     sample and the noise is exactly mean-zero in distribution.  Function
     values and Hessian-vector products stay exact (evaluation-side
     oracles); the exact full gradient is withheld, as online estimators
-    must not see it.
+    must not see it.  Repeated gradient requests at one point are answered
+    from a one-entry slot holding the base gradient at the last point asked
+    for, which relies on the base ``full_grad`` being a pure function of x.
     """
     if sigma < 0:
         raise ConfigError("sigma must be nonnegative")
@@ -378,16 +382,29 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     if bspec.full_grad is None:
         raise ConfigError("online stream needs a base with an exact gradient")
     d = bspec.d
+    slot: list = [None, None]  # float64 bytes of the last x, bspec.full_grad there
+
+    def base_grad(x):
+        # A recursive step's old endpoint is the previous step's new one, and
+        # an epoch's anchor sits where the last epoch ended, so consecutive
+        # requests repeat a point.  Keyed on x's bits, not its identity;
+        # callers get fresh arrays, never the stored one.
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != slot[0]:
+            slot[:] = key, bspec.full_grad(x)
+        return slot[1]
 
     def component_grad(i, x):
-        return bspec.full_grad(x) + _hashed_ball_noise(np.array([i]), d, sigma, seed)[0]
+        return base_grad(x) + _hashed_ball_noise(np.array([i]), d, sigma, seed)[0]
 
     def component_grad_batch(idx, x):
-        return bspec.full_grad(x)[None, :] + _hashed_ball_noise(idx, d, sigma, seed)
+        return base_grad(x)[None, :] + _hashed_ball_noise(idx, d, sigma, seed)
 
     def grad_diff_batch(idx, x_new, x_old):
-        # the id-keyed noise does not depend on x and cancels exactly
-        return bspec.full_grad(x_new) - bspec.full_grad(x_old)
+        # the id-keyed noise does not depend on x and cancels exactly; the
+        # old endpoint goes first, as it is the one the slot already holds
+        g_old = base_grad(x_old)
+        return base_grad(x_new) - g_old
 
     spec = ProblemSpec(
         n=math.inf,

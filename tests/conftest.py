@@ -23,6 +23,17 @@ def scalar_quadratic(a_values) -> ProblemSpec:
     )
 
 
+def counting(fn):
+    """``fn`` wrapped so that ``.calls`` counts its invocations."""
+
+    def wrapped(*args):
+        wrapped.calls += 1
+        return fn(*args)
+
+    wrapped.calls = 0
+    return wrapped
+
+
 def random_quadratic_family(d, n, seed, spread=0.6):
     """Component matrices A_i (symmetric, exactly centered on their mean)."""
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import algorithm, core, spectral
+from ssrgd import algorithm, baselines, core, problems, spectral
 from ssrgd.core import ConfigError, Event, Mode, RunConfig, UnsupportedOracleError
 from ssrgd.algorithm import Termination
 
-from conftest import scalar_quadratic
+from conftest import counting, scalar_quadratic
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -394,3 +395,112 @@ class TestDeterminism:
         b = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(6), full_trace=False)
         assert np.array_equal(a.final_x, b.final_x)
         assert a.sfo_raw == b.sfo_raw
+
+
+def slot_free(inst):
+    """The online spec with oracles that ask the base for every gradient."""
+    bspec, d, sigma = inst.base.spec, inst.spec.d, inst.spec.variance_bound
+    seed = inst.generator_params["noise_seed"]
+
+    def noise(idx):
+        return problems._hashed_ball_noise(idx, d, sigma, seed)
+
+    return dataclasses.replace(
+        inst.spec,
+        component_grad=lambda i, x: bspec.full_grad(x) + noise(np.array([i]))[0],
+        component_grad_batch=lambda idx, x: bspec.full_grad(x)[None, :] + noise(idx),
+        grad_diff_batch=lambda idx, x_new, x_old: bspec.full_grad(x_new) - bspec.full_grad(x_old),
+    )
+
+
+class TestOnlineSlotParity:
+    @pytest.mark.parametrize("second", [False, True])
+    def test_run_matches_slot_free_oracles(self, second):
+        if second:
+            base = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.05, seed=0)
+            inst = ssrgd.make_online_stream(base, 0.05, seed=3)
+            cfg = ssrgd.derive_config_online_second_order(
+                inst.spec, 0.05, 0.3, 8.0, sfo_budget=30_000, seed=1
+            )
+            x0 = np.zeros(6)
+        else:
+            base = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=0)
+            inst = ssrgd.make_online_stream(base, 0.5, seed=1)
+            cfg = ssrgd.derive_config_online_first_order(inst.spec, 0.1, sfo_budget=10_000, seed=4)
+            x0 = 0.5 * np.ones(10)
+        a = ssrgd.run_ssrgd(inst.spec, cfg, x0=x0)
+        b = ssrgd.run_ssrgd(slot_free(inst), cfg, x0=x0)
+        assert a.trace == b.trace
+        assert np.array_equal(a.final_x, b.final_x)
+        assert (a.sfo_raw, a.sfo_nominal, a.termination) == (b.sfo_raw, b.sfo_nominal, b.termination)
+        assert [t for t, _ in a.sosp_candidates] == [t for t, _ in b.sosp_candidates]
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.sosp_candidates, b.sosp_candidates))
+        assert any(r.event is Event.PERTURBATION for r in a.trace) is second
+
+
+class TestFunctionValueReuse:
+    """A row that already evaluated f at the current x serves the next
+    epoch-start row: f is evaluated once per distinct trace iteration."""
+
+    def test_ssrgd_epoch_trace(self):
+        inst = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=1)
+        spec = dataclasses.replace(inst.spec, value=counting(inst.spec.value))
+        cfg = ssrgd.derive_config_first_order(spec, 0.05, sfo_budget=20_000, seed=5)
+        x0 = 0.5 * np.ones(10)
+        points = {0: x0}
+
+        def record(state, event):
+            points[state.iteration] = state.x
+
+        out = ssrgd.run_ssrgd(spec, cfg, x0=x0, full_trace=False, step_callback=record)
+        iterations = {r.iteration for r in out.trace}
+        assert spec.value.calls == len(iterations) < len(out.trace)
+        assert all(r.f_value == inst.spec.value(points[r.iteration]) for r in out.trace)
+
+    def test_svrg_full_trace(self):
+        inst = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=1)
+        kind = baselines.BaselineKind(
+            "svrg", step_size=0.1 / inst.spec.lipschitz_grad, minibatch=8, epoch_len=16
+        )
+        runs = {}
+        for full_trace in (True, False):
+            spec = dataclasses.replace(inst.spec, value=counting(inst.spec.value))
+            out = baselines.run_baseline(
+                kind, spec, 8_000, x0=0.5 * np.ones(10), full_trace=full_trace
+            )
+            runs[full_trace] = out.trace, spec.value.calls
+        (full, full_calls), (epochs, epoch_calls) = runs[True], runs[False]
+        f_at = {}
+        for r in full:
+            assert f_at.setdefault(r.iteration, r.f_value) == r.f_value
+        assert full_calls == len(f_at) < len(full)
+        # the path does not depend on the trace mode
+        assert epoch_calls == len(epochs) > 1
+        assert all(r.f_value == f_at[r.iteration] for r in epochs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    online=st.booleans(),
+    n=st.integers(1, 64),
+    eps=st.floats(0.05, 0.5),
+    budget=st.integers(0, 4000),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_sfo_accounting(online, n, eps, budget, seed):
+    """Raw SFO is anchors plus 2b per recursive step, nominal charges b, so
+    raw never exceeds twice nominal."""
+    inst = ssrgd.make_quadratic(d=3, n=n, seed=seed % 97, spread=0.3)
+    if online:
+        inst = ssrgd.make_online_stream(inst, 0.5, seed=seed)
+    cfg = algorithm.derive_config(inst.spec, eps, sfo_budget=budget, seed=seed)
+    out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.ones(3))
+    anchors = sum(r.event is Event.EPOCH_START for r in out.trace)
+    steps = len(out.trace) - anchors
+    assert steps == (out.trace[-1].iteration if out.trace else 0)
+    anchor = cfg.large_batch if online else n
+    b = cfg.minibatch
+    assert out.sfo_raw == anchors * anchor + 2 * b * steps
+    assert out.sfo_nominal == anchors * anchor + b * steps
+    assert out.sfo_raw <= 2 * out.sfo_nominal
+    assert out.sfo_raw >= budget or out.termination is not Termination.BUDGET_EXHAUSTED

@@ -395,6 +395,29 @@ seeds = 0, 1
 """
 
 
+class TestCertificateDelta:
+    def test_second_order_cell_certifies_at_its_derived_delta(self, tmp_path):
+        # no delta key: the run targets sqrt(rho * eps) ~ 0.857, and a point
+        # next to the planted saddle (lambda_min = -0.3) passes at that delta
+        text = SADDLE_PLAN.replace("delta = 0.3\n", "").replace("logfactor = 8.0\n", "")
+        text = text.replace("sfo_budget = 30000", "sfo_budget = 200").replace("seeds = 0, 1", "seeds = 0")
+        plan = parse_config(write_config(tmp_path, text))
+        (cell,) = run_plan(plan)["cells"]
+        inst = build_problem(plan.problems[0][1])
+        delta = math.sqrt(inst.spec.lipschitz_hess * 0.05)
+        assert build_run_config(plan.optimizers[0][1], inst, 0, None).delta == delta
+        cert = cell["certificate"]
+        assert cert["delta"] == delta
+        assert cert["lambda_min_est"] == pytest.approx(-0.3, abs=1e-2)
+        assert cert["is_fosp"] and cert["is_sosp"]
+        assert cell["sfo_to_sosp"] is not None
+
+    def test_explicit_delta_is_recorded(self, tmp_path):
+        plan = parse_config(write_config(tmp_path, SADDLE_PLAN.replace("seeds = 0, 1", "seeds = 0")))
+        (cell,) = run_plan(plan)["cells"]
+        assert cell["certificate"]["delta"] == 0.3
+
+
 class TestBaselineDefaults:
     def test_perturbed_gd_defaults_are_the_super_epoch_params(self):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.4, seed=0)

@@ -16,6 +16,8 @@ from ssrgd.problems import (
 )
 from ssrgd.spectral import assemble_hessian, lambda_min_dense
 
+from conftest import counting
+
 
 def fd_gradient_check(spec, x, n_dirs=20, h=1e-6, rtol=1e-5, rng=None):
     """Central finite differences of the value oracle vs the gradient oracle."""
@@ -306,3 +308,53 @@ class TestDifferenceOracle:
         assert len(fused.trace) == len(fallback.trace)
         assert (fused.sfo_raw, fused.sfo_nominal) == (fallback.sfo_raw, fallback.sfo_nominal)
         assert np.allclose(fused.final_x, fallback.final_x, rtol=0, atol=1e-12)
+
+
+class TestOnlineGradientSlot:
+    """The online stream answers repeated requests at one point from one slot."""
+
+    def make(self):
+        base = make_nonconvex_logistic(n=128, d=10, seed=1)
+        inst = make_online_stream(base, 0.5, seed=2)
+        base.spec.full_grad = counting(base.spec.full_grad)
+        return base.spec, inst.spec
+
+    def test_epoch_of_k_steps_costs_k_plus_one_base_gradients(self):
+        bspec, spec = self.make()
+        rng = np.random.default_rng(0)
+        x = 0.5 * np.ones(spec.d)
+        state = estimators.EstimatorState(
+            v=estimators.large_batch_gradient(spec, x, 64, rng), prev_x=x
+        )
+        k = 7
+        for _ in range(k):
+            x = x - 0.1 * state.v
+            estimators.recursive_step(spec, state, x, core.sample_minibatch(rng, spec.n, 8))
+        assert bspec.full_grad.calls == k + 1
+        # the next epoch's anchor sits at the last step's point
+        estimators.large_batch_gradient(spec, x, 64, rng)
+        assert bspec.full_grad.calls == k + 1
+
+    def test_in_place_change_of_x_does_not_poison_the_slot(self):
+        bspec, spec = self.make()
+        idx = np.arange(5)
+        noise = problems._hashed_ball_noise(idx, spec.d, 0.5, 2)
+        x = 0.3 * np.ones(spec.d)
+        spec.component_grad_batch(idx, x)
+        x[0] += 1.0  # same array object, new value
+        got = spec.component_grad_batch(idx, x)
+        assert np.array_equal(got, bspec.full_grad(x)[None, :] + noise)
+        assert bspec.full_grad.calls == 3
+
+    def test_returned_arrays_are_not_the_slot(self):
+        bspec, spec = self.make()
+        idx = np.arange(5)
+        x = 0.3 * np.ones(spec.d)
+        g = bspec.full_grad(x)
+        spec.component_grad_batch(idx, x)[:] = np.nan
+        spec.grad_diff_batch(idx, x, x)[:] = np.nan
+        spec.component_grad(0, x)[:] = np.nan
+        assert np.array_equal(spec.grad_diff_batch(idx, x, x), np.zeros(spec.d))
+        noise = problems._hashed_ball_noise(idx, spec.d, 0.5, 2)
+        assert np.array_equal(spec.component_grad_batch(idx, x), g[None, :] + noise)
+        assert bspec.full_grad.calls == 2

@@ -1,0 +1,24 @@
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+
+
+def fingerprint(*names) -> list[str]:
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *names], capture_output=True, text=True, timeout=120, check=True
+    )
+    return done.stdout.splitlines()
+
+
+def test_fingerprint_repeats_exactly():
+    names = ("ssrgd/online/first", "svrg/saddle", "plan")
+    first = fingerprint(*names)
+    assert first == fingerprint(*names)
+    labels = [line.split()[0] for line in first]
+    assert labels == [
+        "ssrgd/online/first/full", "ssrgd/online/first/epoch", "svrg/saddle/epoch",
+        "plan/*.json", "plan/*.csv", "plan/*.svg", "combined",
+    ]
+    assert all(len(line.split()[1]) == 64 for line in first)

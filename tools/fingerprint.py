@@ -1,0 +1,175 @@
+"""Fixed-seed parity fingerprint of the optimizer, the baselines and a plan.
+
+Prints one sha256 per run and a combined sha256 over all of them.  A change
+that claims to keep behaviour bit-identical prints the same lines as its
+parent; a change that moves one run shows which.  Run it in each checkout:
+
+    python3 tools/fingerprint.py             # every run
+    python3 tools/fingerprint.py svrg plan   # runs whose name starts so
+
+The package is imported from the ``src/`` next to this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ssrgd import algorithm, baselines, harness, problems, spectral  # noqa: E402
+
+
+def outcome_digest(out) -> str:
+    """Every trace row, the final point, both SFO counts, the termination,
+    the super-epoch candidates and the certificate."""
+    h = hashlib.sha256()
+    for r in out.trace:
+        h.update(f"{r.iteration},{r.f_value!r},{r.grad_norm!r},{r.sfo_count},{r.event.value}\n".encode())
+    h.update(np.asarray(out.final_x, dtype=float).tobytes())
+    h.update(f"{out.sfo_raw},{out.sfo_nominal},{out.termination.value}\n".encode())
+    for it, point in out.sosp_candidates:
+        h.update(f"{it}:".encode() + np.asarray(point, dtype=float).tobytes())
+    h.update(repr(out.certificate).encode())
+    return h.hexdigest()
+
+
+def _ssrgd(inst, eps, delta=None, logfactor=1.0, *, budget, seed, x0, full_trace, certify=False):
+    spec = inst.spec
+    cfg = algorithm.derive_config(spec, eps, delta, logfactor, sfo_budget=budget, seed=seed)
+    certifier = None
+    if certify:
+        judge = inst.base.spec if inst.base is not None else spec
+        def certifier(x):
+            return spectral.certify(judge, x, eps, delta)
+    return algorithm.run_ssrgd(spec, cfg, x0=x0, certifier=certifier, full_trace=full_trace)
+
+
+def _baseline(inst, kind, *, budget, seed, x0, full_trace=True, **params):
+    bk = harness._baseline_from_params({"kind": kind, **params}, inst, seed, 0.05)
+    return baselines.run_baseline(bk, inst.spec, budget, x0=x0, full_trace=full_trace)
+
+
+PLAN = """\
+[problem:logistic]
+kind = nonconvex_logistic
+n = 64
+d = 6
+seed = 2
+
+[problem:saddle]
+kind = separable_saddle
+d = 6
+n = 16
+delta_plant = 0.3
+x0 = saddle
+
+[optimizer:first]
+kind = ssrgd
+order = first
+eps = 0.05
+sfo_budget = 4000
+trace = full
+
+[optimizer:second]
+kind = ssrgd
+order = second
+eps = 0.05
+delta = 0.3
+logfactor = 8
+sfo_budget = 4000
+trace = epoch
+
+[optimizer:svrg]
+kind = svrg
+eps = 0.05
+sfo_budget = 4000
+
+[output]
+dir = {out}
+seeds = 0, 1
+plot = true
+"""
+
+
+def _plan() -> dict[str, str]:
+    """Bytes of every file an ``ssrgd run`` plan writes, one digest per suffix;
+    the temporary output directory's path reads as ``<out>``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "runs"
+        config = Path(tmp) / "plan.ini"
+        config.write_text(PLAN.format(out=root), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = harness.main(["run", str(config), "--workers", "1"])
+        digests = {}
+        for p in sorted(p for p in root.rglob("*") if p.is_file()):
+            h = digests.setdefault(f"plan/*{p.suffix}", hashlib.sha256(f"exit {code}\n".encode()))
+            data = p.read_bytes().replace(str(root).encode(), b"<out>")
+            h.update(p.relative_to(root).as_posix().encode() + b"\0" + data)
+        return {name: h.hexdigest() for name, h in digests.items()}
+
+
+def _runs():
+    """(name, zero-argument run) pairs in print order."""
+    logistic = problems.make_nonconvex_logistic(n=256, d=10, reg=0.01, seed=1)
+    saddle = problems.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
+    online_logistic = problems.make_online_stream(logistic, 0.5, seed=3)
+    online_saddle = problems.make_online_stream(saddle, 0.05, seed=3)
+    xl, xs = 0.5 * np.ones(10), np.zeros(6)
+    return [
+        ("ssrgd/fs/first/full", lambda: _ssrgd(
+            logistic, 0.05, budget=20_000, seed=4, x0=xl, full_trace=True)),
+        ("ssrgd/fs/first/epoch", lambda: _ssrgd(
+            logistic, 0.05, budget=20_000, seed=5, x0=xl, full_trace=False)),
+        ("ssrgd/fs/second/full", lambda: _ssrgd(
+            saddle, 0.05, 0.3, 8.0, budget=20_000, seed=6, x0=xs, full_trace=True)),
+        ("ssrgd/fs/second/certified", lambda: _ssrgd(
+            saddle, 0.05, 0.2, 8.0, budget=40_000, seed=7, x0=xs, full_trace=False,
+            certify=True)),
+        ("ssrgd/online/first/full", lambda: _ssrgd(
+            online_logistic, 0.1, budget=10_000, seed=8, x0=xl, full_trace=True)),
+        ("ssrgd/online/first/epoch", lambda: _ssrgd(
+            online_logistic, 0.1, budget=10_000, seed=9, x0=xl, full_trace=False)),
+        ("ssrgd/online/second/epoch", lambda: _ssrgd(
+            online_saddle, 0.05, 0.3, 8.0, budget=40_000, seed=10, x0=xs, full_trace=False)),
+        ("ssrgd/online/second/certified", lambda: _ssrgd(
+            online_saddle, 0.05, 0.2, 8.0, budget=60_000, seed=11, x0=xs, full_trace=False,
+            certify=True)),
+        ("gd/logistic", lambda: _baseline(logistic, "gd", budget=20_000, seed=12, x0=xl)),
+        ("perturbed_gd/saddle", lambda: _baseline(
+            saddle, "perturbed_gd", budget=4_000, seed=13, x0=xs, delta=0.3)),
+        ("sgd/logistic", lambda: _baseline(
+            logistic, "sgd", budget=4_000, seed=14, x0=xl, minibatch=8, eval_every=20)),
+        ("sgd/online", lambda: _baseline(
+            online_logistic, "sgd", budget=4_000, seed=15, x0=xl, minibatch=8, eval_every=20)),
+        ("svrg/logistic/full", lambda: _baseline(logistic, "svrg", budget=8_000, seed=16, x0=xl)),
+        ("svrg/saddle/epoch", lambda: _baseline(
+            saddle, "svrg", budget=4_000, seed=17, x0=xs, full_trace=False)),
+    ]
+
+
+def fingerprint(prefixes=()) -> list[str]:
+    """``name digest`` lines for the selected runs, then ``combined digest``."""
+    def wanted(name):
+        return not prefixes or any(name.startswith(p) for p in prefixes)
+
+    lines = [f"{name} {outcome_digest(run())}" for name, run in _runs() if wanted(name)]
+    if wanted("plan"):
+        lines += [f"{name} {digest}" for name, digest in _plan().items()]
+    combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return lines + [f"combined {combined}"]
+
+
+def main(argv=None) -> int:
+    print("\n".join(fingerprint(sys.argv[1:] if argv is None else argv)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
