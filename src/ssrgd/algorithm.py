@@ -250,7 +250,6 @@ def run_ssrgd(
             termination = Termination.MAX_EPOCHS
             break
         if sfo.raw >= cfg.sfo_budget:
-            termination = Termination.BUDGET_EXHAUSTED
             break
 
         g = anchor(x)
@@ -277,14 +276,15 @@ def run_ssrgd(
             if step_callback is not None:
                 step_callback(snapshot(0), Event.PERTURBATION)
 
-        state = EstimatorState(v=v, prev_x=x)
+        steps = estimators.descend(
+            problem, EstimatorState(v=v, prev_x=x), x, cfg.step_size, rng, cfg.minibatch, sfo
+        )
         for k in range(1, cfg.epoch_len + 1):
             if sfo.raw >= cfg.sfo_budget:
-                termination = Termination.BUDGET_EXHAUSTED
                 stop = True
                 break
             t += 1
-            x = x - cfg.step_size * v
+            x, v, _ = next(steps)
             f_x = None
             core.ensure_finite(x, "iterate", trace, t)
             if (
@@ -299,11 +299,6 @@ def run_ssrgd(
                     problem.domain_radius,
                 )
                 warned_domain = True
-            batch = core.sample_minibatch(
-                rng, problem.n, cfg.minibatch, cfg.sample_with_replacement
-            )
-            estimators.recursive_step(problem, state, x, batch, sfo=sfo)
-            v = state.v
             core.ensure_finite(v, "gradient estimate", trace, t)
 
             event = Event.NONE

@@ -177,11 +177,11 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
             term = Termination.MAX_EPOCHS
             break
         anchor_grad = estimators.full_gradient(problem, x, sfo=sfo)
-        state = EstimatorState(v=anchor_grad, anchor=x.copy(), anchor_grad=anchor_grad)
         if f_x is None:
             f_x = float(problem.value(x))
         trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
-        v = anchor_grad
+        state = EstimatorState(v=anchor_grad, anchor=x, anchor_grad=anchor_grad)
+        steps = estimators.descend(problem, state, x, kind.step_size, rng, kind.minibatch, sfo)
         for _ in range(kind.epoch_len):
             if sfo.raw >= budget:
                 stop = True
@@ -191,11 +191,9 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
                 stop = True
                 break
             t += 1
-            x = x - kind.step_size * v
+            x, _, _ = next(steps)
             f_x = None
             core.ensure_finite(x, "iterate", trace, t)
-            batch = core.sample_minibatch(rng, problem.n, kind.minibatch)
-            v = estimators.svrg_step(problem, state, x, batch, sfo=sfo)
             if full_trace:
                 f_x = float(problem.value(x))
                 trace.append(TraceRecord(t, f_x, None, sfo.raw, Event.NONE))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -108,9 +108,9 @@ class ProblemSpec:
     ``math.inf`` and draw fresh i.i.d. sample ids instead of indices into
     [0, n).  ``lipschitz_grad`` and ``lipschitz_hess`` are upper bounds valid
     inside the (max-norm) box of radius ``domain_radius`` when one is
-    declared, and globally otherwise.  ``component_grad_batch`` is an
-    optional vectorized oracle returning the stacked gradients for an index
-    array; when absent, callers fall back to per-index calls.
+    declared, and globally otherwise.  ``component_grad_batch`` (required)
+    returns the stacked gradients for an index array; the per-index
+    ``component_grad`` is optional, and no estimator calls it.
 
     ``grad_diff_batch(idx, x_new, x_old)`` is an optional difference oracle
     returning ``mean_i(grad_i(x_new) - grad_i(x_old))`` over the index
@@ -131,7 +131,7 @@ class ProblemSpec:
     lipschitz_hess: float
     mode: Mode
     value: Callable[[Vector], float]
-    component_grad: Callable[[int, Vector], Vector]
+    component_grad: Callable[[int, Vector], Vector] | None = None
     full_grad: Callable[[Vector], Vector] | None = None
     component_grad_batch: Callable[[np.ndarray, Vector], np.ndarray] | None = None
     grad_diff_batch: Callable[[np.ndarray, Vector, Vector], Vector] | None = None
@@ -149,6 +149,8 @@ class ProblemSpec:
             raise ConfigError("gradient Lipschitz constant must be positive")
         if self.lipschitz_hess < 0:
             raise ConfigError("Hessian Lipschitz constant must be nonnegative")
+        if self.component_grad_batch is None:
+            raise ConfigError("a problem needs a batched component oracle (component_grad_batch)")
         if self.mode is Mode.FINITE_SUM:
             if math.isinf(self.n):
                 raise ConfigError("finite-sum mode needs a finite component count")
@@ -183,7 +185,6 @@ class RunConfig:
     super_epoch_len: int = 0
     delta: float = 0.0
     logfactor: float = 1.0
-    sample_with_replacement: bool = True
     max_epochs: int | None = None
 
     @property
@@ -346,9 +347,9 @@ def sample_minibatch(
     """i.i.d. uniform index multiset of size ``b``.
 
     Drawn with replacement by default (the independence the variance
-    analysis uses); ``with_replacement=False`` is offered as a non-default
-    variant.  Online problems (``n == inf``) receive fresh i.i.d. sample
-    ids instead of indices.
+    analysis uses); ``with_replacement=False`` remains only for
+    ``diagnostics.verify_variance_bound``.  Online problems (``n == inf``)
+    receive fresh i.i.d. sample ids instead of indices.
     """
     if b < 1:
         raise ConfigError("minibatch size must be >= 1")

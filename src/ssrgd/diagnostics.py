@@ -30,7 +30,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,7 +215,6 @@ def verify_epoch_decrease(
     if rng is None:
         rng = core.seeded_rng(cfg.seed, 7)
     x_start = core.initial_point(x0, problem.d)
-    n = int(problem.n)
     eta = cfg.step_size
     m = cfg.epoch_len
     b = cfg.minibatch
@@ -223,30 +222,26 @@ def verify_epoch_decrease(
     f_start = float(problem.value(x_start))
     g0 = estimators.full_gradient(problem, x_start)
 
+    def epoch(state):
+        """The m steps of one epoch from x_start."""
+        return itertools.islice(estimators.descend(problem, state, x_start, eta, rng, b), m)
+
     f_end = np.empty(epochs)
     f_end_svrg = np.empty(epochs)
     grad_sq_sums = np.empty(epochs)
     for rep in range(epochs):
         # recursive estimator epoch
-        x = x_start.copy()
-        state = EstimatorState(v=g0.copy(), prev_x=x)
+        x = x_start
         gsum = float(np.sum(g0**2))
-        for k in range(m):
-            x = x - eta * state.v
-            batch = core.sample_minibatch(rng, n, b, cfg.sample_with_replacement)
-            estimators.recursive_step(problem, state, x, batch)
+        for k, (x, _, _) in enumerate(epoch(EstimatorState(v=g0, prev_x=x_start))):
             if k < m - 1:
                 gsum += float(np.sum(estimators.full_gradient(problem, x) ** 2))
         f_end[rep] = float(problem.value(x))
         grad_sq_sums[rep] = gsum
         # snapshot estimator epoch with the same (undersized) minibatch
-        x = x_start.copy()
-        sstate = EstimatorState(v=g0, anchor=x_start, anchor_grad=g0)
-        v = g0.copy()
-        for k in range(m):
-            x = x - eta * v
-            batch = core.sample_minibatch(rng, n, b, cfg.sample_with_replacement)
-            v = estimators.svrg_step(problem, sstate, x, batch)
+        x = x_start
+        for x, _, _ in epoch(EstimatorState(v=g0, anchor=x_start, anchor_grad=g0)):
+            pass
         f_end_svrg[rep] = float(problem.value(x))
 
     mean_end = float(f_end.mean())
@@ -318,22 +313,18 @@ class CoupledReport:
 def _run_recorded_updates(problem, x0, steps, epoch_len, minibatch, step_size, batch_rng):
     """Plain epoch-structured update steps (anchor + recursive estimator),
     recording every iterate; returns (positions, values, batch digest)."""
-    n = problem.n
     xs = np.empty((steps + 1, problem.d))
     fs = np.empty(steps + 1)
     xs[0] = x0
     fs[0] = problem.value(x0)
     digest = hashlib.sha256()
     x = np.array(x0, dtype=float)
-    state = None
     for t in range(1, steps + 1):
         if (t - 1) % epoch_len == 0:
-            v = estimators.full_gradient(problem, x)
-            state = EstimatorState(v=v, prev_x=x)
-        x = x - step_size * state.v
-        batch = core.sample_minibatch(batch_rng, n, minibatch)
+            state = EstimatorState(v=estimators.full_gradient(problem, x), prev_x=x)
+            epoch = estimators.descend(problem, state, x, step_size, batch_rng, minibatch)
+        x, _, batch = next(epoch)
         digest.update(batch.tobytes())
-        estimators.recursive_step(problem, state, x, batch)
         xs[t] = x
         fs[t] = problem.value(x)
     return xs, fs, digest.hexdigest()

@@ -12,13 +12,16 @@ Four estimators share the ``EstimatorState`` container:
 
 The same index multiset is used for both evaluation points of a step.  A
 problem that supplies ``grad_diff_batch`` answers the difference in one
-call; otherwise (the fallback path) the two endpoints' component gradients
-are reduced in fixed slot order, so results are deterministic regardless of
-how the oracle evaluates the batch internally.
+call; otherwise the two endpoints' batched component gradients are reduced
+in fixed slot order, so results are deterministic regardless of how the
+oracle evaluates the batch internally.
+
+``descend`` is the one inner loop; SSRGD, SVRG and the diagnostics use it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,23 +58,24 @@ def component_gradients(problem: ProblemSpec, indices, x: Vector) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         raise ConfigError("empty minibatch")
-    if problem.component_grad_batch is not None:
-        grads = np.asarray(problem.component_grad_batch(idx, x), dtype=float)
-    else:
-        grads = np.stack(
-            [np.asarray(problem.component_grad(int(i), x), dtype=float) for i in idx]
-        )
-    return grads
+    return np.asarray(problem.component_grad_batch(idx, x), dtype=float)
 
 
-def _mean_grad_diff(problem: ProblemSpec, idx: np.ndarray, x_new: Vector, x_old: Vector) -> Vector:
-    """``mean_i(grad_i(x_new) - grad_i(x_old))`` over ``idx``: one difference
-    oracle call when the problem has one, two batched gradients otherwise."""
+def _mean_grad_diff(problem: ProblemSpec, batch, x_new: Vector, x_old: Vector, sfo) -> Vector:
+    """``mean_i(grad_i(x_new) - grad_i(x_old))`` over ``batch``: one difference
+    oracle call when the problem has one, two batched gradients otherwise.
+    Charges 2b raw SFO (both endpoints, same indices) and b nominal."""
+    idx = np.asarray(batch, dtype=np.int64)
+    if idx.size == 0:
+        raise ConfigError("empty minibatch")
     if problem.grad_diff_batch is not None:
-        return np.asarray(problem.grad_diff_batch(idx, x_new, x_old), dtype=float)
-    g_new = component_gradients(problem, idx, x_new)
-    g_old = component_gradients(problem, idx, x_old)
-    return g_new.mean(axis=0) - g_old.mean(axis=0)
+        diff = np.asarray(problem.grad_diff_batch(idx, x_new, x_old), dtype=float)
+    else:
+        diff = component_gradients(problem, idx, x_new).mean(axis=0)
+        diff = diff - component_gradients(problem, idx, x_old).mean(axis=0)
+    if sfo is not None:
+        sfo.add(2 * idx.size, idx.size)
+    return diff
 
 
 def full_gradient(problem: ProblemSpec, x: Vector, sfo: SfoCounter | None = None) -> Vector:
@@ -112,19 +116,12 @@ def recursive_step(
 ) -> EstimatorState:
     """Advance the recursive estimator to ``x_new`` using one minibatch.
 
-    Requires ``state.v`` to have been formed at ``state.prev_x``.  Costs 2b
-    raw gradient evaluations (both endpoints, same indices); the nominal
-    count charges b.
+    Requires ``state.v`` to have been formed at ``state.prev_x``.
     """
     if state.prev_x is None:
         raise InvalidStateError("recursive estimator state is missing prev_x")
-    idx = np.asarray(batch, dtype=np.int64)
-    if idx.size == 0:
-        raise ConfigError("empty minibatch")
-    state.v = state.v + _mean_grad_diff(problem, idx, x_new, state.prev_x)
+    state.v = state.v + _mean_grad_diff(problem, batch, x_new, state.prev_x, sfo)
     state.prev_x = np.array(x_new, dtype=float)
-    if sfo is not None:
-        sfo.add(2 * idx.size, idx.size)
     return state
 
 
@@ -138,10 +135,23 @@ def svrg_step(
     """Snapshot estimate of the gradient at ``x``; the snapshot is not advanced."""
     if state.anchor is None or state.anchor_grad is None:
         raise InvalidStateError("snapshot estimator state is missing the anchor pair")
-    idx = np.asarray(batch, dtype=np.int64)
-    if idx.size == 0:
-        raise ConfigError("empty minibatch")
-    g = _mean_grad_diff(problem, idx, x, state.anchor) + state.anchor_grad
-    if sfo is not None:
-        sfo.add(2 * idx.size, idx.size)
-    return g
+    return _mean_grad_diff(problem, batch, x, state.anchor, sfo) + state.anchor_grad
+
+
+def descend(
+    problem: ProblemSpec, state: EstimatorState, x: Vector, step_size: float,
+    rng: np.random.Generator, minibatch: int, sfo: SfoCounter | None = None,
+) -> Iterator[tuple[Vector, Vector, np.ndarray]]:
+    """The epoch kernel.  Each step moves ``x`` by ``-step_size * v``, draws a
+    with-replacement minibatch from ``rng`` and advances the estimator at the
+    new point: recursive when ``state.prev_x`` is set, snapshot otherwise.
+    Yields ``(x_k, v_k, batch_k)`` and draws nothing until resumed, so the
+    caller decides when to stop, and its own draws keep their place."""
+    while True:
+        x = x - step_size * state.v
+        batch = core.sample_minibatch(rng, problem.n, minibatch)
+        if state.prev_x is not None:
+            recursive_step(problem, state, x, batch, sfo)
+        else:
+            state.v = svrg_step(problem, state, x, batch, sfo)
+        yield x, state.v, batch

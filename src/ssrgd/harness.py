@@ -46,13 +46,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithm, baselines, core, diagnostics, problems, spectral, svgplot
-from .algorithm import SsrgdOutcome, Termination
 from .baselines import BaselineKind
 from .core import ConfigError, Event, RunConfig, SsrgdError, TraceRecord
 
@@ -531,11 +530,14 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
     a setting its run config rejects) is marked failed in the aggregate,
     with its error, without stopping the other cells.
     """
+    if workers is None:
+        raw = os.environ.get("SSRGD_WORKERS", "1")
+        workers = int(raw) if raw.isdecimal() else 0
+        if workers < 1:
+            raise ConfigError(f"SSRGD_WORKERS must be an integer >= 1, got {raw!r}")
     out_root = Path(plan.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     cells = plan.cells()
-    if workers is None:
-        workers = int(os.environ.get("SSRGD_WORKERS", "1"))
 
     results: list[dict] = []
     if workers > 1 and len(cells) > 1:
@@ -779,21 +781,22 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    plan = parse_config(args.problem)
-    inst = build_problem(plan.problems[0][1])
-    x = np.load(args.checkpoint)
-    cert = spectral.certify(inst.spec, np.asarray(x, dtype=float), args.eps, args.delta)
+    inst = _first_instance(args.problem)
+    try:
+        x = core.initial_point(np.load(args.checkpoint), inst.spec.d)
+    except (OSError, ValueError, SsrgdError) as exc:
+        raise ConfigError(f"checkpoint {args.checkpoint}: {exc}") from exc
+    cert = spectral.certify(inst.spec, x, args.eps, args.delta)
     print(json.dumps(cert.to_dict(), indent=2))
     return 0
 
 
-def _first_instance(args):
-    plan = parse_config(args.config)
-    return build_problem(plan.problems[0][1])
+def _first_instance(path):
+    return build_problem(parse_config(path).problems[0][1])
 
 
 def _cmd_diagnose(args) -> int:
-    inst = _first_instance(args)
+    inst = _first_instance(args.config)
     spec = inst.spec
     if args.subcommand == "variance":
         x = np.zeros(spec.d)

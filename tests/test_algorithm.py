@@ -50,7 +50,7 @@ class TestDeriveSecondOrder:
     def _problem(self, L=1.0, rho=1.0, n=10_000):
         return core.ProblemSpec(
             n=n, d=4, lipschitz_grad=L, lipschitz_hess=rho, mode=Mode.FINITE_SUM,
-            value=lambda x: 0.0, component_grad=lambda i, x: x,
+            value=lambda x: 0.0, component_grad_batch=lambda idx, x: np.tile(x, (len(idx), 1)),
             full_grad=lambda x: x,
         )
 
@@ -132,7 +132,7 @@ def _spec(online, n, L, rho, sigma):
     return core.ProblemSpec(
         n=math.inf if online else n, d=3, lipschitz_grad=L, lipschitz_hess=rho,
         mode=Mode.ONLINE if online else Mode.FINITE_SUM,
-        value=lambda x: 0.0, component_grad=lambda i, x: x,
+        value=lambda x: 0.0, component_grad_batch=lambda idx, x: np.tile(x, (len(idx), 1)),
         full_grad=None if online else (lambda x: x), variance_bound=sigma,
     )
 

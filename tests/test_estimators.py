@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,11 +6,16 @@ import numpy as np
 import pytest
 
 from ssrgd import core, estimators
-from ssrgd.core import ConfigError, InvalidStateError, Mode, ProblemSpec, UnsupportedOracleError
+from ssrgd.baselines import BaselineKind, run_baseline
+from ssrgd.core import (
+    ConfigError, InvalidStateError, Mode, NonFiniteError, ProblemSpec, UnsupportedOracleError,
+)
 from ssrgd.estimators import EstimatorState
 from ssrgd.problems import make_online_stream, make_quadratic
 
-from conftest import quadratic_problem_from_components, random_quadratic_family, scalar_quadratic
+from conftest import (
+    counting, quadratic_problem_from_components, random_quadratic_family, scalar_quadratic,
+)
 
 
 class TestFullGradient:
@@ -348,3 +354,96 @@ class TestVarianceBounds:
                 assert np.sum((v - grads[j + 1]) ** 2) == pytest.approx(
                     errs_j[rep], rel=1e-9, abs=1e-12
                 )
+
+
+def reference_epoch(problem, state, x, step_size, rng, b, steps, sfo):
+    """The inner loop as each optimizer and diagnostic wrote it out: move,
+    draw, then advance the estimator."""
+    out = []
+    v = state.v
+    for _ in range(steps):
+        x = x - step_size * v
+        batch = core.sample_minibatch(rng, problem.n, b)
+        if state.prev_x is not None:
+            v = estimators.recursive_step(problem, state, x, batch, sfo=sfo).v
+        else:
+            v = estimators.svrg_step(problem, state, x, batch, sfo=sfo)
+        out.append((x, v, batch))
+    return out
+
+
+class TestDescend:
+    def _setup(self):
+        prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
+        x0 = np.array([1.0, -0.5, 2.0])
+        return prob, x0, estimators.full_gradient(prob, x0)
+
+    @pytest.mark.parametrize("recursive", [True, False])
+    def test_matches_reference_loop(self, recursive):
+        prob, x0, g0 = self._setup()
+
+        def state():
+            if recursive:
+                return EstimatorState(v=g0, prev_x=x0)
+            return EstimatorState(v=g0, anchor=x0, anchor_grad=g0)
+
+        sfo, ref_sfo = core.SfoCounter(), core.SfoCounter()
+        rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
+        steps = estimators.descend(prob, state(), x0, 0.2, rng, 3, sfo)
+        got = [next(steps) for _ in range(6)]
+        want = reference_epoch(prob, state(), x0, 0.2, ref_rng, 3, 6, ref_sfo)
+        for (x, v, batch), (rx, rv, rbatch) in zip(got, want):
+            assert np.array_equal(x, rx) and np.array_equal(v, rv)
+            assert np.array_equal(batch, rbatch)
+        assert (sfo.raw, sfo.nominal) == (ref_sfo.raw, ref_sfo.nominal) == (36, 18)
+        assert rng.random() == ref_rng.random()
+
+    def test_draws_only_when_resumed(self):
+        prob, x0, g0 = self._setup()
+        rng = core.seeded_rng(4, 0)
+        steps = estimators.descend(prob, EstimatorState(v=g0, prev_x=x0), x0, 0.2, rng, 3)
+        _, _, first = next(steps)
+        between = rng.random()  # e.g. run_ssrgd's random-stop draw
+        _, _, second = next(steps)
+        ref = core.seeded_rng(4, 0)
+        assert np.array_equal(first, core.sample_minibatch(ref, 7, 3))
+        assert between == ref.random()
+        assert np.array_equal(second, core.sample_minibatch(ref, 7, 3))
+
+
+class TestComponentOracle:
+    def test_batched_oracle_is_required(self):
+        with pytest.raises(ConfigError, match="component_grad_batch"):
+            ProblemSpec(
+                n=3, d=1, lipschitz_grad=1.0, lipschitz_hess=0.0, mode=Mode.FINITE_SUM,
+                value=lambda x: 0.0, component_grad=lambda i, x: x, full_grad=lambda x: x,
+            )
+
+    def test_one_oracle_call_per_batch(self):
+        prob = scalar_quadratic([1.0, 2.0, 3.0])
+        oracle = counting(prob.component_grad_batch)
+        prob = dataclasses.replace(prob, component_grad=None, component_grad_batch=oracle)
+        grads = estimators.component_gradients(prob, [2, 0, 2], np.array([2.0]))
+        assert oracle.calls == 1
+        assert np.array_equal(grads, [[6.0], [2.0], [6.0]])
+
+
+def test_svrg_non_finite_oracle_stops_at_the_same_iterate():
+    """An oracle that turns NaN on its 7th call poisons v at step 4 (two
+    batched calls per snapshot step), so the iterate is NaN at step 5."""
+    prob = scalar_quadratic([1.0, 2.0, 3.0])
+    clean = prob.component_grad_batch
+
+    def poisoned(idx, x):
+        poisoned.calls += 1
+        g = clean(idx, x)
+        return g * np.nan if poisoned.calls >= 7 else g
+
+    poisoned.calls = 0
+    prob = dataclasses.replace(prob, component_grad_batch=poisoned)
+    kind = BaselineKind("svrg", step_size=0.1, minibatch=2, epoch_len=10)
+    with pytest.raises(NonFiniteError, match="^iterate contains non-finite entries$") as info:
+        run_baseline(kind, prob, 10_000, x0=np.array([1.0]))
+    assert info.value.iteration == 5
+    assert [row.iteration for row in info.value.trace] == [0, 1, 2, 3, 4]
+    assert all(math.isfinite(row.f_value) for row in info.value.trace)

@@ -360,6 +360,21 @@ seeds = 0
         cert = json.loads(capsys.readouterr().out)
         assert cert["is_sosp"] is True
 
+    @pytest.mark.parametrize("name, vector, why", [
+        ("short.npy", np.zeros(2), "shape (2,), expected (3,)"),
+        ("nan.npy", np.array([0.0, np.nan, 0.0]), "non-finite"),
+        ("missing.npy", None, "No such file"),
+    ])
+    def test_certify_rejects_bad_checkpoint(self, tmp_path, capsys, name, vector, why):
+        cfg = write_config(tmp_path, MINIMAL)
+        ckpt = tmp_path / name
+        if vector is not None:
+            np.save(ckpt, vector)
+        assert harness.main(["certify", str(cfg), str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {ckpt}: ") and why in err
+        assert err.count("\n") == 1
+
     def test_diagnose_variance(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         rc = harness.main([
@@ -441,6 +456,14 @@ class TestParallelWorkers:
         assert output_bytes(plan) == serial
         assert sum(name.endswith("/trace.csv") for name in serial) == 12
         assert sum(name.endswith("/summary.json") for name in serial) == 12
+
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+    def test_bad_worker_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SSRGD_WORKERS", value)
+        assert harness.main(["run", str(write_config(tmp_path, MINIMAL))]) == 2
+        assert f"SSRGD_WORKERS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestDiagnoseCli:

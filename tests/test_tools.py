@@ -13,12 +13,13 @@ def fingerprint(*names) -> list[str]:
 
 
 def test_fingerprint_repeats_exactly():
-    names = ("ssrgd/online/first", "svrg/saddle", "plan")
+    names = ("ssrgd/online/first", "svrg/saddle", "diag", "plan")
     first = fingerprint(*names)
     assert first == fingerprint(*names)
     labels = [line.split()[0] for line in first]
     assert labels == [
         "ssrgd/online/first/full", "ssrgd/online/first/epoch", "svrg/saddle/epoch",
+        "diag/coupled", "diag/epoch_decrease", "diag/localization", "diag/variance",
         "plan/*.json", "plan/*.csv", "plan/*.svg", "combined",
     ]
     assert all(len(line.split()[1]) == 64 for line in first)

@@ -1,11 +1,12 @@
-"""Fixed-seed parity fingerprint of the optimizer, the baselines and a plan.
+"""Fixed-seed parity fingerprint of the optimizer, the baselines, the
+diagnostics and a plan.
 
 Prints one sha256 per run and a combined sha256 over all of them.  A change
 that claims to keep behaviour bit-identical prints the same lines as its
 parent; a change that moves one run shows which.  Run it in each checkout:
 
     python3 tools/fingerprint.py             # every run
-    python3 tools/fingerprint.py svrg plan   # runs whose name starts so
+    python3 tools/fingerprint.py svrg diag   # runs whose name starts so
 
 The package is imported from the ``src/`` next to this script.
 """
@@ -13,8 +14,11 @@ The package is imported from the ``src/`` next to this script.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ssrgd import algorithm, baselines, harness, problems, spectral  # noqa: E402
+from ssrgd import algorithm, baselines, core, diagnostics, harness, problems, spectral  # noqa: E402
 
 
 def outcome_digest(out) -> str:
@@ -54,6 +58,60 @@ def _ssrgd(inst, eps, delta=None, logfactor=1.0, *, budget, seed, x0, full_trace
 def _baseline(inst, kind, *, budget, seed, x0, full_trace=True, **params):
     bk = harness._baseline_from_params({"kind": kind, **params}, inst, seed, 0.05)
     return baselines.run_baseline(bk, inst.spec, budget, x0=x0, full_trace=full_trace)
+
+
+def _digest(*parts) -> str:
+    """sha256 over arrays (their float64 bytes) and anything else (its JSON)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _coupled(saddle):
+    cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=10**9, seed=18)
+    rep = diagnostics.run_coupled_experiment(
+        saddle, saddle.saddle_points[0][0], cfg, 3, store_trajectories=True
+    )
+    return _digest(rep.to_dict(), *(
+        part for p in rep.pairs
+        for part in (p.x_traj, p.x_prime_traj, p.w_norms, [p.batch_digest, p.batch_digest_twin])
+    ))
+
+
+def _epoch_decrease(logistic):
+    cfg = algorithm.derive_config(logistic.spec, 0.05, seed=19)
+    rep = diagnostics.verify_epoch_decrease(
+        logistic.spec, cfg, 20, core.seeded_rng(19, 7), x0=0.5 * np.ones(logistic.spec.d)
+    )
+    return _digest(rep.to_dict())
+
+
+def _localization(saddle):
+    cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=8_000, seed=20)
+    eta = 0.95 / (2.0 * saddle.spec.lipschitz_grad)
+    cfg = dataclasses.replace(cfg, step_size=eta, super_epoch_len=math.ceil(8.0 / (eta * 0.3)))
+    paths = diagnostics.collect_super_epoch_paths(
+        saddle, cfg, seeds=range(20, 23), x0=np.zeros(saddle.spec.d)
+    )
+    return _digest(*(part for p in paths for part in ([p.start_iter, p.complete], p.xs, p.fs)))
+
+
+def _variance():
+    inst = problems.make_quadratic(d=2, n=3, seed=21, spread=0.6)
+    steps = np.random.default_rng(21).standard_normal((4, 2))
+    xs = np.cumsum(0.3 * steps, axis=0)
+    reports = [
+        diagnostics.verify_variance_bound(
+            inst.spec, xs, 1, reps, core.seeded_rng(21, 3), estimator=estimator
+        ).to_dict()
+        for estimator in ("recursive", "svrg")
+        for reps in (None, 500)
+    ]
+    return _digest(reports)
 
 
 PLAN = """\
@@ -154,12 +212,25 @@ def _runs():
     ]
 
 
+def _diagnostics():
+    """(name, zero-argument digest) pairs for the diagnostics' own loops."""
+    saddle = problems.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
+    logistic = problems.make_nonconvex_logistic(n=64, d=6, reg=0.01, seed=1)
+    return [
+        ("diag/coupled", lambda: _coupled(saddle)),
+        ("diag/epoch_decrease", lambda: _epoch_decrease(logistic)),
+        ("diag/localization", lambda: _localization(saddle)),
+        ("diag/variance", _variance),
+    ]
+
+
 def fingerprint(prefixes=()) -> list[str]:
     """``name digest`` lines for the selected runs, then ``combined digest``."""
     def wanted(name):
         return not prefixes or any(name.startswith(p) for p in prefixes)
 
     lines = [f"{name} {outcome_digest(run())}" for name, run in _runs() if wanted(name)]
+    lines += [f"{name} {digest()}" for name, digest in _diagnostics() if wanted(name)]
     if wanted("plan"):
         lines += [f"{name} {digest}" for name, digest in _plan().items()]
     combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
