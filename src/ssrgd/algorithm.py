@@ -26,6 +26,7 @@ points needs no curvature search).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections.abc import Callable
@@ -208,6 +209,13 @@ def run_ssrgd(
     and ends the run when it reports ``is_sosp``.  ``step_callback`` is
     invoked with an ``OptState`` snapshot and the step's event after every
     iterate update, including the perturbation itself.
+
+    Each inner step draws from ``rng`` in a fixed order: the step's
+    minibatch first, then (outside a super epoch) its random-stop decision.
+    The minibatches are therefore drawn one step at a time, as ``descend``
+    asks for them.  The iterate and the gradient estimate are checked
+    together, by one finite dot product; a non-finite value raises
+    ``NonFiniteError`` naming the iterate first.
     """
     cfg.validate(problem)
     if rng is None:
@@ -276,9 +284,9 @@ def run_ssrgd(
             if step_callback is not None:
                 step_callback(snapshot(0), Event.PERTURBATION)
 
-        steps = estimators.descend(
-            problem, EstimatorState(v=v, prev_x=x), x, cfg.step_size, rng, cfg.minibatch, sfo
-        )
+        batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in itertools.count())
+        state = EstimatorState(v=v, prev_x=x)
+        steps = estimators.descend(problem, state, x, cfg.step_size, batches, sfo)
         for k in range(1, cfg.epoch_len + 1):
             if sfo.raw >= cfg.sfo_budget:
                 stop = True
@@ -286,7 +294,10 @@ def run_ssrgd(
             t += 1
             x, v, _ = next(steps)
             f_x = None
-            core.ensure_finite(x, "iterate", trace, t)
+            # x.v is finite when both are; on overflow the exact checks pass
+            finite = math.isfinite(np.vdot(x, v))
+            if not finite:
+                core.ensure_finite(x, "iterate", trace, t)
             if (
                 problem.domain_radius is not None
                 and not warned_domain
@@ -299,7 +310,8 @@ def run_ssrgd(
                     problem.domain_radius,
                 )
                 warned_domain = True
-            core.ensure_finite(v, "gradient estimate", trace, t)
+            if not finite:
+                core.ensure_finite(v, "gradient estimate", trace, t)
 
             event = Event.NONE
             if se.active:

@@ -37,6 +37,9 @@ from .estimators import EstimatorState
 
 KINDS = ("gd", "perturbed_gd", "sgd", "svrg")
 
+# SGD draws its minibatches this many steps at a time (fewer near the end).
+SGD_CHUNK = 256
+
 
 @dataclass
 class BaselineKind:
@@ -128,6 +131,14 @@ def _run_gd(kind, problem, budget, rng, x):
     )
 
 
+def _steps_left(kind, cap, sfo_left, cost, t):
+    """How many of the next ``cap`` steps, at ``cost`` raw SFO each, a
+    per-step loop takes before it stops at the budget or at ``max_iters``;
+    a block of that many minibatches draws none the loop would not."""
+    k = min(cap, math.ceil(sfo_left / cost))
+    return k if kind.max_iters is None else min(k, kind.max_iters - t)
+
+
 def _run_sgd(kind, problem, budget, rng, x):
     sfo = SfoCounter()
     trace: list[TraceRecord] = []
@@ -142,19 +153,21 @@ def _run_sgd(kind, problem, budget, rng, x):
             gn = None
         trace.append(TraceRecord(iteration, float(problem.value(x)), gn, sfo.raw, Event.NONE))
 
+    b = kind.minibatch
     measure(0)
     while sfo.raw < budget:
         if kind.max_iters is not None and t >= kind.max_iters:
             term = Termination.MAX_EPOCHS
             break
-        batch = core.sample_minibatch(rng, problem.n, kind.minibatch)
-        g = estimators.component_gradients(problem, batch, x).mean(axis=0)
-        sfo.add(kind.minibatch)
-        t += 1
-        x = x - kind.step_size * g
-        core.ensure_finite(x, "iterate", trace, t)
-        if t % kind.eval_every == 0:
-            measure(t)
+        steps = _steps_left(kind, SGD_CHUNK, budget - sfo.raw, b, t)
+        for batch in core.sample_minibatch(rng, problem.n, b, steps=steps):
+            g = np.add.reduce(estimators.component_gradients(problem, batch, x), axis=0) / b
+            sfo.add(b)
+            t += 1
+            x = x - kind.step_size * g
+            core.ensure_finite(x, "iterate", trace, t)
+            if t % kind.eval_every == 0:
+                measure(t)
     if trace[-1].iteration != t:
         measure(t)
     return SsrgdOutcome(
@@ -181,7 +194,9 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
             f_x = float(problem.value(x))
         trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
         state = EstimatorState(v=anchor_grad, anchor=x, anchor_grad=anchor_grad)
-        steps = estimators.descend(problem, state, x, kind.step_size, rng, kind.minibatch, sfo)
+        k = _steps_left(kind, kind.epoch_len, budget - sfo.raw, 2 * kind.minibatch, t)
+        batches = core.sample_minibatch(rng, problem.n, kind.minibatch, steps=max(k, 0))
+        steps = estimators.descend(problem, state, x, kind.step_size, batches, sfo)
         for _ in range(kind.epoch_len):
             if sfo.raw >= budget:
                 stop = True

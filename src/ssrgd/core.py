@@ -343,6 +343,8 @@ def sample_minibatch(
     n: float,
     b: int,
     with_replacement: bool = True,
+    *,
+    steps: int | None = None,
 ) -> np.ndarray:
     """i.i.d. uniform index multiset of size ``b``.
 
@@ -350,16 +352,21 @@ def sample_minibatch(
     analysis uses); ``with_replacement=False`` remains only for
     ``diagnostics.verify_variance_bound``.  Online problems (``n == inf``)
     receive fresh i.i.d. sample ids instead of indices.
+
+    ``steps=k`` draws a ``(k, b)`` block of with-replacement minibatches in
+    one call.  Its rows are bit-for-bit the k minibatches that k separate
+    calls would draw, and it leaves ``rng`` at the same position.
     """
     if b < 1:
         raise ConfigError("minibatch size must be >= 1")
+    size = b if steps is None else (steps, b)
     if math.isinf(n):
-        return rng.integers(0, 2**62, size=b, dtype=np.int64)
+        return rng.integers(0, 2**62, size=size, dtype=np.int64)
     n = int(n)
     if n < 1:
         raise ConfigError("component count must be >= 1")
     if with_replacement:
-        return rng.integers(0, n, size=b, dtype=np.int64)
+        return rng.integers(0, n, size=size, dtype=np.int64)
     if b > n:
         raise ConfigError("without replacement needs b <= n")
     return rng.choice(n, size=b, replace=False).astype(np.int64)
@@ -376,5 +383,5 @@ def initial_point(x0, d: int) -> Vector:
 
 
 def ensure_finite(x: Vector, what: str, trace=None, iteration: int | None = None) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError(f"{what} contains non-finite entries", trace, iteration)

@@ -223,8 +223,9 @@ def verify_epoch_decrease(
     g0 = estimators.full_gradient(problem, x_start)
 
     def epoch(state):
-        """The m steps of one epoch from x_start."""
-        return itertools.islice(estimators.descend(problem, state, x_start, eta, rng, b), m)
+        """The m steps of one epoch from x_start, on one (m, b) block of minibatches."""
+        batches = core.sample_minibatch(rng, problem.n, b, steps=m)
+        return estimators.descend(problem, state, x_start, eta, batches)
 
     f_end = np.empty(epochs)
     f_end_svrg = np.empty(epochs)
@@ -322,9 +323,12 @@ def _run_recorded_updates(problem, x0, steps, epoch_len, minibatch, step_size, b
     for t in range(1, steps + 1):
         if (t - 1) % epoch_len == 0:
             state = EstimatorState(v=estimators.full_gradient(problem, x), prev_x=x)
-            epoch = estimators.descend(problem, state, x, step_size, batch_rng, minibatch)
-        x, _, batch = next(epoch)
-        digest.update(batch.tobytes())
+            block = core.sample_minibatch(
+                batch_rng, problem.n, minibatch, steps=min(epoch_len, steps - t + 1)
+            )
+            digest.update(block.tobytes())
+            epoch = estimators.descend(problem, state, x, step_size, block)
+        x, _, _ = next(epoch)
         xs[t] = x
         fs[t] = problem.value(x)
     return xs, fs, digest.hexdigest()

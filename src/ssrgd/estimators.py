@@ -14,14 +14,19 @@ The same index multiset is used for both evaluation points of a step.  A
 problem that supplies ``grad_diff_batch`` answers the difference in one
 call; otherwise the two endpoints' batched component gradients are reduced
 in fixed slot order, so results are deterministic regardless of how the
-oracle evaluates the batch internally.
+oracle evaluates the batch internally.  Batch means are
+``np.add.reduce(g, axis=0) / b``, which is what ``ndarray.mean`` computes.
 
 ``descend`` is the one inner loop; SSRGD, SVRG and the diagnostics use it.
+It steps over minibatches its caller supplies: a ``(steps, b)`` block drawn
+by one ``core.sample_minibatch`` call where nothing else draws from the
+stream mid-epoch, or a lazy per-step draw where something does (SSRGD's
+random stop).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +76,9 @@ def _mean_grad_diff(problem: ProblemSpec, batch, x_new: Vector, x_old: Vector, s
     if problem.grad_diff_batch is not None:
         diff = np.asarray(problem.grad_diff_batch(idx, x_new, x_old), dtype=float)
     else:
-        diff = component_gradients(problem, idx, x_new).mean(axis=0)
-        diff = diff - component_gradients(problem, idx, x_old).mean(axis=0)
+        b = idx.size
+        diff = np.add.reduce(component_gradients(problem, idx, x_new), axis=0) / b
+        diff = diff - np.add.reduce(component_gradients(problem, idx, x_old), axis=0) / b
     if sfo is not None:
         sfo.add(2 * idx.size, idx.size)
     return diff
@@ -104,7 +110,7 @@ def large_batch_gradient(
     grads = component_gradients(problem, idx, x)
     if sfo is not None:
         sfo.add(int(batch_size))
-    return grads.mean(axis=0)
+    return np.add.reduce(grads, axis=0) / int(batch_size)
 
 
 def recursive_step(
@@ -140,16 +146,16 @@ def svrg_step(
 
 def descend(
     problem: ProblemSpec, state: EstimatorState, x: Vector, step_size: float,
-    rng: np.random.Generator, minibatch: int, sfo: SfoCounter | None = None,
+    batches: Iterable[np.ndarray], sfo: SfoCounter | None = None,
 ) -> Iterator[tuple[Vector, Vector, np.ndarray]]:
-    """The epoch kernel.  Each step moves ``x`` by ``-step_size * v``, draws a
-    with-replacement minibatch from ``rng`` and advances the estimator at the
-    new point: recursive when ``state.prev_x`` is set, snapshot otherwise.
-    Yields ``(x_k, v_k, batch_k)`` and draws nothing until resumed, so the
-    caller decides when to stop, and its own draws keep their place."""
-    while True:
+    """The epoch kernel.  For each index array in ``batches`` it moves ``x`` by
+    ``-step_size * v`` and advances the estimator at the new point on that
+    minibatch: recursive when ``state.prev_x`` is set, snapshot otherwise.
+    Yields ``(x_k, v_k, batch_k)`` and takes the next batch only when
+    resumed, so the caller decides when to stop, and a lazy ``batches``
+    leaves the caller's own draws in their place."""
+    for batch in batches:
         x = x - step_size * state.v
-        batch = core.sample_minibatch(rng, problem.n, minibatch)
         if state.prev_x is not None:
             recursive_step(problem, state, x, batch, sfo)
         else:

@@ -243,7 +243,9 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -
     def component_grad_batch(idx, x):
         rows = Ay[idx]
         s = 1.0 / (1.0 + np.exp(rows @ x))
-        return -rows * s[:, None] + reg_grad(x)[None, :]
+        g = rows * (-s)[:, None]
+        g += reg_grad(x)
+        return g
 
     def hvp(x, vec):
         margins = Ay @ x

@@ -1,5 +1,6 @@
 import numpy as np
 
+from ssrgd import core, estimators
 from ssrgd.core import Mode, ProblemSpec
 
 
@@ -63,3 +64,18 @@ def quadratic_problem_from_components(comps) -> ProblemSpec:
         hvp=lambda x, v: A @ v,
     )
 
+
+def reference_epoch(problem, state, x, step_size, rng, b, steps, sfo):
+    """The inner loop as each optimizer and diagnostic wrote it out: move,
+    draw, then advance the estimator."""
+    out = []
+    v = state.v
+    for _ in range(steps):
+        x = x - step_size * v
+        batch = core.sample_minibatch(rng, problem.n, b)
+        if state.prev_x is not None:
+            v = estimators.recursive_step(problem, state, x, batch, sfo=sfo).v
+        else:
+            v = estimators.svrg_step(problem, state, x, batch, sfo=sfo)
+        out.append((x, v, batch))
+    return out

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +263,53 @@ class TestRunFirstOrder:
         # trace grad norms are the large-batch estimates at epoch starts
         starts = [r for r in out.trace if r.event is Event.EPOCH_START]
         assert starts and all(r.grad_norm is not None for r in starts)
+
+
+def scripted_problem(L, anchor, diffs):
+    """d = 2, f = 0: the anchor gradient is fixed and step k's recursive
+    difference is ``diffs[k - 1]``, so a test can place a non-finite or a
+    huge value exactly."""
+    steps = iter(diffs)
+    return ssrgd.ProblemSpec(
+        n=4, d=2, lipschitz_grad=L, lipschitz_hess=0.0, mode=Mode.FINITE_SUM,
+        value=lambda x: 0.0, full_grad=lambda x: np.array(anchor, dtype=float),
+        component_grad_batch=lambda idx, x: np.zeros((len(idx), 2)),
+        grad_diff_batch=lambda idx, x_new, x_old: np.array(next(steps), dtype=float),
+    )
+
+
+class TestFusedFinitenessCheck:
+    """``run_ssrgd`` checks the iterate and the estimate with one dot product
+    and falls back to the per-vector checks only when it is not finite."""
+
+    def run(self, prob, step_size, x0=(0.0, 0.0), budget=10**6):
+        cfg = RunConfig(step_size=step_size, epoch_len=4, minibatch=2, eps=0.0, sfo_budget=budget)
+        return ssrgd.run_ssrgd(prob, cfg, x0=np.array(x0))
+
+    def test_nan_estimate_names_the_estimate(self):
+        prob = scripted_problem(1.0, [1.0, 1.0], [[0.0, 0.0], [0.0, math.nan]])
+        with pytest.raises(ssrgd.NonFiniteError, match="^gradient estimate contains") as info:
+            self.run(prob, 0.1)
+        assert info.value.iteration == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("diff", [[0.0, 0.0], [math.nan, 0.0]])
+    def test_inf_iterate_is_named_first(self, diff):
+        # L = 1e-200 allows step 1e199, so the first move overflows x to -inf
+        prob = scripted_problem(1e-200, [1e150, 0.0], [diff])
+        with pytest.raises(ssrgd.NonFiniteError, match="^iterate contains") as info:
+            self.run(prob, 1e199)
+        assert info.value.iteration == 1
+        assert [row.iteration for row in info.value.trace] == [0]
+
+    def test_overflowing_dot_of_finite_vectors_passes(self):
+        anchor = [1e10, 1e10]
+        prob = scripted_problem(1.0, anchor, itertools.repeat([0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.run(prob, 0.1, x0=(1e300, 1e300), budget=200)
+        assert np.all(np.isfinite(out.final_x)) and out.final_x[0] == 1e300
+        assert np.vdot(out.final_x, anchor) == math.inf  # the fallback ran
 
 
 def walk_super_epochs(trace):

@@ -9,7 +9,9 @@ from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import ConfigError, Event, UnsupportedOracleError
 from ssrgd.harness import sfo_at_first_fosp
 
-from conftest import scalar_quadratic
+from conftest import (
+    quadratic_problem_from_components, random_quadratic_family, reference_epoch, scalar_quadratic,
+)
 
 
 class TestValidation:
@@ -104,7 +106,59 @@ class TestSgd:
         assert hit is not None
 
 
+class TestSgdChunks:
+    """SGD draws its minibatches SGD_CHUNK steps at a time; the path, the
+    counts and the stream position match drawing one minibatch per step."""
+
+    @staticmethod
+    def reference(prob, x, step_size, b, steps, rng):
+        for _ in range(steps):
+            batch = core.sample_minibatch(rng, prob.n, b)
+            x = x - step_size * estimators.component_gradients(prob, batch, x).mean(axis=0)
+        return x
+
+    @pytest.mark.parametrize("budget, max_iters, steps", [
+        # a budget cut inside the second chunk: 599 raw SFO at b = 2 is 300 steps
+        (2 * (baselines.SGD_CHUNK + 44) - 1, None, baselines.SGD_CHUNK + 44),
+        # an iteration cap just past the first chunk boundary
+        (10**9, baselines.SGD_CHUNK + 3, baselines.SGD_CHUNK + 3),
+    ])
+    def test_matches_per_step_draws(self, budget, max_iters, steps):
+        prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
+        x0 = np.array([1.0, -0.5, 2.0])
+        bk = BaselineKind(
+            kind="sgd", step_size=0.05, minibatch=2, eval_every=40, max_iters=max_iters
+        )
+        rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
+        out = run_baseline(bk, prob, budget, rng, x0=x0)
+        assert np.array_equal(out.final_x, self.reference(prob, x0, 0.05, 2, steps, ref_rng))
+        assert out.sfo_raw == 2 * steps and out.trace[-1].iteration == steps
+        assert rng.random() == ref_rng.random()
+
+
 class TestSvrg:
+    # n = 7: an anchor costs 7 raw SFO, a step at b = 3 costs 6
+    @pytest.mark.parametrize("budget, max_iters, epochs", [
+        (10**6, 10, [5, 5]),  # the cap on an epoch boundary
+        (10**6, 7, [5, 2]),  # the cap inside the second epoch
+        (57, None, [5, 3]),  # the budget runs out inside the second epoch
+        (40, None, [5, 0]),  # the second anchor already exceeds the budget
+    ])
+    def test_block_epochs_match_per_step_draws(self, budget, max_iters, epochs):
+        prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
+        x0 = np.array([1.0, -0.5, 2.0])
+        bk = BaselineKind(kind="svrg", step_size=0.2, minibatch=3, epoch_len=5, max_iters=max_iters)
+        rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
+        out = run_baseline(bk, prob, budget, rng, x0=x0)
+        x, sfo = x0, core.SfoCounter()
+        for steps in epochs:
+            g = estimators.full_gradient(prob, x, sfo)
+            state = estimators.EstimatorState(v=g, anchor=x, anchor_grad=g)
+            x = ([(x, g, None)] + reference_epoch(prob, state, x, 0.2, ref_rng, 3, steps, sfo))[-1][0]
+        assert np.array_equal(out.final_x, x)
+        assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
+        assert rng.random() == ref_rng.random()
+
     def test_snapshot_norm_matches_exact(self):
         inst = ssrgd.make_quadratic(d=3, n=10, seed=2, spread=0.3)
         bk = BaselineKind(kind="svrg", step_size=0.2 / inst.spec.lipschitz_grad,

@@ -85,6 +85,16 @@ class TestSampleMinibatch:
         idx = core.sample_minibatch(core.seeded_rng(2, 0), math.inf, 5)
         assert idx.shape == (5,) and np.all(idx >= 0)
 
+    @pytest.mark.parametrize("n, b, k", [
+        (4096, 64, 64), (256, 16, 40), (256, 1, 50), (64, 8, 8), (4096, 63, 10), (math.inf, 7, 9),
+    ])
+    def test_block_rows_are_the_separate_draws(self, n, b, k):
+        rng, ref = core.seeded_rng(3, 0), core.seeded_rng(3, 0)
+        block = core.sample_minibatch(rng, n, b, steps=k)
+        assert block.shape == (k, b) and block.dtype == np.int64
+        assert np.array_equal(block, [core.sample_minibatch(ref, n, b) for _ in range(k)])
+        assert rng.random() == ref.random()
+
 
 class TestRunConfigValidation:
     def test_first_order_step_cap(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import ssrgd
 from ssrgd import core, diagnostics, estimators
 from ssrgd.core import ConfigError, InvalidInputError
 from ssrgd.diagnostics import SuperEpochPath
+from ssrgd.estimators import EstimatorState
 
-from conftest import quadratic_problem_from_components, random_quadratic_family
+from conftest import quadratic_problem_from_components, random_quadratic_family, reference_epoch
 
 
 def short_trajectory(prob, steps, seed=0, scale=0.3):
@@ -116,6 +118,35 @@ class TestEpochDecrease:
         assert math.isfinite(rep.svrg_mean_f_end)
         assert math.isfinite(rep.svrg_gap)
 
+    def test_block_epochs_match_per_step_draws(self):
+        inst = ssrgd.make_quadratic(d=3, n=9, seed=2, spread=0.3)
+        prob = inst.spec
+        cfg = ssrgd.derive_config_first_order(prob, 0.1, seed=0)
+        x0, m, b, eta = np.ones(3), cfg.epoch_len, cfg.minibatch, cfg.step_size
+        rng, ref_rng = core.seeded_rng(6, 0), core.seeded_rng(6, 0)
+        rep = diagnostics.verify_epoch_decrease(prob, cfg, 5, rng, x0=x0)
+        g0 = estimators.full_gradient(prob, x0)
+        f_end, f_end_svrg, gsums = [], [], []
+
+        def epoch_end(state):
+            steps = reference_epoch(prob, state, x0, eta, ref_rng, b, m, None)
+            return [x for x, _, _ in steps]
+
+        for _ in range(5):
+            xs = epoch_end(EstimatorState(v=g0, prev_x=x0))
+            gsum = float(np.sum(g0**2))
+            for x in xs[:-1]:
+                gsum += float(np.sum(estimators.full_gradient(prob, x) ** 2))
+            gsums.append(gsum)
+            f_end.append(float(prob.value(xs[-1])))
+            xs = epoch_end(EstimatorState(v=g0, anchor=x0, anchor_grad=g0))
+            f_end_svrg.append(float(prob.value(xs[-1])))
+        assert rep.mean_f_end == float(np.mean(f_end))
+        assert rep.stderr_f_end == float(np.std(f_end, ddof=1) / math.sqrt(5))
+        assert rep.decrease_term == 0.5 * eta * float(np.mean(gsums))
+        assert rep.svrg_mean_f_end == float(np.mean(f_end_svrg))
+        assert rng.random() == ref_rng.random()
+
     def test_precondition_checks(self):
         inst = ssrgd.make_quadratic(d=2, n=9, seed=4)
         cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
@@ -143,6 +174,35 @@ class TestCoupledExperiment:
             assert pair.w_norms[0] == pytest.approx(rep.r0, rel=1e-12)
             assert pair.batch_digest == pair.batch_digest_twin
         assert rep.radius <= rep.travel_threshold
+
+    def test_block_epochs_match_per_step_draws(self):
+        """The recorded updates draw one block per epoch (a short last one);
+        iterates, batch digest and stream position match per-step draws."""
+        inst, cfg = self._setup()
+        prob, x0 = inst.spec, inst.saddle_points[0][0] + 0.01
+        m, b, eta, window = cfg.epoch_len, cfg.minibatch, cfg.step_size, 2 * cfg.epoch_len + 3
+        rng, ref_rng = core.seeded_rng(4, 20_000), core.seeded_rng(4, 20_000)
+        xs, fs, digest = diagnostics._run_recorded_updates(prob, x0, window, m, b, eta, rng)
+        ref_xs, h, x = [x0], hashlib.sha256(), x0
+        while len(ref_xs) <= window:
+            state = EstimatorState(v=estimators.full_gradient(prob, x), prev_x=x)
+            k = min(m, window + 1 - len(ref_xs))
+            for x, _, batch in reference_epoch(prob, state, x, eta, ref_rng, b, k, None):
+                h.update(batch.tobytes())
+                ref_xs.append(x)
+        assert np.array_equal(xs, np.stack(ref_xs))
+        assert np.array_equal(fs, [prob.value(x) for x in ref_xs])
+        assert digest == h.hexdigest()
+        assert rng.random() == ref_rng.random()
+
+    def test_pair_digest_is_the_per_step_stream(self):
+        inst, cfg = self._setup()
+        rep = diagnostics.run_coupled_experiment(inst, inst.saddle_points[0][0], cfg, 2)
+        for i, pair in enumerate(rep.pairs):
+            rng, h = core.seeded_rng(cfg.seed, 20_000 + i), hashlib.sha256()
+            for _ in range(rep.window):
+                h.update(core.sample_minibatch(rng, inst.spec.n, cfg.minibatch).tobytes())
+            assert pair.batch_digest == pair.batch_digest_twin == h.hexdigest()
 
     def test_saddle_escape_frequency(self):
         inst, cfg = self._setup()

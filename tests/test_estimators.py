@@ -14,7 +14,8 @@ from ssrgd.estimators import EstimatorState
 from ssrgd.problems import make_online_stream, make_quadratic
 
 from conftest import (
-    counting, quadratic_problem_from_components, random_quadratic_family, scalar_quadratic,
+    counting, quadratic_problem_from_components, random_quadratic_family, reference_epoch,
+    scalar_quadratic,
 )
 
 
@@ -356,22 +357,6 @@ class TestVarianceBounds:
                 )
 
 
-def reference_epoch(problem, state, x, step_size, rng, b, steps, sfo):
-    """The inner loop as each optimizer and diagnostic wrote it out: move,
-    draw, then advance the estimator."""
-    out = []
-    v = state.v
-    for _ in range(steps):
-        x = x - step_size * v
-        batch = core.sample_minibatch(rng, problem.n, b)
-        if state.prev_x is not None:
-            v = estimators.recursive_step(problem, state, x, batch, sfo=sfo).v
-        else:
-            v = estimators.svrg_step(problem, state, x, batch, sfo=sfo)
-        out.append((x, v, batch))
-    return out
-
-
 class TestDescend:
     def _setup(self):
         prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
@@ -389,7 +374,8 @@ class TestDescend:
 
         sfo, ref_sfo = core.SfoCounter(), core.SfoCounter()
         rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
-        steps = estimators.descend(prob, state(), x0, 0.2, rng, 3, sfo)
+        block = core.sample_minibatch(rng, prob.n, 3, steps=6)
+        steps = estimators.descend(prob, state(), x0, 0.2, block, sfo)
         got = [next(steps) for _ in range(6)]
         want = reference_epoch(prob, state(), x0, 0.2, ref_rng, 3, 6, ref_sfo)
         for (x, v, batch), (rx, rv, rbatch) in zip(got, want):
@@ -401,7 +387,8 @@ class TestDescend:
     def test_draws_only_when_resumed(self):
         prob, x0, g0 = self._setup()
         rng = core.seeded_rng(4, 0)
-        steps = estimators.descend(prob, EstimatorState(v=g0, prev_x=x0), x0, 0.2, rng, 3)
+        batches = (core.sample_minibatch(rng, prob.n, 3) for _ in itertools.count())
+        steps = estimators.descend(prob, EstimatorState(v=g0, prev_x=x0), x0, 0.2, batches)
         _, _, first = next(steps)
         between = rng.random()  # e.g. run_ssrgd's random-stop draw
         _, _, second = next(steps)

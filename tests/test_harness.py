@@ -478,6 +478,23 @@ class TestDiagnoseCli:
         assert rep["escape_frequency"] >= 0.75
         assert all(p["coupled"] for p in rep["pairs"])
 
+    def test_package_error_is_one_line_and_exit_2(self, tmp_path, capsys):
+        # the planted saddle has lambda_min = -0.3, so it is no saddle at delta 0.5
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        assert harness.main(["diagnose", "coupled", "--config", str(cfg), "--delta", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError: x_tilde is not a saddle")
+        assert err.count("\n") == 1
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a package error")
+
+        monkeypatch.setattr(harness.diagnostics, "run_coupled_experiment", broken)
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        with pytest.raises(RuntimeError, match="not a package error"):
+            harness.main(["diagnose", "coupled", "--config", str(cfg)])
+
     def test_localization(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
         rc = harness.main([

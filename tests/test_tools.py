@@ -23,3 +23,17 @@ def test_fingerprint_repeats_exactly():
         "plan/*.json", "plan/*.csv", "plan/*.svg", "combined",
     ]
     assert all(len(line.split()[1]) == 64 for line in first)
+
+
+def test_ab_smoke_same_tree_on_both_sides():
+    root = SCRIPT.parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "ab.py"), "--parent", str(root), "--rounds", "1", "--scale", "0.01"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[:2] == ["workload", "unit"]
+    assert [row.split()[:2] for row in rows] == [["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"]]
+    for row in rows:
+        *_, ratio, wins, identical = row.split()
+        assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
