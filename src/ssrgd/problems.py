@@ -211,34 +211,56 @@ def make_separable_saddle(
     )
 
 
+def _point_slot(fn):
+    """One-entry cache of the pure function ``fn(x)``, keyed on x's float64
+    bytes, not its identity, so a caller may change x in place.  The held
+    result is shared between calls, so it must never reach a caller who
+    could change it."""
+    held: list = [None, None]  # float64 bytes of the last x, fn(x) there
+
+    def cached(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != held[0]:
+            held[:] = key, fn(x)
+        return held[1]
+
+    return cached
+
+
 def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -> ProblemInstance:
+    """The nonconvex logistic problem on rows ``A`` and labels ``y``.
+
+    Work is done once per point.  One ``_point_slot`` holds the margins
+    ``Ay @ x``, which ``value``, ``full_grad`` and ``hvp`` read, so an epoch
+    start's anchor and its f share one product; another holds the
+    regularizer gradient that every component gradient at x adds.  Callers
+    always get fresh arrays.  f is ``max(-m, 0) + log1p(exp(-|m|))`` per
+    margin m, which never overflows, and the per-index ``component_grad`` is
+    the batched oracle on ``[i]``.
+    """
     n, d = A.shape
     Ay = A * y[:, None]
     row_norms = np.linalg.norm(A, axis=1)
     L = float(np.max(row_norms) ** 2 / 4.0 + 2.0 * reg)
     rho = float(SIGMOID_D2_MAX * np.max(row_norms) ** 3 + RATIONAL_REG_D3_MAX * reg)
+    margins = _point_slot(lambda x: Ay @ x)
+    reg_grad = _point_slot(lambda x: reg * 2.0 * x / (1.0 + x * x) ** 2)
 
     def reg_value(x):
-        return reg * float(np.sum(x * x / (1.0 + x * x)))
-
-    def reg_grad(x):
-        return reg * 2.0 * x / (1.0 + x * x) ** 2
+        return reg * float(np.add.reduce(x * x / (1.0 + x * x)))
 
     def reg_hess_diag(x):
         x2 = x * x
         return reg * (2.0 - 6.0 * x2) / (1.0 + x2) ** 3
 
     def value(x):
-        return float(np.mean(np.logaddexp(0.0, -(Ay @ x)))) + reg_value(x)
+        m = margins(x)
+        loss = np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+        return float(np.add.reduce(loss) / n) + reg_value(x)
 
     def full_grad(x):
-        margins = Ay @ x
-        s = 1.0 / (1.0 + np.exp(margins))  # sigmoid(-margin)
+        s = 1.0 / (1.0 + np.exp(margins(x)))  # sigmoid(-margin)
         return -(Ay.T @ s) / n + reg_grad(x)
-
-    def component_grad(i, x):
-        margin = float(Ay[i] @ x)
-        return -Ay[i] / (1.0 + math.exp(margin)) + reg_grad(x)
 
     def component_grad_batch(idx, x):
         rows = Ay[idx]
@@ -247,9 +269,11 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -
         g += reg_grad(x)
         return g
 
+    def component_grad(i, x):
+        return component_grad_batch(np.array([i]), x)[0]
+
     def hvp(x, vec):
-        margins = Ay @ x
-        s = 1.0 / (1.0 + np.exp(-margins))
+        s = 1.0 / (1.0 + np.exp(-margins(x)))
         w = s * (1.0 - s)
         return A.T @ (w * (A @ vec)) / n + reg_hess_diag(x) * vec
 
@@ -355,12 +379,12 @@ def _hashed_ball_noise(ids: np.ndarray, d: int, radius: float, seed: int) -> np.
     lanes = 3 * np.arange(pairs)
     u = _hashed_uniforms(ids[:, None], np.concatenate([lanes, lanes + 1, [2]]))
     u1 = np.clip(u[:, :pairs], 1e-300, None)
-    u2 = u[:, pairs:-1]
+    theta = 2.0 * np.pi * u[:, pairs:-1]
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.empty((len(ids), d))
-    z[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[:, 1::2] = (r * np.sin(2.0 * np.pi * u2))[:, : d // 2]
-    norms = np.linalg.norm(z, axis=1)
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = (r * np.sin(theta))[:, : d // 2]
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm's own sum
     norms[norms == 0] = 1.0
     scale = radius * u[:, -1] ** (1.0 / d) / norms
     return z * scale[:, None]
@@ -384,17 +408,10 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     if bspec.full_grad is None:
         raise ConfigError("online stream needs a base with an exact gradient")
     d = bspec.d
-    slot: list = [None, None]  # float64 bytes of the last x, bspec.full_grad there
-
-    def base_grad(x):
-        # A recursive step's old endpoint is the previous step's new one, and
-        # an epoch's anchor sits where the last epoch ended, so consecutive
-        # requests repeat a point.  Keyed on x's bits, not its identity;
-        # callers get fresh arrays, never the stored one.
-        key = np.asarray(x, dtype=float).tobytes()
-        if key != slot[0]:
-            slot[:] = key, bspec.full_grad(x)
-        return slot[1]
+    # A recursive step's old endpoint is the previous step's new one, and an
+    # epoch's anchor sits where the last epoch ended, so consecutive requests
+    # repeat a point.
+    base_grad = _point_slot(lambda x: bspec.full_grad(x))  # sees a later-patched oracle
 
     def component_grad(i, x):
         return base_grad(x) + _hashed_ball_noise(np.array([i]), d, sigma, seed)[0]

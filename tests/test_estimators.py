@@ -414,6 +414,26 @@ class TestComponentOracle:
         assert oracle.calls == 1
         assert np.array_equal(grads, [[6.0], [2.0], [6.0]])
 
+    def test_two_call_difference_asks_for_the_old_endpoint_first(self):
+        # the endpoint a recursive step shares with the last step goes first,
+        # so an oracle's per-point slot still holds it
+        prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=6, seed=2))
+        asked = []
+
+        def recording(idx, x):
+            asked.append(np.array(x))
+            return prob.component_grad_batch(idx, x)
+
+        spec = dataclasses.replace(prob, component_grad_batch=recording, grad_diff_batch=None)
+        x_old, x_new, idx = np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.5, -1.0]), [4, 0, 4, 2]
+        state = EstimatorState(v=np.zeros(3), prev_x=x_old)
+        estimators.recursive_step(spec, state, x_new, idx)
+        assert [a.tolist() for a in asked] == [x_old.tolist(), x_new.tolist()]
+        g = estimators.component_gradients
+        want = (np.add.reduce(g(prob, idx, x_new), axis=0) / 4
+                - np.add.reduce(g(prob, idx, x_old), axis=0) / 4)
+        assert np.array_equal(state.v, want)
+
 
 def test_svrg_non_finite_oracle_stops_at_the_same_iterate():
     """An oracle that turns NaN on its 7th call poisons v at step 4 (two

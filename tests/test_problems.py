@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,3 +359,86 @@ class TestOnlineGradientSlot:
         noise = problems._hashed_ball_noise(idx, spec.d, 0.5, 2)
         assert np.array_equal(spec.component_grad_batch(idx, x), g[None, :] + noise)
         assert bspec.full_grad.calls == 2
+
+
+def one_feature_logistic(column) -> core.ProblemSpec:
+    """A d=1 logistic spec with labels 1 and reg 0: its margins at x = [t]
+    are exactly ``column * t``."""
+    a = np.asarray(column, dtype=float)
+    return problems._logistic_instance(a[:, None], np.ones(len(a)), 0.0, {}).spec
+
+
+class TestLogisticOracles:
+    def test_value_matches_the_logaddexp_reference(self):
+        edge = [0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0]
+        m = np.concatenate([edge, 3.0 * np.random.default_rng(0).standard_normal(2000)])
+        ref = np.logaddexp(0.0, -m)
+        unit = one_feature_logistic([1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            per_row = np.array([unit.value(np.array([mi])) for mi in m])
+            mean = one_feature_logistic(m).value(np.ones(1))
+        assert np.all(np.abs(per_row - ref) <= 1e-15 * np.abs(ref))
+        assert abs(mean - np.mean(ref)) <= 1e-15 * abs(np.mean(ref))
+
+    def test_per_index_gradient_is_the_batched_row_where_margins_overflow_exp(self):
+        spec = make_nonconvex_logistic(n=64, d=5, seed=0).spec
+        x = 400.0 * np.ones(5)
+        with np.errstate(over="ignore"):
+            batch = spec.component_grad_batch(np.arange(64), x)
+            for i in range(64):
+                row = spec.component_grad(i, x)
+                assert np.isfinite(row).all()
+                assert np.array_equal(row, spec.component_grad_batch(np.array([i]), x)[0])
+                # a whole-batch call forms its margins in one BLAS product,
+                # which can round differently from a one-row product
+                assert np.allclose(row, batch[i], rtol=1e-14, atol=0)
+
+
+class TestLogisticSlots:
+    """The logistic oracles share per-point slots; every answer must be what
+    a freshly built instance gives."""
+
+    IDX = np.array([3, 3, 40, 7, 95])
+
+    def make(self):
+        return make_nonconvex_logistic(n=96, d=7, reg=0.05, seed=3).spec
+
+    def ask(self, spec, kind, x):
+        vec = np.linspace(-1.0, 1.0, spec.d)
+        return {
+            "value": lambda: spec.value(x),
+            "full_grad": lambda: spec.full_grad(x),
+            "hvp": lambda: spec.hvp(x, vec),
+            "batch": lambda: spec.component_grad_batch(self.IDX, x),
+            "component": lambda: spec.component_grad(40, x),
+        }[kind]()
+
+    def test_interleaved_calls_match_a_fresh_instance(self):
+        spec = self.make()
+        rng = np.random.default_rng(7)
+        kinds = ["value", "full_grad", "hvp", "batch", "component"]
+        x = 0.3 * np.ones(spec.d)
+        # moves: 0 keeps the point, 1 changes x in place, 2 copies it, 3 steps
+        # away; at each point every kind is asked, in an order rotated so that
+        # over 20 points each move meets each order
+        for step in range(20):
+            move = step % 4
+            if move == 1:
+                x[step % spec.d] += 0.25
+            elif move == 2:
+                x = x.copy()
+            elif move == 3:
+                x = x + 0.1 * rng.standard_normal(spec.d)
+            for kind in kinds[step % 5:] + kinds[:step % 5]:
+                got = self.ask(spec, kind, x)
+                assert np.array_equal(got, self.ask(self.make(), kind, x)), (step, kind)
+
+    def test_mutating_a_returned_gradient_leaves_the_next_answer_alone(self):
+        spec = self.make()
+        x = 0.4 * np.ones(spec.d)
+        for kind in ("full_grad", "hvp", "batch", "component"):
+            self.ask(spec, kind, x)[...] = np.nan
+            for again in ("full_grad", "value", "hvp", "batch", "component"):
+                want = self.ask(self.make(), again, x)
+                assert np.array_equal(self.ask(spec, again, x), want), (kind, again)

@@ -1,6 +1,10 @@
+import dataclasses
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
@@ -23,6 +27,41 @@ def test_fingerprint_repeats_exactly():
         "plan/*.json", "plan/*.csv", "plan/*.svg", "combined",
     ]
     assert all(len(line.split()[1]) == 64 for line in first)
+
+
+def load_fingerprint_module():
+    spec = importlib.util.spec_from_file_location("fingerprint_tool", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fingerprint_paths_repeats_exactly():
+    names = ("ssrgd/fs/first", "gd", "diag/epoch_decrease", "diag/localization", "plan")
+    first = fingerprint("--paths", *names)
+    assert first == fingerprint("--paths", *names)
+    full = fingerprint(*names)
+    assert [line.split()[0] for line in first] == [line.split()[0] for line in full] == [
+        "ssrgd/fs/first/full", "ssrgd/fs/first/epoch", "gd/logistic",
+        "diag/epoch_decrease", "diag/localization",
+        "plan/*.json", "plan/*.csv", "plan/*.svg", "combined",
+    ]
+    # every one of these digests covers f values in the full view
+    assert all(a != b for a, b in zip(first, full))
+
+
+def test_paths_digest_ignores_f_and_nothing_else():
+    fp = load_fingerprint_module()
+    inst = fp.problems.make_nonconvex_logistic(n=64, d=4, seed=1)
+    out = fp._ssrgd(inst, 0.05, budget=3_000, seed=2, x0=0.5 * np.ones(4), full_trace=True)
+    other_f = [dataclasses.replace(r, f_value=r.f_value + 1.0) for r in out.trace]
+    shifted = dataclasses.replace(out, trace=other_f)
+    assert fp.outcome_digest(shifted, paths=True) == fp.outcome_digest(out, paths=True)
+    assert fp.outcome_digest(shifted) != fp.outcome_digest(out)
+    moved = dataclasses.replace(out, final_x=out.final_x + 1e-15)
+    assert fp.outcome_digest(moved, paths=True) != fp.outcome_digest(out, paths=True)
+    report = {"f_final": 1.0, "sfo_raw": 5, "cells": [{"max_fdrop": 0.1, "escape_iter": 3}]}
+    assert fp.without_f(report) == {"sfo_raw": 5, "cells": [{"escape_iter": 3}]}
 
 
 def test_ab_smoke_same_tree_on_both_sides():

@@ -7,12 +7,20 @@ parent; a change that moves one run shows which.  Run it in each checkout:
 
     python3 tools/fingerprint.py             # every run
     python3 tools/fingerprint.py svrg diag   # runs whose name starts so
+    python3 tools/fingerprint.py --paths     # every run, f values left out
+
+``--paths`` digests the same runs without their f values: final points, SFO
+counts, events, gradient norms, candidates and certificates stay in, every
+trace f, ``f_final``, f-valued report field and the f chart go.  A change
+that moves f only at rounding level prints the parent's ``--paths`` lines,
+which shows that no path moved.
 
 The package is imported from the ``src/`` next to this script.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -29,13 +37,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ssrgd import algorithm, baselines, core, diagnostics, harness, problems, spectral  # noqa: E402
 
+# report and summary fields that hold f values or differences of them
+F_KEYS = frozenset({
+    "f_final", "f_start", "mean_f_end", "stderr_f_end", "svrg_mean_f_end", "svrg_gap", "max_fdrop",
+})
+F_CHART = "trace_f_vs_sfo.svg"
 
-def outcome_digest(out) -> str:
+
+def without_f(obj):
+    """JSON-like ``obj`` with every ``F_KEYS`` entry taken out, at any depth."""
+    if isinstance(obj, dict):
+        return {k: without_f(v) for k, v in obj.items() if k not in F_KEYS}
+    if isinstance(obj, list):
+        return [without_f(v) for v in obj]
+    return obj
+
+
+def outcome_digest(out, paths: bool = False) -> str:
     """Every trace row, the final point, both SFO counts, the termination,
-    the super-epoch candidates and the certificate."""
+    the super-epoch candidates and the certificate; with ``paths``, the
+    rows' f values are left out."""
     h = hashlib.sha256()
     for r in out.trace:
-        h.update(f"{r.iteration},{r.f_value!r},{r.grad_norm!r},{r.sfo_count},{r.event.value}\n".encode())
+        f = "" if paths else f"{r.f_value!r},"
+        h.update(f"{r.iteration},{f}{r.grad_norm!r},{r.sfo_count},{r.event.value}\n".encode())
     h.update(np.asarray(out.final_x, dtype=float).tobytes())
     h.update(f"{out.sfo_raw},{out.sfo_nominal},{out.termination.value}\n".encode())
     for it, point in out.sosp_candidates:
@@ -60,18 +85,19 @@ def _baseline(inst, kind, *, budget, seed, x0, full_trace=True, **params):
     return baselines.run_baseline(bk, inst.spec, budget, x0=x0, full_trace=full_trace)
 
 
-def _digest(*parts) -> str:
-    """sha256 over arrays (their float64 bytes) and anything else (its JSON)."""
+def _digest(*parts, paths: bool = False) -> str:
+    """sha256 over arrays (their float64 bytes) and anything else (its JSON,
+    without f values when ``paths``)."""
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
             h.update(np.ascontiguousarray(part, dtype=float).tobytes())
         else:
-            h.update(json.dumps(part, sort_keys=True).encode())
+            h.update(json.dumps(without_f(part) if paths else part, sort_keys=True).encode())
     return h.hexdigest()
 
 
-def _coupled(saddle):
+def _coupled(saddle, paths):
     cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=10**9, seed=18)
     rep = diagnostics.run_coupled_experiment(
         saddle, saddle.saddle_points[0][0], cfg, 3, store_trajectories=True
@@ -79,28 +105,29 @@ def _coupled(saddle):
     return _digest(rep.to_dict(), *(
         part for p in rep.pairs
         for part in (p.x_traj, p.x_prime_traj, p.w_norms, [p.batch_digest, p.batch_digest_twin])
-    ))
+    ), paths=paths)
 
 
-def _epoch_decrease(logistic):
+def _epoch_decrease(logistic, paths):
     cfg = algorithm.derive_config(logistic.spec, 0.05, seed=19)
     rep = diagnostics.verify_epoch_decrease(
         logistic.spec, cfg, 20, core.seeded_rng(19, 7), x0=0.5 * np.ones(logistic.spec.d)
     )
-    return _digest(rep.to_dict())
+    return _digest(rep.to_dict(), paths=paths)
 
 
-def _localization(saddle):
+def _localization(saddle, paths):
     cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=8_000, seed=20)
     eta = 0.95 / (2.0 * saddle.spec.lipschitz_grad)
     cfg = dataclasses.replace(cfg, step_size=eta, super_epoch_len=math.ceil(8.0 / (eta * 0.3)))
-    paths = diagnostics.collect_super_epoch_paths(
+    runs = diagnostics.collect_super_epoch_paths(
         saddle, cfg, seeds=range(20, 23), x0=np.zeros(saddle.spec.d)
     )
-    return _digest(*(part for p in paths for part in ([p.start_iter, p.complete], p.xs, p.fs)))
+    return _digest(*(part for p in runs
+                     for part in ([p.start_iter, p.complete], p.xs, None if paths else p.fs)))
 
 
-def _variance():
+def _variance(paths):
     inst = problems.make_quadratic(d=2, n=3, seed=21, spread=0.6)
     steps = np.random.default_rng(21).standard_normal((4, 2))
     xs = np.cumsum(0.3 * steps, axis=0)
@@ -111,7 +138,7 @@ def _variance():
         for estimator in ("recursive", "svrg")
         for reps in (None, 500)
     ]
-    return _digest(reports)
+    return _digest(reports, paths=paths)
 
 
 PLAN = """\
@@ -156,9 +183,24 @@ plot = true
 """
 
 
-def _plan() -> dict[str, str]:
+def _plan_bytes(path: Path, data: bytes) -> bytes | None:
+    """A plan file's bytes without f values: ``F_KEYS`` out of its JSON, the
+    ``f`` column out of its CSV; the f chart is left out whole (None)."""
+    if path.suffix == ".json":
+        return json.dumps(without_f(json.loads(data)), sort_keys=True).encode()
+    if path.suffix == ".csv":
+        col = harness.CSV_HEADER.index("f")
+        return b"\n".join(
+            b",".join(v for i, v in enumerate(line.split(b",")) if i != col)
+            for line in data.split(b"\n")
+        )
+    return None if path.name == F_CHART else data
+
+
+def _plan(paths: bool = False) -> dict[str, str]:
     """Bytes of every file an ``ssrgd run`` plan writes, one digest per suffix;
-    the temporary output directory's path reads as ``<out>``."""
+    the temporary output directory's path reads as ``<out>``.  With ``paths``
+    each file goes through ``_plan_bytes``."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "runs"
         config = Path(tmp) / "plan.ini"
@@ -169,7 +211,10 @@ def _plan() -> dict[str, str]:
         for p in sorted(p for p in root.rglob("*") if p.is_file()):
             h = digests.setdefault(f"plan/*{p.suffix}", hashlib.sha256(f"exit {code}\n".encode()))
             data = p.read_bytes().replace(str(root).encode(), b"<out>")
-            h.update(p.relative_to(root).as_posix().encode() + b"\0" + data)
+            if paths:
+                data = _plan_bytes(p, data)
+            if data is not None:
+                h.update(p.relative_to(root).as_posix().encode() + b"\0" + data)
         return {name: h.hexdigest() for name, h in digests.items()}
 
 
@@ -212,33 +257,38 @@ def _runs():
     ]
 
 
-def _diagnostics():
+def _diagnostics(paths):
     """(name, zero-argument digest) pairs for the diagnostics' own loops."""
     saddle = problems.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
     logistic = problems.make_nonconvex_logistic(n=64, d=6, reg=0.01, seed=1)
     return [
-        ("diag/coupled", lambda: _coupled(saddle)),
-        ("diag/epoch_decrease", lambda: _epoch_decrease(logistic)),
-        ("diag/localization", lambda: _localization(saddle)),
-        ("diag/variance", _variance),
+        ("diag/coupled", lambda: _coupled(saddle, paths)),
+        ("diag/epoch_decrease", lambda: _epoch_decrease(logistic, paths)),
+        ("diag/localization", lambda: _localization(saddle, paths)),
+        ("diag/variance", lambda: _variance(paths)),
     ]
 
 
-def fingerprint(prefixes=()) -> list[str]:
-    """``name digest`` lines for the selected runs, then ``combined digest``."""
+def fingerprint(prefixes=(), paths: bool = False) -> list[str]:
+    """``name digest`` lines for the selected runs, then ``combined digest``;
+    ``paths`` leaves every f value out."""
     def wanted(name):
         return not prefixes or any(name.startswith(p) for p in prefixes)
 
-    lines = [f"{name} {outcome_digest(run())}" for name, run in _runs() if wanted(name)]
-    lines += [f"{name} {digest()}" for name, digest in _diagnostics() if wanted(name)]
+    lines = [f"{name} {outcome_digest(run(), paths)}" for name, run in _runs() if wanted(name)]
+    lines += [f"{name} {digest()}" for name, digest in _diagnostics(paths) if wanted(name)]
     if wanted("plan"):
-        lines += [f"{name} {digest}" for name, digest in _plan().items()]
+        lines += [f"{name} {digest}" for name, digest in _plan(paths).items()]
     combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return lines + [f"combined {combined}"]
 
 
 def main(argv=None) -> int:
-    print("\n".join(fingerprint(sys.argv[1:] if argv is None else argv)))
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("prefixes", nargs="*", help="print only runs whose name starts so")
+    p.add_argument("--paths", action="store_true", help="leave every f value out")
+    args = p.parse_args(argv)
+    print("\n".join(fingerprint(args.prefixes, args.paths)))
     return 0
 
 
