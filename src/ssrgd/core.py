@@ -142,12 +142,13 @@ class ProblemSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("problem dimension must be >= 1")
-        if not math.isinf(self.n):
-            if self.n < 1 or int(self.n) != self.n:
+        # the float tests read "not <valid>", so that a NaN fails them
+        if self.n != math.inf:
+            if not self.n >= 1 or int(self.n) != self.n:
                 raise ConfigError("component count must be a positive integer or inf")
-        if self.lipschitz_grad <= 0:
+        if not self.lipschitz_grad > 0:
             raise ConfigError("gradient Lipschitz constant must be positive")
-        if self.lipschitz_hess < 0:
+        if not self.lipschitz_hess >= 0:
             raise ConfigError("Hessian Lipschitz constant must be nonnegative")
         if self.component_grad_batch is None:
             raise ConfigError("a problem needs a batched component oracle (component_grad_batch)")
@@ -157,7 +158,7 @@ class ProblemSpec:
             if self.full_grad is None:
                 raise ConfigError("finite-sum mode needs a full-gradient oracle")
         else:
-            if self.variance_bound < 0:
+            if not self.variance_bound >= 0:
                 raise ConfigError("variance bound must be nonnegative")
 
 

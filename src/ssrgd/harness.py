@@ -40,6 +40,7 @@ import csv
 import dataclasses
 import difflib
 import hashlib
+import inspect
 import io
 import json
 import logging
@@ -59,33 +60,36 @@ logger = logging.getLogger("ssrgd")
 
 CSV_HEADER = ["iter", "f", "grad_norm", "sfo", "event"]
 
-_PROBLEM_KEYS = {
-    "kind": str,
-    "n": int,
-    "d": int,
-    "seed": int,
-    "reg": float,
-    "flip_prob": float,
-    "delta_plant": float,
-    "noise": float,
-    "gamma4": float,
-    "box_radius": float,
-    "scale": float,
-    "spread": float,
-    "sigma": float,
-    "path": str,
-    "d_cap": int,
-    "x0": str,
-    "x0_scale": float,
+# Each problem kind: its generator, and {key: harness default} for the
+# keyword arguments the harness passes it.  A key's type is its default's
+# type; a type in place of a default means the key has none, and must be
+# given.  The harness defaults are not always the generator's own (the
+# logistic ``reg`` and ``flip_prob``).
+PROBLEMS = {
+    "nonconvex_logistic": (
+        problems.make_nonconvex_logistic, {"n": 256, "d": 20, "reg": 0.1, "flip_prob": 0.1}
+    ),
+    "separable_saddle": (problems.make_separable_saddle, {
+        "n": 256, "d": 10, "delta_plant": 0.3, "noise": 0.1, "gamma4": 1.0, "box_radius": 1.0,
+    }),
+    "quadratic": (problems.make_quadratic, {"n": 256, "d": 10, "scale": 1.0, "spread": 0.5}),
+    "libsvm": (problems.load_libsvm, {"path": str, "d_cap": 10_000, "reg": 0.1}),
 }
-_PROBLEM_KINDS = ("nonconvex_logistic", "separable_saddle", "quadratic", "libsvm")
+# Keys every problem section takes.  ``kind`` picks the row of PROBLEMS;
+# ``seed`` also goes to the generator when it takes one; ``sigma``, when
+# given, wraps the problem as an online stream of that noise radius.
+PROBLEM_KEYS = {"kind": str, "seed": 0, "sigma": float, "x0": "zeros", "x0_scale": 1.0}
+_X0_PRESETS = ("zeros", "ones", "saddle")
 
+# Optimizer and output sections follow the same convention.  An optimizer
+# setting typed here without a default comes from ``BaselineKind`` for a
+# baseline and from ``algorithm.derive_config`` for SSRGD.
 _OPTIMIZER_KEYS = {
     "kind": str,
-    "order": str,
-    "eps": float,
-    "delta": float,
-    "logfactor": float,
+    "order": "first",
+    "eps": 0.01,
+    "delta": 0.1,
+    "logfactor": 1.0,
     "step_size": float,
     "epoch_len": int,
     "minibatch": int,
@@ -98,18 +102,12 @@ _OPTIMIZER_KEYS = {
     "max_epochs": int,
     "max_iters": int,
     "eval_every": int,
-    "trace": str,
+    "trace": "full",
 }
 _OPTIMIZER_KINDS = ("ssrgd",) + baselines.KINDS
 
 _SWEEP_KEYS = {"axis": str, "grid": str}
-_OUTPUT_KEYS = {"dir": str, "plot": bool, "seeds": str, "max_cells": int}
-
-_RUNCONFIG_OVERRIDES = (
-    "step_size", "epoch_len", "minibatch", "large_batch", "perturb_radius",
-    "grad_threshold", "fval_threshold", "super_epoch_len", "sfo_budget",
-    "max_epochs",
-)
+_OUTPUT_KEYS = {"dir": "runs", "plot": False, "seeds": "0", "max_cells": 1000}
 
 
 @dataclass
@@ -121,17 +119,6 @@ class Cell:
     seed: int
     sweep_axis: str | None = None
     sweep_value: float | None = None
-
-    def describe(self) -> dict:
-        return {
-            "problem_name": self.problem_name,
-            "problem": self.problem,
-            "optimizer_name": self.optimizer_name,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "sweep_axis": self.sweep_axis,
-            "sweep_value": self.sweep_value,
-        }
 
     def summary_header(self) -> dict:
         """The keys every ``summary.json`` starts with, failed cells included."""
@@ -146,7 +133,7 @@ class Cell:
 
     @property
     def run_id(self) -> str:
-        blob = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -158,7 +145,7 @@ class ExperimentPlan:
     sweep: tuple[str, list[float]] | None
     out_dir: str
     plot: bool
-    max_cells: int = 1000
+    max_cells: int
 
     def cells(self) -> list[Cell]:
         out = []
@@ -185,12 +172,18 @@ def _suggest(key: str, valid) -> str:
     return f"; closest valid key: {close[0]!r}" if close else ""
 
 
-def _parse_section(name: str, section, schema: dict) -> dict:
+def _with_defaults(params: dict, keys: dict) -> dict:
+    """``params`` over the defaults in a key table (a type stands for none)."""
+    return {**{k: v for k, v in keys.items() if not isinstance(v, type)}, **params}
+
+
+def _parse_section(where: str, section, keys: dict) -> dict:
+    """Values of a section typed by a key table; ``where`` leads each error."""
     out = {}
     for key, raw in section.items():
-        if key not in schema:
-            raise ConfigError(f"[{name}] unknown key {key!r}{_suggest(key, schema)}")
-        typ = schema[key]
+        if key not in keys:
+            raise ConfigError(f"{where} unknown key {key!r}{_suggest(key, keys)}")
+        typ = keys[key] if isinstance(keys[key], type) else type(keys[key])
         try:
             if typ is bool:
                 low = raw.strip().lower()
@@ -200,9 +193,7 @@ def _parse_section(name: str, section, schema: dict) -> dict:
             else:
                 out[key] = typ(raw)
         except ValueError:
-            raise ConfigError(
-                f"[{name}] key {key!r}: expected {typ.__name__}, got {raw!r}"
-            )
+            raise ConfigError(f"{where} key {key!r}: expected {typ.__name__}, got {raw!r}")
     return out
 
 
@@ -224,16 +215,14 @@ def parse_config(path) -> ExperimentPlan:
     for section in parser.sections():
         if section == "problem" or section.startswith("problem:"):
             name = section.partition(":")[2] or "problem"
-            params = _parse_section(section, parser[section], _PROBLEM_KEYS)
-            _validate_problem_params(section, params)
-            problem_sections.append((name, params))
+            problem_sections.append((name, _parse_problem(section, parser[section])))
         elif section == "optimizer" or section.startswith("optimizer:"):
             name = section.partition(":")[2] or "optimizer"
-            params = _parse_section(section, parser[section], _OPTIMIZER_KEYS)
+            params = _parse_section(f"[{section}]", parser[section], _OPTIMIZER_KEYS)
             _validate_optimizer_params(section, params)
             optimizer_sections.append((name, params))
         elif section == "sweep":
-            params = _parse_section(section, parser[section], _SWEEP_KEYS)
+            params = _parse_section("[sweep]", parser[section], _SWEEP_KEYS)
             axis = params.get("axis")
             if axis not in ("eps", "n"):
                 raise ConfigError("[sweep] axis must be 'eps' or 'n'")
@@ -245,7 +234,7 @@ def parse_config(path) -> ExperimentPlan:
                 raise ConfigError("[sweep] grid must be nonempty")
             sweep = (axis, grid)
         elif section == "output":
-            out = _parse_section(section, parser[section], _OUTPUT_KEYS)
+            out = _parse_section("[output]", parser[section], _OUTPUT_KEYS)
         else:
             raise ConfigError(
                 f"unknown section [{section}]; expected problem/optimizer/sweep/output"
@@ -254,37 +243,39 @@ def parse_config(path) -> ExperimentPlan:
         raise ConfigError("missing required section [problem] (or [problem:<name>])")
     if not optimizer_sections:
         raise ConfigError("missing required section [optimizer] (or [optimizer:<name>])")
-    seeds = [0]
-    if "seeds" in out:
-        try:
-            seeds = [int(v) for v in out["seeds"].split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError("[output] seeds must be a comma-separated integer list")
-        if not seeds:
-            raise ConfigError("[output] seeds must be nonempty")
+    out = _with_defaults(out, _OUTPUT_KEYS)
+    try:
+        seeds = [int(v) for v in out["seeds"].split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError("[output] seeds must be a comma-separated integer list")
+    if not seeds:
+        raise ConfigError("[output] seeds must be nonempty")
     return ExperimentPlan(
         problems=problem_sections,
         optimizers=optimizer_sections,
         seeds=seeds,
         sweep=sweep,
-        out_dir=out.get("dir", "runs"),
-        plot=out.get("plot", False),
-        max_cells=out.get("max_cells", 1000),
+        out_dir=out["dir"],
+        plot=out["plot"],
+        max_cells=out["max_cells"],
     )
 
 
-def _validate_problem_params(section: str, params: dict) -> None:
-    kind = params.get("kind")
+def _parse_problem(section: str, raw) -> dict:
+    """A problem section, read against the keys of its own kind."""
+    kind = raw.get("kind")
     if kind is None:
         raise ConfigError(f"[{section}] missing required key 'kind'")
-    if kind not in _PROBLEM_KINDS:
-        raise ConfigError(
-            f"[{section}] unknown problem kind {kind!r}; valid: {_PROBLEM_KINDS}"
-        )
-    if kind == "libsvm" and "path" not in params:
-        raise ConfigError(f"[{section}] libsvm needs 'path'")
-    if params.get("x0") not in (None, "zeros", "ones", "saddle"):
+    if kind not in PROBLEMS:
+        raise ConfigError(f"[{section}] unknown problem kind {kind!r}; valid: {tuple(PROBLEMS)}")
+    row = PROBLEMS[kind][1]
+    params = _parse_section(f"[{section}] (kind = {kind})", raw, {**PROBLEM_KEYS, **row})
+    for key, default in row.items():
+        if isinstance(default, type) and key not in params:
+            raise ConfigError(f"[{section}] kind {kind} needs {key!r}")
+    if "x0" in params and params["x0"] not in _X0_PRESETS:
         raise ConfigError(f"[{section}] x0 must be zeros, ones, or saddle")
+    return params
 
 
 def _validate_optimizer_params(section: str, params: dict) -> None:
@@ -306,54 +297,24 @@ def _validate_optimizer_params(section: str, params: dict) -> None:
 
 def build_problem(params: dict, n_override: int | None = None) -> problems.ProblemInstance:
     """Instantiate the problem a config section describes."""
-    kind = params["kind"]
-    n = int(n_override if n_override is not None else params.get("n", 256))
-    seed = params.get("seed", 0)
-    if kind == "nonconvex_logistic":
-        inst = problems.make_nonconvex_logistic(
-            n=n,
-            d=params.get("d", 20),
-            reg=params.get("reg", 0.1),
-            seed=seed,
-            flip_prob=params.get("flip_prob", 0.1),
-        )
-    elif kind == "separable_saddle":
-        inst = problems.make_separable_saddle(
-            d=params.get("d", 10),
-            n=n,
-            delta_plant=params.get("delta_plant", 0.3),
-            noise=params.get("noise", 0.1),
-            seed=seed,
-            gamma4=params.get("gamma4", 1.0),
-            box_radius=params.get("box_radius", 1.0),
-        )
-    elif kind == "quadratic":
-        inst = problems.make_quadratic(
-            d=params.get("d", 10),
-            n=n,
-            seed=seed,
-            scale=params.get("scale", 1.0),
-            spread=params.get("spread", 0.5),
-        )
-    elif kind == "libsvm":
-        inst = problems.load_libsvm(
-            params["path"], d_cap=params.get("d_cap", 10_000), reg=params.get("reg", 0.1)
-        )
-    else:  # pragma: no cover - guarded by validation
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    if params.get("sigma") is not None:
-        inst = problems.make_online_stream(inst, params["sigma"], seed=seed)
+    generator, row = PROBLEMS[params["kind"]]
+    values = _with_defaults(params, {**PROBLEM_KEYS, **row})
+    if n_override is not None:
+        values["n"] = int(n_override)
+    takes = inspect.signature(generator).parameters
+    inst = generator(**{key: value for key, value in values.items() if key in takes})
+    if "sigma" in params:
+        inst = problems.make_online_stream(inst, params["sigma"], seed=values["seed"])
     return inst
 
 
 def initial_point(params: dict, inst: problems.ProblemInstance) -> np.ndarray:
-    preset = params.get("x0", "zeros")
-    scale = params.get("x0_scale", 1.0)
-    d = inst.spec.d
+    values = _with_defaults(params, PROBLEM_KEYS)
+    preset, d = values["x0"], inst.spec.d
     if preset == "zeros":
         return np.zeros(d)
     if preset == "ones":
-        return scale * np.ones(d)
+        return values["x0_scale"] * np.ones(d)
     if preset == "saddle":
         if not inst.saddle_points:
             raise ConfigError("problem lists no saddle points for x0 = saddle")
@@ -365,12 +326,15 @@ def build_run_config(
     oparams: dict, inst: problems.ProblemInstance, seed: int, eps_override: float | None
 ) -> RunConfig:
     """Derived defaults for the problem, then explicit overrides."""
-    eps = float(eps_override if eps_override is not None else oparams.get("eps", 0.01))
+    settings = _with_defaults(oparams, _OPTIMIZER_KEYS)
+    eps = float(eps_override if eps_override is not None else settings["eps"])
     delta = None
-    if oparams.get("order", "first") == "second":
-        delta = oparams.get("delta", math.sqrt(inst.spec.lipschitz_hess * eps) or 0.1)
-    cfg = algorithm.derive_config(inst.spec, eps, delta, oparams.get("logfactor", 1.0), seed=seed)
-    overrides = {k: oparams[k] for k in _RUNCONFIG_OVERRIDES if k in oparams}
+    if settings["order"] == "second":
+        delta = oparams.get("delta", math.sqrt(inst.spec.lipschitz_hess * eps) or settings["delta"])
+    cfg = algorithm.derive_config(inst.spec, eps, delta, settings["logfactor"], seed=seed)
+    derived_from = ("eps", "delta", "logfactor")  # inputs of the derivation, not overrides
+    overrides = {f.name: oparams[f.name] for f in dataclasses.fields(RunConfig)
+                 if f.name in oparams and f.name not in derived_from}
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -420,16 +384,12 @@ def sfo_at_first_fosp(trace: list[TraceRecord], eps: float) -> int | None:
 
 def run_cell(cell: Cell) -> tuple[dict, str]:
     """Execute one cell; returns (summary dict, trace CSV text)."""
-    n_override = None
-    eps_override = None
-    if cell.sweep_axis == "n":
-        n_override = int(cell.sweep_value)
-    elif cell.sweep_axis == "eps":
-        eps_override = float(cell.sweep_value)
-    inst = build_problem(cell.problem, n_override)
+    settings = _with_defaults(cell.optimizer, _OPTIMIZER_KEYS)
+    eps = float(cell.sweep_value if cell.sweep_axis == "eps" else settings["eps"])
+    inst = build_problem(cell.problem, cell.sweep_value if cell.sweep_axis == "n" else None)
     x0 = initial_point(cell.problem, inst)
-    okind = cell.optimizer["kind"]
-    full_trace = cell.optimizer.get("trace", "full") == "full"
+    okind = settings["kind"]
+    full_trace = settings["trace"] == "full"
 
     summary: dict = {
         **cell.summary_header(),
@@ -441,15 +401,13 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
 
     # certify at the delta the run targeted: an order = second ssrgd cell
     # without a delta key derives sqrt(rho * eps)
-    delta = cell.optimizer.get("delta", 0.1)
+    delta = settings["delta"]
     if okind == "ssrgd":
-        cfg = build_run_config(cell.optimizer, inst, cell.seed, eps_override)
-        eps = cfg.eps
+        cfg = build_run_config(cell.optimizer, inst, cell.seed, eps)
         if cfg.delta > 0:
             delta = cfg.delta
         outcome = algorithm.run_ssrgd(inst.spec, cfg, x0=x0, full_trace=full_trace)
     else:
-        eps = float(eps_override if eps_override is not None else cell.optimizer.get("eps", 0.01))
         kind = _baseline_from_params(cell.optimizer, inst, cell.seed, eps)
         budget = cell.optimizer.get("sfo_budget", 10**7)
         outcome = baselines.run_baseline(
@@ -496,27 +454,18 @@ def _last_grad_norm(trace: list[TraceRecord]) -> float | None:
 
 
 def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
-    L = inst.spec.lipschitz_grad
+    """``BaselineKind``'s defaults with a 0.9/L (``gd``, ``perturbed_gd``)
+    or 0.1/L step, then every field the section sets; unset ``svrg`` and
+    ``perturbed_gd`` settings are derived from the problem."""
     kind = oparams["kind"]
-    step = oparams.get("step_size", (0.9 if kind in ("gd", "perturbed_gd") else 0.1) / L)
-    bk = BaselineKind(
-        kind=kind,
-        step_size=step,
-        minibatch=oparams.get("minibatch", 1),
-        epoch_len=oparams.get("epoch_len"),
-        perturb_radius=oparams.get("perturb_radius", 0.0),
-        grad_threshold=oparams.get("grad_threshold", 0.0),
-        fval_threshold=oparams.get("fval_threshold", math.inf),
-        super_epoch_len=oparams.get("super_epoch_len", 0),
-        eval_every=oparams.get("eval_every", 50),
-        seed=seed,
-        max_iters=oparams.get("max_iters"),
-    )
+    step = (0.9 if kind in ("gd", "perturbed_gd") else 0.1) / inst.spec.lipschitz_grad
+    given = {f.name: oparams[f.name] for f in dataclasses.fields(BaselineKind) if f.name in oparams}
+    bk = BaselineKind(**{"step_size": step, **given, "seed": seed})
     if kind == "svrg" and bk.epoch_len is None and inst.spec.mode is core.Mode.FINITE_SUM:
         m = algorithm._ceil_sqrt(inst.spec.n)
         bk = dataclasses.replace(bk, epoch_len=m, minibatch=oparams.get("minibatch", m))
     if kind == "perturbed_gd" and bk.perturb_radius <= 0:
-        delta = oparams.get("delta", 0.1)
+        delta = _with_defaults(oparams, _OPTIMIZER_KEYS)["delta"]
         bk = dataclasses.replace(
             bk, **algorithm.super_epoch_params(inst.spec, eps, delta, 1.0, bk.step_size)
         )
@@ -666,8 +615,6 @@ def emit_plots(aggregate, out_dir) -> list[str]:
     sweeps with >= 3 points, and a certified-rate bar chart when several
     seeds carry certificates.
     """
-    if isinstance(aggregate, (str, Path)):
-        aggregate = json.loads(Path(aggregate).read_text(encoding="utf-8"))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [s for s in aggregate["cells"] if not s.get("failed")]

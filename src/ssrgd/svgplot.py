@@ -115,14 +115,12 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    logx: bool = False,
     logy: bool = False,
     run_ids=(),
 ) -> str:
     """Render (label, xs, ys) series as polylines.
 
-    With a log axis, nonpositive values on that axis are dropped from the
-    corresponding series.
+    With ``logy``, nonpositive y values are dropped from their series.
     """
     cleaned = []
     for label, xs, ys in series:
@@ -131,7 +129,7 @@ def line_chart(
             for x, y in zip(xs, ys)
             if x is not None and y is not None
             and math.isfinite(x) and math.isfinite(y)
-            and (not logx or x > 0) and (not logy or y > 0)
+            and (not logy or y > 0)
         ]
         if pts:
             cleaned.append((label, pts))
@@ -142,8 +140,8 @@ def line_chart(
         xhi = max(p[0] for _, pts in cleaned for p in pts)
         ylo = min(p[1] for _, pts in cleaned for p in pts)
         yhi = max(p[1] for _, pts in cleaned for p in pts)
-    frame = _Frame(xlo, max(xhi, xlo * (1 + 1e-9) + 1e-12), ylo, max(yhi, ylo + 1e-12), logx, logy)
-    xticks = _log_ticks(xlo, xhi) if logx else _nice_ticks(xlo, xhi)
+    frame = _Frame(xlo, max(xhi, xlo * (1 + 1e-9) + 1e-12), ylo, max(yhi, ylo + 1e-12), False, logy)
+    xticks = _nice_ticks(xlo, xhi)
     yticks = _log_ticks(ylo, yhi) if logy else _nice_ticks(ylo, yhi)
 
     parts = [

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssrgd
 from ssrgd import baselines, core, diagnostics
-from ssrgd.core import ConfigError, Event, InvalidInputError, Mode, RunConfig, SuperEpoch
+from ssrgd.core import (
+    ConfigError, Event, InvalidInputError, Mode, ProblemSpec, RunConfig, SuperEpoch,
+)
 
 from conftest import scalar_quadratic
 
@@ -270,3 +274,47 @@ class TestFiniteness:
         with pytest.raises(ssrgd.NonFiniteError) as err:
             ssrgd.run_ssrgd(prob, cfg, x0=np.array([1.0]))
         assert len(err.value.trace) >= 1
+
+
+def _breaks_a_rule(n, d, L, rho, mode, sigma, batch, full) -> bool:
+    """The rules of ``ProblemSpec.__post_init__``, written independently."""
+    finite_n = n != math.inf
+    bad_n = finite_n and not (n >= 1 and n == int(n))
+    if mode is Mode.FINITE_SUM:
+        bad_mode = not finite_n or not full
+    else:
+        bad_mode = not sigma >= 0
+    return d < 1 or bad_n or not L > 0 or not rho >= 0 or not batch or bad_mode
+
+
+SPEC_NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1.0, math.nan, math.inf]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(-3, 10**6) | st.sampled_from([math.inf, -math.inf, 0.0, 0.5, 2.5, 3.0, math.nan])
+    | st.floats(-10.0, 1e6),
+    d=st.integers(-2, 50),
+    L=SPEC_NUMBERS,
+    rho=SPEC_NUMBERS,
+    mode=st.sampled_from(list(Mode)),
+    sigma=SPEC_NUMBERS,
+    batch=st.booleans(),
+    full=st.booleans(),
+)
+def test_problem_spec_rejects_exactly_the_broken_rules(n, d, L, rho, mode, sigma, batch, full):
+    def build():
+        return ProblemSpec(
+            n=n, d=d, lipschitz_grad=L, lipschitz_hess=rho, mode=mode, value=lambda x: 0.0,
+            full_grad=(lambda x: x) if full else None,
+            component_grad_batch=(lambda idx, x: np.tile(x, (len(idx), 1))) if batch else None,
+            variance_bound=sigma,
+        )
+
+    if _breaks_a_rule(n, d, L, rho, mode, sigma, batch, full):
+        with pytest.raises(ConfigError):
+            build()
+    else:
+        assert build().n == n

@@ -1,14 +1,19 @@
+import inspect
 import json
 import math
+import re
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssrgd
 from ssrgd import harness
-from ssrgd.core import ConfigError, Event
+from ssrgd.core import ConfigError, Event, Mode
 from ssrgd.harness import (
     ExperimentPlan,
     build_problem,
@@ -546,3 +551,114 @@ class TestSfoExtraction:
         ]
         assert sfo_at_first_fosp(trace, 0.1) == 30
         assert sfo_at_first_fosp(trace, 0.01) is None
+
+
+def key_type(default):
+    return default if isinstance(default, type) else type(default)
+
+
+def value_strategy(key, default):
+    """Values of a problem key's type that every generator accepts at small n and d."""
+    if key == "x0":
+        return st.sampled_from(["zeros", "ones", "saddle"])
+    typ = key_type(default)
+    if typ is int:
+        return st.integers(2, 6)
+    if typ is float:
+        return st.floats(0.05, 1.0)
+    return st.text("abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=12)
+
+
+@st.composite
+def problem_sections(draw):
+    kind = draw(st.sampled_from(sorted(harness.PROBLEMS)))
+    row = harness.PROBLEMS[kind][1]
+    keys = {**harness.PROBLEM_KEYS, **row}
+    required = [k for k, v in row.items() if isinstance(v, type)]
+    optional = sorted(set(keys) - {"kind", *required})
+    chosen = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    return {"kind": kind, **{k: draw(value_strategy(k, keys[k])) for k in chosen}}
+
+
+def section_text(params, name="problem") -> str:
+    lines = [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in params.items()]
+    return f"[{name}]\n" + "\n".join(lines) + "\n\n[optimizer]\nkind = ssrgd\n"
+
+
+class TestProblemRegistry:
+    @settings(max_examples=150, deadline=None)
+    @given(params=problem_sections())
+    def test_sections_round_trip_and_build(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plan.ini"
+            path.write_text(section_text(params), encoding="utf-8")
+            plan = parse_config(path)
+        assert plan.problems == [("problem", params)]
+        if params["kind"] == "libsvm":
+            return
+        inst = build_problem(plan.problems[0][1])
+        row = harness.PROBLEMS[params["kind"]][1]
+        assert inst.spec.d == params.get("d", row["d"])
+        if "sigma" in params:
+            assert inst.spec.mode is Mode.ONLINE and inst.spec.variance_bound == params["sigma"]
+        else:
+            assert inst.spec.n == params.get("n", row["n"])
+
+    @pytest.mark.parametrize("kind", sorted(harness.PROBLEMS))
+    def test_row_keys_are_generator_keywords(self, kind):
+        generator, row = harness.PROBLEMS[kind]
+        keywords = {
+            name for name, p in inspect.signature(generator).parameters.items()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        }
+        assert set(row) <= keywords
+
+    def test_key_of_another_kind_is_rejected_naming_the_kind(self, tmp_path):
+        rejected = 0
+        for kind, (_, row) in harness.PROBLEMS.items():
+            for other, (_, other_row) in harness.PROBLEMS.items():
+                for key in set(other_row) - set(row) - set(harness.PROBLEM_KEYS):
+                    params = {"kind": kind, "path": str(tmp_path)} if kind == "libsvm" else {"kind": kind}
+                    value = "x" if isinstance(other_row[key], type) else other_row[key]
+                    path = write_config(tmp_path, section_text({**params, key: value}, name="problem:p"))
+                    with pytest.raises(ConfigError, match=rf"^\[problem:p\] \(kind = {kind}\) unknown key {key!r}"):
+                        parse_config(path)
+                    rejected += 1
+        assert rejected >= 20
+
+    def test_libsvm_builds_through_the_harness(self, tmp_path):
+        data = tmp_path / "tiny.svm"
+        data.write_text("1 1:0.5 3:1.0\n-1 2:0.25\n+1 1:1.0 2:-0.5\n-1 3:2.0\n", encoding="utf-8")
+        text = f"[problem:svm]\nkind = libsvm\npath = {data}\nd_cap = 8\nreg = 0.2\n\n[optimizer]\nkind = gd\n"
+        plan = parse_config(write_config(tmp_path, text))
+        assert plan.problems == [("svm", {"kind": "libsvm", "path": str(data), "d_cap": 8, "reg": 0.2})]
+        inst = build_problem(plan.problems[0][1])
+        direct = ssrgd.problems.load_libsvm(data, d_cap=8, reg=0.2)
+        assert (inst.spec.n, inst.spec.d, inst.spec.mode) == (4, 3, Mode.FINITE_SUM)
+        x = np.array([0.3, -0.2, 0.1])
+        assert inst.spec.value(x) == direct.spec.value(x)
+        online = build_problem({**plan.problems[0][1], "sigma": 0.1, "seed": 3})
+        assert online.spec.mode is Mode.ONLINE and online.base.spec.d == 3
+
+    def test_libsvm_without_path_is_refused(self, tmp_path):
+        text = "[problem]\nkind = libsvm\nd_cap = 8\n\n[optimizer]\nkind = gd\n"
+        with pytest.raises(ConfigError, match=r"^\[problem\] kind libsvm needs 'path'$"):
+            parse_config(write_config(tmp_path, text))
+
+    def test_readme_lists_each_kind_with_its_keys_and_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| (`\w+`|every kind) \|[^|]*\| (.*) \|$", readme, re.M))
+        entry = re.compile(r"`(\w+)`(?: = ([^\s,]+))?(?: \(generator ([^)]+)\))?")
+        tables = {"every kind": (None, harness.PROBLEM_KEYS)}
+        tables.update({f"`{kind}`": value for kind, value in harness.PROBLEMS.items()})
+        assert set(rows) == set(tables)
+        for label, (generator, keys) in tables.items():
+            listed = {key: (default, theirs) for key, default, theirs in entry.findall(rows[label])}
+            assert list(listed) == list(keys), label
+            takes = inspect.signature(generator).parameters if generator else {}
+            for key, (default, theirs) in listed.items():
+                ours = keys[key]
+                assert default == ("" if isinstance(ours, type) else str(ours)), (label, key)
+                own = takes[key].default if key in takes else inspect.Parameter.empty
+                differs = own is not inspect.Parameter.empty and own != ours
+                assert theirs == (str(own) if differs else ""), (label, key)

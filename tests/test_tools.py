@@ -1,8 +1,10 @@
 import dataclasses
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,8 +31,8 @@ def test_fingerprint_repeats_exactly():
     assert all(len(line.split()[1]) == 64 for line in first)
 
 
-def load_fingerprint_module():
-    spec = importlib.util.spec_from_file_location("fingerprint_tool", SCRIPT)
+def load_tool(name: str = "fingerprint"):
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", SCRIPT.parent / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -51,7 +53,7 @@ def test_fingerprint_paths_repeats_exactly():
 
 
 def test_paths_digest_ignores_f_and_nothing_else():
-    fp = load_fingerprint_module()
+    fp = load_tool()
     inst = fp.problems.make_nonconvex_logistic(n=64, d=4, seed=1)
     out = fp._ssrgd(inst, 0.05, budget=3_000, seed=2, x0=0.5 * np.ones(4), full_trace=True)
     other_f = [dataclasses.replace(r, f_value=r.f_value + 1.0) for r in out.trace]
@@ -76,3 +78,28 @@ def test_ab_smoke_same_tree_on_both_sides():
     for row in rows:
         *_, ratio, wins, identical = row.split()
         assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
+
+
+def test_ab_result_digest_ignores_f_and_nothing_else():
+    ab = load_tool("ab")
+    fp = ab.fingerprint
+    inst = fp.problems.make_nonconvex_logistic(n=64, d=4, seed=1)
+    out = fp._ssrgd(inst, 0.05, budget=3_000, seed=2, x0=0.5 * np.ones(4), full_trace=True)
+    ops = [SimpleNamespace(key="2", sfo=out.sfo_raw, iters=40, failure=None)]
+    base = ab.result_digest("fs", ops, [out])
+    other_f = [dataclasses.replace(r, f_value=r.f_value * (1 + 1e-16) + 1e-9) for r in out.trace]
+    assert ab.result_digest("fs", ops, [dataclasses.replace(out, trace=other_f)]) == base
+    moved = dataclasses.replace(out, final_x=out.final_x + 1e-15)
+    assert ab.result_digest("fs", ops, [moved]) != base
+    failed = [SimpleNamespace(key="2", sfo=out.sfo_raw, iters=40, failure="check")]
+    assert ab.result_digest("fs", failed, [out]) != base
+
+    def plan(out_dir, max_fdrop, escaped):
+        printed = {"cells": 2, "failed": [], "out_dir": out_dir}
+        report = {"escape_frequency": escaped, "pairs": [{"max_fdrop": max_fdrop}]}
+        return [(0, json.dumps(printed)), (0, json.dumps(report))]
+
+    ops = [SimpleNamespace(key="run", sfo=10, iters=5, failure=None)]
+    base = ab.result_digest("plan", ops, plan("/a/runs", 0.5, 1.0))
+    assert ab.result_digest("plan", ops, plan("/b/runs", 0.25, 1.0)) == base
+    assert ab.result_digest("plan", ops, plan("/a/runs", 0.5, 0.9)) != base

@@ -16,8 +16,9 @@ Separate benchmark processes on a shared host drift by up to 40% between
 runs; alternating in one process cancels most of that.  For each workload
 it prints the quartiles of µs per iteration (seconds for ``plan``) on each
 side, the change/parent ratio of the medians, how many rounds the change
-was faster, and whether both sides computed identical results (the
-benchmark's operation fingerprints, SFO counts and check outcomes).
+was faster, and whether both sides computed identical results
+(``result_digest``: the same results with every f value left out, so a
+change that moves f only at rounding level still reads ``yes``).
 
     python3 tools/ab.py --parent ../parent
     python3 tools/ab.py --parent ../parent --rounds 16
@@ -34,6 +35,7 @@ import configparser
 import hashlib
 import importlib
 import importlib.util
+import json
 import logging
 import math
 import os
@@ -73,12 +75,36 @@ def load_workloads(root: Path, name: str):
     # workloads.py imports ``ssrgd``: while it loads, that name is this side
     aliases = {"ssrgd" + key[len(name):]: module for key, module in sys.modules.items()
                if key == name or key.startswith(name + ".")}
+    saved = {key: sys.modules.pop(key) for key in aliases if key in sys.modules}
     sys.modules.update(aliases)
     try:
         return import_file(f"{name}_workloads", HERE / "perfbench" / "workloads.py")
     finally:
         for key in aliases:
             del sys.modules[key]
+        sys.modules.update(saved)  # the tree ``fingerprint`` imported as ``ssrgd``
+
+
+fingerprint = import_file("ab_fingerprint", HERE / "tools" / "fingerprint.py")
+
+
+def result_digest(workload: str, ops, results) -> str:
+    """sha256 over each operation's key, SFO count, iterations and failure,
+    then each result without f values: for ``fs`` and ``online`` the run's
+    ``fingerprint.outcome_digest(..., paths=True)``, for ``plan`` the exit
+    code and the printed JSON (its ``out_dir`` differs by side)."""
+    h = hashlib.sha256()
+    for op in ops:
+        h.update(f"{op.key},{op.sfo},{op.iters},{op.failure}\n".encode())
+    for result in results:
+        if workload == "plan":
+            code, text = result
+            printed = fingerprint.without_f(json.loads(text))
+            printed.pop("out_dir", None)
+            h.update(f"{code},{json.dumps(printed, sort_keys=True)}\n".encode())
+        else:
+            h.update(f"{fingerprint.outcome_digest(result, paths=True)}\n".encode())
+    return h.hexdigest()
 
 
 def scaled(value: int, scale: float) -> int:
@@ -91,6 +117,7 @@ class Side:
 
     def __init__(self, name: str, root: Path, scale: float, workdir: Path):
         bench = load_workloads(root, name)
+        self.results = []  # what each timed call of the current unit returned
         self.workloads = {}
         for short, long in WORKLOADS.items():
             cls = bench.WORKLOADS[long]
@@ -109,21 +136,21 @@ class Side:
                 budget = scaled(cls.BUDGET, scale)
                 self.workloads[short] = type(cls.__name__, (cls,), {"BUDGET": budget})(SEED)
 
-    @staticmethod
-    def timed(fn):
+    def timed(self, fn):
         start = time.perf_counter()
         result = fn()
-        return time.perf_counter() - start, math.nan, result
+        seconds = time.perf_counter() - start
+        self.results.append(result)
+        return seconds, math.nan, result
 
     def run(self, workload: str, index: int) -> tuple[float, str]:
+        self.results = []
         ops = self.workloads[workload].unit(index, self.timed)
-        h = hashlib.sha256()
-        for op in ops:
-            h.update(f"{op.key},{op.fingerprint},{op.sfo},{op.iters},{op.failure}\n".encode())
+        digest = result_digest(workload, ops, self.results)
         seconds = sum(op.seconds for op in ops)
         if workload == "plan":
-            return seconds, h.hexdigest()
-        return seconds / max(1, sum(op.iters for op in ops)) * 1e6, h.hexdigest()
+            return seconds, digest
+        return seconds / max(1, sum(op.iters for op in ops)) * 1e6, digest
 
     def close(self) -> None:
         for wl in self.workloads.values():
