@@ -239,19 +239,6 @@ def run_ssrgd(
             return estimators.large_batch_gradient(problem, xp, cfg.large_batch, rng, sfo=sfo)
         return estimators.full_gradient(problem, xp, sfo=sfo)
 
-    def snapshot(k: int) -> OptState:
-        return OptState(
-            x=x.copy(),
-            v=v.copy(),
-            epoch=epoch,
-            step_in_epoch=k,
-            super_epoch_active=se.active,
-            x_tilde=None if se.x_tilde is None else se.x_tilde.copy(),
-            t_init=se.t_init if se.active else None,
-            sfo_count=sfo.raw,
-            iteration=t,
-        )
-
     stop = False
     while not stop:
         if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
@@ -282,7 +269,7 @@ def run_ssrgd(
             f_x = float(problem.value(x))
             trace.append(TraceRecord(t, f_x, float(np.linalg.norm(v)), sfo.raw, Event.PERTURBATION))
             if step_callback is not None:
-                step_callback(snapshot(0), Event.PERTURBATION)
+                step_callback(OptState(x.copy(), sfo.raw, t), Event.PERTURBATION)
 
         batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in itertools.count())
         state = EstimatorState(v=v, prev_x=x)
@@ -320,7 +307,7 @@ def run_ssrgd(
             elif random_stop_decision(rng, k, cfg.epoch_len):
                 event = Event.RANDOM_STOP
             if step_callback is not None:
-                step_callback(snapshot(k), event)
+                step_callback(OptState(x.copy(), sfo.raw, t), event)
             if full_trace or event is not Event.NONE:
                 if f_x is None:
                     f_x = float(problem.value(x))

@@ -183,9 +183,8 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
     trace: list[TraceRecord] = []
     t = 0
     term = Termination.BUDGET_EXHAUSTED
-    stop = False
     f_x = None  # f at the current x once a row has evaluated it; None after x moves
-    while not stop and sfo.raw < budget:
+    while sfo.raw < budget:
         if kind.max_iters is not None and t >= kind.max_iters:
             term = Termination.MAX_EPOCHS
             break
@@ -194,19 +193,12 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
             f_x = float(problem.value(x))
         trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
         state = EstimatorState(v=anchor_grad, anchor=x, anchor_grad=anchor_grad)
+        # the block holds only the steps the budget and the cap leave (none
+        # when the anchor spent the budget); the tests above then stop the run
         k = _steps_left(kind, kind.epoch_len, budget - sfo.raw, 2 * kind.minibatch, t)
         batches = core.sample_minibatch(rng, problem.n, kind.minibatch, steps=max(k, 0))
-        steps = estimators.descend(problem, state, x, kind.step_size, batches, sfo)
-        for _ in range(kind.epoch_len):
-            if sfo.raw >= budget:
-                stop = True
-                break
-            if kind.max_iters is not None and t >= kind.max_iters:
-                term = Termination.MAX_EPOCHS
-                stop = True
-                break
+        for x, _, _ in estimators.descend(problem, state, x, kind.step_size, batches, sfo):
             t += 1
-            x, _, _ = next(steps)
             f_x = None
             core.ensure_finite(x, "iterate", trace, t)
             if full_trace:

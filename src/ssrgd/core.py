@@ -278,15 +278,10 @@ class SuperEpoch:
 
 @dataclass
 class OptState:
-    """Snapshot of optimizer state, as passed to step callbacks."""
+    """What a step callback receives: a copy of the iterate, its iteration
+    index and the raw SFO count so far."""
 
     x: Vector
-    v: Vector
-    epoch: int
-    step_in_epoch: int
-    super_epoch_active: bool
-    x_tilde: Vector | None
-    t_init: int | None
     sfo_count: int
     iteration: int
 

@@ -48,6 +48,10 @@ from .estimators import EstimatorState
 from .problems import ProblemInstance
 
 EXHAUSTIVE_LIMIT = 300_000
+# Constants of the analysis: the coupled pair's offset as a share of the
+# perturbation radius, and C' of the localization bound.
+ZETA_PRIME = 0.1
+C_PRIME = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +344,17 @@ def run_coupled_experiment(
     cfg: RunConfig,
     seeds: int,
     *,
-    zeta_prime: float = 0.1,
-    c2: float = 1.0,
-    c1: float | None = None,
     check_saddle: bool = True,
     store_trajectories: bool = False,
 ) -> CoupledReport:
     """Escape statistics for coupled trajectory pairs around a saddle.
 
-    Works in the regime of the small-stuck-region analysis: the effective
-    perturbation radius is capped at delta/(C1 rho) with C1 = 20 c2/(eta L)
-    by default, the pair offset is r0 = zeta_prime * r / sqrt(d) along the
-    most negative curvature direction at ``x_tilde``, and the window is
-    2 log(8 delta sqrt(d) / (C1 rho zeta_prime r)) / (eta delta) steps.
+    Works in the regime of the small-stuck-region analysis, with the
+    analysis' constants C1 = 20/(eta L) and zeta' = ``ZETA_PRIME``: the
+    effective perturbation radius is capped at delta/(C1 rho), the pair
+    offset is r0 = zeta' * r / sqrt(d) along the most negative curvature
+    direction at ``x_tilde``, and the window is
+    2 log(8 delta sqrt(d) / (C1 rho zeta' r)) / (eta delta) steps.
     Both trajectories replay identical minibatch streams; the report keeps
     a digest of each stream so the coupling is checkable.
     """
@@ -363,8 +365,6 @@ def run_coupled_experiment(
         raise ConfigError("cfg.delta must be positive")
     if cfg.minibatch < cfg.epoch_len:
         raise ConfigError("needs minibatch >= epoch_len")
-    if not 0 < zeta_prime < 1:
-        raise ConfigError("zeta_prime must be in (0, 1)")
     d = problem.d
     L = problem.lipschitz_grad
     rho = problem.lipschitz_hess
@@ -383,14 +383,14 @@ def run_coupled_experiment(
         )
     e1 = evecs[:, 0]
 
-    C1 = (20.0 * c2 / (eta * L)) if c1 is None else float(c1)
+    C1 = 20.0 / (eta * L)
     threshold = delta / (C1 * rho)
     radius = min(cfg.perturb_radius, threshold)
     if radius <= 0:
         raise ConfigError("effective perturbation radius is zero")
-    r0 = zeta_prime * radius / math.sqrt(d)
+    r0 = ZETA_PRIME * radius / math.sqrt(d)
     window = math.ceil(
-        2.0 * math.log(8.0 * delta * math.sqrt(d) / (C1 * rho * zeta_prime * radius))
+        2.0 * math.log(8.0 * delta * math.sqrt(d) / (C1 * rho * ZETA_PRIME * radius))
         / (eta * delta)
     )
 
@@ -539,18 +539,15 @@ def verify_localization(
     paths,
     *,
     lipschitz_grad: float,
-    cprime: float = 1.0,
     step_size: float | None = None,
 ) -> LocalizationReport:
     """Check ||x_t - x_0|| <= sqrt(4 t (f(x_0) - f(x_t)) / (C' L)) along
-    each super-epoch path.  Steps where the value increased are recorded
-    and excluded (the statement presumes decrease)."""
-    if cprime <= 0:
-        raise ConfigError("cprime must be positive")
-    if step_size is not None and step_size > 1.0 / (2.0 * cprime * lipschitz_grad) * (1 + 1e-12):
+    each super-epoch path, with C' = ``C_PRIME``.  Steps where the value
+    increased are recorded and excluded (the statement presumes decrease)."""
+    cap = 1.0 / (2.0 * C_PRIME * lipschitz_grad)
+    if step_size is not None and step_size > cap * (1 + 1e-12):
         raise ConfigError(
-            "localization regime needs step_size <= 1/(2 C' L); got "
-            f"{step_size:g} > {1.0 / (2.0 * cprime * lipschitz_grad):g}"
+            f"localization regime needs step_size <= 1/(2 C' L); got {step_size:g} > {cap:g}"
         )
     if isinstance(paths, SuperEpochPath):
         paths = [paths]
@@ -568,7 +565,7 @@ def verify_localization(
                 rows.append(LocalizationRow(t, dist, math.nan, True, True))
                 increases += 1
                 continue
-            bound = math.sqrt(4.0 * t * drop / (cprime * lipschitz_grad))
+            bound = math.sqrt(4.0 * t * drop / (C_PRIME * lipschitz_grad))
             ok = dist <= bound * (1 + 1e-9) + 1e-15
             rows.append(LocalizationRow(t, dist, bound, False, ok))
             ok_all = ok_all and ok

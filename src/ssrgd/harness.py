@@ -98,7 +98,7 @@ _OPTIMIZER_KEYS = {
     "grad_threshold": float,
     "fval_threshold": float,
     "super_epoch_len": int,
-    "sfo_budget": int,
+    "sfo_budget": 10**7,
     "max_epochs": int,
     "max_iters": int,
     "eval_every": int,
@@ -243,6 +243,11 @@ def parse_config(path) -> ExperimentPlan:
         raise ConfigError("missing required section [problem] (or [problem:<name>])")
     if not optimizer_sections:
         raise ConfigError("missing required section [optimizer] (or [optimizer:<name>])")
+    if sweep is not None and sweep[0] == "n":
+        for section in parser.sections():
+            kind = parser[section].get("kind")
+            if section.partition(":")[0] == "problem" and "n" not in PROBLEMS[kind][1]:
+                raise ConfigError(f"[{section}] kind {kind} has no n for the [sweep] axis n")
     out = _with_defaults(out, _OUTPUT_KEYS)
     try:
         seeds = [int(v) for v in out["seeds"].split(",") if v.strip()]
@@ -325,7 +330,8 @@ def initial_point(params: dict, inst: problems.ProblemInstance) -> np.ndarray:
 def build_run_config(
     oparams: dict, inst: problems.ProblemInstance, seed: int, eps_override: float | None
 ) -> RunConfig:
-    """Derived defaults for the problem, then explicit overrides."""
+    """Derived defaults for the problem, then the section's settings (over
+    the key table's defaults, such as the SFO budget) as overrides."""
     settings = _with_defaults(oparams, _OPTIMIZER_KEYS)
     eps = float(eps_override if eps_override is not None else settings["eps"])
     delta = None
@@ -333,8 +339,8 @@ def build_run_config(
         delta = oparams.get("delta", math.sqrt(inst.spec.lipschitz_hess * eps) or settings["delta"])
     cfg = algorithm.derive_config(inst.spec, eps, delta, settings["logfactor"], seed=seed)
     derived_from = ("eps", "delta", "logfactor")  # inputs of the derivation, not overrides
-    overrides = {f.name: oparams[f.name] for f in dataclasses.fields(RunConfig)
-                 if f.name in oparams and f.name not in derived_from}
+    overrides = {f.name: settings[f.name] for f in dataclasses.fields(RunConfig)
+                 if f.name in settings and f.name not in derived_from}
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -409,9 +415,8 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
         outcome = algorithm.run_ssrgd(inst.spec, cfg, x0=x0, full_trace=full_trace)
     else:
         kind = _baseline_from_params(cell.optimizer, inst, cell.seed, eps)
-        budget = cell.optimizer.get("sfo_budget", 10**7)
         outcome = baselines.run_baseline(
-            kind, inst.spec, budget, x0=x0, full_trace=full_trace
+            kind, inst.spec, settings["sfo_budget"], x0=x0, full_trace=full_trace
         )
 
     first_fosp = sfo_at_first_fosp(outcome.trace, eps)
@@ -770,16 +775,18 @@ def _cmd_diagnose(args) -> int:
         if args.subcommand == "coupled":
             report = diagnostics.run_coupled_experiment(inst, saddle, cfg, args.pairs).to_dict()
         else:
-            cap = 1.0 / (2.0 * spec.lipschitz_grad)
+            cap = 1.0 / (2.0 * diagnostics.C_PRIME * spec.lipschitz_grad)
             if cfg.step_size > cap:
-                cfg = dataclasses.replace(cfg, step_size=0.95 * cap)
+                eta = 0.95 * cap
+                cfg = dataclasses.replace(cfg, step_size=eta, **algorithm.super_epoch_params(
+                    spec, args.eps, args.delta, args.logfactor, eta
+                ))
             paths = diagnostics.collect_super_epoch_paths(
                 inst, cfg, seeds=range(args.seed, args.seed + args.super_epochs),
                 x0=saddle, max_paths=args.super_epochs,
             )
             report = diagnostics.verify_localization(
-                paths, lipschitz_grad=spec.lipschitz_grad, cprime=1.0,
-                step_size=cfg.step_size,
+                paths, lipschitz_grad=spec.lipschitz_grad, step_size=cfg.step_size
             ).to_dict()
     text = json.dumps(report, indent=2)
     if args.out:

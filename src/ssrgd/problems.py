@@ -31,6 +31,11 @@ from .core import (
 SIGMOID_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 # max |d^3/dx^3 x^2/(1+x^2)| ~ 4.67 near |x| = 0.33; rounded up
 RATIONAL_REG_D3_MAX = 5.0
+# The logistic benchmark's feature design: the largest feature variance,
+# the ratio of largest to smallest, and the row-norm clip
+LOGISTIC_FEATURE_SCALE = 8.0
+LOGISTIC_CONDITION = 160.0
+LOGISTIC_ROW_CAP = 3.2
 
 
 @dataclass
@@ -299,16 +304,14 @@ def make_nonconvex_logistic(
     seed: int = 0,
     *,
     flip_prob: float = 0.05,
-    condition: float = 160.0,
-    feature_scale: float = 8.0,
-    row_cap: float = 3.2,
 ) -> ProblemInstance:
     """Logistic losses with a bounded nonconvex coordinate regularizer.
 
     f_i(x) = log(1 + exp(-y_i a_i' x)) + reg * sum_j x_j^2/(1 + x_j^2).
 
-    Feature variances are log-spaced over a ratio of ``condition`` and rows
-    are clipped to norm ``row_cap``, which pins the worst-row smoothness
+    Feature variances are log-spaced from ``LOGISTIC_FEATURE_SCALE`` down
+    over a ratio of ``LOGISTIC_CONDITION``, and rows are clipped to norm
+    ``LOGISTIC_ROW_CAP``, which pins the worst-row smoothness
     constant independently of n.  Labels come from a planted weight vector
     whose mass concentrates on the weak directions (so the fit spends a
     long stretch at every gradient scale rather than contracting at a
@@ -320,16 +323,14 @@ def make_nonconvex_logistic(
         raise ConfigError("need n >= 1 and d >= 1")
     if reg < 0:
         raise ConfigError("reg must be nonnegative")
-    if condition < 1 or feature_scale <= 0 or row_cap <= 0:
-        raise ConfigError("condition >= 1 and positive feature_scale/row_cap required")
     rng = core.seeded_rng(seed, 0)
     j = np.arange(d)
     decay = j / (d - 1) if d > 1 else np.zeros(1)
-    variances = feature_scale * np.exp(-math.log(condition) * decay)
+    variances = LOGISTIC_FEATURE_SCALE * np.exp(-math.log(LOGISTIC_CONDITION) * decay)
     A = rng.standard_normal((n, d)) * np.sqrt(variances)[None, :]
     norms = np.linalg.norm(A, axis=1)
-    clipped = norms > row_cap
-    A[clipped] *= (row_cap / norms[clipped])[:, None]
+    clipped = norms > LOGISTIC_ROW_CAP
+    A[clipped] *= (LOGISTIC_ROW_CAP / norms[clipped])[:, None]
     w_true = (1.0 + 0.15 * rng.standard_normal(d)) * variances**-0.75
     w_true *= 3.0 / np.linalg.norm(w_true * np.sqrt(variances))
     y = np.sign(A @ w_true + 0.2 * rng.standard_normal(n))
@@ -339,8 +340,7 @@ def make_nonconvex_logistic(
     return _logistic_instance(
         A, y, reg,
         {"kind": "nonconvex_logistic", "n": n, "d": d, "reg": reg,
-         "seed": seed, "flip_prob": flip_prob, "condition": condition,
-         "feature_scale": feature_scale, "row_cap": row_cap},
+         "seed": seed, "flip_prob": flip_prob},
     )
 
 

@@ -120,22 +120,18 @@ def certify(
     rng: np.random.Generator | None = None,
     dense_cap: int = DENSE_CAP,
     power_iters: int = 800,
-    large_batch: int | None = None,
 ) -> Certificate:
     """Populate a second-order certificate for the point x.
 
     Finite-sum problems measure the exact gradient; online problems use a
-    large-batch estimate (defaulting to 4 sigma^2/eps^2 samples).  The
+    large-batch estimate from ceil(4 sigma^2/eps^2) samples.  The
     eigenvalue method is dense below ``dense_cap`` dimensions and shifted
     power iteration beyond it.
     """
     if problem.mode is Mode.ONLINE:
         if rng is None:
             rng = core.seeded_rng(0, 29)
-        B = large_batch
-        if B is None:
-            sigma = problem.variance_bound
-            B = max(1, math.ceil(4.0 * sigma**2 / max(eps, 1e-12) ** 2))
+        B = max(1, math.ceil(4.0 * problem.variance_bound**2 / max(eps, 1e-12) ** 2))
         g = estimators.large_batch_gradient(problem, x, B, rng)
     else:
         g = estimators.full_gradient(problem, x)

@@ -339,7 +339,7 @@ def test_criterion_09_localization():
         inst, cfg, seeds=range(40), x0=np.zeros(10), max_paths=50
     )
     rep = diagnostics.verify_localization(
-        paths, lipschitz_grad=L, cprime=1.0, step_size=eta
+        paths, lipschitz_grad=L, step_size=eta
     )
     elapsed = time.time() - t0
     ok = len(paths) >= 50 and rep.pass_fraction >= 0.9

@@ -159,6 +159,17 @@ class TestSvrg:
         assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
         assert rng.random() == ref_rng.random()
 
+    def test_anchor_far_past_the_budget_ends_the_run(self):
+        # one anchor costs 64 raw SFO against a budget of 10: the budget is
+        # overspent by more than a step's cost, so the epoch has no steps
+        inst = ssrgd.make_quadratic(d=3, n=64, seed=0)
+        bk = BaselineKind(kind="svrg", step_size=0.1, minibatch=2, epoch_len=8)
+        rng = core.seeded_rng(9, 0)
+        out = run_baseline(bk, inst.spec, 10, rng, x0=np.ones(3))
+        assert (out.sfo_raw, len(out.trace), out.termination.value) == (64, 1, "budget_exhausted")
+        assert np.array_equal(out.final_x, np.ones(3))
+        assert rng.random() == core.seeded_rng(9, 0).random()
+
     def test_snapshot_norm_matches_exact(self):
         inst = ssrgd.make_quadratic(d=3, n=10, seed=2, spread=0.3)
         bk = BaselineKind(kind="svrg", step_size=0.2 / inst.spec.lipschitz_grad,

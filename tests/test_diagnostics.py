@@ -243,7 +243,7 @@ class TestLocalization:
             np.array([inst.spec.value(x0), inst.spec.value(x1)]), True,
         )
         rep = diagnostics.verify_localization(
-            path, lipschitz_grad=L, cprime=1.0, step_size=eta
+            path, lipschitz_grad=L, step_size=eta
         )
         assert rep.pass_fraction == 1.0
         row = rep.rows_per_path[0][0]
@@ -262,7 +262,7 @@ class TestLocalization:
     def test_step_size_precondition(self):
         with pytest.raises(ConfigError, match="1/\\(2 C' L\\)"):
             diagnostics.verify_localization(
-                [], lipschitz_grad=1.0, cprime=1.0, step_size=0.9
+                [], lipschitz_grad=1.0, step_size=0.9
             )
 
     def test_planted_saddle_super_epochs(self):
@@ -281,6 +281,6 @@ class TestLocalization:
         )
         assert len(paths) >= 10
         rep = diagnostics.verify_localization(
-            paths, lipschitz_grad=L, cprime=1.0, step_size=eta
+            paths, lipschitz_grad=L, step_size=eta
         )
         assert rep.pass_fraction >= 0.9

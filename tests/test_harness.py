@@ -452,6 +452,28 @@ class TestBaselineDefaults:
         assert bk.grad_threshold == 0.05 and bk.super_epoch_len == 15
 
 
+class Captured(Exception):
+    """Carries what a patched optimizer entry was given out of ``run_cell``."""
+
+
+class TestDefaultBudget:
+    @pytest.mark.parametrize("kind", harness._OPTIMIZER_KINDS)
+    def test_cell_without_sfo_budget_runs_at_ten_million(self, tmp_path, monkeypatch, kind):
+        def run_ssrgd(spec, cfg, **kwargs):
+            raise Captured(cfg.sfo_budget)
+
+        def run_baseline(bk, spec, budget, **kwargs):
+            raise Captured(budget)
+
+        monkeypatch.setattr(harness.algorithm, "run_ssrgd", run_ssrgd)
+        monkeypatch.setattr(harness.baselines, "run_baseline", run_baseline)
+        text = SADDLE_PLAN.replace("kind = ssrgd", f"kind = {kind}").replace("sfo_budget = 30000\n", "")
+        (cell, _) = parse_config(write_config(tmp_path, text)).cells()
+        with pytest.raises(Captured) as got:
+            harness.run_cell(cell)
+        assert got.value.args == (10**7,)
+
+
 class TestParallelWorkers:
     def test_worker_pool_matches_serial(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MULTI))
@@ -509,6 +531,25 @@ class TestDiagnoseCli:
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["paths"] >= 3
+
+    def test_localization_derives_the_super_epoch_at_the_capped_step(self, tmp_path, monkeypatch):
+        # the default flags derive a step above 1/(2L); at the capped step
+        # 0.95/(2L) the super epoch lasts 225 steps, not the uncapped step's 173
+        seen = []
+
+        def collect(inst, cfg, **kwargs):
+            seen.append((inst.spec, cfg))
+            return []
+
+        monkeypatch.setattr(harness.diagnostics, "collect_super_epoch_paths", collect)
+        text = SADDLE_PLAN.replace("d = 6\nn = 16\n", "d = 10\nn = 64\n")
+        cfg = write_config(tmp_path, text, name="saddle.ini")
+        assert harness.main(["diagnose", "localization", "--config", str(cfg)]) == 0
+        ((spec, run_cfg),) = seen
+        eta = 0.95 / (2.0 * spec.lipschitz_grad)
+        derived = ssrgd.algorithm.super_epoch_params(spec, 0.05, 0.3, 8.0, eta)
+        assert run_cfg.step_size == eta and run_cfg.super_epoch_len == 225
+        assert {key: getattr(run_cfg, key) for key in derived} == derived
 
     def test_epoch_decrease(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL, name="plain.ini")
@@ -639,6 +680,17 @@ class TestProblemRegistry:
         assert inst.spec.value(x) == direct.spec.value(x)
         online = build_problem({**plan.problems[0][1], "sigma": 0.1, "seed": 3})
         assert online.spec.mode is Mode.ONLINE and online.base.spec.d == 3
+
+    def test_n_sweep_over_a_kind_without_n_is_refused(self, tmp_path):
+        data = tmp_path / "tiny.svm"
+        data.write_text("1 1:0.5\n-1 2:0.25\n", encoding="utf-8")
+        text = (
+            "[sweep]\naxis = n\ngrid = 16, 64, 256\n\n[problem:quad]\nkind = quadratic\n\n"
+            f"[problem:svm]\nkind = libsvm\npath = {data}\n\n[optimizer]\nkind = gd\n"
+        )
+        with pytest.raises(ConfigError, match=r"^\[problem:svm\] kind libsvm has no n "):
+            parse_config(write_config(tmp_path, text))
+        assert len(parse_config(write_config(tmp_path, text.replace("axis = n", "axis = eps"))).cells()) == 6
 
     def test_libsvm_without_path_is_refused(self, tmp_path):
         text = "[problem]\nkind = libsvm\nd_cap = 8\n\n[optimizer]\nkind = gd\n"

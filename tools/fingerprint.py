@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -119,7 +118,9 @@ def _epoch_decrease(logistic, paths):
 def _localization(saddle, paths):
     cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=8_000, seed=20)
     eta = 0.95 / (2.0 * saddle.spec.lipschitz_grad)
-    cfg = dataclasses.replace(cfg, step_size=eta, super_epoch_len=math.ceil(8.0 / (eta * 0.3)))
+    cfg = dataclasses.replace(
+        cfg, step_size=eta, **algorithm.super_epoch_params(saddle.spec, 0.05, 0.3, 8.0, eta)
+    )
     runs = diagnostics.collect_super_epoch_paths(
         saddle, cfg, seeds=range(20, 23), x0=np.zeros(saddle.spec.d)
     )
