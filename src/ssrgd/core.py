@@ -286,7 +286,7 @@ class OptState:
     iteration: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One trace row: objective value, (optionally) measured gradient norm,
     cumulative raw SFO count, and the event that produced the row.

@@ -23,10 +23,11 @@ derivations fill everything not overridden.  Example::
 
 One cell is run per (problem x optimizer x sweep point x seed); each cell
 writes ``<dir>/<run_id>/trace.csv`` (header ``iter,f,grad_norm,sfo,event``)
-and ``summary.json``, and the plan writes one ``aggregate.json``.  Run ids
-are content hashes of the cell description, so re-running an identical
-plan is idempotent.  Worker count comes from the SSRGD_WORKERS environment
-variable (default 1).
+and ``summary.json`` as its result arrives; then the plan writes one
+``aggregate.json`` and, with ``plot = true``, charts drawn from the traces
+in memory.  Run ids are content hashes of the cell description and no file
+names its own directory, so a plan writes the same bytes in any directory.
+Workers: ``ssrgd run --workers``, else SSRGD_WORKERS (default 1).
 
 CLI subcommands: ``run``, ``scaling``, ``certify``, ``diagnose``.  Exit
 codes: 0 full success, 1 any failed cell, 2 config error.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import difflib
@@ -388,8 +390,8 @@ def sfo_at_first_fosp(trace: list[TraceRecord], eps: float) -> int | None:
     return None
 
 
-def run_cell(cell: Cell) -> tuple[dict, str]:
-    """Execute one cell; returns (summary dict, trace CSV text)."""
+def run_cell(cell: Cell) -> tuple[dict, list[TraceRecord]]:
+    """Execute one cell; returns (summary dict, trace records)."""
     settings = _with_defaults(cell.optimizer, _OPTIMIZER_KEYS)
     eps = float(cell.sweep_value if cell.sweep_axis == "eps" else settings["eps"])
     inst = build_problem(cell.problem, cell.sweep_value if cell.sweep_axis == "n" else None)
@@ -448,7 +450,7 @@ def run_cell(cell: Cell) -> tuple[dict, str]:
             "certificate": {**cert.to_dict(), "delta": delta} if cert is not None else None,
         }
     )
-    return summary, _trace_to_csv(outcome.trace)
+    return summary, outcome.trace
 
 
 def _last_grad_norm(trace: list[TraceRecord]) -> float | None:
@@ -478,59 +480,60 @@ def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
 
 
 def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
-    """Run every cell, persist traces/summaries, and write the aggregate.
+    """Run every cell, write each one's trace and summary as its result
+    arrives, then write the aggregate and, with ``plot``, the charts.
 
-    A cell that aborts with a package error (a non-finite oracle value, or
-    a setting its run config rejects) is marked failed in the aggregate,
-    with its error, without stopping the other cells.
+    ``workers`` (``ssrgd run --workers``) defaults to SSRGD_WORKERS.  A cell
+    that aborts with a package error (a non-finite oracle value, or a
+    setting its run config rejects) is marked failed in the aggregate, with
+    its error, without stopping the other cells.
     """
     if workers is None:
         raw = os.environ.get("SSRGD_WORKERS", "1")
         workers = int(raw) if raw.isdecimal() else 0
         if workers < 1:
             raise ConfigError(f"SSRGD_WORKERS must be an integer >= 1, got {raw!r}")
+    elif workers < 1:
+        raise ConfigError(f"--workers must be an integer >= 1, got {workers}")
     out_root = Path(plan.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     cells = plan.cells()
 
-    results: list[dict] = []
-    if workers > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    summaries, failed, traces = [], [], {}
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_safely, cells))
-    else:
-        results = [_run_cell_safely(cell) for cell in cells]
-
-    summaries = []
-    failed = []
-    for cell, (summary, trace_csv) in zip(cells, results):
-        cell_dir = out_root / cell.run_id
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        (cell_dir / "trace.csv").write_text(trace_csv, encoding="utf-8")
-        (cell_dir / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        summaries.append(summary)
-        if summary.get("failed"):
-            failed.append(cell.run_id)
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for cell, (summary, trace) in zip(cells, run(_run_cell_safely, cells)):
+            cell_dir = out_root / cell.run_id
+            cell_dir.mkdir(exist_ok=True)
+            (cell_dir / "trace.csv").write_text(_trace_to_csv(trace), encoding="utf-8")
+            (cell_dir / "summary.json").write_text(
+                json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            summaries.append(summary)
+            if summary["failed"]:
+                failed.append(cell.run_id)
+            elif plan.plot:
+                traces[cell.run_id] = trace
 
     aggregate = {
         "cells": summaries,
         "failed": failed,
         "total_sfo_raw": sum(s.get("sfo_raw", 0) or 0 for s in summaries),
         "sweep": None if plan.sweep is None else {"axis": plan.sweep[0], "grid": plan.sweep[1]},
-        "out_dir": str(out_root),
     }
     (out_root / "aggregate.json").write_text(
         json.dumps(aggregate, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if plan.plot:
-        emit_plots(aggregate, out_root)
+        emit_plots(aggregate, traces, out_root)
     return aggregate
 
 
-def _run_cell_safely(cell: Cell) -> tuple[dict, str]:
+def _run_cell_safely(cell: Cell) -> tuple[dict, list[TraceRecord]]:
     try:
         return run_cell(cell)
     except SsrgdError as exc:
@@ -541,22 +544,22 @@ def _run_cell_safely(cell: Cell) -> tuple[dict, str]:
             "error": str(exc),
             "sfo_raw": 0,
         }
-        return summary, _trace_to_csv(getattr(exc, "trace", []))
+        return summary, getattr(exc, "trace", [])
 
 
-def scaling_report(aggregate, axis: str, subtract_n: bool = False) -> dict:
+def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict:
     """Least-squares exponent of SFO-to-FOSP against the sweep axis.
 
     For ``axis='eps'`` the fit is log(sfo) vs log(1/eps) (expected slope 2);
     for ``axis='n'`` it is log(sfo), optionally minus the one-off full
     gradient term n, vs log(n) (expected slope 1/2 after subtraction).
-    The confidence interval comes from per-seed slopes.
+    The confidence interval comes from per-seed slopes.  Nonpositive counts
+    are left out; the fitted cells must share one (problem, optimizer) pair.
     """
-    if isinstance(aggregate, (str, Path)):
-        aggregate = json.loads(Path(aggregate).read_text(encoding="utf-8"))
     if axis not in ("eps", "n"):
         raise ConfigError("axis must be 'eps' or 'n'")
     per_seed: dict[int, dict[float, float]] = {}
+    pairs = set()
     for s in aggregate["cells"]:
         if s.get("failed") or s.get("sfo_to_fosp") is None:
             continue
@@ -566,9 +569,14 @@ def scaling_report(aggregate, axis: str, subtract_n: bool = False) -> dict:
         y = float(s["sfo_to_fosp"])
         if subtract_n and axis == "n":
             y -= float(s["n"])
-            if y <= 0:
-                continue
+        if y <= 0:
+            continue
+        pairs.add(f"{s.get('problem')}/{s.get('optimizer')}")
         per_seed.setdefault(int(s.get("seed", 0)), {})[float(xval)] = y
+    if len(pairs) > 1:
+        raise ConfigError(
+            f"scaling fit needs one (problem, optimizer) pair, got {', '.join(sorted(pairs))}"
+        )
 
     xs_all = sorted({x for d in per_seed.values() for x in d})
     if len(xs_all) < 3:
@@ -612,13 +620,15 @@ def scaling_report(aggregate, axis: str, subtract_n: bool = False) -> dict:
     }
 
 
-def emit_plots(aggregate, out_dir) -> list[str]:
-    """Write self-contained SVG charts for an aggregate; returns the files.
+def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -> list[str]:
+    """Write self-contained SVG charts for an aggregate; returns their paths.
 
-    Always: objective vs SFO and measured gradient norm vs SFO (log y) when
-    there is at least one successful cell.  A scaling fit is added for
-    sweeps with >= 3 points, and a certified-rate bar chart when several
-    seeds carry certificates.
+    ``traces`` maps each successful cell's run id to its trace.  Always:
+    objective vs SFO and measured gradient norm vs SFO (log y) when there is
+    at least one successful cell.  A scaling fit is added for sweeps with
+    >= 3 points of one (problem, optimizer) pair, and a certified-rate bar
+    chart when several seeds carry certificates.  ``plots.json`` lists the
+    chart file names.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -628,10 +638,7 @@ def emit_plots(aggregate, out_dir) -> list[str]:
 
     f_series, g_series = [], []
     for s in cells:
-        trace_path = Path(aggregate.get("out_dir", out_dir)) / s["run_id"] / "trace.csv"
-        if not trace_path.is_file():
-            continue
-        trace = read_trace_csv(trace_path)
+        trace = traces[s["run_id"]]
         label = f"{s['optimizer']}/{s['problem']}/s{s['seed']}"
         f_series.append((label, [r.sfo_count for r in trace], [r.f_value for r in trace]))
         pts = [(r.sfo_count, r.grad_norm) for r in trace if r.grad_norm is not None]
@@ -663,18 +670,15 @@ def emit_plots(aggregate, out_dir) -> list[str]:
     if sweep and len(sweep.get("grid", [])) >= 3:
         try:
             rep = scaling_report(aggregate, sweep["axis"])
-            xs = [
-                (1.0 / p["x"]) if sweep["axis"] == "eps" else p["x"]
-                for p in rep["points"]
-            ]
-            ys = [p["mean_sfo"] for p in rep["points"]]
-            lx10 = [math.log10(x) for x in xs]
-            ly10 = [math.log10(y) for y in ys]
-            slope10, inter10 = np.polyfit(lx10, ly10, 1)
+        except (core.InsufficientDataError, ConfigError):
+            pass  # too few points, or cells of several (problem, optimizer) pairs
+        else:
+            xs = [(1.0 / pt["x"]) if sweep["axis"] == "eps" else pt["x"] for pt in rep["points"]]
+            ys = [pt["mean_sfo"] for pt in rep["points"]]
             p = out_dir / "scaling_fit.svg"
             p.write_text(
                 svgplot.scatter_fit_chart(
-                    xs, ys, float(slope10), float(inter10),
+                    xs, ys, rep["slope"], rep["intercept"] / math.log(10),
                     title=f"oracle complexity scaling ({sweep['axis']})",
                     xlabel="1/eps" if sweep["axis"] == "eps" else "n",
                     ylabel="SFO to eps-FOSP", run_ids=run_ids,
@@ -682,8 +686,6 @@ def emit_plots(aggregate, out_dir) -> list[str]:
                 encoding="utf-8",
             )
             written.append(str(p))
-        except core.InsufficientDataError:
-            pass
 
     with_cert = [s for s in cells if s.get("certificate")]
     seeds = {s["seed"] for s in cells}
@@ -704,7 +706,7 @@ def emit_plots(aggregate, out_dir) -> list[str]:
         written.append(str(p))
 
     (out_dir / "plots.json").write_text(
-        json.dumps(sorted(written), indent=2) + "\n", encoding="utf-8"
+        json.dumps(sorted(Path(p).name for p in written), indent=2) + "\n", encoding="utf-8"
     )
     return written
 
@@ -715,19 +717,18 @@ def emit_plots(aggregate, out_dir) -> list[str]:
 
 def _cmd_run(args) -> int:
     plan = parse_config(args.config)
-    if args.workers is not None:
-        os.environ["SSRGD_WORKERS"] = str(args.workers)
-    aggregate = run_plan(plan)
+    aggregate = run_plan(plan, args.workers)
     print(json.dumps({
         "cells": len(aggregate["cells"]),
         "failed": aggregate["failed"],
-        "out_dir": aggregate["out_dir"],
+        "out_dir": plan.out_dir,
     }, indent=2))
     return 1 if aggregate["failed"] else 0
 
 
 def _cmd_scaling(args) -> int:
-    rep = scaling_report(args.aggregate, args.axis, subtract_n=args.subtract_n)
+    aggregate = json.loads(Path(args.aggregate).read_text(encoding="utf-8"))
+    rep = scaling_report(aggregate, args.axis, subtract_n=args.subtract_n)
     print(json.dumps(rep, indent=2))
     return 0
 

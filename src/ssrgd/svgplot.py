@@ -76,6 +76,18 @@ class _Frame:
         return HEIGHT - MARGIN_B - (y - self.ylo) / (self.yhi - self.ylo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
+def _preamble(run_ids, **data) -> list[str]:
+    """The root element with ``data-<key>="<repr(value)>"`` attributes, the
+    run-id comment and the white background every chart starts with."""
+    attrs = " ".join(f'data-{key}="{value!r}"' for key, value in data.items())
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" {attrs}>',
+        f"<!-- runs: {escape(','.join(run_ids))} -->",
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+
+
 def _axes(parts, frame, xticks, yticks, title, xlabel, ylabel):
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
@@ -144,13 +156,7 @@ def line_chart(
     xticks = _nice_ticks(xlo, xhi)
     yticks = _log_ticks(ylo, yhi) if logy else _nice_ticks(ylo, yhi)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" data-xmin="{xlo!r}" data-xmax="{xhi!r}" '
-        f'data-ymin="{ylo!r}" data-ymax="{yhi!r}" data-series="{len(cleaned)}">',
-        f"<!-- runs: {escape(','.join(run_ids))} -->",
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
+    parts = _preamble(run_ids, xmin=xlo, xmax=xhi, ymin=ylo, ymax=yhi, series=len(cleaned))
     _axes(parts, frame, xticks, yticks, title, xlabel, ylabel)
     for k, (label, pts) in enumerate(cleaned):
         color = PALETTE[k % len(PALETTE)]
@@ -189,13 +195,7 @@ def scatter_fit_chart(
     ylo = min(ylo, min(p[1] for p in fit))
     yhi = max(yhi, max(p[1] for p in fit))
     frame = _Frame(xlo, xhi, ylo, yhi, True, True)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" data-xmin="{xlo!r}" data-xmax="{xhi!r}" '
-        f'data-ymin="{ylo!r}" data-ymax="{yhi!r}" data-slope="{slope!r}">',
-        f"<!-- runs: {escape(','.join(run_ids))} -->",
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
+    parts = _preamble(run_ids, xmin=xlo, xmax=xhi, ymin=ylo, ymax=yhi, slope=slope)
     _axes(parts, frame, _log_ticks(xlo, xhi), _log_ticks(ylo, yhi), title, xlabel, ylabel)
     coords = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in fit)
     parts.append(
@@ -218,13 +218,7 @@ def bar_chart(labels, values, *, title: str, ylabel: str, run_ids=()) -> str:
     values = [float(v) for v in values]
     yhi = max(values + [1.0])
     frame = _Frame(0.0, max(1, len(values)), 0.0, yhi, False, False)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" data-ymin="0" data-ymax="{yhi!r}" '
-        f'data-bars="{len(values)}">',
-        f"<!-- runs: {escape(','.join(run_ids))} -->",
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
+    parts = _preamble(run_ids, ymin=0, ymax=yhi, bars=len(values))
     _axes(parts, frame, [], _nice_ticks(0.0, yhi), title, "", ylabel)
     slot = (WIDTH - MARGIN_L - MARGIN_R) / max(1, len(values))
     for k, (label, v) in enumerate(zip(labels, values)):

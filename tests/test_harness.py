@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
@@ -56,6 +57,13 @@ def output_bytes(plan) -> dict:
     """Bytes of every file under the plan's output directory, by relative path."""
     root = Path(plan.out_dir)
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def written_traces(plan, agg) -> dict:
+    """The trace of each successful cell of a finished plan, read back from its file."""
+    root = Path(plan.out_dir)
+    return {c["run_id"]: read_trace_csv(root / c["run_id"] / "trace.csv")
+            for c in agg["cells"] if not c["failed"]}
 
 
 class TestParseConfig:
@@ -164,6 +172,33 @@ class TestRunPlan:
         assert {"aggregate.json", f"{rid}/summary.json", f"{rid}/trace.csv",
                 "trace_f_vs_sfo.svg"} <= set(first)
 
+    def test_same_bytes_in_two_directories(self, tmp_path):
+        # no file of a plan, charts included, records where it was written
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1\nplot = true")
+        text += "\n[sweep]\naxis = eps\ngrid = 0.2, 0.1, 0.05\n"
+        outputs = []
+        for name in ("a", "b"):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(text.format(out=tmp_path / name / "runs"))
+            plan = parse_config(cfg)
+            run_plan(plan)
+            outputs.append(output_bytes(plan))
+        assert outputs[0] == outputs[1]
+        assert {"aggregate.json", "plots.json", "scaling_fit.svg"} <= set(outputs[0])
+
+    def test_plots_are_drawn_without_reading_a_trace_file(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"run_plan read {path}")
+
+        monkeypatch.setattr(harness, "read_trace_csv", refuse)
+        text = MULTI.replace("seeds = 0, 1, 2", "seeds = 0, 1, 2\nplot = true")
+        plan = parse_config(write_config(tmp_path, text))
+        agg = run_plan(plan)
+        assert agg["failed"] == []
+        assert json.loads((Path(plan.out_dir) / "plots.json").read_text()) == [
+            "escape_rate.svg", "trace_f_vs_sfo.svg", "trace_gradnorm_vs_sfo.svg",
+        ]
+
     def test_csv_round_trip(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
         agg = run_plan(plan)
@@ -252,17 +287,34 @@ class TestScalingReport:
         rep = scaling_report(agg, "eps")
         assert rep["ci_low"] <= rep["slope"] <= rep["ci_high"]
 
+    def test_cells_of_several_pairs_are_refused(self, tmp_path, capsys):
+        agg = synthetic_aggregate("eps", lambda e: 7.0 / e**2)
+        agg["cells"] += [{**c, "optimizer": "gd", "sfo_to_fosp": 1.0 / c["eps"]} for c in agg["cells"]]
+        with pytest.raises(ConfigError, match=r"one \(problem, optimizer\) pair, got p/gd, p/main$"):
+            scaling_report(agg, "eps")
+        path = tmp_path / "agg.json"
+        path.write_text(json.dumps(agg))
+        assert harness.main(["scaling", str(path), "--axis", "eps"]) == 2
+        assert "p/gd, p/main" in capsys.readouterr().err
+        # failed cells and cells that never reached eps do not enter the fit
+        for c in agg["cells"][len(agg["cells"]) // 2:]:
+            if c["seed"]:
+                c["failed"] = True
+            else:
+                c["sfo_to_fosp"] = None
+        assert scaling_report(agg, "eps")["slope"] == pytest.approx(2.0, abs=1e-9)
+
 
 class TestEmitPlots:
     def test_empty_aggregate_no_files(self, tmp_path):
-        files = emit_plots({"cells": [], "failed": []}, tmp_path)
+        files = emit_plots({"cells": [], "failed": []}, {}, tmp_path)
         assert files == []
         assert json.loads((tmp_path / "plots.json").read_text()) == []
 
     def test_single_cell_two_svgs(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
         agg = run_plan(plan)
-        files = emit_plots(agg, tmp_path / "plots")
+        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
         assert len(files) == 2
         for f in files:
             root = ET.fromstring(Path(f).read_text())
@@ -271,15 +323,57 @@ class TestEmitPlots:
     def test_svgs_embed_run_ids(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
         agg = run_plan(plan)
-        files = emit_plots(agg, tmp_path / "plots")
+        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
         rid = agg["cells"][0]["run_id"]
         assert all(rid in Path(f).read_text() for f in files)
+
+    def test_no_scaling_plot_across_pairs(self, tmp_path):
+        text = MINIMAL.replace("seeds = 0", "seeds = 0\nplot = true").replace(
+            "[output]", "[optimizer:gd]\nkind = gd\nsfo_budget = 4000\n\n[output]"
+        ) + "\n[sweep]\naxis = eps\ngrid = 0.2, 0.1, 0.05\n"
+        plan = parse_config(write_config(tmp_path, text))
+        agg = run_plan(plan)
+        assert {c["optimizer"] for c in agg["cells"] if c["sfo_to_fosp"]} == {"optimizer", "gd"}
+        assert json.loads((Path(plan.out_dir) / "plots.json").read_text()) == [
+            "trace_f_vs_sfo.svg", "trace_gradnorm_vs_sfo.svg",
+        ]
+
+    def test_zero_sfo_to_fosp_draws_no_fit(self, tmp_path, capsys):
+        # sgd started at the saddle, where the gradient is zero, meets every
+        # eps before its first oracle call
+        text = """
+[problem]
+kind = separable_saddle
+d = 4
+n = 16
+x0 = saddle
+
+[optimizer]
+kind = sgd
+sfo_budget = 200
+
+[sweep]
+axis = eps
+grid = 0.2, 0.1, 0.05
+
+[output]
+dir = {out}
+seeds = 0
+plot = true
+"""
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 0
+        out = tmp_path / "runs"
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert [c["sfo_to_fosp"] for c in agg["cells"]] == [0, 0, 0]
+        assert "scaling_fit.svg" not in json.loads((out / "plots.json").read_text())
+        assert harness.main(["scaling", str(out / "aggregate.json"), "--axis", "eps"]) == 2
+        assert "InsufficientDataError" in capsys.readouterr().err
 
     def test_scaling_plot_spans_grid(self, tmp_path):
         text = MINIMAL + "\n[sweep]\naxis = eps\ngrid = 0.2, 0.1, 0.05\n"
         plan = parse_config(write_config(tmp_path, text))
         agg = run_plan(plan)
-        files = emit_plots(agg, tmp_path / "plots")
+        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
         scaling = [f for f in files if Path(f).name == "scaling_fit.svg"]
         assert scaling
         root = ET.fromstring(Path(scaling[0]).read_text())
@@ -485,6 +579,14 @@ class TestParallelWorkers:
         assert sum(name.endswith("/summary.json") for name in serial) == 12
 
 
+    def test_workers_flag_leaves_the_environment_alone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SSRGD_WORKERS", raising=False)
+        cfg = write_config(tmp_path, MINIMAL)  # one cell: no pool is started
+        assert harness.main(["run", str(cfg), "--workers", "3"]) == 0
+        assert "SSRGD_WORKERS" not in os.environ
+        assert harness.main(["run", str(cfg), "--workers", "0"]) == 2
+        assert "--workers must be an integer >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
     def test_bad_worker_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("SSRGD_WORKERS", value)
@@ -574,7 +676,7 @@ class TestEscapeRateChart:
     def test_emitted_for_multi_seed_certified_cells(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MULTI))
         agg = run_plan(plan)
-        files = emit_plots(agg, tmp_path / "plots")
+        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
         names = {Path(f).name for f in files}
         assert "escape_rate.svg" in names
         root = ET.fromstring(

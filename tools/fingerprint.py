@@ -199,9 +199,9 @@ def _plan_bytes(path: Path, data: bytes) -> bytes | None:
 
 
 def _plan(paths: bool = False) -> dict[str, str]:
-    """Bytes of every file an ``ssrgd run`` plan writes, one digest per suffix;
-    the temporary output directory's path reads as ``<out>``.  With ``paths``
-    each file goes through ``_plan_bytes``."""
+    """Bytes of every file an ``ssrgd run`` plan writes, one digest per suffix,
+    from a new temporary directory each call.  With ``paths`` each file goes
+    through ``_plan_bytes``."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "runs"
         config = Path(tmp) / "plan.ini"
@@ -211,7 +211,7 @@ def _plan(paths: bool = False) -> dict[str, str]:
         digests = {}
         for p in sorted(p for p in root.rglob("*") if p.is_file()):
             h = digests.setdefault(f"plan/*{p.suffix}", hashlib.sha256(f"exit {code}\n".encode()))
-            data = p.read_bytes().replace(str(root).encode(), b"<out>")
+            data = p.read_bytes()
             if paths:
                 data = _plan_bytes(p, data)
             if data is not None:
