@@ -77,9 +77,9 @@ def _mean_grad_diff(problem: ProblemSpec, batch, x_new: Vector, x_old: Vector, s
         diff = np.asarray(problem.grad_diff_batch(idx, x_new, x_old), dtype=float)
     else:
         # the old endpoint goes first: it is the point the last call asked for
-        b = idx.size
-        g_old = np.add.reduce(component_gradients(problem, idx, x_old), axis=0) / b
-        diff = np.add.reduce(component_gradients(problem, idx, x_new), axis=0) / b - g_old
+        b, grads = idx.size, problem.component_grad_batch  # idx checked above
+        g_old = np.add.reduce(np.asarray(grads(idx, x_old), dtype=float), axis=0) / b
+        diff = np.add.reduce(np.asarray(grads(idx, x_new), dtype=float), axis=0) / b - g_old
     if sfo is not None:
         sfo.add(2 * idx.size, idx.size)
     return diff

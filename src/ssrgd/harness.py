@@ -495,9 +495,9 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
             raise ConfigError(f"SSRGD_WORKERS must be an integer >= 1, got {raw!r}")
     elif workers < 1:
         raise ConfigError(f"--workers must be an integer >= 1, got {workers}")
+    cells = plan.cells()  # a refused plan leaves no directory behind
     out_root = Path(plan.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    cells = plan.cells()
 
     summaries, failed, traces = [], [], {}
     with contextlib.ExitStack() as stack:
@@ -727,7 +727,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    aggregate = json.loads(Path(args.aggregate).read_text(encoding="utf-8"))
+    try:
+        aggregate = json.loads(Path(args.aggregate).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"aggregate {args.aggregate}: {exc}") from exc
     rep = scaling_report(aggregate, args.axis, subtract_n=args.subtract_n)
     print(json.dumps(rep, indent=2))
     return 0

@@ -171,10 +171,12 @@ def make_separable_saddle(
     rho = 6.0 * gamma4 * R * math.sqrt(d)
 
     def value(x):
-        return 0.5 * float(x @ (D * x)) + 0.25 * gamma4 * float(np.sum(x**4))
+        return 0.5 * float(x @ (D * x)) + 0.25 * gamma4 * float(np.add.reduce(x**4))
 
     def full_grad(x):
         return D * x + gamma4 * x**3
+
+    grad_slot = _point_slot(full_grad)
 
     def component_grad(i, x):
         return D * x + gamma4 * x**3 + z[i]
@@ -183,8 +185,10 @@ def make_separable_saddle(
         return (D * x + gamma4 * x**3)[None, :] + z[idx]
 
     def grad_diff_batch(idx, x_new, x_old):
-        # the linear z_i terms cancel in every component's difference
-        return full_grad(x_new) - full_grad(x_old)
+        # the linear z_i terms cancel in every component's difference; the
+        # old endpoint goes first, as it is the one the slot already holds
+        g_old = grad_slot(x_old)
+        return grad_slot(x_new) - g_old
 
     def hvp(x, vec):
         return D * vec + 3.0 * gamma4 * (x * x) * vec
@@ -268,9 +272,11 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -
         return -(Ay.T @ s) / n + reg_grad(x)
 
     def component_grad_batch(idx, x):
-        rows = Ay[idx]
-        s = 1.0 / (1.0 + np.exp(rows @ x))
-        g = rows * (-s)[:, None]
+        g = Ay.take(idx, axis=0)  # a fresh copy, worked on in place
+        w = np.exp(g @ x)
+        w += 1.0
+        np.divide(-1.0, w, out=w)  # -sigmoid(-margin): (-1)/d is -(1/d) exactly
+        g *= w[:, None]
         g += reg_grad(x)
         return g
 

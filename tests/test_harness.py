@@ -474,6 +474,26 @@ seeds = 0
         assert err.startswith(f"config error: checkpoint {ckpt}: ") and why in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, text, why", [
+        ("missing.json", None, "No such file"),
+        ("garbled.json", "not json", "Expecting value"),
+    ])
+    def test_scaling_rejects_unreadable_aggregate(self, tmp_path, capsys, name, text, why):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert harness.main(["scaling", str(path), "--axis", "eps"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: aggregate {path}: ") and why in err
+        assert err.count("\n") == 1
+
+    def test_plan_over_the_cell_cap_creates_nothing(self, tmp_path, capsys):
+        text = MINIMAL.replace("seeds = 0", "seeds = 0\nmax_cells = 2")
+        text += "\n[sweep]\naxis = eps\ngrid = 0.2, 0.1, 0.05\n"
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "above the cap 2" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_diagnose_variance(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         rc = harness.main([

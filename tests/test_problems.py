@@ -442,3 +442,82 @@ class TestLogisticSlots:
             for again in ("full_grad", "value", "hvp", "batch", "component"):
                 want = self.ask(self.make(), again, x)
                 assert np.array_equal(self.ask(spec, again, x), want), (kind, again)
+
+
+class TestLogisticBatchKernel:
+    """The in-place batch oracle gives the bits of the textbook formula and
+    leaves its rows alone."""
+
+    def test_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        n, d, reg = 50, 6, 0.05
+        A = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        spec = problems._logistic_instance(A, y, reg, {}).spec
+        Ay = A * y[:, None]
+
+        def formula(idx, x):
+            rows = Ay[idx]
+            reg_grad = reg * 2.0 * x / (1.0 + x * x) ** 2
+            return rows * (-(1.0 / (1.0 + np.exp(rows @ x))))[:, None] + reg_grad
+
+        for trial in range(30):
+            x = 2.0 * rng.standard_normal(d)
+            # odd trials draw from every row, even ones from five, so most
+            # batches repeat an index
+            idx = rng.integers(0, n if trial % 2 else 5, size=1 + trial)
+            got = spec.component_grad_batch(idx, x)
+            assert np.array_equal(got, formula(idx, x)), trial
+            got[...] = np.nan
+            assert np.array_equal(spec.component_grad_batch(idx, x), formula(idx, x)), trial
+        # every row is still what it was built as
+        everything = np.arange(n)
+        x = rng.standard_normal(d)
+        assert np.array_equal(spec.component_grad_batch(everything, x), formula(everything, x))
+
+
+class TestSaddleDifferenceSlot:
+    """The saddle's difference oracle reads a one-entry slot of the gradient."""
+
+    IDX = np.array([0, 3, 3, 9])
+
+    def make(self):
+        return make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0).spec
+
+    def test_matches_two_gradients_bit_for_bit(self):
+        spec, fresh = self.make(), self.make()
+        rng = np.random.default_rng(5)
+        x, y = 0.3 * rng.standard_normal(6), 0.3 * rng.standard_normal(6)
+        # x changes in place every third step, y moves to a new array every
+        # third; the four endpoint pairs are asked in a rotated order
+        for step in range(24):
+            if step % 3 == 1:
+                x[step % 6] += 0.125
+            elif step % 3 == 2:
+                y = y + 0.1 * rng.standard_normal(6)
+            pairs = [(x, y), (y, x), (x, x), (y, y)]
+            for new, old in pairs[step % 4:] + pairs[:step % 4]:
+                want = fresh.full_grad(new.copy()) - fresh.full_grad(old.copy())
+                got = spec.grad_diff_batch(self.IDX, new, old)
+                assert np.array_equal(got, want), step
+                got[...] = np.nan
+
+    def test_k_recursive_steps_compute_k_plus_one_gradients(self, monkeypatch):
+        slot, grads = problems._point_slot, []
+
+        def counted_slot(fn):
+            grads.append(counting(fn))
+            return slot(grads[-1])
+
+        monkeypatch.setattr(problems, "_point_slot", counted_slot)
+        spec = self.make()
+        (grad,) = grads
+        rng = np.random.default_rng(0)
+        x = 0.5 * np.ones(spec.d)
+        # the anchor is the spec's full_grad, outside the slot
+        state = estimators.EstimatorState(v=estimators.full_gradient(spec, x), prev_x=x)
+        k = 7
+        for _ in range(k):
+            x = x - 0.1 * state.v
+            estimators.recursive_step(spec, state, x, core.sample_minibatch(rng, spec.n, 8))
+        assert grad.calls == k + 1

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import json
 import subprocess
 import sys
@@ -29,6 +30,24 @@ def test_fingerprint_repeats_exactly():
         "plan/*.json", "plan/*.csv", "plan/*.svg", "combined",
     ]
     assert all(len(line.split()[1]) == 64 for line in first)
+
+
+def test_fingerprints_match_the_pinned_file():
+    # Digests are bit-level, so a numpy or BLAS other than the recorded one
+    # may move them; the message then names both builds.
+    recorded = (SCRIPT.parents[1] / "FINGERPRINTS.txt").read_text(encoding="utf-8").splitlines()
+    fresh = fingerprint("--pin")
+    moved, view = [], ""
+    for old, new in itertools.zip_longest(recorded, fresh):
+        if old is not None and old.startswith("["):
+            view = old
+        if old != new:
+            moved.append(f"  {view} pinned {old!r}\n  {view} now    {new!r}")
+    build = [line for line in recorded if line.startswith(("numpy ", "blas "))]
+    assert not moved, (
+        f"{len(moved)} FINGERPRINTS.txt line(s) moved (recorded on {'; '.join(build)}):\n"
+        + "\n".join(moved)
+    )
 
 
 def load_tool(name: str = "fingerprint"):

@@ -8,6 +8,7 @@ parent; a change that moves one run shows which.  Run it in each checkout:
     python3 tools/fingerprint.py             # every run
     python3 tools/fingerprint.py svrg diag   # runs whose name starts so
     python3 tools/fingerprint.py --paths     # every run, f values left out
+    python3 tools/fingerprint.py --pin > FINGERPRINTS.txt   # both views, with the build
 
 ``--paths`` digests the same runs without their f values: final points, SFO
 counts, events, gradient norms, candidates and certificates stay in, every
@@ -15,7 +16,10 @@ trace f, ``f_final``, f-valued report field and the f chart go.  A change
 that moves f only at rounding level prints the parent's ``--paths`` lines,
 which shows that no path moved.
 
-The package is imported from the ``src/`` next to this script.
+``FINGERPRINTS.txt`` at the repository root pins both views, with the numpy
+version and BLAS build they were made on; ``tests/test_tools.py`` checks
+that they reproduce.  The package is imported from the ``src/`` next to this
+script.
 """
 
 from __future__ import annotations
@@ -284,12 +288,32 @@ def fingerprint(prefixes=(), paths: bool = False) -> list[str]:
     return lines + [f"combined {combined}"]
 
 
+def build() -> list[str]:
+    """The numpy version and the BLAS build string, one line each."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", blas.get("version", "unknown"))
+    return [f"numpy {np.__version__}", f"blas {blas['name']} {' '.join(config.split())}"]
+
+
+def pinned() -> list[str]:
+    """The lines of ``FINGERPRINTS.txt``: the build, then both views."""
+    return [
+        "# python3 tools/fingerprint.py --pin > FINGERPRINTS.txt",
+        *build(), "[full]", *fingerprint(), "[paths]", *fingerprint(paths=True),
+    ]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("prefixes", nargs="*", help="print only runs whose name starts so")
     p.add_argument("--paths", action="store_true", help="leave every f value out")
+    p.add_argument("--pin", action="store_true",
+                   help="print the build and every run in both views (FINGERPRINTS.txt)")
     args = p.parse_args(argv)
-    print("\n".join(fingerprint(args.prefixes, args.paths)))
+    if args.pin and (args.prefixes or args.paths):
+        p.error("--pin prints every run in both views; it takes no other argument")
+    lines = pinned() if args.pin else fingerprint(args.prefixes, args.paths)
+    print("\n".join(lines))
     return 0
 
 
