@@ -109,8 +109,8 @@ class ProblemSpec:
     [0, n).  ``lipschitz_grad`` and ``lipschitz_hess`` are upper bounds valid
     inside the (max-norm) box of radius ``domain_radius`` when one is
     declared, and globally otherwise.  ``component_grad_batch`` (required)
-    returns the stacked gradients for an index array; the per-index
-    ``component_grad`` is optional, and no estimator calls it.
+    returns the stacked gradients for an index array and is the only
+    component oracle; ``component_grad`` stays, unset, for the benchmark tracer.
 
     ``grad_diff_batch(idx, x_new, x_old)`` is an optional difference oracle
     returning ``mean_i(grad_i(x_new) - grad_i(x_old))`` over the index
@@ -335,23 +335,15 @@ def sample_uniform_ball(rng: np.random.Generator, d: int, r: float) -> Vector:
 
 
 def sample_minibatch(
-    rng: np.random.Generator,
-    n: float,
-    b: int,
-    with_replacement: bool = True,
-    *,
-    steps: int | None = None,
+    rng: np.random.Generator, n: float, b: int, *, steps: int | None = None
 ) -> np.ndarray:
-    """i.i.d. uniform index multiset of size ``b``.
+    """i.i.d. uniform index multiset of size ``b``, drawn with replacement
+    (the independence the variance analysis uses).  Online problems
+    (``n == inf``) receive fresh i.i.d. sample ids instead of indices.
 
-    Drawn with replacement by default (the independence the variance
-    analysis uses); ``with_replacement=False`` remains only for
-    ``diagnostics.verify_variance_bound``.  Online problems (``n == inf``)
-    receive fresh i.i.d. sample ids instead of indices.
-
-    ``steps=k`` draws a ``(k, b)`` block of with-replacement minibatches in
-    one call.  Its rows are bit-for-bit the k minibatches that k separate
-    calls would draw, and it leaves ``rng`` at the same position.
+    ``steps=k`` draws a ``(k, b)`` block of minibatches in one call.  Its
+    rows are bit-for-bit the k minibatches that k separate calls would
+    draw, and it leaves ``rng`` at the same position.
     """
     if b < 1:
         raise ConfigError("minibatch size must be >= 1")
@@ -361,11 +353,7 @@ def sample_minibatch(
     n = int(n)
     if n < 1:
         raise ConfigError("component count must be >= 1")
-    if with_replacement:
-        return rng.integers(0, n, size=size, dtype=np.int64)
-    if b > n:
-        raise ConfigError("without replacement needs b <= n")
-    return rng.choice(n, size=b, replace=False).astype(np.int64)
+    return rng.integers(0, n, size=size, dtype=np.int64)
 
 
 def initial_point(x0, d: int) -> Vector:

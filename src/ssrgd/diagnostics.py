@@ -54,6 +54,18 @@ ZETA_PRIME = 0.1
 C_PRIME = 1.0
 
 
+def localization_config(problem: ProblemSpec, cfg: RunConfig) -> RunConfig:
+    """``cfg`` in the localization regime: a step above 1/(2 C' L) drops to
+    0.95/(2 C' L), with the super-epoch settings re-derived at that step
+    from the run's own eps, delta and logfactor."""
+    if cfg.step_size <= 1.0 / (2.0 * C_PRIME * problem.lipschitz_grad):
+        return cfg
+    eta = 0.95 / (2.0 * C_PRIME * problem.lipschitz_grad)
+    return dataclasses.replace(cfg, step_size=eta, **algorithm.super_epoch_params(
+        problem, cfg.eps, cfg.delta, cfg.logfactor, eta
+    ))
+
+
 # ---------------------------------------------------------------------------
 # variance bounds
 
@@ -112,7 +124,6 @@ def verify_variance_bound(
     rng: np.random.Generator | None = None,
     *,
     estimator: str = "recursive",
-    with_replacement: bool = True,
 ) -> VarianceReport:
     """Monte Carlo (or exhaustive) check of the estimator variance bound
     along a fixed trajectory starting from an exact anchor estimate."""
@@ -153,9 +164,7 @@ def verify_variance_bound(
             rng = core.seeded_rng(0, 3)
         errs = np.empty((replications, T))
         for rep in range(replications):
-            batches = [
-                core.sample_minibatch(rng, n, b, with_replacement) for _ in range(T)
-            ]
+            batches = [core.sample_minibatch(rng, n, b) for _ in range(T)]
             errs[rep] = _estimator_errors(problem, xs, grads, b, batches, estimator)
         est = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(T)
@@ -269,8 +278,6 @@ def verify_epoch_decrease(
 
 @dataclass
 class CoupledRun:
-    r0: float
-    e1: Vector
     escape_iter: int | None
     fdecrease_iter: int | None
     max_travel: float
@@ -421,8 +428,6 @@ def run_coupled_experiment(
 
         pairs.append(
             CoupledRun(
-                r0=r0,
-                e1=e1,
                 escape_iter=escape_iter,
                 fdecrease_iter=fdec_iter,
                 max_travel=float(joint.max()),

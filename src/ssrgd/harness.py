@@ -85,7 +85,8 @@ _X0_PRESETS = ("zeros", "ones", "saddle")
 
 # Optimizer and output sections follow the same convention.  An optimizer
 # setting typed here without a default comes from ``BaselineKind`` for a
-# baseline and from ``algorithm.derive_config`` for SSRGD.
+# baseline and from ``algorithm.derive_config`` for SSRGD.  ``OPTIMIZERS``
+# holds the keys each kind reads besides kind, eps, delta and sfo_budget.
 _OPTIMIZER_KEYS = {
     "kind": str,
     "order": "first",
@@ -106,7 +107,15 @@ _OPTIMIZER_KEYS = {
     "eval_every": int,
     "trace": "full",
 }
-_OPTIMIZER_KINDS = ("ssrgd",) + baselines.KINDS
+_SUPER_EPOCH_KEYS = ("perturb_radius", "grad_threshold", "fval_threshold", "super_epoch_len")
+OPTIMIZERS = {
+    "ssrgd": ("order", "logfactor", "trace", "step_size", "epoch_len", "minibatch",
+              "large_batch", "max_epochs", *_SUPER_EPOCH_KEYS),
+    "gd": ("step_size", "max_iters"),
+    "perturbed_gd": ("step_size", "max_iters", *_SUPER_EPOCH_KEYS),
+    "sgd": ("step_size", "minibatch", "eval_every", "max_iters"),
+    "svrg": ("step_size", "minibatch", "epoch_len", "max_iters", "trace"),
+}
 
 _SWEEP_KEYS = {"axis": str, "grid": str}
 _OUTPUT_KEYS = {"dir": "runs", "plot": False, "seeds": "0", "max_cells": 1000}
@@ -220,9 +229,7 @@ def parse_config(path) -> ExperimentPlan:
             problem_sections.append((name, _parse_problem(section, parser[section])))
         elif section == "optimizer" or section.startswith("optimizer:"):
             name = section.partition(":")[2] or "optimizer"
-            params = _parse_section(f"[{section}]", parser[section], _OPTIMIZER_KEYS)
-            _validate_optimizer_params(section, params)
-            optimizer_sections.append((name, params))
+            optimizer_sections.append((name, _parse_optimizer(section, parser[section])))
         elif section == "sweep":
             params = _parse_section("[sweep]", parser[section], _SWEEP_KEYS)
             axis = params.get("axis")
@@ -268,13 +275,20 @@ def parse_config(path) -> ExperimentPlan:
     )
 
 
-def _parse_problem(section: str, raw) -> dict:
-    """A problem section, read against the keys of its own kind."""
+def _section_kind(section: str, raw, kinds) -> str:
+    """The ``kind`` of a problem or optimizer section, one of ``kinds``."""
     kind = raw.get("kind")
     if kind is None:
         raise ConfigError(f"[{section}] missing required key 'kind'")
-    if kind not in PROBLEMS:
-        raise ConfigError(f"[{section}] unknown problem kind {kind!r}; valid: {tuple(PROBLEMS)}")
+    if kind not in kinds:
+        what = section.partition(":")[0]
+        raise ConfigError(f"[{section}] unknown {what} kind {kind!r}; valid: {tuple(kinds)}")
+    return kind
+
+
+def _parse_problem(section: str, raw) -> dict:
+    """A problem section, read against the keys of its own kind."""
+    kind = _section_kind(section, raw, PROBLEMS)
     row = PROBLEMS[kind][1]
     params = _parse_section(f"[{section}] (kind = {kind})", raw, {**PROBLEM_KEYS, **row})
     for key, default in row.items():
@@ -285,14 +299,12 @@ def _parse_problem(section: str, raw) -> dict:
     return params
 
 
-def _validate_optimizer_params(section: str, params: dict) -> None:
-    kind = params.get("kind")
-    if kind is None:
-        raise ConfigError(f"[{section}] missing required key 'kind'")
-    if kind not in _OPTIMIZER_KINDS:
-        raise ConfigError(
-            f"[{section}] unknown optimizer kind {kind!r}; valid: {_OPTIMIZER_KINDS}"
-        )
+def _parse_optimizer(section: str, raw) -> dict:
+    """An optimizer section, read against the keys of its own kind."""
+    kind = _section_kind(section, raw, OPTIMIZERS)
+    reads = ("kind", "eps", "delta", "sfo_budget", *OPTIMIZERS[kind])
+    keys = {key: _OPTIMIZER_KEYS[key] for key in reads}
+    params = _parse_section(f"[{section}] (kind = {kind})", raw, keys)
     if params.get("order") not in (None, "first", "second"):
         raise ConfigError(f"[{section}] order must be 'first' or 'second'")
     for key in ("step_size", "eps", "delta", "logfactor"):
@@ -300,6 +312,7 @@ def _validate_optimizer_params(section: str, params: dict) -> None:
             raise ConfigError(f"[{section}] constraint violated: {key} > 0")
     if params.get("trace") not in (None, "full", "epoch"):
         raise ConfigError(f"[{section}] trace must be 'full' or 'epoch'")
+    return params
 
 
 def build_problem(params: dict, n_override: int | None = None) -> problems.ProblemInstance:
@@ -779,12 +792,7 @@ def _cmd_diagnose(args) -> int:
         if args.subcommand == "coupled":
             report = diagnostics.run_coupled_experiment(inst, saddle, cfg, args.pairs).to_dict()
         else:
-            cap = 1.0 / (2.0 * diagnostics.C_PRIME * spec.lipschitz_grad)
-            if cfg.step_size > cap:
-                eta = 0.95 * cap
-                cfg = dataclasses.replace(cfg, step_size=eta, **algorithm.super_epoch_params(
-                    spec, args.eps, args.delta, args.logfactor, eta
-                ))
+            cfg = diagnostics.localization_config(spec, cfg)
             paths = diagnostics.collect_super_epoch_paths(
                 inst, cfg, seeds=range(args.seed, args.seed + args.super_epochs),
                 x0=saddle, max_paths=args.super_epochs,

@@ -45,7 +45,6 @@ class ProblemInstance:
     spec: ProblemSpec
     known_fstar: float | None = None
     saddle_points: list[tuple[Vector, float]] = field(default_factory=list)
-    generator_params: dict = field(default_factory=dict)
     base: "ProblemInstance | None" = None
 
 
@@ -94,9 +93,6 @@ def make_quadratic(
     def full_grad(x):
         return A @ x
 
-    def component_grad(i, x):
-        return comps[i] @ x
-
     def component_grad_batch(idx, x):
         return comps[idx] @ x
 
@@ -110,17 +106,11 @@ def make_quadratic(
         lipschitz_hess=0.0,
         mode=Mode.FINITE_SUM,
         value=value,
-        component_grad=component_grad,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
         hvp=hvp,
     )
-    return ProblemInstance(
-        spec=spec,
-        known_fstar=fstar,
-        generator_params={"kind": "quadratic", "d": d, "n": n, "seed": seed,
-                          "scale": scale, "spread": spread},
-    )
+    return ProblemInstance(spec=spec, known_fstar=fstar)
 
 
 def make_separable_saddle(
@@ -178,9 +168,6 @@ def make_separable_saddle(
 
     grad_slot = _point_slot(full_grad)
 
-    def component_grad(i, x):
-        return D * x + gamma4 * x**3 + z[i]
-
     def component_grad_batch(idx, x):
         return (D * x + gamma4 * x**3)[None, :] + z[idx]
 
@@ -200,23 +187,16 @@ def make_separable_saddle(
         lipschitz_hess=rho,
         mode=Mode.FINITE_SUM,
         value=value,
-        component_grad=component_grad,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
         grad_diff_batch=grad_diff_batch,
         hvp=hvp,
         domain_radius=R,
     )
-    xmin = math.sqrt(delta_plant / gamma4)
     return ProblemInstance(
         spec=spec,
         known_fstar=-delta_plant**2 / (4.0 * gamma4),
         saddle_points=[(np.zeros(d), -delta_plant)],
-        generator_params={
-            "kind": "separable_saddle", "d": d, "n": n, "seed": seed,
-            "delta_plant": delta_plant, "noise": noise, "gamma4": gamma4,
-            "box_radius": box_radius, "min_coordinate": xmin,
-        },
     )
 
 
@@ -236,7 +216,7 @@ def _point_slot(fn):
     return cached
 
 
-def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -> ProblemInstance:
+def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInstance:
     """The nonconvex logistic problem on rows ``A`` and labels ``y``.
 
     Work is done once per point.  One ``_point_slot`` holds the margins
@@ -244,8 +224,7 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -
     start's anchor and its f share one product; another holds the
     regularizer gradient that every component gradient at x adds.  Callers
     always get fresh arrays.  f is ``max(-m, 0) + log1p(exp(-|m|))`` per
-    margin m, which never overflows, and the per-index ``component_grad`` is
-    the batched oracle on ``[i]``.
+    margin m, which never overflows.
     """
     n, d = A.shape
     Ay = A * y[:, None]
@@ -280,9 +259,6 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -
         g += reg_grad(x)
         return g
 
-    def component_grad(i, x):
-        return component_grad_batch(np.array([i]), x)[0]
-
     def hvp(x, vec):
         s = 1.0 / (1.0 + np.exp(-margins(x)))
         w = s * (1.0 - s)
@@ -295,12 +271,11 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float, params: dict) -
         lipschitz_hess=rho,
         mode=Mode.FINITE_SUM,
         value=value,
-        component_grad=component_grad,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
         hvp=hvp,
     )
-    return ProblemInstance(spec=spec, generator_params=params)
+    return ProblemInstance(spec=spec)
 
 
 def make_nonconvex_logistic(
@@ -343,11 +318,7 @@ def make_nonconvex_logistic(
     y[y == 0] = 1.0
     if flip_prob > 0:
         y[rng.random(n) < flip_prob] *= -1.0
-    return _logistic_instance(
-        A, y, reg,
-        {"kind": "nonconvex_logistic", "n": n, "d": d, "reg": reg,
-         "seed": seed, "flip_prob": flip_prob},
-    )
+    return _logistic_instance(A, y, reg)
 
 
 def _hashed_uniforms(ids: np.ndarray, lane: int | np.ndarray) -> np.ndarray:
@@ -419,9 +390,6 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     # repeat a point.
     base_grad = _point_slot(lambda x: bspec.full_grad(x))  # sees a later-patched oracle
 
-    def component_grad(i, x):
-        return base_grad(x) + _hashed_ball_noise(np.array([i]), d, sigma, seed)[0]
-
     def component_grad_batch(idx, x):
         return base_grad(x)[None, :] + _hashed_ball_noise(idx, d, sigma, seed)
 
@@ -438,7 +406,6 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
         lipschitz_hess=bspec.lipschitz_hess,
         mode=Mode.ONLINE,
         value=bspec.value,
-        component_grad=component_grad,
         full_grad=None,
         component_grad_batch=component_grad_batch,
         grad_diff_batch=grad_diff_batch,
@@ -446,14 +413,10 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
         variance_bound=sigma,
         domain_radius=bspec.domain_radius,
     )
-    params = dict(base.generator_params)
-    params.update({"kind": "online_stream", "sigma": sigma, "noise_seed": seed,
-                   "base_kind": base.generator_params.get("kind")})
     return ProblemInstance(
         spec=spec,
         known_fstar=base.known_fstar,
         saddle_points=list(base.saddle_points),
-        generator_params=params,
         base=base,
     )
 
@@ -501,7 +464,4 @@ def load_libsvm(path, d_cap: int, reg: float = 0.1) -> ProblemInstance:
         y[r] = 1.0 if label > 0 else -1.0
         for idx, val in feats.items():
             A[r, idx - 1] = val
-    return _logistic_instance(
-        A, y, reg,
-        {"kind": "libsvm", "path": str(path), "n": n, "d": d, "reg": reg},
-    )
+    return _logistic_instance(A, y, reg)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from ssrgd import core, estimators
+from ssrgd import core, estimators, problems
 from ssrgd.core import Mode, ProblemSpec
 
 
@@ -17,7 +17,6 @@ def scalar_quadratic(a_values) -> ProblemSpec:
         lipschitz_hess=0.0,
         mode=Mode.FINITE_SUM,
         value=lambda x: 0.5 * abar * float(x[0] ** 2),
-        component_grad=lambda i, x: a[i] * x,
         full_grad=lambda x: abar * x,
         component_grad_batch=lambda idx, x: a[idx, None] * x[None, :],
         hvp=lambda x, v: abar * v,
@@ -58,11 +57,25 @@ def quadratic_problem_from_components(comps) -> ProblemSpec:
         lipschitz_hess=0.0,
         mode=Mode.FINITE_SUM,
         value=lambda x: 0.5 * float(x @ (A @ x)),
-        component_grad=lambda i, x: comps[i] @ x,
         full_grad=lambda x: A @ x,
         component_grad_batch=lambda idx, x: comps[idx] @ x,
         hvp=lambda x, v: A @ v,
     )
+
+
+def logistic_rows(A, y, reg, idx, x):
+    """Row i of the logistic batch oracle on (A, y, reg), for each i in
+    ``idx``, as the full gradient of the one-row problem on (A[i], y[i]),
+    which reaches it through another code path (``Ay.T @ s / n``)."""
+    return np.stack([
+        problems._logistic_instance(A[i:i + 1], y[i:i + 1], reg).spec.full_grad(x) for i in idx
+    ])
+
+
+def online_rows(base, sigma, seed, idx, x):
+    """Rows of the online stream over ``base``: the base gradient plus each
+    id's hashed noise."""
+    return base.spec.full_grad(x)[None, :] + problems._hashed_ball_noise(idx, base.spec.d, sigma, seed)
 
 
 def reference_epoch(problem, state, x, step_size, rng, b, steps, sfo):

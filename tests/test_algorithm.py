@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import algorithm, baselines, core, problems, spectral
+from ssrgd import algorithm, baselines, core, spectral
 from ssrgd.core import ConfigError, Event, Mode, RunConfig, UnsupportedOracleError
 from ssrgd.algorithm import Termination
 
-from conftest import counting, scalar_quadratic
+from conftest import counting, online_rows, scalar_quadratic
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -446,18 +446,13 @@ class TestDeterminism:
         assert a.sfo_raw == b.sfo_raw
 
 
-def slot_free(inst):
-    """The online spec with oracles that ask the base for every gradient."""
-    bspec, d, sigma = inst.base.spec, inst.spec.d, inst.spec.variance_bound
-    seed = inst.generator_params["noise_seed"]
-
-    def noise(idx):
-        return problems._hashed_ball_noise(idx, d, sigma, seed)
-
+def slot_free(inst, seed):
+    """The online spec (built with noise seed ``seed``) with oracles that
+    ask the base for every gradient."""
+    bspec, sigma = inst.base.spec, inst.spec.variance_bound
     return dataclasses.replace(
         inst.spec,
-        component_grad=lambda i, x: bspec.full_grad(x) + noise(np.array([i]))[0],
-        component_grad_batch=lambda idx, x: bspec.full_grad(x)[None, :] + noise(idx),
+        component_grad_batch=lambda idx, x: online_rows(inst.base, sigma, seed, idx, x),
         grad_diff_batch=lambda idx, x_new, x_old: bspec.full_grad(x_new) - bspec.full_grad(x_old),
     )
 
@@ -467,18 +462,20 @@ class TestOnlineSlotParity:
     def test_run_matches_slot_free_oracles(self, second):
         if second:
             base = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.05, seed=0)
-            inst = ssrgd.make_online_stream(base, 0.05, seed=3)
+            noise_seed = 3
+            inst = ssrgd.make_online_stream(base, 0.05, seed=noise_seed)
             cfg = ssrgd.derive_config_online_second_order(
                 inst.spec, 0.05, 0.3, 8.0, sfo_budget=30_000, seed=1
             )
             x0 = np.zeros(6)
         else:
             base = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=0)
-            inst = ssrgd.make_online_stream(base, 0.5, seed=1)
+            noise_seed = 1
+            inst = ssrgd.make_online_stream(base, 0.5, seed=noise_seed)
             cfg = ssrgd.derive_config_online_first_order(inst.spec, 0.1, sfo_budget=10_000, seed=4)
             x0 = 0.5 * np.ones(10)
         a = ssrgd.run_ssrgd(inst.spec, cfg, x0=x0)
-        b = ssrgd.run_ssrgd(slot_free(inst), cfg, x0=x0)
+        b = ssrgd.run_ssrgd(slot_free(inst, noise_seed), cfg, x0=x0)
         assert a.trace == b.trace
         assert np.array_equal(a.final_x, b.final_x)
         assert (a.sfo_raw, a.sfo_nominal, a.termination) == (b.sfo_raw, b.sfo_nominal, b.termination)

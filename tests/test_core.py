@@ -79,12 +79,6 @@ class TestSampleMinibatch:
         )
         assert seen_dup
 
-    def test_without_replacement(self):
-        idx = core.sample_minibatch(core.seeded_rng(2, 0), 6, 6, with_replacement=False)
-        assert sorted(idx) == list(range(6))
-        with pytest.raises(ConfigError):
-            core.sample_minibatch(core.seeded_rng(2, 0), 3, 4, with_replacement=False)
-
     def test_online_ids(self):
         idx = core.sample_minibatch(core.seeded_rng(2, 0), math.inf, 5)
         assert idx.shape == (5,) and np.all(idx >= 0)

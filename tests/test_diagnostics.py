@@ -34,16 +34,6 @@ class TestVarianceVerifier:
         )
         assert rep.passed and len(rep.rows) == 4
 
-    def test_full_cover_batches_zero_error(self):
-        prob = self._problem(n=5)
-        xs = short_trajectory(prob, 3, seed=2)
-        rep = diagnostics.verify_variance_bound(
-            prob, xs, minibatch=5, replications=50,
-            rng=core.seeded_rng(1, 0), with_replacement=False,
-        )
-        assert rep.passed
-        assert all(r.estimate <= 1e-20 for r in rep.rows)
-
     def test_stationary_trajectory(self):
         prob = self._problem()
         x = np.ones(2)

@@ -35,7 +35,7 @@ class TestFullGradient:
         prob = quadratic_problem_from_components(comps)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(3)
-        direct = np.mean([prob.component_grad(i, x) for i in range(4)], axis=0)
+        direct = np.mean([comps[i] @ x for i in range(4)], axis=0)
         assert np.linalg.norm(estimators.full_gradient(prob, x) - direct) < 1e-12
 
     def test_online_refuses(self):
@@ -74,9 +74,6 @@ def _hashed_normals(ids, d):
 def gaussian_online_problem(d, sigma):
     """Online oracle grad_i(x) = x + sigma * z_i with z_i standard normal."""
 
-    def comp(i, x):
-        return x + sigma * _hashed_normals([i], d)[0]
-
     def comp_batch(idx, x):
         return x[None, :] + sigma * _hashed_normals(idx, d)
 
@@ -87,7 +84,6 @@ def gaussian_online_problem(d, sigma):
         lipschitz_hess=0.0,
         mode=Mode.ONLINE,
         value=lambda x: 0.5 * float(x @ x),
-        component_grad=comp,
         component_grad_batch=comp_batch,
         variance_bound=sigma * math.sqrt(d),
     )
@@ -98,7 +94,7 @@ class TestLargeBatchGradient:
         prob = gaussian_online_problem(3, 1.0)
         v = estimators.large_batch_gradient(prob, np.zeros(3), 1, core.seeded_rng(4, 0))
         idx = core.sample_minibatch(core.seeded_rng(4, 0), math.inf, 1)
-        assert np.array_equal(v, prob.component_grad(int(idx[0]), np.zeros(3)))
+        assert np.array_equal(v, _hashed_normals(idx, 3)[0])  # x + sigma z_i at x = 0, sigma = 1
 
     def test_zero_variance_exact(self):
         inst = make_online_stream(make_quadratic(4, 3, seed=2), 0.0)
@@ -403,13 +399,13 @@ class TestComponentOracle:
         with pytest.raises(ConfigError, match="component_grad_batch"):
             ProblemSpec(
                 n=3, d=1, lipschitz_grad=1.0, lipschitz_hess=0.0, mode=Mode.FINITE_SUM,
-                value=lambda x: 0.0, component_grad=lambda i, x: x, full_grad=lambda x: x,
+                value=lambda x: 0.0, full_grad=lambda x: x,
             )
 
     def test_one_oracle_call_per_batch(self):
         prob = scalar_quadratic([1.0, 2.0, 3.0])
         oracle = counting(prob.component_grad_batch)
-        prob = dataclasses.replace(prob, component_grad=None, component_grad_batch=oracle)
+        prob = dataclasses.replace(prob, component_grad_batch=oracle)
         grads = estimators.component_gradients(prob, [2, 0, 2], np.array([2.0]))
         assert oracle.calls == 1
         assert np.array_equal(grads, [[6.0], [2.0], [6.0]])

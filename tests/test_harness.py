@@ -571,7 +571,7 @@ class Captured(Exception):
 
 
 class TestDefaultBudget:
-    @pytest.mark.parametrize("kind", harness._OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("kind", harness.OPTIMIZERS)
     def test_cell_without_sfo_budget_runs_at_ten_million(self, tmp_path, monkeypatch, kind):
         def run_ssrgd(spec, cfg, **kwargs):
             raise Captured(cfg.sfo_budget)
@@ -582,6 +582,8 @@ class TestDefaultBudget:
         monkeypatch.setattr(harness.algorithm, "run_ssrgd", run_ssrgd)
         monkeypatch.setattr(harness.baselines, "run_baseline", run_baseline)
         text = SADDLE_PLAN.replace("kind = ssrgd", f"kind = {kind}").replace("sfo_budget = 30000\n", "")
+        if kind != "ssrgd":  # keys only ssrgd reads
+            text = text.replace("order = second\n", "").replace("logfactor = 8.0\n", "")
         (cell, _) = parse_config(write_config(tmp_path, text)).cells()
         with pytest.raises(Captured) as got:
             harness.run_cell(cell)
@@ -748,6 +750,16 @@ def section_text(params, name="problem") -> str:
     return f"[{name}]\n" + "\n".join(lines) + "\n\n[optimizer]\nkind = ssrgd\n"
 
 
+README_ENTRY = re.compile(r"`(\w+)`(?: = ([^\s,]+))?(?: \(generator ([^)]+)\))?")
+
+
+def readme_table(header) -> dict:
+    """The README table under ``header``: its first cell -> its last, by row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split(f"\n{header}\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    return {cells[0]: cells[-1] for cells in (line.strip("| ").split(" | ") for line in lines)}
+
+
 class TestProblemRegistry:
     @settings(max_examples=150, deadline=None)
     @given(params=problem_sections())
@@ -820,14 +832,12 @@ class TestProblemRegistry:
             parse_config(write_config(tmp_path, text))
 
     def test_readme_lists_each_kind_with_its_keys_and_defaults(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        rows = dict(re.findall(r"^\| (`\w+`|every kind) \|[^|]*\| (.*) \|$", readme, re.M))
-        entry = re.compile(r"`(\w+)`(?: = ([^\s,]+))?(?: \(generator ([^)]+)\))?")
+        rows = readme_table("| problem kind | generator | keys and harness defaults |")
         tables = {"every kind": (None, harness.PROBLEM_KEYS)}
         tables.update({f"`{kind}`": value for kind, value in harness.PROBLEMS.items()})
         assert set(rows) == set(tables)
         for label, (generator, keys) in tables.items():
-            listed = {key: (default, theirs) for key, default, theirs in entry.findall(rows[label])}
+            listed = {key: (default, theirs) for key, default, theirs in README_ENTRY.findall(rows[label])}
             assert list(listed) == list(keys), label
             takes = inspect.signature(generator).parameters if generator else {}
             for key, (default, theirs) in listed.items():
@@ -836,3 +846,46 @@ class TestProblemRegistry:
                 own = takes[key].default if key in takes else inspect.Parameter.empty
                 differs = own is not inspect.Parameter.empty and own != ours
                 assert theirs == (str(own) if differs else ""), (label, key)
+        # the optimizer table: the keys each kind reads, in order, with defaults
+        rows = readme_table("| optimizer kind | keys and defaults |")
+        tables = {"every kind": ("kind", "eps", "delta", "sfo_budget")}
+        tables.update({f"`{kind}`": keys for kind, keys in harness.OPTIMIZERS.items()})
+        assert set(rows) == set(tables)
+        for label, keys in tables.items():
+            listed = {key: default for key, default, _ in README_ENTRY.findall(rows[label])}
+            assert list(listed) == list(keys), label
+            for key, default in listed.items():
+                ours = harness._OPTIMIZER_KEYS[key]
+                assert default == ("" if isinstance(ours, type) else str(ours)), (label, key)
+
+
+def optimizer_value(key) -> str:
+    """A valid config value for an optimizer key."""
+    default = harness._OPTIMIZER_KEYS[key]
+    return {int: "3", float: "0.5"}[default] if isinstance(default, type) else str(default)
+
+
+class TestOptimizerKeys:
+    """An optimizer section is read against the keys of its own kind."""
+
+    @pytest.mark.parametrize("kind", harness.OPTIMIZERS)
+    def test_key_the_kind_does_not_read_exits_2_naming_section_and_kind(self, tmp_path, capsys, kind):
+        reads = {"kind", "eps", "delta", "sfo_budget", *harness.OPTIMIZERS[kind]}
+        unread = [key for key in harness._OPTIMIZER_KEYS if key not in reads]
+        assert unread
+        for key in unread:
+            text = MINIMAL.replace("[optimizer]\nkind = ssrgd", f"[optimizer:o]\nkind = {kind}")
+            text = text.replace("sfo_budget = 4000\n", f"sfo_budget = 4000\n{key} = {optimizer_value(key)}\n")
+            path = write_config(tmp_path, text)
+            with pytest.raises(ConfigError, match=rf"^\[optimizer:o\] \(kind = {kind}\) unknown key {key!r}"):
+                parse_config(path)
+        assert harness.main(["run", str(path)]) == 2
+        assert f"[optimizer:o] (kind = {kind}) unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("kind", harness.OPTIMIZERS)
+    def test_every_key_the_kind_reads_parses_and_only_given_keys_are_kept(self, tmp_path, kind):
+        for key in harness.OPTIMIZERS[kind]:
+            text = f"[problem]\nkind = quadratic\n\n[optimizer]\nkind = {kind}\n{key} = {optimizer_value(key)}\n"
+            ((_, params),) = parse_config(write_config(tmp_path, text)).optimizers
+            assert set(params) == {"kind", key}

@@ -17,7 +17,7 @@ from ssrgd.problems import (
 )
 from ssrgd.spectral import assemble_hessian, lambda_min_dense
 
-from conftest import counting
+from conftest import counting, logistic_rows, online_rows
 
 
 def fd_gradient_check(spec, x, n_dirs=20, h=1e-6, rtol=1e-5, rng=None):
@@ -48,11 +48,11 @@ def lipschitz_ratio_check(spec, radius, pairs=10_000, seed=0):
     box = radius if radius is not None else 2.0
     xs = rng.uniform(-box, box, size=(pairs, spec.d))
     ys = rng.uniform(-box, box, size=(pairs, spec.d))
-    idx = rng.integers(0, n, size=pairs)
+    idx = rng.integers(0, n, size=(pairs, 1))
     worst = 0.0
     for i in range(pairs):
-        gx = spec.component_grad(int(idx[i]), xs[i])
-        gy = spec.component_grad(int(idx[i]), ys[i])
+        gx = spec.component_grad_batch(idx[i], xs[i])[0]
+        gy = spec.component_grad_batch(idx[i], ys[i])[0]
         denom = np.linalg.norm(xs[i] - ys[i])
         if denom > 1e-12:
             worst = max(worst, float(np.linalg.norm(gx - gy) / denom))
@@ -72,9 +72,7 @@ class TestSeparableSaddle:
         rng = np.random.default_rng(2)
         for _ in range(5):
             x = rng.uniform(-1, 1, size=4)
-            mean_g = np.mean(
-                [inst.spec.component_grad(i, x) for i in range(9)], axis=0
-            )
+            mean_g = inst.spec.component_grad_batch(np.arange(9), x).mean(axis=0)
             assert np.linalg.norm(mean_g - inst.spec.full_grad(x)) < 1e-12
 
     def test_global_minima_d2(self):
@@ -133,18 +131,21 @@ class TestNonconvexLogistic:
     def test_component_mean_is_full(self):
         inst = make_nonconvex_logistic(n=25, d=5, reg=0.1, seed=4)
         x = np.linspace(-1, 1, 5)
-        mean_g = np.mean(
-            [inst.spec.component_grad(i, x) for i in range(25)], axis=0
-        )
+        mean_g = inst.spec.component_grad_batch(np.arange(25), x).mean(axis=0)
         assert np.linalg.norm(mean_g - inst.spec.full_grad(x)) < 1e-10
 
     def test_batch_oracle_matches_loop(self):
-        inst = make_nonconvex_logistic(n=20, d=4, reg=0.1, seed=5)
-        x = np.array([0.5, -1.0, 0.2, 0.9])
-        idx = np.array([3, 3, 7, 15])
-        batch = inst.spec.component_grad_batch(idx, x)
-        loop = np.stack([inst.spec.component_grad(int(i), x) for i in idx])
-        assert np.allclose(batch, loop, atol=1e-14)
+        # each row against the full gradient of its own one-row problem
+        rng = np.random.default_rng(5)
+        n, d, reg = 20, 4, 0.1
+        A = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        spec = problems._logistic_instance(A, y, reg).spec
+        for trial in range(10):
+            x = 1.5 * rng.standard_normal(d)
+            idx = rng.integers(0, 6 if trial % 2 else n, size=8)  # odd trials repeat indices
+            want = logistic_rows(A, y, reg, idx, x)
+            assert np.allclose(spec.component_grad_batch(idx, x), want, rtol=1e-13, atol=1e-15), trial
 
     def test_declared_L_holds(self):
         inst = make_nonconvex_logistic(n=40, d=6, reg=0.1, seed=6)
@@ -157,16 +158,26 @@ class TestOnlineStream:
         inst = make_online_stream(base, 0.0)
         x = np.arange(4.0)
         for i in (0, 5, 99):
-            assert np.array_equal(inst.spec.component_grad(i, x), base.spec.full_grad(x))
+            row = inst.spec.component_grad_batch(np.array([i]), x)[0]
+            assert np.array_equal(row, base.spec.full_grad(x))
 
     def test_noise_norm_bounded(self):
         base = make_quadratic(d=5, n=3, seed=1)
         inst = make_online_stream(base, 0.7, seed=2)
         x = np.ones(5)
-        g = base.spec.full_grad(x)
-        for i in range(500):
-            noise = inst.spec.component_grad(i, x) - g
-            assert np.linalg.norm(noise) <= 0.7 + 1e-12
+        noise = inst.spec.component_grad_batch(np.arange(500), x) - base.spec.full_grad(x)
+        assert np.all(np.linalg.norm(noise, axis=1) <= 0.7 + 1e-12)
+
+    def test_rows_are_base_gradient_plus_hashed_noise(self):
+        base = make_nonconvex_logistic(n=64, d=7, seed=4)
+        inst = make_online_stream(base, 0.3, seed=9)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            x = rng.standard_normal(7)
+            idx = rng.integers(0, 2**62, size=12, dtype=np.int64)
+            idx[6:] = idx[:6]  # repeated ids get the same noise
+            want = online_rows(base, 0.3, 9, idx, x)
+            assert np.array_equal(inst.spec.component_grad_batch(idx, x), want)
 
     def test_mean_concentrates(self):
         base = make_quadratic(d=4, n=3, seed=2)
@@ -233,7 +244,7 @@ class TestQuadratic:
     def test_components_centered(self):
         inst = make_quadratic(d=3, n=7, seed=9, spread=0.8)
         x = np.array([1.0, -2.0, 0.5])
-        mean_g = np.mean([inst.spec.component_grad(i, x) for i in range(7)], axis=0)
+        mean_g = inst.spec.component_grad_batch(np.arange(7), x).mean(axis=0)
         assert np.linalg.norm(mean_g - inst.spec.full_grad(x)) < 1e-12
 
     def test_known_fstar_psd(self):
@@ -354,7 +365,6 @@ class TestOnlineGradientSlot:
         g = bspec.full_grad(x)
         spec.component_grad_batch(idx, x)[:] = np.nan
         spec.grad_diff_batch(idx, x, x)[:] = np.nan
-        spec.component_grad(0, x)[:] = np.nan
         assert np.array_equal(spec.grad_diff_batch(idx, x, x), np.zeros(spec.d))
         noise = problems._hashed_ball_noise(idx, spec.d, 0.5, 2)
         assert np.array_equal(spec.component_grad_batch(idx, x), g[None, :] + noise)
@@ -365,7 +375,7 @@ def one_feature_logistic(column) -> core.ProblemSpec:
     """A d=1 logistic spec with labels 1 and reg 0: its margins at x = [t]
     are exactly ``column * t``."""
     a = np.asarray(column, dtype=float)
-    return problems._logistic_instance(a[:, None], np.ones(len(a)), 0.0, {}).spec
+    return problems._logistic_instance(a[:, None], np.ones(len(a)), 0.0).spec
 
 
 class TestLogisticOracles:
@@ -387,9 +397,8 @@ class TestLogisticOracles:
         with np.errstate(over="ignore"):
             batch = spec.component_grad_batch(np.arange(64), x)
             for i in range(64):
-                row = spec.component_grad(i, x)
+                row = spec.component_grad_batch(np.array([i]), x)[0]
                 assert np.isfinite(row).all()
-                assert np.array_equal(row, spec.component_grad_batch(np.array([i]), x)[0])
                 # a whole-batch call forms its margins in one BLAS product,
                 # which can round differently from a one-row product
                 assert np.allclose(row, batch[i], rtol=1e-14, atol=0)
@@ -411,7 +420,7 @@ class TestLogisticSlots:
             "full_grad": lambda: spec.full_grad(x),
             "hvp": lambda: spec.hvp(x, vec),
             "batch": lambda: spec.component_grad_batch(self.IDX, x),
-            "component": lambda: spec.component_grad(40, x),
+            "component": lambda: spec.component_grad_batch(np.array([40]), x)[0],
         }[kind]()
 
     def test_interleaved_calls_match_a_fresh_instance(self):
@@ -453,7 +462,7 @@ class TestLogisticBatchKernel:
         n, d, reg = 50, 6, 0.05
         A = rng.standard_normal((n, d))
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        spec = problems._logistic_instance(A, y, reg, {}).spec
+        spec = problems._logistic_instance(A, y, reg).spec
         Ay = A * y[:, None]
 
         def formula(idx, x):

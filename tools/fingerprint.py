@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -120,10 +119,8 @@ def _epoch_decrease(logistic, paths):
 
 
 def _localization(saddle, paths):
-    cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=8_000, seed=20)
-    eta = 0.95 / (2.0 * saddle.spec.lipschitz_grad)
-    cfg = dataclasses.replace(
-        cfg, step_size=eta, **algorithm.super_epoch_params(saddle.spec, 0.05, 0.3, 8.0, eta)
+    cfg = diagnostics.localization_config(
+        saddle.spec, algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=8_000, seed=20)
     )
     runs = diagnostics.collect_super_epoch_paths(
         saddle, cfg, seeds=range(20, 23), x0=np.zeros(saddle.spec.d)
