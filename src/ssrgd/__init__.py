@@ -6,10 +6,7 @@ experiment harness."""
 from .algorithm import (
     SsrgdOutcome,
     Termination,
-    derive_config_first_order,
-    derive_config_online_first_order,
-    derive_config_online_second_order,
-    derive_config_second_order,
+    derive_config,
     random_stop_decision,
     run_ssrgd,
 )
@@ -64,10 +61,7 @@ __all__ = [
     "Termination",
     "TraceRecord",
     "certify",
-    "derive_config_first_order",
-    "derive_config_online_first_order",
-    "derive_config_online_second_order",
-    "derive_config_second_order",
+    "derive_config",
     "full_gradient",
     "lambda_min_dense",
     "lambda_min_power",

@@ -48,7 +48,6 @@ from .core import (
     STEP_FACTOR_LIMIT,
     SfoCounter,
     TraceRecord,
-    UnsupportedOracleError,
     Vector,
 )
 from .estimators import EstimatorState
@@ -113,22 +112,18 @@ def super_epoch_params(
 
 def derive_config(
     problem: ProblemSpec, eps: float, delta: float | None = None, logfactor: float = 1.0, *,
-    mode: Mode | None = None, sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
+    sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
 ) -> RunConfig:
-    """The one parameter derivation, keyed on the problem's mode and the order.
+    """The one parameter derivation, keyed on the component count and the order.
 
-    The anchor batch is n in finite-sum mode and B = logfactor * 4 sigma^2/eps^2
-    online, and m = b = ceil(sqrt(anchor)).  First order (``delta`` None) uses
-    logfactor = 1: step size (sqrt(5)-1)/(2L), no perturbation.  Second order
-    caps logfactor/L at that step size and adds ``super_epoch_params``.  A
-    ``mode`` other than the problem's is refused, naming the entry to use.
+    The anchor batch is n for a finite sum and B = logfactor * 4 sigma^2/eps^2
+    online (n = inf), and m = b = ceil(sqrt(anchor)).  First order (``delta``
+    None) uses logfactor = 1: step size (sqrt(5)-1)/(2L), no perturbation.
+    Second order caps logfactor/L at that step size and adds
+    ``super_epoch_params``.
     """
     online = problem.mode is Mode.ONLINE
     second = delta is not None
-    if mode is not None and mode is not problem.mode:
-        entry = f"derive_config_{'online_' if online else ''}{'second' if second else 'first'}_order"
-        why = "component count unknown in online mode" if online else "problem is finite-sum"
-        raise UnsupportedOracleError(f"{why}; use {entry}")
     if eps <= 0:
         raise ConfigError("eps must be positive")
     if not second:
@@ -146,38 +141,8 @@ def derive_config(
     )
 
 
-def derive_config_first_order(
-    problem: ProblemSpec, eps: float, *, sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0
-) -> RunConfig:
-    """First-order finite-sum parameters (see ``derive_config``)."""
-    return derive_config(problem, eps, mode=Mode.FINITE_SUM, sfo_budget=sfo_budget, seed=seed)
-
-
-def derive_config_second_order(
-    problem: ProblemSpec, eps: float, delta: float, logfactor: float = 1.0, *,
-    sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
-) -> RunConfig:
-    """Second-order finite-sum parameters (see ``derive_config``)."""
-    return derive_config(
-        problem, eps, delta, logfactor, mode=Mode.FINITE_SUM, sfo_budget=sfo_budget, seed=seed
-    )
-
-
-def derive_config_online_first_order(
-    problem: ProblemSpec, eps: float, *, sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0
-) -> RunConfig:
-    """First-order online parameters (see ``derive_config``)."""
-    return derive_config(problem, eps, mode=Mode.ONLINE, sfo_budget=sfo_budget, seed=seed)
-
-
-def derive_config_online_second_order(
-    problem: ProblemSpec, eps: float, delta: float, logfactor: float = 1.0, *,
-    sfo_budget: int = DEFAULT_SFO_BUDGET, seed: int = 0,
-) -> RunConfig:
-    """Second-order online parameters (see ``derive_config``)."""
-    return derive_config(
-        problem, eps, delta, logfactor, mode=Mode.ONLINE, sfo_budget=sfo_budget, seed=seed
-    )
+# The benchmark workloads still call these names; ROADMAP item 1 deletes this line.
+derive_config_first_order = derive_config_second_order = derive_config_online_first_order = derive_config
 
 
 def random_stop_decision(rng: np.random.Generator, k: int, epoch_len: int) -> bool:

@@ -64,6 +64,8 @@ class BaselineKind:
             raise ConfigError("step_size must be > 0")
         if self.kind in ("sgd", "svrg") and self.minibatch < 1:
             raise ConfigError("minibatch must be >= 1")
+        if self.kind == "sgd" and self.eval_every < 1:
+            raise ConfigError("sgd needs eval_every >= 1")
         if self.kind == "svrg" and (self.epoch_len is None or self.epoch_len < 1):
             raise ConfigError("svrg needs epoch_len >= 1")
         if self.kind == "perturbed_gd":

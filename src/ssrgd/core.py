@@ -104,9 +104,10 @@ class SfoCounter:
 class ProblemSpec:
     """Oracle bundle plus smoothness metadata for one optimization problem.
 
-    ``n`` is the number of components of the finite sum; online problems use
-    ``math.inf`` and draw fresh i.i.d. sample ids instead of indices into
-    [0, n).  ``lipschitz_grad`` and ``lipschitz_hess`` are upper bounds valid
+    ``n`` is the number of components of the finite sum, and it alone sets
+    the mode: ``mode`` is online exactly when n is ``math.inf``, and online
+    problems draw fresh i.i.d. sample ids instead of indices into [0, n).
+    ``lipschitz_grad`` and ``lipschitz_hess`` are upper bounds valid
     inside the (max-norm) box of radius ``domain_radius`` when one is
     declared, and globally otherwise.  ``component_grad_batch`` (required)
     returns the stacked gradients for an index array and is the only
@@ -129,7 +130,6 @@ class ProblemSpec:
     d: int
     lipschitz_grad: float
     lipschitz_hess: float
-    mode: Mode
     value: Callable[[Vector], float]
     component_grad: Callable[[int, Vector], Vector] | None = None
     full_grad: Callable[[Vector], Vector] | None = None
@@ -153,13 +153,15 @@ class ProblemSpec:
         if self.component_grad_batch is None:
             raise ConfigError("a problem needs a batched component oracle (component_grad_batch)")
         if self.mode is Mode.FINITE_SUM:
-            if math.isinf(self.n):
-                raise ConfigError("finite-sum mode needs a finite component count")
             if self.full_grad is None:
                 raise ConfigError("finite-sum mode needs a full-gradient oracle")
         else:
             if not self.variance_bound >= 0:
                 raise ConfigError("variance bound must be nonnegative")
+
+    @property
+    def mode(self) -> Mode:
+        return Mode.ONLINE if self.n == math.inf else Mode.FINITE_SUM
 
 
 @dataclass

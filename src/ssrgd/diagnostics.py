@@ -134,6 +134,10 @@ def verify_variance_bound(
         raise InvalidInputError("trajectory must contain at least two points")
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("variance verification needs finite-sum mode")
+    if minibatch < 1:
+        raise ConfigError(f"variance verification needs minibatch >= 1 (got {minibatch})")
+    if replications is not None and replications < 1:
+        raise ConfigError(f"replications must be None (exhaustive) or >= 1 (got {replications})")
     n = int(problem.n)
     b = int(minibatch)
     T = len(xs) - 1
@@ -368,6 +372,8 @@ def run_coupled_experiment(
     problem = instance.spec
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("the coupled experiment needs finite-sum mode")
+    if seeds < 1:
+        raise ConfigError(f"the coupled experiment needs at least one pair (seeds = {seeds})")
     if cfg.delta <= 0:
         raise ConfigError("cfg.delta must be positive")
     if cfg.minibatch < cfg.epoch_len:
@@ -443,8 +449,8 @@ def run_coupled_experiment(
     fdec = sum(1 for p in pairs if p.fdecrease_iter is not None)
     return CoupledReport(
         pairs=pairs,
-        escape_frequency=escaped / max(1, seeds),
-        fdecrease_frequency=fdec / max(1, seeds),
+        escape_frequency=escaped / seeds,
+        fdecrease_frequency=fdec / seeds,
         travel_threshold=threshold,
         radius=radius,
         r0=r0,
@@ -503,6 +509,10 @@ def collect_super_epoch_paths(
     """Run the optimizer over the given seeds and record the iterates of
     every super epoch (positions are not otherwise kept by the run loop)."""
     problem = instance.spec
+    if problem.mode is not Mode.FINITE_SUM:
+        raise InvalidInputError("super-epoch path collection needs finite-sum mode")
+    if max_paths is not None and max_paths < 1:
+        raise ConfigError(f"path collection needs max_paths of None or >= 1 (got {max_paths})")
     paths: list[SuperEpochPath] = []
     for seed in seeds:
         segment: list[Vector] | None = None

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithm, baselines, core, diagnostics, problems, spectral, svgplot
+from . import algorithm, baselines, core, diagnostics, estimators, problems, spectral, svgplot
 from .baselines import BaselineKind
 from .core import ConfigError, Event, RunConfig, SsrgdError, TraceRecord
 
@@ -439,15 +439,13 @@ def run_cell(cell: Cell) -> tuple[dict, list[TraceRecord]]:
     sfo_at_sosp = None
     if inst.spec.hvp is not None and inst.spec.d <= spectral.DENSE_CAP:
         cert = spectral.certify(inst.spec, outcome.final_x, eps, delta)
-        sfo_by_iter = {
-            row.iteration: row.sfo_count
-            for row in outcome.trace
-            if row.event is Event.EPOCH_START
-        }
         for it, point in outcome.sosp_candidates:
             cand = spectral.certify(inst.spec, point, eps, delta)
             if cand.is_sosp:
-                sfo_at_sosp = sfo_by_iter.get(it)
+                # the trigger row: the first at the candidate's iteration with a
+                # measured gradient norm (SSRGD's epoch start, perturbed GD's step)
+                sfo_at_sosp = next(row.sfo_count for row in outcome.trace
+                                   if row.iteration == it and row.grad_norm is not None)
                 break
 
     summary.update(
@@ -771,14 +769,14 @@ def _cmd_diagnose(args) -> int:
         x = np.zeros(spec.d)
         xs = [x]
         for _ in range(args.steps):
-            x = x - 0.5 / spec.lipschitz_grad * spec.full_grad(x)
+            x = x - 0.5 / spec.lipschitz_grad * estimators.full_gradient(spec, x)
             xs.append(x)
         report = diagnostics.verify_variance_bound(
             spec, np.stack(xs), args.minibatch, args.replications,
             core.seeded_rng(args.seed, 3),
         ).to_dict()
     elif args.subcommand == "epoch-decrease":
-        cfg = algorithm.derive_config_first_order(spec, 0.01, seed=args.seed)
+        cfg = algorithm.derive_config(spec, 0.01, seed=args.seed)
         report = diagnostics.verify_epoch_decrease(
             spec, cfg, args.replications, core.seeded_rng(args.seed, 7)
         ).to_dict()
@@ -786,7 +784,7 @@ def _cmd_diagnose(args) -> int:
         if not inst.saddle_points:
             raise ConfigError(f"{args.subcommand} diagnostics need a problem with a listed saddle")
         saddle = inst.saddle_points[0][0]
-        cfg = algorithm.derive_config_second_order(
+        cfg = algorithm.derive_config(
             spec, args.eps, args.delta, args.logfactor, seed=args.seed, sfo_budget=args.budget
         )
         if args.subcommand == "coupled":

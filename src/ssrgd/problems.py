@@ -22,7 +22,6 @@ from . import core
 from .core import (
     ConfigError,
     DatasetError,
-    Mode,
     ProblemSpec,
     Vector,
 )
@@ -104,7 +103,6 @@ def make_quadratic(
         d=d,
         lipschitz_grad=L,
         lipschitz_hess=0.0,
-        mode=Mode.FINITE_SUM,
         value=value,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
@@ -185,7 +183,6 @@ def make_separable_saddle(
         d=d,
         lipschitz_grad=L,
         lipschitz_hess=rho,
-        mode=Mode.FINITE_SUM,
         value=value,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
@@ -269,7 +266,6 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
         d=d,
         lipschitz_grad=L,
         lipschitz_hess=rho,
-        mode=Mode.FINITE_SUM,
         value=value,
         full_grad=full_grad,
         component_grad_batch=component_grad_batch,
@@ -404,7 +400,6 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
         d=d,
         lipschitz_grad=bspec.lipschitz_grad,
         lipschitz_hess=bspec.lipschitz_hess,
-        mode=Mode.ONLINE,
         value=bspec.value,
         full_grad=None,
         component_grad_batch=component_grad_batch,

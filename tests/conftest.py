@@ -1,7 +1,7 @@
 import numpy as np
 
 from ssrgd import core, estimators, problems
-from ssrgd.core import Mode, ProblemSpec
+from ssrgd.core import ProblemSpec
 
 
 def scalar_quadratic(a_values) -> ProblemSpec:
@@ -15,7 +15,6 @@ def scalar_quadratic(a_values) -> ProblemSpec:
         d=1,
         lipschitz_grad=float(np.max(np.abs(a))),
         lipschitz_hess=0.0,
-        mode=Mode.FINITE_SUM,
         value=lambda x: 0.5 * abar * float(x[0] ** 2),
         full_grad=lambda x: abar * x,
         component_grad_batch=lambda idx, x: a[idx, None] * x[None, :],
@@ -55,7 +54,6 @@ def quadratic_problem_from_components(comps) -> ProblemSpec:
         d=d,
         lipschitz_grad=L,
         lipschitz_hess=0.0,
-        mode=Mode.FINITE_SUM,
         value=lambda x: 0.5 * float(x @ (A @ x)),
         full_grad=lambda x: A @ x,
         component_grad_batch=lambda idx, x: comps[idx] @ x,

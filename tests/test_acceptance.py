@@ -119,7 +119,7 @@ def test_criterion_02_first_order_convergence():
     worst = 0
     for seed in range(20):
         inst = ssrgd.make_nonconvex_logistic(N_C2, D_C2, REG_C2, seed)
-        cfg = ssrgd.derive_config_first_order(inst.spec, eps, sfo_budget=4_000_000, seed=seed)
+        cfg = ssrgd.derive_config(inst.spec, eps, sfo_budget=4_000_000, seed=seed)
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=_logistic_x0(D_C2), full_trace=False)
         sfo = sfo_at_first_fosp(out.trace, eps)
         if sfo is not None and sfo <= allowance:
@@ -183,8 +183,8 @@ def test_criterion_04_n_scaling():
     for n in (1024, 4096, 16384):
         for seed in range(10):
             inst = ssrgd.make_nonconvex_logistic(n, D_C2, REG_C2, seed)
-            cfg = ssrgd.derive_config_first_order(inst.spec, eps,
-                                                  sfo_budget=2_000_000, seed=seed)
+            cfg = ssrgd.derive_config(inst.spec, eps,
+                                      sfo_budget=2_000_000, seed=seed)
             out = ssrgd.run_ssrgd(inst.spec, cfg, x0=_logistic_x0(D_C2),
                                   full_trace=False)
             cells.append({
@@ -217,7 +217,7 @@ def saddle_escape_runs():
     )
     runs = []
     for seed in range(20):
-        cfg = ssrgd.derive_config_second_order(
+        cfg = ssrgd.derive_config(
             inst.spec, SADDLE_EPS, SADDLE_DELTA, SADDLE_LOGFACTOR,
             sfo_budget=150_000, seed=seed,
         )
@@ -297,13 +297,13 @@ def test_criterion_08_coupled_two_point():
     t0 = time.time()
     inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=SADDLE_PLANT,
                                        noise=0.1, seed=0)
-    cfg = ssrgd.derive_config_second_order(
+    cfg = ssrgd.derive_config(
         inst.spec, SADDLE_EPS, SADDLE_DELTA, SADDLE_LOGFACTOR, seed=0
     )
     rep = diagnostics.run_coupled_experiment(inst, inst.saddle_points[0][0], cfg, 100)
     # control: curvature planted at machine scale, same thresholds
     flat = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=1e-9, noise=0.1, seed=0)
-    cfg_flat = ssrgd.derive_config_second_order(
+    cfg_flat = ssrgd.derive_config(
         flat.spec, SADDLE_EPS, SADDLE_DELTA, SADDLE_LOGFACTOR, seed=0
     )
     rep_flat = diagnostics.run_coupled_experiment(
@@ -326,7 +326,7 @@ def test_criterion_09_localization():
     inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=SADDLE_PLANT,
                                        noise=0.1, seed=0)
     L = inst.spec.lipschitz_grad
-    base = ssrgd.derive_config_second_order(
+    base = ssrgd.derive_config(
         inst.spec, SADDLE_EPS, SADDLE_DELTA, SADDLE_LOGFACTOR,
         sfo_budget=120_000, seed=0,
     )
@@ -362,7 +362,7 @@ def test_criterion_10_online_mode():
     hits = 0
     worst = 0
     for seed in range(20):
-        cfg = ssrgd.derive_config_online_first_order(
+        cfg = ssrgd.derive_config(
             inst.spec, eps, sfo_budget=40_000, seed=seed
         )
         checkpoints = []
@@ -422,8 +422,8 @@ def test_criterion_12_determinism(saddle_escape_runs):
     saddle_same = _trace_to_csv(first.trace) == _trace_to_csv(again.trace)
 
     log_inst = ssrgd.make_nonconvex_logistic(256, 8, REG_C2, seed=5)
-    log_cfg = ssrgd.derive_config_first_order(log_inst.spec, 0.05,
-                                              sfo_budget=30_000, seed=9)
+    log_cfg = ssrgd.derive_config(log_inst.spec, 0.05,
+                                  sfo_budget=30_000, seed=9)
     a = ssrgd.run_ssrgd(log_inst.spec, log_cfg, x0=_logistic_x0(8))
     b = ssrgd.run_ssrgd(log_inst.spec, log_cfg, x0=_logistic_x0(8))
     logistic_same = _trace_to_csv(a.trace) == _trace_to_csv(b.trace)

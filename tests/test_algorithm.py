@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ssrgd
 from ssrgd import algorithm, baselines, core, spectral
-from ssrgd.core import ConfigError, Event, Mode, RunConfig, UnsupportedOracleError
+from ssrgd.core import ConfigError, Event, RunConfig
 from ssrgd.algorithm import Termination
 
 from conftest import counting, online_rows, scalar_quadratic
@@ -26,7 +26,7 @@ def identical_quadratic(d, n, x_scale=1.0):
 class TestDeriveFirstOrder:
     def test_spec_values(self):
         inst = ssrgd.make_quadratic(d=2, n=10_000, seed=0, spread=0.0)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
+        cfg = ssrgd.derive_config(inst.spec, 0.1)
         assert cfg.epoch_len == 100 and cfg.minibatch == 100
         assert cfg.step_size == pytest.approx(GOLDEN, rel=1e-15)
         assert cfg.perturb_radius == 0 and cfg.grad_threshold == 0
@@ -34,30 +34,25 @@ class TestDeriveFirstOrder:
 
     def test_single_component(self):
         inst = ssrgd.make_quadratic(d=2, n=1, seed=0, spread=0.0)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
+        cfg = ssrgd.derive_config(inst.spec, 0.1)
         assert cfg.epoch_len == 1 and cfg.minibatch == 1
 
     def test_step_scales_with_L(self):
         inst = ssrgd.make_quadratic(d=2, n=9, seed=0, scale=10.0, spread=0.0)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
+        cfg = ssrgd.derive_config(inst.spec, 0.1)
         assert cfg.step_size == pytest.approx((math.sqrt(5) - 1) / 20, rel=1e-12)
-
-    def test_online_redirects(self):
-        inst = ssrgd.make_online_stream(ssrgd.make_quadratic(2, 4, seed=0), 1.0)
-        with pytest.raises(UnsupportedOracleError, match="online_first_order"):
-            ssrgd.derive_config_first_order(inst.spec, 0.1)
 
 
 class TestDeriveSecondOrder:
     def _problem(self, L=1.0, rho=1.0, n=10_000):
         return core.ProblemSpec(
-            n=n, d=4, lipschitz_grad=L, lipschitz_hess=rho, mode=Mode.FINITE_SUM,
+            n=n, d=4, lipschitz_grad=L, lipschitz_hess=rho,
             value=lambda x: 0.0, component_grad_batch=lambda idx, x: np.tile(x, (len(idx), 1)),
             full_grad=lambda x: x,
         )
 
     def test_spec_example(self):
-        cfg = ssrgd.derive_config_second_order(self._problem(), 0.1, 0.3, 1.0)
+        cfg = ssrgd.derive_config(self._problem(), 0.1, 0.3, 1.0)
         assert cfg.epoch_len == 100 and cfg.minibatch == 100
         assert cfg.grad_threshold == 0.1
         assert cfg.fval_threshold == pytest.approx(0.027, rel=1e-12)
@@ -68,12 +63,12 @@ class TestDeriveSecondOrder:
 
     def test_classical_regime(self):
         # delta = sqrt(rho * eps): eps = 0.01, rho = 1 -> delta = 0.1, F = 1e-3
-        cfg = ssrgd.derive_config_second_order(self._problem(), 0.01, 0.1, 1.0)
+        cfg = ssrgd.derive_config(self._problem(), 0.01, 0.1, 1.0)
         assert cfg.fval_threshold == pytest.approx(1e-3, rel=1e-12)
 
     def test_logfactor_scaling(self):
-        base = ssrgd.derive_config_second_order(self._problem(), 0.1, 0.3, 1.0)
-        dbl = ssrgd.derive_config_second_order(self._problem(), 0.1, 0.3, 2.0)
+        base = ssrgd.derive_config(self._problem(), 0.1, 0.3, 1.0)
+        dbl = ssrgd.derive_config(self._problem(), 0.1, 0.3, 2.0)
         assert dbl.fval_threshold == pytest.approx(2 * base.fval_threshold, rel=1e-12)
         assert dbl.perturb_radius == pytest.approx(2 * base.perturb_radius, rel=1e-12)
         assert dbl.super_epoch_len == math.ceil(2.0 / (dbl.step_size * 0.3))
@@ -82,18 +77,18 @@ class TestDeriveSecondOrder:
 
     def test_rho_zero_rejected(self):
         with pytest.raises(ConfigError, match="Hessian Lipschitz"):
-            ssrgd.derive_config_second_order(self._problem(rho=0.0), 0.1, 0.3)
+            ssrgd.derive_config(self._problem(rho=0.0), 0.1, 0.3)
 
     def test_validates(self):
         prob = self._problem()
-        cfg = ssrgd.derive_config_second_order(prob, 0.1, 0.3, 4.0)
+        cfg = ssrgd.derive_config(prob, 0.1, 0.3, 4.0)
         cfg.validate(prob)
 
 
 class TestDeriveOnline:
     def test_first_order_batches(self):
         inst = ssrgd.make_online_stream(ssrgd.make_quadratic(3, 2, seed=0), 1.0)
-        cfg = ssrgd.derive_config_online_first_order(inst.spec, 0.1)
+        cfg = ssrgd.derive_config(inst.spec, 0.1)
         assert cfg.large_batch == 400
         assert cfg.epoch_len == cfg.minibatch == 20
         cfg.validate(inst.spec)
@@ -101,39 +96,31 @@ class TestDeriveOnline:
     def test_second_order_batches(self):
         base = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
         inst = ssrgd.make_online_stream(base, 1.0)
-        cfg = ssrgd.derive_config_online_second_order(inst.spec, 0.1, 0.3, 1.0)
+        cfg = ssrgd.derive_config(inst.spec, 0.1, 0.3, 1.0)
         assert cfg.large_batch == 400 and cfg.second_order
         cfg.validate(inst.spec)
 
 
 class TestDeriveRejections:
-    """The one derivation applies every check any of the four entries made."""
+    """The checks of the one derivation, finite-sum and online alike."""
 
     def test_first_order_finite_sum_needs_positive_eps(self):
         inst = ssrgd.make_quadratic(d=2, n=16, seed=0)
         for eps in (0.0, -0.1):
             with pytest.raises(ConfigError, match="eps must be positive"):
-                ssrgd.derive_config_first_order(inst.spec, eps)
+                ssrgd.derive_config(inst.spec, eps)
 
     def test_online_second_order_needs_positive_logfactor(self):
         base = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
         inst = ssrgd.make_online_stream(base, 1.0)
         for lf in (0.0, -1.0):
             with pytest.raises(ConfigError, match="logfactor must be positive"):
-                ssrgd.derive_config_online_second_order(inst.spec, 0.1, 0.3, lf)
-
-    def test_online_entries_redirect_finite_sum(self):
-        inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
-        with pytest.raises(UnsupportedOracleError, match="use derive_config_first_order"):
-            ssrgd.derive_config_online_first_order(inst.spec, 0.1)
-        with pytest.raises(UnsupportedOracleError, match="use derive_config_second_order"):
-            ssrgd.derive_config_online_second_order(inst.spec, 0.1, 0.3)
+                ssrgd.derive_config(inst.spec, 0.1, 0.3, lf)
 
 
 def _spec(online, n, L, rho, sigma):
     return core.ProblemSpec(
         n=math.inf if online else n, d=3, lipschitz_grad=L, lipschitz_hess=rho,
-        mode=Mode.ONLINE if online else Mode.FINITE_SUM,
         value=lambda x: 0.0, component_grad_batch=lambda idx, x: np.tile(x, (len(idx), 1)),
         full_grad=None if online else (lambda x: x), variance_bound=sigma,
     )
@@ -153,13 +140,10 @@ def _spec(online, n, L, rho, sigma):
 )
 def test_derivation_properties(online, second, eps, delta, logfactor, L, rho, sigma, n):
     spec = _spec(online, n, L, rho, sigma)
-    entry = {
-        (False, False): lambda: ssrgd.derive_config_first_order(spec, eps),
-        (False, True): lambda: ssrgd.derive_config_second_order(spec, eps, delta, logfactor),
-        (True, False): lambda: ssrgd.derive_config_online_first_order(spec, eps),
-        (True, True): lambda: ssrgd.derive_config_online_second_order(spec, eps, delta, logfactor),
-    }[(online, second)]
-    cfg = entry()
+    if second:
+        cfg = ssrgd.derive_config(spec, eps, delta, logfactor)
+    else:
+        cfg = ssrgd.derive_config(spec, eps)
     cfg.validate(spec)
     lf = logfactor if second else 1.0
     anchor = max(1, math.ceil(lf * 4.0 * sigma**2 / eps**2)) if online else n
@@ -213,7 +197,7 @@ class TestRunFirstOrder:
         # identical components make the estimator exact, so the run is plain
         # gradient descent: x_{t+1} = (1 - eta) x_t, reproduced step by step
         inst = identical_quadratic(3, 4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.01, sfo_budget=600, seed=5)
+        cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=600, seed=5)
         x0 = 10.0 * np.ones(3)
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=x0)
         steps = sum(1 for r in out.trace if r.grad_norm is None)
@@ -226,7 +210,7 @@ class TestRunFirstOrder:
 
     def test_reaches_small_gradient(self):
         inst = identical_quadratic(3, 4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.01, sfo_budget=10**5, seed=3)
+        cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=10**5, seed=3)
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=10.0 * np.ones(3))
         assert np.linalg.norm(inst.spec.full_grad(out.final_x)) <= 0.01
         assert out.sfo_raw <= 10**5
@@ -235,20 +219,20 @@ class TestRunFirstOrder:
         # start at the stationary point: the gradient check would fire, but
         # perturbation is off in first-order mode
         inst = identical_quadratic(2, 4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.01, sfo_budget=2000, seed=1)
+        cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=2000, seed=1)
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(2))
         assert all(r.event is not Event.PERTURBATION for r in out.trace)
         assert not out.sosp_candidates
 
     def test_budget_zero_empty_trace(self):
         inst = identical_quadratic(2, 4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.01, sfo_budget=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=0)
         out = ssrgd.run_ssrgd(inst.spec, cfg)
         assert out.trace == [] and out.termination is Termination.BUDGET_EXHAUSTED
 
     def test_max_epochs(self):
         inst = identical_quadratic(2, 4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.01, sfo_budget=10**9)
+        cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=10**9)
         cfg.max_epochs = 7
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.ones(2))
         assert out.termination is Termination.MAX_EPOCHS
@@ -257,7 +241,7 @@ class TestRunFirstOrder:
     def test_online_mode_runs(self):
         base = ssrgd.make_quadratic(d=4, n=2, seed=0, spread=0.0)
         inst = ssrgd.make_online_stream(base, 0.5, seed=1)
-        cfg = ssrgd.derive_config_online_first_order(inst.spec, 0.2, sfo_budget=40_000, seed=2)
+        cfg = ssrgd.derive_config(inst.spec, 0.2, sfo_budget=40_000, seed=2)
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=3.0 * np.ones(4))
         assert np.linalg.norm(base.spec.full_grad(out.final_x)) <= 0.2
         # trace grad norms are the large-batch estimates at epoch starts
@@ -271,7 +255,7 @@ def scripted_problem(L, anchor, diffs):
     huge value exactly."""
     steps = iter(diffs)
     return ssrgd.ProblemSpec(
-        n=4, d=2, lipschitz_grad=L, lipschitz_hess=0.0, mode=Mode.FINITE_SUM,
+        n=4, d=2, lipschitz_grad=L, lipschitz_hess=0.0,
         value=lambda x: 0.0, full_grad=lambda x: np.array(anchor, dtype=float),
         component_grad_batch=lambda idx, x: np.zeros((len(idx), 2)),
         grad_diff_batch=lambda idx, x_new, x_old: np.array(next(steps), dtype=float),
@@ -333,7 +317,7 @@ def walk_super_epochs(trace):
 class TestSuperEpochs:
     def _run(self, seed=0, budget=150_000):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.3, noise=0.1, seed=0)
-        cfg = ssrgd.derive_config_second_order(
+        cfg = ssrgd.derive_config(
             inst.spec, 0.05, 0.3, 8.0, sfo_budget=budget, seed=seed
         )
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(10), full_trace=True)
@@ -397,8 +381,8 @@ class TestSuperEpochs:
         inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.4, noise=0.05, seed=2)
         prob = inst.spec
         # delta tighter than the planted curvature: the saddle must fail
-        cfg = ssrgd.derive_config_second_order(prob, 0.05, 0.2, 8.0,
-                                               sfo_budget=60_000, seed=3)
+        cfg = ssrgd.derive_config(prob, 0.05, 0.2, 8.0,
+                                  sfo_budget=60_000, seed=3)
         out = ssrgd.run_ssrgd(
             prob, cfg, x0=np.zeros(6),
             certifier=lambda x: spectral.certify(prob, x, 0.05, 0.2),
@@ -415,7 +399,7 @@ class TestOnlineSecondOrder:
         # run still leaves the saddle and certifies against the exact oracle
         base = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.05, seed=0)
         inst = ssrgd.make_online_stream(base, 0.05, seed=3)
-        cfg = ssrgd.derive_config_online_second_order(
+        cfg = ssrgd.derive_config(
             inst.spec, 0.05, 0.3, 8.0, sfo_budget=150_000, seed=1
         )
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(6), full_trace=False)
@@ -428,8 +412,8 @@ class TestOnlineSecondOrder:
 class TestDeterminism:
     def test_bitwise_identical_second_order(self):
         inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
-        cfg = ssrgd.derive_config_second_order(inst.spec, 0.05, 0.3, 8.0,
-                                               sfo_budget=40_000, seed=21)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0,
+                                  sfo_budget=40_000, seed=21)
         a = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(6))
         b = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(6))
         assert a.trace == b.trace
@@ -438,8 +422,8 @@ class TestDeterminism:
 
     def test_trace_mode_does_not_change_path(self):
         inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
-        cfg = ssrgd.derive_config_second_order(inst.spec, 0.05, 0.3, 8.0,
-                                               sfo_budget=40_000, seed=22)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0,
+                                  sfo_budget=40_000, seed=22)
         a = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(6), full_trace=True)
         b = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(6), full_trace=False)
         assert np.array_equal(a.final_x, b.final_x)
@@ -464,7 +448,7 @@ class TestOnlineSlotParity:
             base = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.05, seed=0)
             noise_seed = 3
             inst = ssrgd.make_online_stream(base, 0.05, seed=noise_seed)
-            cfg = ssrgd.derive_config_online_second_order(
+            cfg = ssrgd.derive_config(
                 inst.spec, 0.05, 0.3, 8.0, sfo_budget=30_000, seed=1
             )
             x0 = np.zeros(6)
@@ -472,7 +456,7 @@ class TestOnlineSlotParity:
             base = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=0)
             noise_seed = 1
             inst = ssrgd.make_online_stream(base, 0.5, seed=noise_seed)
-            cfg = ssrgd.derive_config_online_first_order(inst.spec, 0.1, sfo_budget=10_000, seed=4)
+            cfg = ssrgd.derive_config(inst.spec, 0.1, sfo_budget=10_000, seed=4)
             x0 = 0.5 * np.ones(10)
         a = ssrgd.run_ssrgd(inst.spec, cfg, x0=x0)
         b = ssrgd.run_ssrgd(slot_free(inst, noise_seed), cfg, x0=x0)
@@ -491,7 +475,7 @@ class TestFunctionValueReuse:
     def test_ssrgd_epoch_trace(self):
         inst = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=1)
         spec = dataclasses.replace(inst.spec, value=counting(inst.spec.value))
-        cfg = ssrgd.derive_config_first_order(spec, 0.05, sfo_budget=20_000, seed=5)
+        cfg = ssrgd.derive_config(spec, 0.05, sfo_budget=20_000, seed=5)
         x0 = 0.5 * np.ones(10)
         points = {0: x0}
 

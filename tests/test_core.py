@@ -179,7 +179,7 @@ class TestInitialPointShape:
 
     def test_run_ssrgd(self):
         inst = ssrgd.make_separable_saddle(d=5, n=16, delta_plant=0.4, seed=0)
-        cfg = ssrgd.derive_config_second_order(inst.spec, 0.05, 0.3, sfo_budget=1000)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, sfo_budget=1000)
         with pytest.raises(InvalidInputError, match=r"\(4,\)"):
             ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(4))
 
@@ -191,7 +191,7 @@ class TestInitialPointShape:
 
     def test_verify_epoch_decrease(self):
         inst = ssrgd.make_nonconvex_logistic(64, 5, seed=0)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
+        cfg = ssrgd.derive_config(inst.spec, 0.1)
         with pytest.raises(InvalidInputError, match=r"\(4,\)"):
             diagnostics.verify_epoch_decrease(inst.spec, cfg, 2, x0=np.zeros(4))
 
@@ -241,7 +241,7 @@ class TestSfoAccounting:
 class TestReproducibility:
     def test_identical_runs_bitwise(self):
         inst = ssrgd.make_nonconvex_logistic(64, 5, seed=3)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.05, sfo_budget=20_000, seed=17)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, sfo_budget=20_000, seed=17)
         a = ssrgd.run_ssrgd(inst.spec, cfg)
         b = ssrgd.run_ssrgd(inst.spec, cfg)
         assert len(a.trace) == len(b.trace)
@@ -270,12 +270,13 @@ class TestFiniteness:
         assert len(err.value.trace) >= 1
 
 
-def _breaks_a_rule(n, d, L, rho, mode, sigma, batch, full) -> bool:
-    """The rules of ``ProblemSpec.__post_init__``, written independently."""
+def _breaks_a_rule(n, d, L, rho, sigma, batch, full) -> bool:
+    """The rules of ``ProblemSpec.__post_init__``, written independently:
+    a problem is a finite sum exactly when n is not inf."""
     finite_n = n != math.inf
     bad_n = finite_n and not (n >= 1 and n == int(n))
-    if mode is Mode.FINITE_SUM:
-        bad_mode = not finite_n or not full
+    if finite_n:
+        bad_mode = not full
     else:
         bad_mode = not sigma >= 0
     return d < 1 or bad_n or not L > 0 or not rho >= 0 or not batch or bad_mode
@@ -293,22 +294,23 @@ SPEC_NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     d=st.integers(-2, 50),
     L=SPEC_NUMBERS,
     rho=SPEC_NUMBERS,
-    mode=st.sampled_from(list(Mode)),
     sigma=SPEC_NUMBERS,
     batch=st.booleans(),
     full=st.booleans(),
 )
-def test_problem_spec_rejects_exactly_the_broken_rules(n, d, L, rho, mode, sigma, batch, full):
+def test_problem_spec_rejects_exactly_the_broken_rules(n, d, L, rho, sigma, batch, full):
     def build():
         return ProblemSpec(
-            n=n, d=d, lipschitz_grad=L, lipschitz_hess=rho, mode=mode, value=lambda x: 0.0,
+            n=n, d=d, lipschitz_grad=L, lipschitz_hess=rho, value=lambda x: 0.0,
             full_grad=(lambda x: x) if full else None,
             component_grad_batch=(lambda idx, x: np.tile(x, (len(idx), 1))) if batch else None,
             variance_bound=sigma,
         )
 
-    if _breaks_a_rule(n, d, L, rho, mode, sigma, batch, full):
+    if _breaks_a_rule(n, d, L, rho, sigma, batch, full):
         with pytest.raises(ConfigError):
             build()
     else:
-        assert build().n == n
+        spec = build()
+        assert spec.n == n
+        assert spec.mode is (Mode.ONLINE if n == math.inf else Mode.FINITE_SUM)

@@ -77,7 +77,7 @@ class TestVarianceVerifier:
 class TestEpochDecrease:
     def test_convex_quadratic_holds(self):
         inst = ssrgd.make_quadratic(d=4, n=16, seed=1, spread=0.4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.1, seed=0)
         rep = diagnostics.verify_epoch_decrease(
             inst.spec, cfg, epochs=1500, rng=core.seeded_rng(5, 0),
             x0=2.0 * np.ones(4),
@@ -87,7 +87,7 @@ class TestEpochDecrease:
 
     def test_tight_at_minimum(self):
         inst = ssrgd.make_quadratic(d=3, n=9, seed=2, spread=0.3)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.1, seed=0)
         rep = diagnostics.verify_epoch_decrease(
             inst.spec, cfg, epochs=50, rng=core.seeded_rng(6, 0), x0=np.zeros(3)
         )
@@ -98,7 +98,7 @@ class TestEpochDecrease:
 
     def test_svrg_contrast_recorded(self):
         inst = ssrgd.make_quadratic(d=4, n=36, seed=3, spread=0.5)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.1, seed=0)
         rep = diagnostics.verify_epoch_decrease(
             inst.spec, cfg, epochs=800, rng=core.seeded_rng(7, 0),
             x0=1.5 * np.ones(4),
@@ -111,7 +111,7 @@ class TestEpochDecrease:
     def test_block_epochs_match_per_step_draws(self):
         inst = ssrgd.make_quadratic(d=3, n=9, seed=2, spread=0.3)
         prob = inst.spec
-        cfg = ssrgd.derive_config_first_order(prob, 0.1, seed=0)
+        cfg = ssrgd.derive_config(prob, 0.1, seed=0)
         x0, m, b, eta = np.ones(3), cfg.epoch_len, cfg.minibatch, cfg.step_size
         rng, ref_rng = core.seeded_rng(6, 0), core.seeded_rng(6, 0)
         rep = diagnostics.verify_epoch_decrease(prob, cfg, 5, rng, x0=x0)
@@ -139,7 +139,7 @@ class TestEpochDecrease:
 
     def test_precondition_checks(self):
         inst = ssrgd.make_quadratic(d=2, n=9, seed=4)
-        cfg = ssrgd.derive_config_first_order(inst.spec, 0.1)
+        cfg = ssrgd.derive_config(inst.spec, 0.1)
         bad = dataclasses.replace(cfg, minibatch=cfg.epoch_len - 1)
         with pytest.raises(ConfigError):
             diagnostics.verify_epoch_decrease(inst.spec, bad, 10)
@@ -150,7 +150,7 @@ class TestCoupledExperiment:
         inst = ssrgd.make_separable_saddle(
             d=10, n=64, delta_plant=delta_plant, noise=0.1, seed=seed
         )
-        cfg = ssrgd.derive_config_second_order(
+        cfg = ssrgd.derive_config(
             inst.spec, 0.05, 0.3, 8.0, sfo_budget=10**9, seed=seed
         )
         return inst, cfg
@@ -258,7 +258,7 @@ class TestLocalization:
     def test_planted_saddle_super_epochs(self):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.3, noise=0.1, seed=0)
         L = inst.spec.lipschitz_grad
-        cfg = ssrgd.derive_config_second_order(
+        cfg = ssrgd.derive_config(
             inst.spec, 0.05, 0.3, 8.0, sfo_budget=60_000, seed=0
         )
         eta = 0.95 / (2.0 * L)

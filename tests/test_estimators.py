@@ -8,7 +8,7 @@ import pytest
 from ssrgd import core, estimators
 from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import (
-    ConfigError, InvalidStateError, Mode, NonFiniteError, ProblemSpec, UnsupportedOracleError,
+    ConfigError, InvalidStateError, NonFiniteError, ProblemSpec, UnsupportedOracleError,
 )
 from ssrgd.estimators import EstimatorState
 from ssrgd.problems import make_online_stream, make_quadratic
@@ -82,7 +82,6 @@ def gaussian_online_problem(d, sigma):
         d=d,
         lipschitz_grad=1.0,
         lipschitz_hess=0.0,
-        mode=Mode.ONLINE,
         value=lambda x: 0.5 * float(x @ x),
         component_grad_batch=comp_batch,
         variance_bound=sigma * math.sqrt(d),
@@ -398,7 +397,7 @@ class TestComponentOracle:
     def test_batched_oracle_is_required(self):
         with pytest.raises(ConfigError, match="component_grad_batch"):
             ProblemSpec(
-                n=3, d=1, lipschitz_grad=1.0, lipschitz_hess=0.0, mode=Mode.FINITE_SUM,
+                n=3, d=1, lipschitz_grad=1.0, lipschitz_hess=0.0,
                 value=lambda x: 0.0, full_grad=lambda x: x,
             )
 

@@ -451,6 +451,23 @@ seeds = 0
         trace = tmp_path / "runs" / by_opt["sgd"]["run_id"] / "trace.csv"
         assert trace.read_text().count("\n") > 1
 
+    def test_sgd_cell_without_measurements_fails_only_its_cell(self, tmp_path, capsys):
+        # eval_every = 0 would divide by zero inside the run; the baseline's
+        # settings check refuses it, so the gd cell still runs and is written
+        text = MINIMAL.replace(
+            "[optimizer]\nkind = ssrgd\neps = 0.05\nsfo_budget = 4000",
+            "[optimizer:sgd]\nkind = sgd\neval_every = 0\nsfo_budget = 2000\n\n"
+            "[optimizer:gd]\nkind = gd\nsfo_budget = 2000",
+        )
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
+        by_opt = {c["optimizer"]: c for c in agg["cells"]}
+        assert by_opt["sgd"]["failed"] and "eval_every" in by_opt["sgd"]["error"]
+        assert agg["failed"] == [by_opt["sgd"]["run_id"]]
+        assert not by_opt["gd"]["failed"] and by_opt["gd"]["sfo_raw"] > 0
+        trace = tmp_path / "runs" / by_opt["gd"]["run_id"] / "trace.csv"
+        assert trace.read_text().count("\n") > 1
+
     def test_certify_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         ckpt = tmp_path / "x.npy"
@@ -550,6 +567,25 @@ class TestCertificateDelta:
         plan = parse_config(write_config(tmp_path, SADDLE_PLAN.replace("seeds = 0, 1", "seeds = 0")))
         (cell,) = run_plan(plan)["cells"]
         assert cell["certificate"]["delta"] == 0.3
+
+
+class TestSfoToSosp:
+    def test_perturbed_gd_cell_reports_the_sfo_of_its_trigger_row(self, tmp_path):
+        # at delta 0.5 the planted saddle (lambda_min = -0.3) is a second-order
+        # point with margin, so the first candidate, the start x0 = saddle,
+        # certifies; gradient descent writes no epoch-start rows
+        text = SADDLE_PLAN.replace(
+            "kind = ssrgd\norder = second\neps = 0.05\ndelta = 0.3\nlogfactor = 8.0\nsfo_budget = 30000",
+            "kind = perturbed_gd\neps = 0.05\ndelta = 0.5\nsfo_budget = 2000",
+        )
+        plan = parse_config(write_config(tmp_path, text))
+        agg = run_plan(plan)
+        traces = written_traces(plan, agg)
+        assert len(agg["cells"]) == 2 and not agg["failed"]
+        for cell in agg["cells"]:
+            trigger = traces[cell["run_id"]][0]
+            assert (trigger.iteration, trigger.grad_norm) == (0, 0.0)
+            assert cell["sfo_to_sosp"] == trigger.sfo_count == 16
 
 
 class TestBaselineDefaults:
@@ -683,6 +719,29 @@ class TestDiagnoseCli:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("subcommand", ["variance", "epoch-decrease", "coupled", "localization"])
+    def test_online_config_exits_2(self, tmp_path, capsys, subcommand):
+        # sigma turns the planted saddle into an online stream, which has no
+        # full gradient; each diagnostic refuses it by name
+        text = SADDLE_PLAN.replace("x0 = saddle", "x0 = saddle\nsigma = 0.05")
+        cfg = write_config(tmp_path, text, name="online.ini")
+        assert harness.main(["diagnose", subcommand, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite-sum" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, why", [
+        (["variance", "--minibatch", "0"], "minibatch >= 1 (got 0)"),
+        (["variance", "--replications", "0"], "or >= 1 (got 0)"),
+        (["coupled", "--pairs", "0"], "at least one pair (seeds = 0)"),
+        (["coupled", "--pairs", "-2"], "at least one pair (seeds = -2)"),
+        (["localization", "--super-epochs", "0"], "max_paths of None or >= 1 (got 0)"),
+    ])
+    def test_empty_or_zero_sized_request_exits_2(self, tmp_path, capsys, flags, why):
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        assert harness.main(["diagnose", *flags, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and why in err and err.count("\n") == 1
 
     def test_scaling_subtract_n_flag(self, tmp_path, capsys):
         agg = synthetic_aggregate("n", lambda n: n + 3.0 * math.sqrt(n))

@@ -312,7 +312,7 @@ class TestDifferenceOracle:
     def test_online_run_matches_fallback_path(self):
         inst = make_online_stream(make_nonconvex_logistic(n=256, d=20, seed=0), 0.5, seed=1)
         spec = inst.spec
-        cfg = ssrgd.derive_config_online_first_order(spec, 0.1, sfo_budget=10_000, seed=4)
+        cfg = ssrgd.derive_config(spec, 0.1, sfo_budget=10_000, seed=4)
         x0 = 0.5 * np.ones(spec.d)
         fused = ssrgd.run_ssrgd(spec, cfg, x0=x0)
         fallback = ssrgd.run_ssrgd(dataclasses.replace(spec, grad_diff_batch=None), cfg, x0=x0)
