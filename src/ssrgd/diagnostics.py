@@ -558,7 +558,8 @@ def verify_localization(
 ) -> LocalizationReport:
     """Check ||x_t - x_0|| <= sqrt(4 t (f(x_0) - f(x_t)) / (C' L)) along
     each super-epoch path, with C' = ``C_PRIME``.  Steps where the value
-    increased are recorded and excluded (the statement presumes decrease)."""
+    increased are recorded and excluded (the statement presumes decrease).
+    No path to check raises ``InsufficientDataError``."""
     cap = 1.0 / (2.0 * C_PRIME * lipschitz_grad)
     if step_size is not None and step_size > cap * (1 + 1e-12):
         raise ConfigError(
@@ -586,10 +587,11 @@ def verify_localization(
             ok_all = ok_all and ok
         all_rows.append(rows)
         path_passed.append(ok_all)
-    frac = sum(path_passed) / max(1, len(path_passed))
+    if not path_passed:
+        raise core.InsufficientDataError("no super-epoch path to check localization on")
     return LocalizationReport(
         rows_per_path=all_rows,
         path_passed=path_passed,
-        pass_fraction=frac,
+        pass_fraction=sum(path_passed) / len(path_passed),
         increase_steps=increases,
     )

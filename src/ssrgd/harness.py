@@ -21,9 +21,11 @@ derivations fill everything not overridden.  Example::
     seeds = 0, 1, 2
     plot = true
 
-One cell is run per (problem x optimizer x sweep point x seed); each cell
-writes ``<dir>/<run_id>/trace.csv`` (header ``iter,f,grad_norm,sfo,event``)
-and ``summary.json`` as its result arrives; then the plan writes one
+One cell is run per (problem x optimizer x sweep point x seed), and the
+cells that differ only in the sweep point share each optimizer run they
+have in common.  Each cell writes ``<dir>/<run_id>/trace.csv`` (header
+``iter,f,grad_norm,sfo,event``) and ``summary.json`` as its row's results
+arrive; then the plan writes one
 ``aggregate.json`` and, with ``plot = true``, charts drawn from the traces
 in memory.  Run ids are content hashes of the cell description and no file
 names its own directory, so a plan writes the same bytes in any directory.
@@ -41,6 +43,7 @@ import contextlib
 import csv
 import dataclasses
 import difflib
+import functools
 import hashlib
 import inspect
 import io
@@ -403,11 +406,22 @@ def sfo_at_first_fosp(trace: list[TraceRecord], eps: float) -> int | None:
     return None
 
 
-def run_cell(cell: Cell) -> tuple[dict, list[TraceRecord]]:
-    """Execute one cell; returns (summary dict, trace records)."""
+def run_cell(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceRecord]]:
+    """Execute one cell; returns (summary dict, trace records).
+
+    ``runs`` is the run table of the cell's row (see ``run_plan``), a fresh
+    one by default.  Its key is what the optimizer receives that may differ
+    within a row: SSRGD's run config with eps fixed, or the baseline kind
+    and its SFO budget, plus the n of an ``axis = n`` sweep.  A stored
+    outcome is read instead of run again; a run that raises is not stored.
+    First-order finite-sum SSRGD, ``gd``, ``sgd`` and ``svrg`` never read
+    eps, so the cells of an eps sweep share their run.
+    """
+    runs = {} if runs is None else runs
     settings = _with_defaults(cell.optimizer, _OPTIMIZER_KEYS)
     eps = float(cell.sweep_value if cell.sweep_axis == "eps" else settings["eps"])
-    inst = build_problem(cell.problem, cell.sweep_value if cell.sweep_axis == "n" else None)
+    n_override = cell.sweep_value if cell.sweep_axis == "n" else None
+    inst = build_problem(cell.problem, n_override)
     x0 = initial_point(cell.problem, inst)
     okind = settings["kind"]
     full_trace = settings["trace"] == "full"
@@ -427,12 +441,17 @@ def run_cell(cell: Cell) -> tuple[dict, list[TraceRecord]]:
         cfg = build_run_config(cell.optimizer, inst, cell.seed, eps)
         if cfg.delta > 0:
             delta = cfg.delta
-        outcome = algorithm.run_ssrgd(inst.spec, cfg, x0=x0, full_trace=full_trace)
+        # run_ssrgd reads cfg.eps only to check eps >= 0, which derive_config
+        # made true; eps-derived settings (second order, online) stay in the key
+        key = (n_override, dataclasses.astuple(dataclasses.replace(cfg, eps=0.0)))
+        run = functools.partial(algorithm.run_ssrgd, inst.spec, cfg)
     else:
         kind = _baseline_from_params(cell.optimizer, inst, cell.seed, eps)
-        outcome = baselines.run_baseline(
-            kind, inst.spec, settings["sfo_budget"], x0=x0, full_trace=full_trace
-        )
+        key = (n_override, dataclasses.astuple(kind), settings["sfo_budget"])
+        run = functools.partial(baselines.run_baseline, kind, inst.spec, settings["sfo_budget"])
+    if key not in runs:
+        runs[key] = run(x0=x0, full_trace=full_trace)
+    outcome = runs[key]
 
     first_fosp = sfo_at_first_fosp(outcome.trace, eps)
     cert = None
@@ -491,8 +510,15 @@ def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
 
 
 def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
-    """Run every cell, write each one's trace and summary as its result
-    arrives, then write the aggregate and, with ``plot``, the charts.
+    """Run every cell, write each one's trace and summary as its row's
+    results arrive, then write the aggregate (cells in plan order) and,
+    with ``plot``, the charts.
+
+    A row is the cells with the same problem section, optimizer section
+    and seed, which differ only in the sweep value.  It is one task, serial
+    or in the worker pool, and its cells share one run table (``run_cell``),
+    so each distinct optimizer run happens once per row; every cell still
+    gets the files a lone ``run_cell`` would give it.
 
     ``workers`` (``ssrgd run --workers``) defaults to SSRGD_WORKERS.  A cell
     that aborts with a package error (a non-finite oracle value, or a
@@ -510,29 +536,33 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
     out_root = Path(plan.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    summaries, failed, traces = [], [], {}
+    rows: dict[str, list[int]] = {}  # plan indices of each row's cells
+    for i, cell in enumerate(cells):
+        key = json.dumps([cell.problem, cell.optimizer, cell.seed], sort_keys=True)
+        rows.setdefault(key, []).append(i)
+    summaries, traces = [None] * len(cells), {}
     with contextlib.ExitStack() as stack:
         run = map
-        if workers > 1 and len(cells) > 1:
+        if workers > 1 and len(rows) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for cell, (summary, trace) in zip(cells, run(_run_cell_safely, cells)):
-            cell_dir = out_root / cell.run_id
-            cell_dir.mkdir(exist_ok=True)
-            (cell_dir / "trace.csv").write_text(_trace_to_csv(trace), encoding="utf-8")
-            (cell_dir / "summary.json").write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            summaries.append(summary)
-            if summary["failed"]:
-                failed.append(cell.run_id)
-            elif plan.plot:
-                traces[cell.run_id] = trace
+        tasks = ([cells[i] for i in row] for row in rows.values())
+        for row, results in zip(rows.values(), run(_run_row, tasks)):
+            for i, (summary, trace) in zip(row, results):
+                cell_dir = out_root / summary["run_id"]
+                cell_dir.mkdir(exist_ok=True)
+                (cell_dir / "trace.csv").write_text(_trace_to_csv(trace), encoding="utf-8")
+                (cell_dir / "summary.json").write_text(
+                    json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                )
+                summaries[i] = summary
+                if plan.plot and not summary["failed"]:
+                    traces[summary["run_id"]] = trace
 
     aggregate = {
         "cells": summaries,
-        "failed": failed,
+        "failed": [s["run_id"] for s in summaries if s["failed"]],
         "total_sfo_raw": sum(s.get("sfo_raw", 0) or 0 for s in summaries),
         "sweep": None if plan.sweep is None else {"axis": plan.sweep[0], "grid": plan.sweep[1]},
     }
@@ -544,9 +574,15 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
     return aggregate
 
 
-def _run_cell_safely(cell: Cell) -> tuple[dict, list[TraceRecord]]:
+def _run_row(cells: list[Cell]) -> list[tuple[dict, list[TraceRecord]]]:
+    """Run the cells of one row against one run table."""
+    runs: dict = {}
+    return [_run_cell_safely(cell, runs) for cell in cells]
+
+
+def _run_cell_safely(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceRecord]]:
     try:
-        return run_cell(cell)
+        return run_cell(cell, runs)
     except SsrgdError as exc:
         logger.error("cell %s aborted: %s", cell.run_id, exc)
         summary = {

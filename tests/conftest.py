@@ -22,6 +22,16 @@ def scalar_quadratic(a_values) -> ProblemSpec:
     )
 
 
+def assert_same_outcome(a, b) -> None:
+    """Two optimizer outcomes agree bit for bit: every trace row, the final
+    point, both SFO counts, the termination and the super-epoch candidates."""
+    assert a.trace == b.trace
+    assert np.array_equal(a.final_x, b.final_x)
+    assert (a.sfo_raw, a.sfo_nominal, a.termination) == (b.sfo_raw, b.sfo_nominal, b.termination)
+    assert [t for t, _ in a.sosp_candidates] == [t for t, _ in b.sosp_candidates]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.sosp_candidates, b.sosp_candidates))
+
+
 def counting(fn):
     """``fn`` wrapped so that ``.calls`` counts its invocations."""
 

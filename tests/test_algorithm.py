@@ -13,7 +13,7 @@ from ssrgd import algorithm, baselines, core, spectral
 from ssrgd.core import ConfigError, Event, RunConfig
 from ssrgd.algorithm import Termination
 
-from conftest import counting, online_rows, scalar_quadratic
+from conftest import assert_same_outcome, counting, online_rows, scalar_quadratic
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -420,6 +420,29 @@ class TestDeterminism:
         assert np.array_equal(a.final_x, b.final_x)
         assert a.sfo_raw == b.sfo_raw
 
+    @pytest.mark.parametrize("case", ["first", "second", "online"])
+    def test_eps_alone_does_not_move_the_run(self, case):
+        # harness.run_cell shares one run between the cells of an eps sweep
+        # whose run configs differ only in eps; eps-derived settings (the
+        # second-order thresholds, the online large batch) are held fixed here
+        if case == "second":
+            inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
+            cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0, sfo_budget=20_000, seed=6)
+            x0 = np.zeros(6)
+        else:
+            inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=2)
+            if case == "online":
+                inst = ssrgd.make_online_stream(inst, 0.5, seed=3)
+            cfg = ssrgd.derive_config(inst.spec, 0.1, sfo_budget=4_000, seed=4)
+            x0 = 0.5 * np.ones(5)
+        a, *others = (
+            ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, eps=eps), x0=x0)
+            for eps in (cfg.eps, 0.5 * cfg.eps, 0.0, 10.0)
+        )
+        for b in others:
+            assert_same_outcome(a, b)
+        assert any(r.event is Event.PERTURBATION for r in a.trace) is (case == "second")
+
     def test_trace_mode_does_not_change_path(self):
         inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
         cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0,
@@ -460,11 +483,7 @@ class TestOnlineSlotParity:
             x0 = 0.5 * np.ones(10)
         a = ssrgd.run_ssrgd(inst.spec, cfg, x0=x0)
         b = ssrgd.run_ssrgd(slot_free(inst, noise_seed), cfg, x0=x0)
-        assert a.trace == b.trace
-        assert np.array_equal(a.final_x, b.final_x)
-        assert (a.sfo_raw, a.sfo_nominal, a.termination) == (b.sfo_raw, b.sfo_nominal, b.termination)
-        assert [t for t, _ in a.sosp_candidates] == [t for t, _ in b.sosp_candidates]
-        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.sosp_candidates, b.sosp_candidates))
+        assert_same_outcome(a, b)
         assert any(r.event is Event.PERTURBATION for r in a.trace) is second
 
 

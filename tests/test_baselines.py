@@ -7,10 +7,11 @@ import ssrgd
 from ssrgd import baselines, core, estimators
 from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import ConfigError, Event, UnsupportedOracleError
-from ssrgd.harness import sfo_at_first_fosp
+from ssrgd.harness import _baseline_from_params, sfo_at_first_fosp
 
 from conftest import (
-    quadratic_problem_from_components, random_quadratic_family, reference_epoch, scalar_quadratic,
+    assert_same_outcome, quadratic_problem_from_components, random_quadratic_family, reference_epoch,
+    scalar_quadratic,
 )
 
 
@@ -26,6 +27,26 @@ class TestValidation:
     def test_pgd_needs_window_params(self):
         with pytest.raises(ConfigError):
             BaselineKind(kind="perturbed_gd", step_size=0.1).validate()
+
+
+class TestRepeatable:
+    @pytest.mark.parametrize("kind", baselines.KINDS)
+    def test_the_same_kind_runs_the_same_path(self, kind):
+        # harness.run_cell runs a (BaselineKind, SFO budget) pair once per
+        # row of a plan and hands its outcome to every cell of the row
+        def run():
+            if kind == "perturbed_gd":
+                inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
+                x0 = np.zeros(6)
+            else:
+                inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=2)
+                x0 = 0.5 * np.ones(5)
+            bk = _baseline_from_params({"kind": kind, "delta": 0.3}, inst, 7, 0.05)
+            return run_baseline(bk, inst.spec, 3_000, x0=x0)
+
+        a = run()
+        assert_same_outcome(a, run())
+        assert bool(a.sosp_candidates) is (kind == "perturbed_gd")
 
 
 class TestGd:

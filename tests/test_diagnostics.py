@@ -7,7 +7,7 @@ import pytest
 
 import ssrgd
 from ssrgd import core, diagnostics, estimators
-from ssrgd.core import ConfigError, InvalidInputError
+from ssrgd.core import ConfigError, InsufficientDataError, InvalidInputError
 from ssrgd.diagnostics import SuperEpochPath
 from ssrgd.estimators import EstimatorState
 
@@ -254,6 +254,10 @@ class TestLocalization:
             diagnostics.verify_localization(
                 [], lipschitz_grad=1.0, step_size=0.9
             )
+
+    def test_no_path_is_insufficient_data(self):
+        with pytest.raises(InsufficientDataError, match="no super-epoch path"):
+            diagnostics.verify_localization([], lipschitz_grad=1.0)
 
     def test_planted_saddle_super_epochs(self):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.3, noise=0.1, seed=0)

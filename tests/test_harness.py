@@ -626,6 +626,102 @@ class TestDefaultBudget:
         assert got.value.args == (10**7,)
 
 
+# An eps sweep over every optimizer kind (ssrgd in both orders) on a finite
+# sum, an online stream and the planted saddle; gd, perturbed_gd and svrg
+# fail on the online stream, which has no full gradient.
+SWEEP_ALL_KINDS = """
+[problem:logistic]
+kind = nonconvex_logistic
+n = 64
+d = 5
+seed = 2
+
+[problem:online]
+kind = nonconvex_logistic
+n = 64
+d = 5
+seed = 2
+sigma = 0.5
+
+[problem:saddle]
+kind = separable_saddle
+d = 6
+n = 16
+x0 = saddle
+
+[optimizer:first]
+kind = ssrgd
+sfo_budget = 2000
+
+[optimizer:second]
+kind = ssrgd
+order = second
+delta = 0.3
+logfactor = 8
+sfo_budget = 2000
+trace = epoch
+
+[optimizer:pgd]
+kind = perturbed_gd
+delta = 0.3
+sfo_budget = 1000
+
+[optimizer:gd]
+kind = gd
+sfo_budget = 1000
+
+[optimizer:sgd]
+kind = sgd
+minibatch = 4
+eval_every = 10
+sfo_budget = 1000
+
+[optimizer:svrg]
+kind = svrg
+sfo_budget = 1000
+
+[sweep]
+axis = eps
+grid = 0.1, 0.05, 0.025
+
+[output]
+dir = {out}
+seeds = 0, 1
+"""
+
+
+class TestSharedRuns:
+    def test_each_cell_writes_what_its_lone_run_gives(self, tmp_path, monkeypatch):
+        runs = []
+        for module, name in ((harness.algorithm, "run_ssrgd"), (harness.baselines, "run_baseline")):
+            def counted(*args, _run=getattr(module, name), **kwargs):
+                runs.append(args)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        plan = parse_config(write_config(tmp_path, SWEEP_ALL_KINDS))
+        cells = plan.cells()
+        agg = run_plan(plan)
+        # second-order ssrgd, perturbed_gd and online ssrgd (its large batch)
+        # read eps, and a run that raises is not stored, so each seed's 54
+        # cells hold 10 (logistic: 1 + 3 + 3 + 1 + 1 + 1) + 16 (online:
+        # 3 + 3 + 3 + 3 + 1 + 3) + 10 (saddle) = 36 runs
+        assert len(cells) == 108 and len(runs) == 72
+        failed = [c.run_id for c in cells if c.problem_name == "online"
+                  and c.optimizer_name in ("gd", "pgd", "svrg")]
+        assert len(failed) == 18
+        assert [c["run_id"] for c in agg["cells"]] == [c.run_id for c in cells]
+        assert agg["failed"] == failed
+        written = output_bytes(plan)
+        assert json.loads(written["aggregate.json"]) == agg
+        for cell in cells:
+            summary, trace = harness._run_cell_safely(cell)
+            assert written[f"{cell.run_id}/summary.json"].decode() == (
+                json.dumps(summary, indent=2, sort_keys=True) + "\n"
+            )
+            assert written[f"{cell.run_id}/trace.csv"].decode() == harness._trace_to_csv(trace)
+
+
 class TestParallelWorkers:
     def test_worker_pool_matches_serial(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MULTI))
@@ -636,6 +732,15 @@ class TestParallelWorkers:
         assert sum(name.endswith("/trace.csv") for name in serial) == 12
         assert sum(name.endswith("/summary.json") for name in serial) == 12
 
+    def test_eps_sweep_pool_matches_serial(self, tmp_path):
+        # the pool's tasks are rows, each with its own run table
+        plan = parse_config(write_config(tmp_path, SWEEP_ALL_KINDS))
+        run_plan(plan, workers=1)
+        serial = output_bytes(plan)
+        run_plan(plan, workers=2)
+        assert output_bytes(plan) == serial
+        assert sum(name.endswith("/trace.csv") for name in serial) == 108
+        assert sum(name.endswith("/summary.json") for name in serial) == 108
 
     def test_workers_flag_leaves_the_environment_alone(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SSRGD_WORKERS", raising=False)
@@ -704,12 +809,22 @@ class TestDiagnoseCli:
         monkeypatch.setattr(harness.diagnostics, "collect_super_epoch_paths", collect)
         text = SADDLE_PLAN.replace("d = 6\nn = 16\n", "d = 10\nn = 64\n")
         cfg = write_config(tmp_path, text, name="saddle.ini")
-        assert harness.main(["diagnose", "localization", "--config", str(cfg)]) == 0
+        # the stub collects no path, which the verdict refuses
+        assert harness.main(["diagnose", "localization", "--config", str(cfg)]) == 2
         ((spec, run_cfg),) = seen
         eta = 0.95 / (2.0 * spec.lipschitz_grad)
         derived = ssrgd.algorithm.super_epoch_params(spec, 0.05, 0.3, 8.0, eta)
         assert run_cfg.step_size == eta and run_cfg.super_epoch_len == 225
         assert {key: getattr(run_cfg, key) for key in derived} == derived
+
+    def test_localization_without_a_path_exits_2(self, tmp_path, capsys):
+        # a zero budget runs no super epoch from the saddle: nothing to judge
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        assert harness.main(["diagnose", "localization", "--config", str(cfg), "--budget", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: InsufficientDataError: no super-epoch path")
+        assert err.count("\n") == 1
 
     def test_epoch_decrease(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL, name="plain.ini")

@@ -122,3 +122,21 @@ def test_ab_result_digest_ignores_f_and_nothing_else():
     base = ab.result_digest("plan", ops, plan("/a/runs", 0.5, 1.0))
     assert ab.result_digest("plan", ops, plan("/b/runs", 0.25, 1.0)) == base
     assert ab.result_digest("plan", ops, plan("/a/runs", 0.5, 0.9)) != base
+    assert ab.result_digest("plan", ops, plan("/a/runs", 0.5, 1.0), ["0" * 64]) != base
+
+
+def test_ab_plan_files_digest_ignores_f_and_nothing_else(tmp_path):
+    ab = load_tool("ab")
+
+    def digest(f_value, sfo, f_final):
+        cell = tmp_path / "runs" / "c0ffee"
+        cell.mkdir(parents=True, exist_ok=True)
+        (cell / "trace.csv").write_text(f"iter,f,grad_norm,sfo,event\n0,{f_value},0.5,{sfo},epoch_start\n")
+        (cell / "summary.json").write_text(json.dumps({"f_final": f_final, "sfo_raw": sfo}))
+        return ab.files_digest(tmp_path / "runs")
+
+    base = digest(1.0, 64, 1.0)
+    assert digest(1.0 + 1e-15, 64, 0.5) == base
+    assert digest(1.0, 65, 1.0) != base
+    (tmp_path / "runs" / "aggregate.json").write_text("{}")
+    assert digest(1.0, 64, 1.0) != base

@@ -18,7 +18,8 @@ it prints the quartiles of µs per iteration (seconds for ``plan``) on each
 side, the change/parent ratio of the medians, how many rounds the change
 was faster, and whether both sides computed identical results
 (``result_digest``: the same results with every f value left out, so a
-change that moves f only at rounding level still reads ``yes``).
+change that moves f only at rounding level still reads ``yes``; for
+``plan`` that covers every file the plan wrote).
 
     python3 tools/ab.py --parent ../parent
     python3 tools/ab.py --parent ../parent --rounds 16
@@ -88,11 +89,12 @@ def load_workloads(root: Path, name: str):
 fingerprint = import_file("ab_fingerprint", HERE / "tools" / "fingerprint.py")
 
 
-def result_digest(workload: str, ops, results) -> str:
+def result_digest(workload: str, ops, results, files=()) -> str:
     """sha256 over each operation's key, SFO count, iterations and failure,
     then each result without f values: for ``fs`` and ``online`` the run's
     ``fingerprint.outcome_digest(..., paths=True)``, for ``plan`` the exit
-    code and the printed JSON (its ``out_dir`` differs by side)."""
+    code and the printed JSON (its ``out_dir`` differs by side), then the
+    ``files_digest`` of each plan's output."""
     h = hashlib.sha256()
     for op in ops:
         h.update(f"{op.key},{op.sfo},{op.iters},{op.failure}\n".encode())
@@ -104,6 +106,19 @@ def result_digest(workload: str, ops, results) -> str:
             h.update(f"{code},{json.dumps(printed, sort_keys=True)}\n".encode())
         else:
             h.update(f"{fingerprint.outcome_digest(result, paths=True)}\n".encode())
+    for digest in files:
+        h.update(f"{digest}\n".encode())
+    return h.hexdigest()
+
+
+def files_digest(root: Path) -> str:
+    """sha256 over every file under a plan's output directory ``root``: its
+    relative path and its bytes without f values (``fingerprint._plan_bytes``)."""
+    h = hashlib.sha256()
+    for p in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = fingerprint._plan_bytes(p, p.read_bytes())
+        if data is not None:
+            h.update(p.relative_to(root).as_posix().encode() + b"\0" + data + b"\0")
     return h.hexdigest()
 
 
@@ -118,6 +133,7 @@ class Side:
     def __init__(self, name: str, root: Path, scale: float, workdir: Path):
         bench = load_workloads(root, name)
         self.results = []  # what each timed call of the current unit returned
+        self.files = []  # files_digest of each plan the current unit ran
         self.workloads = {}
         for short, long in WORKLOADS.items():
             cls = bench.WORKLOADS[long]
@@ -132,6 +148,12 @@ class Side:
                     plan.write(f)
                 pairs = wl.diagnose_argv.index("--pairs") + 1
                 wl.diagnose_argv[pairs] = str(scaled(int(wl.diagnose_argv[pairs]), scale))
+
+                def check_run(result, op, wl=wl, check=wl.check_run):
+                    self.files.append(files_digest(wl.out))  # check deletes the output
+                    check(result, op)
+
+                wl.check_run = check_run
             else:
                 budget = scaled(cls.BUDGET, scale)
                 self.workloads[short] = type(cls.__name__, (cls,), {"BUDGET": budget})(SEED)
@@ -144,9 +166,9 @@ class Side:
         return seconds, math.nan, result
 
     def run(self, workload: str, index: int) -> tuple[float, str]:
-        self.results = []
+        self.results, self.files = [], []
         ops = self.workloads[workload].unit(index, self.timed)
-        digest = result_digest(workload, ops, self.results)
+        digest = result_digest(workload, ops, self.results, self.files)
         seconds = sum(op.seconds for op in ops)
         if workload == "plan":
             return seconds, digest
