@@ -87,8 +87,8 @@ PROBLEM_KEYS = {"kind": str, "seed": 0, "sigma": float, "x0": "zeros", "x0_scale
 _X0_PRESETS = ("zeros", "ones", "saddle")
 
 # Optimizer and output sections follow the same convention.  An optimizer
-# setting typed here without a default comes from ``BaselineKind`` for a
-# baseline and from ``algorithm.derive_config`` for SSRGD.  ``OPTIMIZERS``
+# setting typed here without a default is derived when a section leaves it
+# unset (``build_run_config``, ``_baseline_from_params``).  ``OPTIMIZERS``
 # holds the keys each kind reads besides kind, eps, delta and sfo_budget.
 _OPTIMIZER_KEYS = {
     "kind": str,
@@ -244,6 +244,10 @@ def parse_config(path) -> ExperimentPlan:
                 raise ConfigError("[sweep] grid must be a comma-separated number list")
             if not grid:
                 raise ConfigError("[sweep] grid must be nonempty")
+            if axis == "eps" and not all(v > 0 for v in grid):
+                raise ConfigError("[sweep] constraint violated: eps > 0 at every grid value")
+            if axis == "n" and not all(v.is_integer() and v >= 1 for v in grid):
+                raise ConfigError("[sweep] constraint violated: n is an integer >= 1 at every grid value")
             sweep = (axis, grid)
         elif section == "output":
             out = _parse_section("[output]", parser[section], _OUTPUT_KEYS)
@@ -310,8 +314,10 @@ def _parse_optimizer(section: str, raw) -> dict:
     params = _parse_section(f"[{section}] (kind = {kind})", raw, keys)
     if params.get("order") not in (None, "first", "second"):
         raise ConfigError(f"[{section}] order must be 'first' or 'second'")
+    if "logfactor" in params and params.get("order") != "second":
+        raise ConfigError(f"[{section}] logfactor is read only with order = second")
     for key in ("step_size", "eps", "delta", "logfactor"):
-        if key in params and params[key] <= 0:
+        if key in params and not params[key] > 0:  # NaN fails too
             raise ConfigError(f"[{section}] constraint violated: {key} > 0")
     if params.get("trace") not in (None, "full", "epoch"):
         raise ConfigError(f"[{section}] trace must be 'full' or 'epoch'")
@@ -345,6 +351,14 @@ def initial_point(params: dict, inst: problems.ProblemInstance) -> np.ndarray:
     raise ConfigError(f"unknown x0 preset {preset!r}")
 
 
+def _second_order_delta(oparams: dict, spec, eps: float) -> float | None:
+    """The delta of ``perturbed_gd`` or ``order = second`` (None otherwise): the
+    ``delta`` key, else sqrt(rho * eps), else the key table's 0.1 when rho = 0."""
+    if oparams["kind"] != "perturbed_gd" and oparams.get("order") != "second":
+        return None
+    return oparams.get("delta", math.sqrt(spec.lipschitz_hess * eps) or _OPTIMIZER_KEYS["delta"])
+
+
 def build_run_config(
     oparams: dict, inst: problems.ProblemInstance, seed: int, eps_override: float | None
 ) -> RunConfig:
@@ -352,9 +366,7 @@ def build_run_config(
     the key table's defaults, such as the SFO budget) as overrides."""
     settings = _with_defaults(oparams, _OPTIMIZER_KEYS)
     eps = float(eps_override if eps_override is not None else settings["eps"])
-    delta = None
-    if settings["order"] == "second":
-        delta = oparams.get("delta", math.sqrt(inst.spec.lipschitz_hess * eps) or settings["delta"])
+    delta = _second_order_delta(oparams, inst.spec, eps)
     cfg = algorithm.derive_config(inst.spec, eps, delta, settings["logfactor"], seed=seed)
     derived_from = ("eps", "delta", "logfactor")  # inputs of the derivation, not overrides
     overrides = {f.name: settings[f.name] for f in dataclasses.fields(RunConfig)
@@ -434,13 +446,10 @@ def run_cell(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceReco
         "failed": False,
     }
 
-    # certify at the delta the run targeted: an order = second ssrgd cell
-    # without a delta key derives sqrt(rho * eps)
-    delta = settings["delta"]
+    # a second-order cell is certified at its run's delta, a first-order one at the key's
+    delta = _second_order_delta(cell.optimizer, inst.spec, eps) or settings["delta"]
     if okind == "ssrgd":
         cfg = build_run_config(cell.optimizer, inst, cell.seed, eps)
-        if cfg.delta > 0:
-            delta = cfg.delta
         # run_ssrgd reads cfg.eps only to check eps >= 0, which derive_config
         # made true; eps-derived settings (second order, online) stay in the key
         key = (n_override, dataclasses.astuple(dataclasses.replace(cfg, eps=0.0)))
@@ -491,22 +500,19 @@ def _last_grad_norm(trace: list[TraceRecord]) -> float | None:
 
 
 def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
-    """``BaselineKind``'s defaults with a 0.9/L (``gd``, ``perturbed_gd``)
-    or 0.1/L step, then every field the section sets; unset ``svrg`` and
-    ``perturbed_gd`` settings are derived from the problem."""
-    kind = oparams["kind"]
-    step = (0.9 if kind in ("gd", "perturbed_gd") else 0.1) / inst.spec.lipschitz_grad
+    """The section's fields over derived ones, over ``BaselineKind``'s: a 0.9/L
+    (``gd``, ``perturbed_gd``) or 0.1/L step, ``svrg``'s m and b from ``derive_config``,
+    and ``perturbed_gd``'s super-epoch settings at ``_second_order_delta``."""
+    kind, spec = oparams["kind"], inst.spec
     given = {f.name: oparams[f.name] for f in dataclasses.fields(BaselineKind) if f.name in oparams}
-    bk = BaselineKind(**{"step_size": step, **given, "seed": seed})
-    if kind == "svrg" and bk.epoch_len is None and inst.spec.mode is core.Mode.FINITE_SUM:
-        m = algorithm._ceil_sqrt(inst.spec.n)
-        bk = dataclasses.replace(bk, epoch_len=m, minibatch=oparams.get("minibatch", m))
-    if kind == "perturbed_gd" and bk.perturb_radius <= 0:
-        delta = _with_defaults(oparams, _OPTIMIZER_KEYS)["delta"]
-        bk = dataclasses.replace(
-            bk, **algorithm.super_epoch_params(inst.spec, eps, delta, 1.0, bk.step_size)
-        )
-    return bk
+    derived = {"step_size": (0.9 if kind in ("gd", "perturbed_gd") else 0.1) / spec.lipschitz_grad}
+    if kind == "svrg":
+        cfg = algorithm.derive_config(spec, eps)
+        derived.update(epoch_len=cfg.epoch_len, minibatch=cfg.minibatch)
+    if kind == "perturbed_gd" and any(key not in given for key in _SUPER_EPOCH_KEYS):
+        step, delta = given.get("step_size", derived["step_size"]), _second_order_delta(oparams, spec, eps)
+        derived.update(algorithm.super_epoch_params(spec, eps, delta, 1.0, step))
+    return BaselineKind(**{**derived, **given, "seed": seed})
 
 
 def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:

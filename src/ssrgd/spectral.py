@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, estimators
+from . import algorithm, core, estimators
 from .core import ConfigError, Mode, ProblemSpec, UnsupportedOracleError, Vector
 
 DENSE_CAP = 200
@@ -124,14 +124,14 @@ def certify(
     """Populate a second-order certificate for the point x.
 
     Finite-sum problems measure the exact gradient; online problems use a
-    large-batch estimate from ceil(4 sigma^2/eps^2) samples.  The
-    eigenvalue method is dense below ``dense_cap`` dimensions and shifted
-    power iteration beyond it.
+    large-batch estimate over ``derive_config``'s ceil(4 sigma^2/eps^2)
+    samples, which needs eps > 0.  The eigenvalue method is dense below
+    ``dense_cap`` dimensions and shifted power iteration beyond it.
     """
     if problem.mode is Mode.ONLINE:
         if rng is None:
             rng = core.seeded_rng(0, 29)
-        B = max(1, math.ceil(4.0 * problem.variance_bound**2 / max(eps, 1e-12) ** 2))
+        B = algorithm.derive_config(problem, eps).large_batch
         g = estimators.large_batch_gradient(problem, x, B, rng)
     else:
         g = estimators.full_gradient(problem, x)

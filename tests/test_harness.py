@@ -602,6 +602,118 @@ class TestBaselineDefaults:
         assert bk.grad_threshold == 0.05 and bk.super_epoch_len == 15
 
 
+ONLINE_SADDLE = """
+[problem]
+kind = separable_saddle
+d = 6
+n = 16
+sigma = 0.05
+
+[optimizer]
+kind = ssrgd
+"""
+
+
+class TestOneDerivation:
+    """A setting a section leaves unset comes from ``derive_config`` (or, for
+    delta, from the one second-order rule); a key the section sets wins."""
+
+    @pytest.mark.parametrize("eps", ["0", "-0.1"])
+    def test_online_certify_without_positive_eps_exits_2(self, tmp_path, capsys, eps):
+        ckpt = tmp_path / "ck.npy"
+        np.save(ckpt, np.zeros(6))
+        cfg = write_config(tmp_path, ONLINE_SADDLE, name="on.ini")
+        assert harness.main(["certify", str(cfg), str(ckpt), "--eps", eps]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: eps must be positive"]
+
+    @pytest.mark.parametrize("given, unset", [
+        ("epoch_len = 8", "minibatch"), ("epoch_len = 16", "minibatch"), ("minibatch = 4", "epoch_len"),
+    ])
+    def test_svrg_derives_each_setting_the_section_leaves_unset(self, tmp_path, given, unset):
+        text = f"[problem]\nkind = nonconvex_logistic\nn = 256\n\n[optimizer]\nkind = svrg\n{given}\n"
+        plan = parse_config(write_config(tmp_path, text))
+        inst = build_problem(plan.problems[0][1])
+        bk = harness._baseline_from_params(plan.optimizers[0][1], inst, 0, 0.01)
+        key, value = given.split(" = ")
+        assert getattr(bk, key) == int(value)
+        assert getattr(bk, unset) == ssrgd.derive_config(inst.spec, 0.01).minibatch == 16
+
+    def test_online_svrg_cell_fails_for_want_of_the_full_gradient(self, tmp_path):
+        text = ONLINE_SADDLE.replace("kind = ssrgd", "kind = svrg\nsfo_budget = 1000")
+        (cell,) = parse_config(write_config(tmp_path, text)).cells()
+        summary, _ = harness._run_cell_safely(cell)
+        assert summary["failed"]
+        assert summary["error"] == "svrg needs the finite-sum full gradient"
+
+    def test_second_order_ssrgd_and_perturbed_gd_certify_at_one_derived_delta(self, tmp_path):
+        # neither section sets delta: both target sqrt(rho * eps), and
+        # perturbed_gd's super-epoch settings are derived at that target
+        text = SADDLE_PLAN.replace("delta = 0.3\n", "").replace("sfo_budget = 30000", "sfo_budget = 200")
+        text = text.replace("[output]", "[optimizer:pgd]\nkind = perturbed_gd\neps = 0.05\n"
+                            "sfo_budget = 200\n\n[output]")
+        plan = parse_config(write_config(tmp_path, text))
+        agg = run_plan(plan)
+        inst = build_problem(plan.problems[0][1])
+        delta = math.sqrt(inst.spec.lipschitz_hess * 0.05)
+        assert not agg["failed"] and len(agg["cells"]) == 4
+        assert [c["certificate"]["delta"] for c in agg["cells"]] == [delta] * 4
+        assert build_run_config(plan.optimizers[0][1], inst, 0, None).delta == delta
+        bk = harness._baseline_from_params(plan.optimizers[1][1], inst, 0, 0.05)
+        derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, delta, 1.0, bk.step_size)
+        assert derived == {key: getattr(bk, key) for key in harness._SUPER_EPOCH_KEYS}
+
+    def test_perturbed_gd_derives_the_super_epoch_settings_it_leaves_unset(self):
+        inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.4, seed=0)
+        oparams = {"kind": "perturbed_gd", "delta": 0.3, "perturb_radius": 0.01, "step_size": 0.05}
+        bk = harness._baseline_from_params(oparams, inst, 0, 0.05)
+        derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, 0.3, 1.0, 0.05)
+        assert (bk.perturb_radius, bk.step_size) == (0.01, 0.05)
+        assert derived["perturb_radius"] != 0.01
+        assert {key: getattr(bk, key) for key in harness._SUPER_EPOCH_KEYS} == {
+            **derived, "perturb_radius": 0.01
+        }
+
+
+class TestParseRefusals:
+    @pytest.mark.parametrize("sweep, message", [
+        ("axis = eps\ngrid = -0.1, 0.05, 0", "[sweep] constraint violated: eps > 0"),
+        ("axis = eps\ngrid = 0.1, 0.05, nan", "[sweep] constraint violated: eps > 0"),
+        ("axis = n\ngrid = 16.2, 16.7, 0.5", "[sweep] constraint violated: n is an integer >= 1"),
+        ("axis = n\ngrid = 16, 32, 0", "[sweep] constraint violated: n is an integer >= 1"),
+        ("axis = n\ngrid = 16, inf", "[sweep] constraint violated: n is an integer >= 1"),
+    ])
+    def test_grid_value_outside_its_axis_exits_2(self, tmp_path, capsys, sweep, message):
+        path = write_config(tmp_path, MINIMAL + f"\n[sweep]\n{sweep}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert harness.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_accepted_n_grid_keeps_its_parsed_values(self, tmp_path):
+        plan = parse_config(write_config(tmp_path, MINIMAL + "\n[sweep]\naxis = n\ngrid = 16, 32.0\n"))
+        assert plan.sweep == ("n", [16.0, 32.0])
+
+    @pytest.mark.parametrize("key", ["eps", "delta", "step_size"])
+    def test_nan_where_a_positive_key_is_expected_exits_2(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, MINIMAL.replace("eps = 0.05\n", f"{key} = nan\n"))
+        message = f"[optimizer] constraint violated: {key} > 0"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert harness.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["", "order = first\n"])
+    def test_logfactor_in_first_order_exits_2(self, tmp_path, capsys, order):
+        path = write_config(tmp_path, MINIMAL.replace("eps = 0.05\n", f"eps = 0.05\n{order}logfactor = 8\n"))
+        message = "[optimizer] logfactor is read only with order = second"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert harness.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
 class Captured(Exception):
     """Carries what a patched optimizer entry was given out of ``run_cell``."""
 
@@ -1060,6 +1172,8 @@ class TestOptimizerKeys:
     @pytest.mark.parametrize("kind", harness.OPTIMIZERS)
     def test_every_key_the_kind_reads_parses_and_only_given_keys_are_kept(self, tmp_path, kind):
         for key in harness.OPTIMIZERS[kind]:
-            text = f"[problem]\nkind = quadratic\n\n[optimizer]\nkind = {kind}\n{key} = {optimizer_value(key)}\n"
+            # logfactor is read only in second order, so it comes with its order key
+            extra = "order = second\n" if key == "logfactor" else ""
+            text = f"[problem]\nkind = quadratic\n\n[optimizer]\nkind = {kind}\n{extra}{key} = {optimizer_value(key)}\n"
             ((_, params),) = parse_config(write_config(tmp_path, text)).optimizers
-            assert set(params) == {"kind", key}
+            assert set(params) == {"kind", key} | ({"order"} if extra else set())

@@ -142,6 +142,31 @@ class TestCertify:
         assert cert.is_fosp and cert.is_sosp
 
 
+    @pytest.mark.parametrize("sigma, eps", [(0.05, 0.01), (0.5, 0.1), (2.0, 0.3), (0.0, 0.05)])
+    def test_online_batch_is_derive_config_large_batch(self, monkeypatch, sigma, eps):
+        inst = make_online_stream(make_separable_saddle(d=6, n=16, delta_plant=0.3, seed=0), sigma, seed=1)
+        sizes = []
+        real = spectral.estimators.large_batch_gradient
+
+        def spy(problem, x, batch_size, rng, **kwargs):
+            sizes.append(batch_size)
+            return real(problem, x, batch_size, rng, **kwargs)
+
+        monkeypatch.setattr(spectral.estimators, "large_batch_gradient", spy)
+        spectral.certify(inst.spec, np.zeros(6), eps, 0.1)
+        assert sizes == [ssrgd.derive_config(inst.spec, eps).large_batch]
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_online_needs_positive_eps(self, eps):
+        inst = make_online_stream(make_separable_saddle(d=6, n=16, delta_plant=0.3, seed=0), 0.05, seed=1)
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            spectral.certify(inst.spec, np.zeros(6), eps, 0.1)
+
+    def test_finite_sum_accepts_eps_zero(self):
+        inst = make_quadratic(d=5, n=4, seed=1, spread=0.1)
+        assert spectral.certify(inst.spec, np.zeros(5), 0.0, 0.1).is_sosp
+
+
 class TestAgreementSweep:
     def test_dense_power_within_slack_d_up_to_100(self):
         # full version appears in the acceptance suite (criterion 11)
