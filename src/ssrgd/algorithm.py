@@ -50,7 +50,6 @@ from .core import (
     TraceRecord,
     Vector,
 )
-from .estimators import EstimatorState
 
 logger = logging.getLogger("ssrgd")
 
@@ -94,12 +93,12 @@ def super_epoch_params(
     grad_threshold = eps; fval_threshold = logfactor * delta^3/rho^2;
     super_epoch_len = ceil(logfactor/(step_size * delta)); perturb_radius =
     logfactor * min(delta^3/(rho^2 eps), delta^(3/2)/(rho sqrt(L)))."""
-    if eps <= 0 or delta <= 0:
+    if not (eps > 0 and delta > 0):  # NaN fails too
         raise ConfigError("second-order targets need eps > 0 and delta > 0")
     rho = problem.lipschitz_hess
     if rho <= 0:
         raise ConfigError("second-order mode needs a positive Hessian Lipschitz constant")
-    if logfactor <= 0:
+    if not logfactor > 0:
         raise ConfigError("logfactor must be positive")
     L = problem.lipschitz_grad
     return dict(
@@ -124,16 +123,16 @@ def derive_config(
     """
     online = problem.mode is Mode.ONLINE
     second = delta is not None
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ConfigError("eps must be positive")
     if not second:
         logfactor = 1.0
+    eta = min(logfactor, STEP_FACTOR_LIMIT) / problem.lipschitz_grad
+    super_epoch = super_epoch_params(problem, eps, delta, logfactor, eta) if second else {}
     anchor = problem.n
     if online:
         anchor = max(1, math.ceil(logfactor * 4.0 * problem.variance_bound**2 / eps**2))
     m = _ceil_sqrt(anchor)
-    eta = min(logfactor, STEP_FACTOR_LIMIT) / problem.lipschitz_grad
-    super_epoch = super_epoch_params(problem, eps, delta, logfactor, eta) if second else {}
     return RunConfig(
         step_size=eta, epoch_len=m, minibatch=m, eps=eps, sfo_budget=sfo_budget, seed=seed,
         large_batch=anchor if online else None, delta=delta if second else 0.0,
@@ -175,11 +174,11 @@ def run_ssrgd(
     invoked with an ``OptState`` snapshot and the step's event after every
     iterate update, including the perturbation itself.
 
-    Each inner step draws from ``rng`` in a fixed order: the step's
-    minibatch first, then (outside a super epoch) its random-stop decision.
-    The minibatches are therefore drawn one step at a time, as ``descend``
-    asks for them.  The iterate and the gradient estimate are checked
-    together, by one finite dot product; a non-finite value raises
+    Each epoch is ``estimators.descend`` from the anchor (x, g).  Each inner
+    step draws from ``rng`` in a fixed order: the step's minibatch first,
+    then (outside a super epoch) its random-stop decision, so ``descend``
+    takes lazy per-step draws.  The iterate and the gradient estimate are
+    checked together, by one finite dot product; a non-finite value raises
     ``NonFiniteError`` naming the iterate first.
     """
     cfg.validate(problem)
@@ -237,8 +236,7 @@ def run_ssrgd(
                 step_callback(OptState(x.copy(), sfo.raw, t), Event.PERTURBATION)
 
         batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in itertools.count())
-        state = EstimatorState(v=v, prev_x=x)
-        steps = estimators.descend(problem, state, x, cfg.step_size, batches, sfo)
+        steps = estimators.descend(problem, x, v, cfg.step_size, batches, sfo)
         for k in range(1, cfg.epoch_len + 1):
             if sfo.raw >= cfg.sfo_budget:
                 stop = True

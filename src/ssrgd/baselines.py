@@ -33,7 +33,6 @@ from .core import (
     UnsupportedOracleError,
     Vector,
 )
-from .estimators import EstimatorState
 
 KINDS = ("gd", "perturbed_gd", "sgd", "svrg")
 
@@ -194,12 +193,12 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
         if f_x is None:
             f_x = float(problem.value(x))
         trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
-        state = EstimatorState(v=anchor_grad, anchor=x, anchor_grad=anchor_grad)
         # the block holds only the steps the budget and the cap leave (none
         # when the anchor spent the budget); the tests above then stop the run
         k = _steps_left(kind, kind.epoch_len, budget - sfo.raw, 2 * kind.minibatch, t)
         batches = core.sample_minibatch(rng, problem.n, kind.minibatch, steps=max(k, 0))
-        for x, _, _ in estimators.descend(problem, state, x, kind.step_size, batches, sfo):
+        steps = estimators.descend(problem, x, anchor_grad, kind.step_size, batches, sfo, snapshot=True)
+        for x, _, _ in steps:
             t += 1
             f_x = None
             core.ensure_finite(x, "iterate", trace, t)

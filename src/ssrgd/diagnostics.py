@@ -239,26 +239,21 @@ def verify_epoch_decrease(
     f_start = float(problem.value(x_start))
     g0 = estimators.full_gradient(problem, x_start)
 
-    def epoch(state):
-        """The m steps of one epoch from x_start, on one (m, b) block of minibatches."""
-        batches = core.sample_minibatch(rng, problem.n, b, steps=m)
-        return estimators.descend(problem, state, x_start, eta, batches)
-
     f_end = np.empty(epochs)
     f_end_svrg = np.empty(epochs)
     grad_sq_sums = np.empty(epochs)
     for rep in range(epochs):
-        # recursive estimator epoch
-        x = x_start
+        # recursive estimator epoch: m steps on one (m, b) block of minibatches
         gsum = float(np.sum(g0**2))
-        for k, (x, _, _) in enumerate(epoch(EstimatorState(v=g0, prev_x=x_start))):
+        batches = core.sample_minibatch(rng, problem.n, b, steps=m)
+        for k, (x, _, _) in enumerate(estimators.descend(problem, x_start, g0, eta, batches)):
             if k < m - 1:
                 gsum += float(np.sum(estimators.full_gradient(problem, x) ** 2))
         f_end[rep] = float(problem.value(x))
         grad_sq_sums[rep] = gsum
         # snapshot estimator epoch with the same (undersized) minibatch
-        x = x_start
-        for x, _, _ in epoch(EstimatorState(v=g0, anchor=x_start, anchor_grad=g0)):
+        batches = core.sample_minibatch(rng, problem.n, b, steps=m)
+        for x, _, _ in estimators.descend(problem, x_start, g0, eta, batches, snapshot=True):
             pass
         f_end_svrg[rep] = float(problem.value(x))
 
@@ -329,24 +324,16 @@ class CoupledReport:
 def _run_recorded_updates(problem, x0, steps, epoch_len, minibatch, step_size, batch_rng):
     """Plain epoch-structured update steps (anchor + recursive estimator),
     recording every iterate; returns (positions, values, batch digest)."""
-    xs = np.empty((steps + 1, problem.d))
-    fs = np.empty(steps + 1)
-    xs[0] = x0
-    fs[0] = problem.value(x0)
+    xs = [np.array(x0, dtype=float)]
     digest = hashlib.sha256()
-    x = np.array(x0, dtype=float)
-    for t in range(1, steps + 1):
-        if (t - 1) % epoch_len == 0:
-            state = EstimatorState(v=estimators.full_gradient(problem, x), prev_x=x)
-            block = core.sample_minibatch(
-                batch_rng, problem.n, minibatch, steps=min(epoch_len, steps - t + 1)
-            )
-            digest.update(block.tobytes())
-            epoch = estimators.descend(problem, state, x, step_size, block)
-        x, _, _ = next(epoch)
-        xs[t] = x
-        fs[t] = problem.value(x)
-    return xs, fs, digest.hexdigest()
+    while len(xs) <= steps:
+        g = estimators.full_gradient(problem, xs[-1])
+        k = min(epoch_len, steps + 1 - len(xs))
+        block = core.sample_minibatch(batch_rng, problem.n, minibatch, steps=k)
+        digest.update(block.tobytes())
+        xs.extend(x for x, _, _ in estimators.descend(problem, xs[-1], g, step_size, block))
+    xs = np.stack(xs)
+    return xs, np.array([problem.value(x) for x in xs]), digest.hexdigest()
 
 
 def run_coupled_experiment(

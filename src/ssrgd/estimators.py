@@ -17,11 +17,11 @@ in fixed slot order, so results are deterministic regardless of how the
 oracle evaluates the batch internally.  Batch means are
 ``np.add.reduce(g, axis=0) / b``, which is what ``ndarray.mean`` computes.
 
-``descend`` is the one inner loop; SSRGD, SVRG and the diagnostics use it.
-It steps over minibatches its caller supplies: a ``(steps, b)`` block drawn
-by one ``core.sample_minibatch`` call where nothing else draws from the
-stream mid-epoch, or a lazy per-step draw where something does (SSRGD's
-random stop).
+``descend`` is the one epoch shape: from an anchor point and its gradient
+it runs the recursive (SSRGD) or the snapshot (SVRG) steps over minibatches
+its caller supplies, a ``(steps, b)`` block drawn by one
+``core.sample_minibatch`` call where nothing else draws from the stream
+mid-epoch, or a lazy per-step draw where something does (SSRGD's random stop).
 """
 
 from __future__ import annotations
@@ -146,19 +146,20 @@ def svrg_step(
 
 
 def descend(
-    problem: ProblemSpec, state: EstimatorState, x: Vector, step_size: float,
-    batches: Iterable[np.ndarray], sfo: SfoCounter | None = None,
+    problem: ProblemSpec, x: Vector, g: Vector, step_size: float,
+    batches: Iterable[np.ndarray], sfo: SfoCounter | None = None, *, snapshot: bool = False,
 ) -> Iterator[tuple[Vector, Vector, np.ndarray]]:
-    """The epoch kernel.  For each index array in ``batches`` it moves ``x`` by
-    ``-step_size * v`` and advances the estimator at the new point on that
-    minibatch: recursive when ``state.prev_x`` is set, snapshot otherwise.
-    Yields ``(x_k, v_k, batch_k)`` and takes the next batch only when
-    resumed, so the caller decides when to stop, and a lazy ``batches``
-    leaves the caller's own draws in their place."""
+    """The epoch kernel from ``x`` and its anchor gradient ``g``.  For each
+    index array in ``batches`` it moves ``x`` by ``-step_size * v`` and
+    advances the estimator at the new point on that minibatch: the recursive
+    one from (x, g), or with ``snapshot`` the one anchored at (x, g).  Yields
+    ``(x_k, v_k, batch_k)`` and takes the next batch only when resumed, so the
+    caller decides when to stop and a lazy ``batches`` keeps its draws in place."""
+    state = EstimatorState(v=g, prev_x=x, anchor=x, anchor_grad=g)  # each step reads its own fields
     for batch in batches:
         x = x - step_size * state.v
-        if state.prev_x is not None:
-            recursive_step(problem, state, x, batch, sfo)
-        else:
+        if snapshot:
             state.v = svrg_step(problem, state, x, batch, sfo)
+        else:
+            recursive_step(problem, state, x, batch, sfo)
         yield x, state.v, batch

@@ -555,10 +555,13 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         tasks = ([cells[i] for i in row] for row in rows.values())
         for row, results in zip(rows.values(), run(_run_row, tasks)):
+            csv_text: dict[int, str] = {}  # cells that share a run get one trace object
             for i, (summary, trace) in zip(row, results):
                 cell_dir = out_root / summary["run_id"]
                 cell_dir.mkdir(exist_ok=True)
-                (cell_dir / "trace.csv").write_text(_trace_to_csv(trace), encoding="utf-8")
+                if id(trace) not in csv_text:
+                    csv_text[id(trace)] = _trace_to_csv(trace)
+                (cell_dir / "trace.csv").write_text(csv_text[id(trace)], encoding="utf-8")
                 (cell_dir / "summary.json").write_text(
                     json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
                 )

@@ -123,18 +123,23 @@ def certify(
 ) -> Certificate:
     """Populate a second-order certificate for the point x.
 
-    Finite-sum problems measure the exact gradient; online problems use a
-    large-batch estimate over ``derive_config``'s ceil(4 sigma^2/eps^2)
-    samples, which needs eps > 0.  The eigenvalue method is dense below
+    Finite-sum problems measure the exact gradient (eps >= 0; 0 asks for an
+    exact stationary point); online problems use a large-batch estimate over
+    ``derive_config``'s ceil(4 sigma^2/eps^2) samples, which needs eps > 0.
+    delta must be positive.  The eigenvalue method is dense below
     ``dense_cap`` dimensions and shifted power iteration beyond it.
     """
+    if not delta > 0:  # NaN fails too
+        raise ConfigError("delta must be positive")
     if problem.mode is Mode.ONLINE:
         if rng is None:
             rng = core.seeded_rng(0, 29)
         B = algorithm.derive_config(problem, eps).large_batch
         g = estimators.large_batch_gradient(problem, x, B, rng)
-    else:
+    elif eps >= 0:
         g = estimators.full_gradient(problem, x)
+    else:
+        raise ConfigError("eps must be >= 0")
     grad_norm = float(np.linalg.norm(g))
     is_fosp = grad_norm <= eps
     if problem.d <= dense_cap:

@@ -106,16 +106,24 @@ class TestDeriveRejections:
 
     def test_first_order_finite_sum_needs_positive_eps(self):
         inst = ssrgd.make_quadratic(d=2, n=16, seed=0)
-        for eps in (0.0, -0.1):
+        for eps in (0.0, -0.1, math.nan):
             with pytest.raises(ConfigError, match="eps must be positive"):
                 ssrgd.derive_config(inst.spec, eps)
 
     def test_online_second_order_needs_positive_logfactor(self):
         base = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
         inst = ssrgd.make_online_stream(base, 1.0)
-        for lf in (0.0, -1.0):
+        for lf in (0.0, -1.0, math.nan):  # NaN online used to die in math.ceil
             with pytest.raises(ConfigError, match="logfactor must be positive"):
                 ssrgd.derive_config(inst.spec, 0.1, 0.3, lf)
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_second_order_needs_positive_delta(self, online):
+        inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
+        spec = ssrgd.make_online_stream(inst, 1.0).spec if online else inst.spec
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError, match="need eps > 0 and delta > 0"):
+                ssrgd.derive_config(spec, 0.1, delta, 8.0)
 
 
 def _spec(online, n, L, rho, sigma):

@@ -165,12 +165,14 @@ class TestCoupledExperiment:
             assert pair.batch_digest == pair.batch_digest_twin
         assert rep.radius <= rep.travel_threshold
 
-    def test_block_epochs_match_per_step_draws(self):
+    @pytest.mark.parametrize("epochs, extra", [(0, 1), (1, -1), (1, 0), (2, 0), (2, 3)])
+    def test_block_epochs_match_per_step_draws(self, epochs, extra):
         """The recorded updates draw one block per epoch (a short last one);
-        iterates, batch digest and stream position match per-step draws."""
+        iterates, batch digest and stream position match per-step draws, for
+        windows of 1, m - 1, m, 2m and 2m + 3 steps."""
         inst, cfg = self._setup()
         prob, x0 = inst.spec, inst.saddle_points[0][0] + 0.01
-        m, b, eta, window = cfg.epoch_len, cfg.minibatch, cfg.step_size, 2 * cfg.epoch_len + 3
+        m, b, eta, window = cfg.epoch_len, cfg.minibatch, cfg.step_size, epochs * cfg.epoch_len + extra
         rng, ref_rng = core.seeded_rng(4, 20_000), core.seeded_rng(4, 20_000)
         xs, fs, digest = diagnostics._run_recorded_updates(prob, x0, window, m, b, eta, rng)
         ref_xs, h, x = [x0], hashlib.sha256(), x0

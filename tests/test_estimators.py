@@ -370,7 +370,7 @@ class TestDescend:
         sfo, ref_sfo = core.SfoCounter(), core.SfoCounter()
         rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
         block = core.sample_minibatch(rng, prob.n, 3, steps=6)
-        steps = estimators.descend(prob, state(), x0, 0.2, block, sfo)
+        steps = estimators.descend(prob, x0, g0, 0.2, block, sfo, snapshot=not recursive)
         got = [next(steps) for _ in range(6)]
         want = reference_epoch(prob, state(), x0, 0.2, ref_rng, 3, 6, ref_sfo)
         for (x, v, batch), (rx, rv, rbatch) in zip(got, want):
@@ -383,7 +383,7 @@ class TestDescend:
         prob, x0, g0 = self._setup()
         rng = core.seeded_rng(4, 0)
         batches = (core.sample_minibatch(rng, prob.n, 3) for _ in itertools.count())
-        steps = estimators.descend(prob, EstimatorState(v=g0, prev_x=x0), x0, 0.2, batches)
+        steps = estimators.descend(prob, x0, g0, 0.2, batches)
         _, _, first = next(steps)
         between = rng.random()  # e.g. run_ssrgd's random-stop draw
         _, _, second = next(steps)

@@ -613,18 +613,54 @@ sigma = 0.05
 kind = ssrgd
 """
 
+FINITE_SADDLE = ONLINE_SADDLE.replace("sigma = 0.05\n", "")
+
 
 class TestOneDerivation:
     """A setting a section leaves unset comes from ``derive_config`` (or, for
     delta, from the one second-order rule); a key the section sets wins."""
 
-    @pytest.mark.parametrize("eps", ["0", "-0.1"])
+    @pytest.mark.parametrize("eps", ["0", "-0.1", "nan"])
     def test_online_certify_without_positive_eps_exits_2(self, tmp_path, capsys, eps):
         ckpt = tmp_path / "ck.npy"
         np.save(ckpt, np.zeros(6))
         cfg = write_config(tmp_path, ONLINE_SADDLE, name="on.ini")
         assert harness.main(["certify", str(cfg), str(ckpt), "--eps", eps]) == 2
         assert capsys.readouterr().err.splitlines() == ["config error: eps must be positive"]
+
+    @pytest.mark.parametrize("online, flag, value, message", [
+        (True, "--delta", "-1", "delta must be positive"),
+        (True, "--delta", "nan", "delta must be positive"),
+        (False, "--delta", "-1", "delta must be positive"),
+        (False, "--delta", "nan", "delta must be positive"),
+        (False, "--eps", "-1", "eps must be >= 0"),
+        (False, "--eps", "nan", "eps must be >= 0"),
+    ])
+    def test_certify_out_of_range_target_exits_2(self, tmp_path, capsys, online, flag, value, message):
+        ckpt = tmp_path / "ck.npy"
+        np.save(ckpt, np.zeros(6))
+        cfg = write_config(tmp_path, ONLINE_SADDLE if online else FINITE_SADDLE, name="c.ini")
+        assert harness.main(["certify", str(cfg), str(ckpt), f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+    def test_finite_sum_certify_at_eps_zero_exits_0(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck.npy"
+        np.save(ckpt, np.zeros(6))
+        cfg = write_config(tmp_path, FINITE_SADDLE, name="c.ini")
+        assert harness.main(["certify", str(cfg), str(ckpt), "--eps", "0"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        # the origin is the planted saddle: exactly stationary, negative curvature
+        assert (cert["grad_norm"], cert["is_fosp"], cert["is_sosp"]) == (0.0, True, False)
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--eps", "eps must be positive"),
+        ("--delta", "second-order targets need eps > 0 and delta > 0"),
+        ("--logfactor", "logfactor must be positive"),
+    ])
+    def test_diagnose_coupled_nan_target_exits_2(self, tmp_path, capsys, flag, message):
+        cfg = write_config(tmp_path, FINITE_SADDLE, name="c.ini")
+        assert harness.main(["diagnose", "coupled", "--config", str(cfg), flag, "nan"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
     @pytest.mark.parametrize("given, unset", [
         ("epoch_len = 8", "minibatch"), ("epoch_len = 16", "minibatch"), ("minibatch = 4", "epoch_len"),
@@ -832,6 +868,31 @@ class TestSharedRuns:
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
             assert written[f"{cell.run_id}/trace.csv"].decode() == harness._trace_to_csv(trace)
+
+
+    def test_each_distinct_trace_is_serialized_once_per_row(self, tmp_path, monkeypatch):
+        rows, calls = [], []
+        real_row, real_csv = harness._run_row, harness._trace_to_csv
+
+        def spy_row(cells):
+            results = real_row(cells)
+            rows.append([(cell.run_id, trace) for cell, (_, trace) in zip(cells, results)])
+            return results
+
+        def spy_csv(trace):
+            calls.append(id(trace))
+            return real_csv(trace)
+
+        monkeypatch.setattr(harness, "_run_row", spy_row)
+        monkeypatch.setattr(harness, "_trace_to_csv", spy_csv)
+        plan = parse_config(write_config(tmp_path, SWEEP_ALL_KINDS))
+        run_plan(plan)
+        traces = {id(trace) for row in rows for _, trace in row}  # every trace is still alive
+        assert sorted(calls) == sorted(traces)
+        assert len(traces) < sum(len(row) for row in rows) == 108
+        written = output_bytes(plan)
+        for run_id, trace in (cell for row in rows for cell in row):
+            assert written[f"{run_id}/trace.csv"].decode() == real_csv(trace)
 
 
 class TestParallelWorkers:

@@ -156,11 +156,21 @@ class TestCertify:
         spectral.certify(inst.spec, np.zeros(6), eps, 0.1)
         assert sizes == [ssrgd.derive_config(inst.spec, eps).large_batch]
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
     def test_online_needs_positive_eps(self, eps):
         inst = make_online_stream(make_separable_saddle(d=6, n=16, delta_plant=0.3, seed=0), 0.05, seed=1)
         with pytest.raises(ConfigError, match="eps must be positive"):
             spectral.certify(inst.spec, np.zeros(6), eps, 0.1)
+
+    @pytest.mark.parametrize("eps, delta, message", [
+        (-0.1, 0.1, "eps must be >= 0"), (math.nan, 0.1, "eps must be >= 0"),
+        (0.01, 0.0, "delta must be positive"), (0.01, -1.0, "delta must be positive"),
+        (0.01, math.nan, "delta must be positive"),
+    ])
+    def test_finite_sum_refuses_out_of_range_targets(self, eps, delta, message):
+        inst = make_quadratic(d=5, n=4, seed=1, spread=0.1)
+        with pytest.raises(ConfigError, match=message):
+            spectral.certify(inst.spec, np.zeros(5), eps, delta)
 
     def test_finite_sum_accepts_eps_zero(self):
         inst = make_quadratic(d=5, n=4, seed=1, spread=0.1)

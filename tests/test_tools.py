@@ -85,10 +85,12 @@ def test_paths_digest_ignores_f_and_nothing_else():
     assert fp.without_f(report) == {"sfo_raw": 5, "cells": [{"escape_iter": 3}]}
 
 
-def test_ab_smoke_same_tree_on_both_sides():
+def test_ab_smoke_same_tree_on_both_sides(tmp_path):
     root = SCRIPT.parents[1]
+    out = tmp_path / "BENCH_smoke.json"
     done = subprocess.run(
-        [sys.executable, str(root / "tools" / "ab.py"), "--parent", str(root), "--rounds", "1", "--scale", "0.01"],
+        [sys.executable, str(root / "tools" / "ab.py"), "--parent", str(root), "--rounds", "1", "--scale", "0.01",
+         "--out", str(out)],
         capture_output=True, text=True, timeout=300, check=True,
     )
     header, *rows = done.stdout.splitlines()
@@ -97,6 +99,20 @@ def test_ab_smoke_same_tree_on_both_sides():
     for row in rows:
         *_, ratio, wins, identical = row.split()
         assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert set(record) == {"rounds", "scale", "build", "parent", "change", "workloads"}
+    assert (record["rounds"], record["scale"]) == (1, 0.01)
+    assert record["build"] == load_tool("fingerprint").build()
+    assert record["parent"] == record["change"] and set(record["parent"]) == {"git"}
+    assert list(record["workloads"]) == ["fs", "online", "plan"]
+    for w, row in zip(record["workloads"].values(), rows):
+        assert set(w) == {"workload", "unit", "parent", "change", "ratio", "wins", "identical"}
+        for side in ("parent", "change"):
+            assert set(w[side]) == {"q1", "median", "q3", "runs"} and len(w[side]["runs"]) == 1
+            assert w[side]["q1"] == w[side]["median"] == w[side]["q3"] == w[side]["runs"][0] > 0
+        assert w["ratio"] == w["change"]["median"] / w["parent"]["median"]
+        assert w["wins"] in (0, 1) and w["identical"] is True
+        assert row.split()[-2] == f"{w['wins']}/1"
 
 
 def test_ab_result_digest_ignores_f_and_nothing_else():

@@ -24,9 +24,14 @@ change that moves f only at rounding level still reads ``yes``; for
     python3 tools/ab.py --parent ../parent
     python3 tools/ab.py --parent ../parent --rounds 16
     python3 tools/ab.py --parent . --rounds 1 --scale 0.01   # smoke run
+    python3 tools/ab.py --parent ../parent --rounds 10 --out BENCH_<label>.json
 
 ``--scale`` multiplies every SFO budget and the number of coupled pairs.
-BLAS threads are pinned to 1, as in the benchmark.
+BLAS threads are pinned to 1, as in the benchmark.  ``--out`` also writes
+the table as JSON: per workload each side's per-round values and quartiles,
+the ratio, the wins and ``identical``; then the rounds, the scale, the
+numpy and BLAS build (``fingerprint.build``) and each tree's git sha
+(``dirty`` when its ``src/`` differs from its HEAD, null outside a checkout).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import logging
 import math
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -186,7 +192,10 @@ def quartiles(xs) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: Side, change: Side, rounds: int) -> list[str]:
+def compare(parent: Side, change: Side, rounds: int) -> dict:
+    """Per workload: each side's per-round values and their quartiles, the
+    change/parent ratio of the medians, the change's wins and whether every
+    round computed identical results on both sides."""
     times = {w: {"parent": [], "change": []} for w in WORKLOADS}
     same = {w: True for w in WORKLOADS}
     for w in WORKLOADS:  # untimed warm-up: imports, caches, first allocations
@@ -202,18 +211,47 @@ def compare(parent: Side, change: Side, rounds: int) -> list[str]:
                 value, digests[label] = side.run(w, r)
                 times[w][label].append(value)
             same[w] = same[w] and digests["parent"] == digests["change"]
-    lines = [f"{'workload':<9}{'unit':<9}{'parent (q1 med q3)':>28}{'change (q1 med q3)':>28}"
-             f"{'ratio':>8}{'wins':>7}  identical"]
-    for w in WORKLOADS:
+    results = {}
+    for w, workload in WORKLOADS.items():
         p, c = times[w]["parent"], times[w]["change"]
         pq, cq = quartiles(p), quartiles(c)
-        wins = sum(cv < pv for pv, cv in zip(p, c))
-        unit = "s" if w == "plan" else "us/iter"
+        results[w] = {
+            "workload": workload, "unit": "s" if w == "plan" else "us/iter",
+            "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2], "runs": p},
+            "change": {"q1": cq[0], "median": cq[1], "q3": cq[2], "runs": c},
+            "ratio": cq[1] / pq[1], "wins": sum(cv < pv for pv, cv in zip(p, c)),
+            "identical": same[w],
+        }
+    return results
+
+
+def table(results: dict, rounds: int) -> list[str]:
+    lines = [f"{'workload':<9}{'unit':<9}{'parent (q1 med q3)':>28}{'change (q1 med q3)':>28}"
+             f"{'ratio':>8}{'wins':>7}  identical"]
+    for w, r in results.items():
+        pq, cq = ("%8.4g %8.4g %8.4g" % (r[side]["q1"], r[side]["median"], r[side]["q3"])
+                  for side in ("parent", "change"))
+        wins = f"{r['wins']}/{rounds}"
         lines.append(
-            f"{w:<9}{unit:<9}{'%8.4g %8.4g %8.4g' % pq:>28}{'%8.4g %8.4g %8.4g' % cq:>28}"
-            f"{cq[1] / pq[1]:>8.3f}{f'{wins}/{rounds}':>7}  {'yes' if same[w] else 'NO'}"
+            f"{w:<9}{r['unit']:<9}{pq:>28}{cq:>28}"
+            f"{r['ratio']:>8.3f}{wins:>7}  {'yes' if r['identical'] else 'NO'}"
         )
     return lines
+
+
+def tree_version(root: Path) -> str | None:
+    """The sha of the git HEAD of the checkout at ``root``, ``dirty`` when its
+    ``src/`` differs from that commit, or None when ``root`` is no checkout."""
+    def git(*args):
+        try:
+            done = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        except OSError:  # no git on this host
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    if git("rev-parse", "--show-toplevel") != str(root.resolve()):
+        return None
+    return "dirty" if git("status", "--porcelain", "--", "src") else git("rev-parse", "HEAD")
 
 
 def main(argv=None) -> int:
@@ -221,6 +259,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, type=Path, help="checkout root of the baseline tree")
     p.add_argument("--rounds", type=int, default=8)
     p.add_argument("--scale", type=float, default=1.0, help="multiplies budgets and pair count")
+    p.add_argument("--out", type=Path, default=None, help="also write the results as JSON here")
     args = p.parse_args(argv)
     if args.rounds < 1 or args.scale <= 0:
         p.error("--rounds must be >= 1 and --scale > 0")
@@ -229,10 +268,18 @@ def main(argv=None) -> int:
         parent = Side("ab_parent", args.parent, args.scale, Path(tmp))
         change = Side("ab_change", HERE, args.scale, Path(tmp))
         try:
-            print("\n".join(compare(parent, change, args.rounds)))
+            results = compare(parent, change, args.rounds)
         finally:
             parent.close()
             change.close()
+    print("\n".join(table(results, args.rounds)))
+    if args.out is not None:
+        record = {
+            "rounds": args.rounds, "scale": args.scale, "build": fingerprint.build(),
+            "parent": {"git": tree_version(args.parent)}, "change": {"git": tree_version(HERE)},
+            "workloads": results,
+        }
+        args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
