@@ -100,6 +100,8 @@ def super_epoch_params(
         raise ConfigError("second-order mode needs a positive Hessian Lipschitz constant")
     if not logfactor > 0:
         raise ConfigError("logfactor must be positive")
+    if math.isinf(logfactor):  # would die in math.ceil below
+        raise ConfigError("logfactor must be finite")
     L = problem.lipschitz_grad
     return dict(
         perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),

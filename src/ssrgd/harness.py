@@ -42,7 +42,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import difflib
 import functools
 import hashlib
 import inspect
@@ -57,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithm, baselines, core, diagnostics, estimators, problems, spectral, svgplot
+from . import algorithm, baselines, core, estimators, problems, spectral, svgplot
 from .baselines import BaselineKind
 from .core import ConfigError, Event, RunConfig, SsrgdError, TraceRecord
 
@@ -182,6 +181,8 @@ class ExperimentPlan:
 
 
 def _suggest(key: str, valid) -> str:
+    import difflib  # only an unknown key pays for it
+
     close = difflib.get_close_matches(key, list(valid), n=1)
     return f"; closest valid key: {close[0]!r}" if close else ""
 
@@ -319,6 +320,8 @@ def _parse_optimizer(section: str, raw) -> dict:
     for key in ("step_size", "eps", "delta", "logfactor"):
         if key in params and not params[key] > 0:  # NaN fails too
             raise ConfigError(f"[{section}] constraint violated: {key} > 0")
+    if math.isinf(params.get("logfactor", 0.0)):
+        raise ConfigError(f"[{section}] constraint violated: logfactor < inf")
     if params.get("trace") not in (None, "full", "epoch"):
         raise ConfigError(f"[{section}] trace must be 'full' or 'epoch'")
     return params
@@ -427,13 +430,17 @@ def run_cell(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceReco
     and its SFO budget, plus the n of an ``axis = n`` sweep.  A stored
     outcome is read instead of run again; a run that raises is not stored.
     First-order finite-sum SSRGD, ``gd``, ``sgd`` and ``svrg`` never read
-    eps, so the cells of an eps sweep share their run.
+    eps, so the cells of an eps sweep share their run.  The table also keeps
+    the row's problem instance under ``("problem", n)``; its oracles are
+    pure functions of the point, so sharing it changes no result.
     """
     runs = {} if runs is None else runs
     settings = _with_defaults(cell.optimizer, _OPTIMIZER_KEYS)
     eps = float(cell.sweep_value if cell.sweep_axis == "eps" else settings["eps"])
     n_override = cell.sweep_value if cell.sweep_axis == "n" else None
-    inst = build_problem(cell.problem, n_override)
+    if ("problem", n_override) not in runs:
+        runs["problem", n_override] = build_problem(cell.problem, n_override)
+    inst = runs["problem", n_override]
     x0 = initial_point(cell.problem, inst)
     okind = settings["kind"]
     full_trace = settings["trace"] == "full"
@@ -808,6 +815,8 @@ def _first_instance(path):
 
 
 def _cmd_diagnose(args) -> int:
+    from . import diagnostics  # only this command reads it
+
     inst = _first_instance(args.config)
     spec = inst.spec
     if args.subcommand == "variance":

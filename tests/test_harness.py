@@ -3,17 +3,19 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import harness
+from ssrgd import harness, svgplot
 from ssrgd.core import ConfigError, Event, Mode
 from ssrgd.harness import (
     ExperimentPlan,
@@ -380,6 +382,14 @@ plot = true
         assert float(root.attrib["data-xmin"]) == pytest.approx(1 / 0.2)
         assert float(root.attrib["data-xmax"]) == pytest.approx(1 / 0.05)
 
+    @settings(max_examples=200, deadline=None)
+    @example(text="a&b <c> \"d\" 'e' &amp; é ∇f δ³")
+    @given(text=st.text(alphabet=st.sampled_from("&<>\"'; #xé€𝛿"), max_size=24) | st.text(max_size=24))
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert svgplot.escape(text) == escape(text)
+
 
 class TestCli:
     def test_run_and_scaling(self, tmp_path, capsys):
@@ -662,6 +672,12 @@ class TestOneDerivation:
         assert harness.main(["diagnose", "coupled", "--config", str(cfg), flag, "nan"]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
+    def test_diagnose_coupled_infinite_logfactor_exits_2(self, tmp_path, capsys):
+        # used to die in math.ceil with an OverflowError traceback
+        cfg = write_config(tmp_path, FINITE_SADDLE, name="c.ini")
+        assert harness.main(["diagnose", "coupled", "--config", str(cfg), "--logfactor", "inf"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: logfactor must be finite"]
+
     @pytest.mark.parametrize("given, unset", [
         ("epoch_len = 8", "minibatch"), ("epoch_len = 16", "minibatch"), ("minibatch = 4", "epoch_len"),
     ])
@@ -743,6 +759,16 @@ class TestParseRefusals:
     def test_logfactor_in_first_order_exits_2(self, tmp_path, capsys, order):
         path = write_config(tmp_path, MINIMAL.replace("eps = 0.05\n", f"eps = 0.05\n{order}logfactor = 8\n"))
         message = "[optimizer] logfactor is read only with order = second"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert harness.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_infinite_logfactor_exits_2(self, tmp_path, capsys):
+        # used to fail its cell with an OverflowError, and the plan with exit 1
+        path = write_config(tmp_path, SADDLE_PLAN.replace("logfactor = 8.0\n", "logfactor = inf\n"))
+        message = "[optimizer] constraint violated: logfactor < inf"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(path)
         assert harness.main(["run", str(path)]) == 2
@@ -894,6 +920,24 @@ class TestSharedRuns:
         for run_id, trace in (cell for row in rows for cell in row):
             assert written[f"{run_id}/trace.csv"].decode() == real_csv(trace)
 
+    def test_each_row_builds_its_problem_once_per_n(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(params, n_override=None, _build=harness.build_problem):
+            built.append(n_override)
+            return _build(params, n_override)
+
+        monkeypatch.setattr(harness, "build_problem", counted)
+        plan = parse_config(write_config(tmp_path, SWEEP_ALL_KINDS))
+        run_plan(plan)
+        # 3 problems x 6 optimizers x 2 seeds = 36 rows of 3 eps values each
+        assert len(plan.cells()) == 108 and built == [None] * 36
+        built.clear()
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1") + "\n[sweep]\naxis = n\ngrid = 16, 32\n"
+        agg = run_plan(parse_config(write_config(tmp_path, text)))
+        assert built == [16.0, 32.0, 16.0, 32.0]
+        assert [c["n"] for c in agg["cells"]] == [16, 16, 32, 32]  # plan order: n, then seed
+
 
 class TestParallelWorkers:
     def test_worker_pool_matches_serial(self, tmp_path):
@@ -955,7 +999,7 @@ class TestDiagnoseCli:
         def broken(*args, **kwargs):
             raise RuntimeError("not a package error")
 
-        monkeypatch.setattr(harness.diagnostics, "run_coupled_experiment", broken)
+        monkeypatch.setattr("ssrgd.diagnostics.run_coupled_experiment", broken)
         cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
         with pytest.raises(RuntimeError, match="not a package error"):
             harness.main(["diagnose", "coupled", "--config", str(cfg)])
@@ -979,7 +1023,7 @@ class TestDiagnoseCli:
             seen.append((inst.spec, cfg))
             return []
 
-        monkeypatch.setattr(harness.diagnostics, "collect_super_epoch_paths", collect)
+        monkeypatch.setattr("ssrgd.diagnostics.collect_super_epoch_paths", collect)
         text = SADDLE_PLAN.replace("d = 6\nn = 16\n", "d = 10\nn = 64\n")
         cfg = write_config(tmp_path, text, name="saddle.ini")
         # the stub collects no path, which the verdict refuses
@@ -1238,3 +1282,21 @@ class TestOptimizerKeys:
             text = f"[problem]\nkind = quadratic\n\n[optimizer]\nkind = {kind}\n{extra}{key} = {optimizer_value(key)}\n"
             ((_, params),) = parse_config(write_config(tmp_path, text)).optimizers
             assert set(params) == {"kind", key} | ({"order"} if extra else set())
+
+
+class TestColdImport:
+    def test_harness_import_loads_no_unused_module(self):
+        # urllib, http.client, ssl and email came in with xml.sax.saxutils;
+        # diagnostics loads for ``ssrgd diagnose`` and difflib for an unknown key
+        unused = ["xml.sax", "urllib.request", "http.client", "ssl", "email", "difflib", "ssrgd.diagnostics"]
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import ssrgd.harness\n"
+            f"print(json.dumps([m for m in {unused!r} if m in sys.modules and m not in before]))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert json.loads(done.stdout) == []

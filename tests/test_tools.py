@@ -95,7 +95,9 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
     )
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["workload", "unit"]
-    assert [row.split()[:2] for row in rows] == [["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"]]
+    assert [row.split()[:2] for row in rows] == [
+        ["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"], ["setup", "s"]
+    ]
     for row in rows:
         *_, ratio, wins, identical = row.split()
         assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
@@ -104,7 +106,8 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
     assert (record["rounds"], record["scale"]) == (1, 0.01)
     assert record["build"] == load_tool("fingerprint").build()
     assert record["parent"] == record["change"] and set(record["parent"]) == {"git"}
-    assert list(record["workloads"]) == ["fs", "online", "plan"]
+    assert list(record["workloads"]) == ["fs", "online", "plan", "setup"]
+    assert record["workloads"]["setup"]["workload"] == "fs_logistic"
     for w, row in zip(record["workloads"].values(), rows):
         assert set(w) == {"workload", "unit", "parent", "change", "ratio", "wins", "identical"}
         for side in ("parent", "change"):

@@ -10,23 +10,28 @@ goes first alternates:
 * ``fs``: ``fs_logistic``, eight first-order finite-sum ``run_ssrgd`` runs;
 * ``online``: ``online_stream``, eight first-order online runs;
 * ``plan``: ``cli_session``, ``ssrgd run`` on a 120-cell plan, then
-  ``ssrgd diagnose coupled``.
+  ``ssrgd diagnose coupled``;
+* ``setup``: one fresh interpreter per side that puts that tree's ``src/``
+  first, imports ``perfbench/workloads.py`` and builds ``fs_logistic``'s
+  inputs, as ``perfbench/run.py --setup-only`` does.
 
 Separate benchmark processes on a shared host drift by up to 40% between
 runs; alternating in one process cancels most of that.  For each workload
-it prints the quartiles of µs per iteration (seconds for ``plan``) on each
-side, the change/parent ratio of the medians, how many rounds the change
-was faster, and whether both sides computed identical results
-(``result_digest``: the same results with every f value left out, so a
-change that moves f only at rounding level still reads ``yes``; for
-``plan`` that covers every file the plan wrote).
+it prints the quartiles of µs per iteration (seconds for ``plan`` and
+``setup``) on each side, the change/parent ratio of the medians, how many
+rounds the change was faster, and whether both sides computed identical
+results (``result_digest``: the same results with every f value left out,
+so a change that moves f only at rounding level still reads ``yes``; for
+``plan`` that covers every file the plan wrote; for ``setup`` the built
+run configs, start point and gradient there).
 
     python3 tools/ab.py --parent ../parent
     python3 tools/ab.py --parent ../parent --rounds 16
     python3 tools/ab.py --parent . --rounds 1 --scale 0.01   # smoke run
     python3 tools/ab.py --parent ../parent --rounds 10 --out BENCH_<label>.json
 
-``--scale`` multiplies every SFO budget and the number of coupled pairs.
+``--scale`` multiplies every SFO budget and the number of coupled pairs;
+``setup`` builds the same inputs at any scale.
 BLAS threads are pinned to 1, as in the benchmark.  ``--out`` also writes
 the table as JSON: per workload each side's per-round values and quartiles,
 the ratio, the wins and ``identical``; then the rounds, the scale, the
@@ -58,6 +63,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 HERE = Path(__file__).resolve().parents[1]
 SEED = 0
 WORKLOADS = {"fs": "fs_logistic", "online": "online_stream", "plan": "cli_session"}
+ROWS = {**WORKLOADS, "setup": "fs_logistic"}
+# run in a fresh interpreter: argv is the tree's src/, this checkout and a work directory
+SETUP = """\
+import dataclasses, hashlib, sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+from perfbench import workloads
+wl = workloads.build("fs_logistic", 0, Path(sys.argv[3]))
+h = hashlib.sha256(repr([dataclasses.astuple(cfg) for cfg in wl.cfgs]).encode())
+h.update(wl.x0.tobytes() + wl.instance.spec.full_grad(wl.x0).tobytes())
+wl.close()
+print(h.hexdigest())
+"""
 
 
 def import_file(name: str, path: Path, package_dir: Path | None = None):
@@ -134,9 +152,10 @@ def scaled(value: int, scale: float) -> int:
 
 class Side:
     """One tree's benchmark workloads; ``run(workload, index)`` runs one
-    unit and returns (measure, result digest)."""
+    unit, or one ``setup`` process, and returns (measure, result digest)."""
 
     def __init__(self, name: str, root: Path, scale: float, workdir: Path):
+        self.root, self.workdir = root.resolve(), workdir
         bench = load_workloads(root, name)
         self.results = []  # what each timed call of the current unit returned
         self.files = []  # files_digest of each plan the current unit ran
@@ -171,7 +190,19 @@ class Side:
         self.results.append(result)
         return seconds, math.nan, result
 
+    def setup(self) -> tuple[float, str]:
+        """Wall seconds of one set-up process, and the digest it printed."""
+        argv = [sys.executable, "-c", SETUP, str(self.root / "src"), str(HERE), str(self.workdir)]
+        start = time.perf_counter()
+        done = subprocess.run(argv, cwd=self.workdir, capture_output=True, text=True, timeout=120)
+        seconds = time.perf_counter() - start
+        if done.returncode != 0:
+            raise SystemExit(f"ab: set-up in {self.root} exited {done.returncode}: {done.stderr[-2000:]}")
+        return seconds, done.stdout.strip()
+
     def run(self, workload: str, index: int) -> tuple[float, str]:
+        if workload == "setup":
+            return self.setup()
         self.results, self.files = [], []
         ops = self.workloads[workload].unit(index, self.timed)
         digest = result_digest(workload, ops, self.results, self.files)
@@ -196,8 +227,8 @@ def compare(parent: Side, change: Side, rounds: int) -> dict:
     """Per workload: each side's per-round values and their quartiles, the
     change/parent ratio of the medians, the change's wins and whether every
     round computed identical results on both sides."""
-    times = {w: {"parent": [], "change": []} for w in WORKLOADS}
-    same = {w: True for w in WORKLOADS}
+    times = {w: {"parent": [], "change": []} for w in ROWS}
+    same = {w: True for w in ROWS}
     for w in WORKLOADS:  # untimed warm-up: imports, caches, first allocations
         parent.workloads[w].warmup()
         change.workloads[w].warmup()
@@ -205,18 +236,18 @@ def compare(parent: Side, change: Side, rounds: int) -> dict:
         order = [("parent", parent), ("change", change)]
         if r % 2:
             order.reverse()
-        for w in WORKLOADS:
+        for w in ROWS:
             digests = {}
             for label, side in order:
                 value, digests[label] = side.run(w, r)
                 times[w][label].append(value)
             same[w] = same[w] and digests["parent"] == digests["change"]
     results = {}
-    for w, workload in WORKLOADS.items():
+    for w, workload in ROWS.items():
         p, c = times[w]["parent"], times[w]["change"]
         pq, cq = quartiles(p), quartiles(c)
         results[w] = {
-            "workload": workload, "unit": "s" if w == "plan" else "us/iter",
+            "workload": workload, "unit": "s" if w in ("plan", "setup") else "us/iter",
             "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2], "runs": p},
             "change": {"q1": cq[0], "median": cq[1], "q3": cq[2], "runs": c},
             "ratio": cq[1] / pq[1], "wins": sum(cv < pv for pv, cv in zip(p, c)),
