@@ -26,7 +26,6 @@ from .core import (
     seeded_rng,
 )
 from .estimators import (
-    EstimatorState,
     full_gradient,
     large_batch_gradient,
     recursive_step,
@@ -48,7 +47,6 @@ __all__ = [
     "BaselineKind",
     "Certificate",
     "ConfigError",
-    "EstimatorState",
     "Event",
     "Mode",
     "NonFiniteError",

@@ -235,7 +235,7 @@ def run_ssrgd(
             f_x = float(problem.value(x))
             trace.append(TraceRecord(t, f_x, float(np.linalg.norm(v)), sfo.raw, Event.PERTURBATION))
             if step_callback is not None:
-                step_callback(OptState(x.copy(), sfo.raw, t), Event.PERTURBATION)
+                step_callback(OptState(x.copy(), sfo.raw, t, f_x), Event.PERTURBATION)
 
         batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in itertools.count())
         steps = estimators.descend(problem, x, v, cfg.step_size, batches, sfo)
@@ -272,7 +272,7 @@ def run_ssrgd(
             elif random_stop_decision(rng, k, cfg.epoch_len):
                 event = Event.RANDOM_STOP
             if step_callback is not None:
-                step_callback(OptState(x.copy(), sfo.raw, t), event)
+                step_callback(OptState(x.copy(), sfo.raw, t, f_x), event)
             if full_trace or event is not Event.NONE:
                 if f_x is None:
                     f_x = float(problem.value(x))

@@ -63,10 +63,6 @@ class UnsupportedOracleError(SsrgdError):
     """An oracle required by the operation is unavailable in this mode."""
 
 
-class InvalidStateError(SsrgdError):
-    """Estimator or optimizer state does not satisfy the preconditions."""
-
-
 class InvalidInputError(SsrgdError):
     """Caller-supplied data is outside the operation's domain."""
 
@@ -208,7 +204,7 @@ class RunConfig:
             raise ConfigError("sfo_budget must be nonnegative")
         if self.eps < 0:
             raise ConfigError("eps must be nonnegative")
-        if self.perturb_radius < 0:
+        if not self.perturb_radius >= 0:  # NaN fails too
             raise ConfigError("perturb_radius must be nonnegative")
         order, step_factor = "first-order", STEP_FACTOR_LIMIT
         if self.second_order:
@@ -246,9 +242,9 @@ class SuperEpoch:
     t_init: int = -1
 
     def check(self, who: str) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails too
             raise ConfigError(f"{who} needs perturb_radius > 0")
-        if self.grad_threshold <= 0:
+        if not self.grad_threshold > 0:
             raise ConfigError(f"{who} needs grad_threshold > 0")
         if not (0 < self.fval_threshold < math.inf):
             raise ConfigError(f"{who} needs a finite fval_threshold > 0")
@@ -281,11 +277,13 @@ class SuperEpoch:
 @dataclass
 class OptState:
     """What a step callback receives: a copy of the iterate, its iteration
-    index and the raw SFO count so far."""
+    index, the raw SFO count so far and f there if the run evaluated it
+    (always inside a super epoch), else None."""
 
     x: Vector
     sfo_count: int
     iteration: int
+    f: float | None = None
 
 
 @dataclass(slots=True)

@@ -44,7 +44,6 @@ from .core import (
     RunConfig,
     Vector,
 )
-from .estimators import EstimatorState
 from .problems import ProblemInstance
 
 EXHAUSTIVE_LIMIT = 300_000
@@ -101,18 +100,13 @@ def _exact_grads(problem: ProblemSpec, xs: np.ndarray) -> np.ndarray:
 
 def _estimator_errors(problem, xs, grads, b, batches, estimator):
     """Squared estimator errors at steps 1..T for one batch sequence."""
-    T = len(xs) - 1
-    errs = np.empty(T)
-    if estimator == "recursive":
-        state = EstimatorState(v=grads[0].copy(), prev_x=xs[0])
-        for j in range(1, T + 1):
-            estimators.recursive_step(problem, state, xs[j], batches[j - 1])
-            errs[j - 1] = float(np.sum((state.v - grads[j]) ** 2))
-    else:
-        state = EstimatorState(v=grads[0], anchor=xs[0], anchor_grad=grads[0])
-        for j in range(1, T + 1):
-            v = estimators.svrg_step(problem, state, xs[j], batches[j - 1])
-            errs[j - 1] = float(np.sum((v - grads[j]) ** 2))
+    errs, v = np.empty(len(xs) - 1), grads[0]
+    for j in range(1, len(xs)):
+        if estimator == "recursive":
+            v = estimators.recursive_step(problem, v, xs[j - 1], xs[j], batches[j - 1])
+        else:
+            v = estimators.svrg_step(problem, xs[0], grads[0], xs[j], batches[j - 1])
+        errs[j - 1] = float(np.sum((v - grads[j]) ** 2))
     return errs
 
 
@@ -494,7 +488,8 @@ def collect_super_epoch_paths(
     max_paths: int | None = None,
 ) -> list[SuperEpochPath]:
     """Run the optimizer over the given seeds and record the iterates of
-    every super epoch (positions are not otherwise kept by the run loop)."""
+    every super epoch (positions are not otherwise kept by the run loop),
+    with the f values the run computed there."""
     problem = instance.spec
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("super-epoch path collection needs finite-sum mode")
@@ -509,14 +504,12 @@ def collect_super_epoch_paths(
         def on_step(state, event):
             nonlocal segment, fvals, start_iter
             if event is Event.PERTURBATION:
-                segment = [state.x]
-                fvals = [float(problem.value(state.x))]
-                start_iter = state.iteration
+                segment, fvals, start_iter = [state.x], [state.f], state.iteration
                 return
             if segment is None:
                 return
             segment.append(state.x)
-            fvals.append(float(problem.value(state.x)))
+            fvals.append(state.f)
             if event in (Event.SUPER_EPOCH_END_FDECREASE, Event.SUPER_EPOCH_END_TIMEOUT):
                 paths.append(
                     SuperEpochPath(start_iter, np.stack(segment), np.array(fvals), True)

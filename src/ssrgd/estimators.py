@@ -1,6 +1,6 @@
 """Gradient estimators.
 
-Four estimators share the ``EstimatorState`` container:
+Four estimators, each a function of the values it reads:
 
 * exact full gradient (finite-sum anchor),
 * large-batch average (online anchor),
@@ -27,35 +27,18 @@ mid-epoch, or a lazy per-step draw where something does (SSRGD's random stop).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
 from .core import (
     ConfigError,
-    InvalidStateError,
     Mode,
     ProblemSpec,
     SfoCounter,
     UnsupportedOracleError,
     Vector,
 )
-
-
-@dataclass
-class EstimatorState:
-    """Carries the current estimate ``v`` plus what it was formed at.
-
-    The recursive chain keeps ``prev_x`` (the point ``v`` estimates the
-    gradient of); the snapshot estimator keeps the ``anchor`` point and its
-    exact gradient.  No per-component gradient table is stored.
-    """
-
-    v: Vector
-    prev_x: Vector | None = None
-    anchor: Vector | None = None
-    anchor_grad: Vector | None = None
 
 
 def component_gradients(problem: ProblemSpec, indices, x: Vector) -> np.ndarray:
@@ -115,34 +98,21 @@ def large_batch_gradient(
 
 
 def recursive_step(
-    problem: ProblemSpec,
-    state: EstimatorState,
-    x_new: Vector,
-    batch,
+    problem: ProblemSpec, v: Vector, x_old: Vector, x_new: Vector, batch,
     sfo: SfoCounter | None = None,
-) -> EstimatorState:
-    """Advance the recursive estimator to ``x_new`` using one minibatch.
-
-    Requires ``state.v`` to have been formed at ``state.prev_x``.
-    """
-    if state.prev_x is None:
-        raise InvalidStateError("recursive estimator state is missing prev_x")
-    state.v = state.v + _mean_grad_diff(problem, batch, x_new, state.prev_x, sfo)
-    state.prev_x = np.array(x_new, dtype=float)
-    return state
+) -> Vector:
+    """The recursive estimate at ``x_new`` from ``v``, the estimate at
+    ``x_old``, on one minibatch."""
+    return v + _mean_grad_diff(problem, batch, x_new, x_old, sfo)
 
 
 def svrg_step(
-    problem: ProblemSpec,
-    state: EstimatorState,
-    x: Vector,
-    batch,
+    problem: ProblemSpec, anchor: Vector, anchor_grad: Vector, x: Vector, batch,
     sfo: SfoCounter | None = None,
 ) -> Vector:
-    """Snapshot estimate of the gradient at ``x``; the snapshot is not advanced."""
-    if state.anchor is None or state.anchor_grad is None:
-        raise InvalidStateError("snapshot estimator state is missing the anchor pair")
-    return _mean_grad_diff(problem, batch, x, state.anchor, sfo) + state.anchor_grad
+    """Snapshot estimate of the gradient at ``x`` from ``anchor`` and its
+    exact gradient ``anchor_grad``."""
+    return _mean_grad_diff(problem, batch, x, anchor, sfo) + anchor_grad
 
 
 def descend(
@@ -155,11 +125,11 @@ def descend(
     one from (x, g), or with ``snapshot`` the one anchored at (x, g).  Yields
     ``(x_k, v_k, batch_k)`` and takes the next batch only when resumed, so the
     caller decides when to stop and a lazy ``batches`` keeps its draws in place."""
-    state = EstimatorState(v=g, prev_x=x, anchor=x, anchor_grad=g)  # each step reads its own fields
+    anchor, v = x, g
     for batch in batches:
-        x = x - step_size * state.v
+        x_old, x = x, x - step_size * v
         if snapshot:
-            state.v = svrg_step(problem, state, x, batch, sfo)
+            v = svrg_step(problem, anchor, g, x, batch, sfo)
         else:
-            recursive_step(problem, state, x, batch, sfo)
-        yield x, state.v, batch
+            v = recursive_step(problem, v, x_old, x, batch, sfo)
+        yield x, v, batch

@@ -317,7 +317,8 @@ def _parse_optimizer(section: str, raw) -> dict:
         raise ConfigError(f"[{section}] order must be 'first' or 'second'")
     if "logfactor" in params and params.get("order") != "second":
         raise ConfigError(f"[{section}] logfactor is read only with order = second")
-    for key in ("step_size", "eps", "delta", "logfactor"):
+    for key in ("step_size", "eps", "delta", "logfactor",
+                "perturb_radius", "grad_threshold", "fval_threshold"):
         if key in params and not params[key] > 0:  # NaN fails too
             raise ConfigError(f"[{section}] constraint violated: {key} > 0")
     if math.isinf(params.get("logfactor", 0.0)):

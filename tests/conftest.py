@@ -86,17 +86,18 @@ def online_rows(base, sigma, seed, idx, x):
     return base.spec.full_grad(x)[None, :] + problems._hashed_ball_noise(idx, base.spec.d, sigma, seed)
 
 
-def reference_epoch(problem, state, x, step_size, rng, b, steps, sfo):
-    """The inner loop as each optimizer and diagnostic wrote it out: move,
-    draw, then advance the estimator."""
+def reference_epoch(problem, x, g, step_size, rng, b, steps, sfo, *, snapshot=False):
+    """The inner loop as each optimizer and diagnostic wrote it out from the
+    anchor (x, g): move, draw, then advance the recursive estimator, or with
+    ``snapshot`` the one anchored at (x, g)."""
     out = []
-    v = state.v
+    anchor, v = x, g
     for _ in range(steps):
-        x = x - step_size * v
+        x_old, x = x, x - step_size * v
         batch = core.sample_minibatch(rng, problem.n, b)
-        if state.prev_x is not None:
-            v = estimators.recursive_step(problem, state, x, batch, sfo=sfo).v
+        if snapshot:
+            v = estimators.svrg_step(problem, anchor, g, x, batch, sfo=sfo)
         else:
-            v = estimators.svrg_step(problem, state, x, batch, sfo=sfo)
+            v = estimators.recursive_step(problem, v, x_old, x, batch, sfo=sfo)
         out.append((x, v, batch))
     return out

@@ -17,7 +17,6 @@ import pytest
 import ssrgd
 from ssrgd import core, diagnostics, estimators, spectral
 from ssrgd.core import Event
-from ssrgd.estimators import EstimatorState
 from ssrgd.harness import (
     _trace_to_csv,
     parse_config,
@@ -56,12 +55,9 @@ def test_criterion_01_estimator_exactness():
         # one-step unbiasedness, both estimators
         vs = []
         svs = []
-        snap = EstimatorState(v=grads[0], anchor=xs[0], anchor_grad=grads[0])
         for batch in batches:
-            st = EstimatorState(v=grads[0].copy(), prev_x=xs[0])
-            estimators.recursive_step(prob, st, xs[1], batch)
-            vs.append(st.v)
-            svs.append(estimators.svrg_step(prob, snap, xs[1], batch))
+            vs.append(estimators.recursive_step(prob, grads[0], xs[0], xs[1], batch))
+            svs.append(estimators.svrg_step(prob, xs[0], grads[0], xs[1], batch))
         worst_bias = max(
             worst_bias,
             float(np.linalg.norm(np.mean(vs, axis=0) - grads[1])),
@@ -73,12 +69,12 @@ def test_criterion_01_estimator_exactness():
             errs = np.zeros(3)
             errs_svrg = np.zeros(3)
             for seq in itertools.product(batches, repeat=3):
-                st = EstimatorState(v=grads[0].copy(), prev_x=xs[0])
+                v = grads[0]
                 for jj, batch in enumerate(seq, start=1):
-                    estimators.recursive_step(prob, st, xs[jj], batch)
-                    errs[jj - 1] += np.sum((st.v - grads[jj]) ** 2)
+                    v = estimators.recursive_step(prob, v, xs[jj - 1], xs[jj], batch)
+                    errs[jj - 1] += np.sum((v - grads[jj]) ** 2)
                 for jj, batch in enumerate(seq, start=1):
-                    v = estimators.svrg_step(prob, snap, xs[jj], batch)
+                    v = estimators.svrg_step(prob, xs[0], grads[0], xs[jj], batch)
                     errs_svrg[jj - 1] += np.sum((v - grads[jj]) ** 2)
             errs /= len(batches) ** 3
             errs_svrg /= len(batches) ** 3

@@ -174,8 +174,8 @@ class TestSvrg:
         x, sfo = x0, core.SfoCounter()
         for steps in epochs:
             g = estimators.full_gradient(prob, x, sfo)
-            state = estimators.EstimatorState(v=g, anchor=x, anchor_grad=g)
-            x = ([(x, g, None)] + reference_epoch(prob, state, x, 0.2, ref_rng, 3, steps, sfo))[-1][0]
+            epoch = reference_epoch(prob, x, g, 0.2, ref_rng, 3, steps, sfo, snapshot=True)
+            x = ([(x, g, None)] + epoch)[-1][0]
         assert np.array_equal(out.final_x, x)
         assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
         assert rng.random() == ref_rng.random()

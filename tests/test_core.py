@@ -173,6 +173,19 @@ class TestSuperEpoch:
         with pytest.raises(ConfigError, match=f"^who needs .*{key}"):
             SuperEpoch(*settings).check("who")
 
+    @pytest.mark.parametrize("key", ["perturb_radius", "grad_threshold"])
+    def test_nan_setting_is_refused(self, key):
+        # NaN passes `<= 0` and `< 0`, and would leave the super epoch off
+        settings = {"perturb_radius": 0.5, "grad_threshold": 0.1, key: math.nan}
+        cfg = RunConfig(
+            step_size=0.1, epoch_len=2, minibatch=2, eps=0.1, sfo_budget=10,
+            fval_threshold=0.1, super_epoch_len=10, delta=0.1, **settings,
+        )
+        with pytest.raises(ConfigError, match=key):
+            cfg.validate(scalar_quadratic([1.0, 2.0]))
+        with pytest.raises(ConfigError, match=f"^who needs {key} > 0$"):
+            cfg.super_epoch().check("who")
+
 
 class TestInitialPointShape:
     """Every optimizer entry point refuses a start of the wrong dimension."""

@@ -9,9 +9,8 @@ import ssrgd
 from ssrgd import core, diagnostics, estimators
 from ssrgd.core import ConfigError, InsufficientDataError, InvalidInputError
 from ssrgd.diagnostics import SuperEpochPath
-from ssrgd.estimators import EstimatorState
 
-from conftest import quadratic_problem_from_components, random_quadratic_family, reference_epoch
+from conftest import counting, quadratic_problem_from_components, random_quadratic_family, reference_epoch
 
 
 def short_trajectory(prob, steps, seed=0, scale=0.3):
@@ -118,18 +117,18 @@ class TestEpochDecrease:
         g0 = estimators.full_gradient(prob, x0)
         f_end, f_end_svrg, gsums = [], [], []
 
-        def epoch_end(state):
-            steps = reference_epoch(prob, state, x0, eta, ref_rng, b, m, None)
+        def epoch_end(snapshot):
+            steps = reference_epoch(prob, x0, g0, eta, ref_rng, b, m, None, snapshot=snapshot)
             return [x for x, _, _ in steps]
 
         for _ in range(5):
-            xs = epoch_end(EstimatorState(v=g0, prev_x=x0))
+            xs = epoch_end(snapshot=False)
             gsum = float(np.sum(g0**2))
             for x in xs[:-1]:
                 gsum += float(np.sum(estimators.full_gradient(prob, x) ** 2))
             gsums.append(gsum)
             f_end.append(float(prob.value(xs[-1])))
-            xs = epoch_end(EstimatorState(v=g0, anchor=x0, anchor_grad=g0))
+            xs = epoch_end(snapshot=True)
             f_end_svrg.append(float(prob.value(xs[-1])))
         assert rep.mean_f_end == float(np.mean(f_end))
         assert rep.stderr_f_end == float(np.std(f_end, ddof=1) / math.sqrt(5))
@@ -177,9 +176,9 @@ class TestCoupledExperiment:
         xs, fs, digest = diagnostics._run_recorded_updates(prob, x0, window, m, b, eta, rng)
         ref_xs, h, x = [x0], hashlib.sha256(), x0
         while len(ref_xs) <= window:
-            state = EstimatorState(v=estimators.full_gradient(prob, x), prev_x=x)
+            g = estimators.full_gradient(prob, x)
             k = min(m, window + 1 - len(ref_xs))
-            for x, _, batch in reference_epoch(prob, state, x, eta, ref_rng, b, k, None):
+            for x, _, batch in reference_epoch(prob, x, g, eta, ref_rng, b, k, None):
                 h.update(batch.tobytes())
                 ref_xs.append(x)
         assert np.array_equal(xs, np.stack(ref_xs))
@@ -280,3 +279,18 @@ class TestLocalization:
             paths, lipschitz_grad=L, step_size=eta
         )
         assert rep.pass_fraction >= 0.9
+
+    def test_collecting_makes_no_value_call_of_its_own(self):
+        # each path's f values are the ones the run computed at its iterates
+        inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.05, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0, sfo_budget=20_000, seed=0)
+        spec = inst.spec
+        spec.value = counting(spec.value)
+        paths = diagnostics.collect_super_epoch_paths(inst, cfg, seeds=range(3), x0=np.zeros(6))
+        collected, spec.value.calls = spec.value.calls, 0
+        for seed in range(3):
+            ssrgd.run_ssrgd(spec, dataclasses.replace(cfg, seed=seed), x0=np.zeros(6), full_trace=False)
+        assert len(paths) >= 3
+        assert collected == spec.value.calls
+        for path in paths:
+            assert np.array_equal(path.fs, [spec.value(x) for x in path.xs])

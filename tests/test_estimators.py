@@ -7,10 +7,7 @@ import pytest
 
 from ssrgd import core, estimators
 from ssrgd.baselines import BaselineKind, run_baseline
-from ssrgd.core import (
-    ConfigError, InvalidStateError, NonFiniteError, ProblemSpec, UnsupportedOracleError,
-)
-from ssrgd.estimators import EstimatorState
+from ssrgd.core import ConfigError, NonFiniteError, ProblemSpec, UnsupportedOracleError
 from ssrgd.problems import make_online_stream, make_quadratic
 
 from conftest import (
@@ -129,41 +126,33 @@ class TestRecursiveStep:
         # a = (1,2,3), prev_x = 1, v = 2, x_new = 0.5, batch = components {2,3}
         # v_new = 2 + ((2+3)*0.5 - (2+3)*1)/2 = 0.75
         prob = scalar_quadratic([1.0, 2.0, 3.0])
-        state = EstimatorState(v=np.array([2.0]), prev_x=np.array([1.0]))
-        estimators.recursive_step(prob, state, np.array([0.5]), [1, 2])
-        assert state.v[0] == pytest.approx(0.75, abs=1e-15)
+        v = estimators.recursive_step(prob, np.array([2.0]), np.array([1.0]), np.array([0.5]), [1, 2])
+        assert v[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_zero_displacement(self):
         prob = scalar_quadratic([1.0, 2.0, 3.0])
-        state = EstimatorState(v=np.array([1.7]), prev_x=np.array([0.3]))
-        estimators.recursive_step(prob, state, np.array([0.3]), [0, 2])
-        assert state.v[0] == 1.7
+        v = estimators.recursive_step(prob, np.array([1.7]), np.array([0.3]), np.array([0.3]), [0, 2])
+        assert v[0] == 1.7
 
     def test_full_cover_telescopes(self):
         comps = random_quadratic_family(d=2, n=5, seed=3)
         prob = quadratic_problem_from_components(comps)
         x_old = np.array([1.0, -2.0])
         x_new = np.array([0.25, 0.5])
-        state = EstimatorState(v=estimators.full_gradient(prob, x_old), prev_x=x_old)
-        estimators.recursive_step(prob, state, x_new, list(range(5)))
-        assert np.linalg.norm(state.v - estimators.full_gradient(prob, x_new)) < 1e-12
-
-    def test_missing_prev_raises(self):
-        prob = scalar_quadratic([1.0])
-        with pytest.raises(InvalidStateError):
-            estimators.recursive_step(prob, EstimatorState(v=np.zeros(1)), np.zeros(1), [0])
+        v = estimators.recursive_step(
+            prob, estimators.full_gradient(prob, x_old), x_old, x_new, list(range(5))
+        )
+        assert np.linalg.norm(v - estimators.full_gradient(prob, x_new)) < 1e-12
 
     def test_empty_batch_raises(self):
         prob = scalar_quadratic([1.0])
-        state = EstimatorState(v=np.zeros(1), prev_x=np.zeros(1))
         with pytest.raises(ConfigError):
-            estimators.recursive_step(prob, state, np.ones(1), [])
+            estimators.recursive_step(prob, np.zeros(1), np.zeros(1), np.ones(1), [])
 
     def test_sfo_two_b_raw_b_nominal(self):
         prob = scalar_quadratic([1.0, 2.0])
-        state = EstimatorState(v=np.zeros(1), prev_x=np.zeros(1))
         sfo = core.SfoCounter()
-        estimators.recursive_step(prob, state, np.ones(1), [0, 1, 1], sfo=sfo)
+        estimators.recursive_step(prob, np.zeros(1), np.zeros(1), np.ones(1), [0, 1, 1], sfo=sfo)
         assert sfo.raw == 6 and sfo.nominal == 3
 
 
@@ -172,8 +161,7 @@ class TestSvrgStep:
         prob = scalar_quadratic([1.0, 2.0, 3.0])
         anchor = np.array([1.0])
         g = estimators.full_gradient(prob, anchor)
-        state = EstimatorState(v=g, anchor=anchor, anchor_grad=g)
-        v = estimators.svrg_step(prob, state, anchor, [0, 1])
+        v = estimators.svrg_step(prob, anchor, g, anchor, [0, 1])
         assert np.array_equal(v, g)
 
     def test_hand_arithmetic(self):
@@ -182,8 +170,7 @@ class TestSvrgStep:
         prob = scalar_quadratic([1.0, 2.0, 3.0])
         anchor = np.array([1.0])
         g = estimators.full_gradient(prob, anchor)
-        state = EstimatorState(v=g, anchor=anchor, anchor_grad=g)
-        v = estimators.svrg_step(prob, state, np.array([2.0]), [0, 0])
+        v = estimators.svrg_step(prob, anchor, g, np.array([2.0]), [0, 0])
         assert v[0] == pytest.approx(3.0, abs=1e-15)
 
     def test_full_pass_exact(self):
@@ -191,15 +178,9 @@ class TestSvrgStep:
         prob = quadratic_problem_from_components(comps)
         anchor = np.array([0.5, 1.5])
         g = estimators.full_gradient(prob, anchor)
-        state = EstimatorState(v=g, anchor=anchor, anchor_grad=g)
         x = np.array([-1.0, 2.0])
-        v = estimators.svrg_step(prob, state, x, list(range(4)))
+        v = estimators.svrg_step(prob, anchor, g, x, list(range(4)))
         assert np.linalg.norm(v - estimators.full_gradient(prob, x)) < 1e-12
-
-    def test_missing_snapshot_raises(self):
-        prob = scalar_quadratic([1.0])
-        with pytest.raises(InvalidStateError):
-            estimators.svrg_step(prob, EstimatorState(v=np.zeros(1)), np.zeros(1), [0])
 
 
 def enumerate_batches(n, b):
@@ -218,11 +199,10 @@ class TestUnbiasedness:
         x_old = rng.standard_normal(d)
         x_new = rng.standard_normal(d)
         g_old = estimators.full_gradient(prob, x_old)
-        vs = []
-        for batch in enumerate_batches(n, b):
-            state = EstimatorState(v=g_old.copy(), prev_x=x_old)
-            estimators.recursive_step(prob, state, x_new, batch)
-            vs.append(state.v)
+        vs = [
+            estimators.recursive_step(prob, g_old, x_old, x_new, batch)
+            for batch in enumerate_batches(n, b)
+        ]
         mean_v = np.mean(vs, axis=0)
         assert np.linalg.norm(mean_v - estimators.full_gradient(prob, x_new)) < 1e-12
 
@@ -234,8 +214,7 @@ class TestUnbiasedness:
         anchor = rng.standard_normal(d)
         x = rng.standard_normal(d)
         g = estimators.full_gradient(prob, anchor)
-        state = EstimatorState(v=g, anchor=anchor, anchor_grad=g)
-        vs = [estimators.svrg_step(prob, state, x, batch) for batch in enumerate_batches(n, b)]
+        vs = [estimators.svrg_step(prob, anchor, g, x, batch) for batch in enumerate_batches(n, b)]
         assert np.linalg.norm(np.mean(vs, axis=0) - estimators.full_gradient(prob, x)) < 1e-12
 
 
@@ -262,10 +241,10 @@ class TestVarianceBounds:
         errors = np.zeros(steps)
         count = 0
         for seq in itertools.product(per_step, repeat=steps):
-            state = EstimatorState(v=grads[0].copy(), prev_x=xs[0])
+            v = grads[0]
             for j, batch in enumerate(seq, start=1):
-                estimators.recursive_step(prob, state, xs[j], batch)
-                errors[j - 1] += np.sum((state.v - grads[j]) ** 2)
+                v = estimators.recursive_step(prob, v, xs[j - 1], xs[j], batch)
+                errors[j - 1] += np.sum((v - grads[j]) ** 2)
             count += 1
         errors /= count
         bound = (L**2 / b) * np.cumsum(np.sum(np.diff(xs, axis=0) ** 2, axis=1))
@@ -278,11 +257,10 @@ class TestVarianceBounds:
         xs = self._trajectory(prob, 3, seed=2)
         g0 = estimators.full_gradient(prob, xs[0])
         L = prob.lipschitz_grad
-        state = EstimatorState(v=g0, anchor=xs[0], anchor_grad=g0)
         for j in range(1, len(xs)):
             gj = estimators.full_gradient(prob, xs[j])
             errs = [
-                np.sum((estimators.svrg_step(prob, state, xs[j], batch) - gj) ** 2)
+                np.sum((estimators.svrg_step(prob, xs[0], g0, xs[j], batch) - gj) ** 2)
                 for batch in enumerate_batches(n, b)
             ]
             bound = (L**2 / b) * np.sum((xs[j] - xs[0]) ** 2)
@@ -315,10 +293,10 @@ class TestVarianceBounds:
         assert np.all(est <= bound + 3 * se)
         # chain formula agrees with the implementation on sampled sequences
         for rep in range(0, 2000, 97):
-            state = EstimatorState(v=grads[0].copy(), prev_x=xs[0])
+            v = grads[0]
             for j in range(steps):
-                estimators.recursive_step(prob, state, xs[j + 1], idx[rep, j])
-            assert np.sum((state.v - grads[steps]) ** 2) == pytest.approx(
+                v = estimators.recursive_step(prob, v, xs[j], xs[j + 1], idx[rep, j])
+            assert np.sum((v - grads[steps]) ** 2) == pytest.approx(
                 errs[rep, steps - 1], rel=1e-9, abs=1e-12
             )
 
@@ -336,7 +314,6 @@ class TestVarianceBounds:
         rng = core.seeded_rng(101, 0)
         idx = rng.integers(0, n, size=(reps, steps, b))
         anchor = xs[0]
-        snap = EstimatorState(v=grads[0], anchor=anchor, anchor_grad=grads[0])
         for j in range(steps):
             offset = xs[j + 1] - anchor
             dev_dot = (comps - A) @ offset  # (n, d)
@@ -346,7 +323,7 @@ class TestVarianceBounds:
             bound = (L**2 / b) * float(np.sum(offset**2))
             assert est <= bound + 3 * se
             for rep in range(0, reps, 25_000):
-                v = estimators.svrg_step(prob, snap, xs[j + 1], idx[rep, j])
+                v = estimators.svrg_step(prob, anchor, grads[0], xs[j + 1], idx[rep, j])
                 assert np.sum((v - grads[j + 1]) ** 2) == pytest.approx(
                     errs_j[rep], rel=1e-9, abs=1e-12
                 )
@@ -361,18 +338,12 @@ class TestDescend:
     @pytest.mark.parametrize("recursive", [True, False])
     def test_matches_reference_loop(self, recursive):
         prob, x0, g0 = self._setup()
-
-        def state():
-            if recursive:
-                return EstimatorState(v=g0, prev_x=x0)
-            return EstimatorState(v=g0, anchor=x0, anchor_grad=g0)
-
         sfo, ref_sfo = core.SfoCounter(), core.SfoCounter()
         rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
         block = core.sample_minibatch(rng, prob.n, 3, steps=6)
         steps = estimators.descend(prob, x0, g0, 0.2, block, sfo, snapshot=not recursive)
         got = [next(steps) for _ in range(6)]
-        want = reference_epoch(prob, state(), x0, 0.2, ref_rng, 3, 6, ref_sfo)
+        want = reference_epoch(prob, x0, g0, 0.2, ref_rng, 3, 6, ref_sfo, snapshot=not recursive)
         for (x, v, batch), (rx, rv, rbatch) in zip(got, want):
             assert np.array_equal(x, rx) and np.array_equal(v, rv)
             assert np.array_equal(batch, rbatch)
@@ -421,13 +392,12 @@ class TestComponentOracle:
 
         spec = dataclasses.replace(prob, component_grad_batch=recording, grad_diff_batch=None)
         x_old, x_new, idx = np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.5, -1.0]), [4, 0, 4, 2]
-        state = EstimatorState(v=np.zeros(3), prev_x=x_old)
-        estimators.recursive_step(spec, state, x_new, idx)
+        v = estimators.recursive_step(spec, np.zeros(3), x_old, x_new, idx)
         assert [a.tolist() for a in asked] == [x_old.tolist(), x_new.tolist()]
         g = estimators.component_gradients
         want = (np.add.reduce(g(prob, idx, x_new), axis=0) / 4
                 - np.add.reduce(g(prob, idx, x_old), axis=0) / 4)
-        assert np.array_equal(state.v, want)
+        assert np.array_equal(v, want)
 
 
 def test_svrg_non_finite_oracle_stops_at_the_same_iterate():

@@ -765,6 +765,26 @@ class TestParseRefusals:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("kind, key", [
+        ("ssrgd", "perturb_radius"),
+        ("ssrgd", "grad_threshold"),
+        ("ssrgd", "fval_threshold"),
+        ("perturbed_gd", "perturb_radius"),
+    ])
+    def test_nan_super_epoch_setting_exits_2(self, tmp_path, capsys, kind, key):
+        # NaN used to pass the `<= 0` checks, and the cells ran with no perturbation
+        head = "kind = ssrgd\norder = second\nlogfactor = 8.0\n" if kind == "ssrgd" else f"kind = {kind}\n"
+        text = SADDLE_PLAN.replace("kind = ssrgd\norder = second\n", head).replace(
+            "logfactor = 8.0\nsfo_budget", f"{key} = nan\nsfo_budget"
+        )
+        path = write_config(tmp_path, text)
+        message = f"[optimizer] constraint violated: {key} > 0"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert harness.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_infinite_logfactor_exits_2(self, tmp_path, capsys):
         # used to fail its cell with an OverflowError, and the plan with exit 1
         path = write_config(tmp_path, SADDLE_PLAN.replace("logfactor = 8.0\n", "logfactor = inf\n"))

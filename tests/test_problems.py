@@ -335,13 +335,11 @@ class TestOnlineGradientSlot:
         bspec, spec = self.make()
         rng = np.random.default_rng(0)
         x = 0.5 * np.ones(spec.d)
-        state = estimators.EstimatorState(
-            v=estimators.large_batch_gradient(spec, x, 64, rng), prev_x=x
-        )
+        v = estimators.large_batch_gradient(spec, x, 64, rng)
         k = 7
         for _ in range(k):
-            x = x - 0.1 * state.v
-            estimators.recursive_step(spec, state, x, core.sample_minibatch(rng, spec.n, 8))
+            x_old, x = x, x - 0.1 * v
+            v = estimators.recursive_step(spec, v, x_old, x, core.sample_minibatch(rng, spec.n, 8))
         assert bspec.full_grad.calls == k + 1
         # the next epoch's anchor sits at the last step's point
         estimators.large_batch_gradient(spec, x, 64, rng)
@@ -524,9 +522,9 @@ class TestSaddleDifferenceSlot:
         rng = np.random.default_rng(0)
         x = 0.5 * np.ones(spec.d)
         # the anchor is the spec's full_grad, outside the slot
-        state = estimators.EstimatorState(v=estimators.full_gradient(spec, x), prev_x=x)
+        v = estimators.full_gradient(spec, x)
         k = 7
         for _ in range(k):
-            x = x - 0.1 * state.v
-            estimators.recursive_step(spec, state, x, core.sample_minibatch(rng, spec.n, 8))
+            x_old, x = x, x - 0.1 * v
+            v = estimators.recursive_step(spec, v, x_old, x, core.sample_minibatch(rng, spec.n, 8))
         assert grad.calls == k + 1

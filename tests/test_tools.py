@@ -96,7 +96,7 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["workload", "unit"]
     assert [row.split()[:2] for row in rows] == [
-        ["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"], ["setup", "s"]
+        ["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"], ["certify", "us/iter"], ["setup", "s"]
     ]
     for row in rows:
         *_, ratio, wins, identical = row.split()
@@ -106,7 +106,8 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
     assert (record["rounds"], record["scale"]) == (1, 0.01)
     assert record["build"] == load_tool("fingerprint").build()
     assert record["parent"] == record["change"] and set(record["parent"]) == {"git"}
-    assert list(record["workloads"]) == ["fs", "online", "plan", "setup"]
+    assert list(record["workloads"]) == ["fs", "online", "plan", "certify", "setup"]
+    assert record["workloads"]["certify"]["workload"] == "saddle_certify"
     assert record["workloads"]["setup"]["workload"] == "fs_logistic"
     for w, row in zip(record["workloads"].values(), rows):
         assert set(w) == {"workload", "unit", "parent", "change", "ratio", "wins", "identical"}

@@ -11,9 +11,12 @@ goes first alternates:
 * ``online``: ``online_stream``, eight first-order online runs;
 * ``plan``: ``cli_session``, ``ssrgd run`` on a 120-cell plan, then
   ``ssrgd diagnose coupled``;
-* ``setup``: one fresh interpreter per side that puts that tree's ``src/``
-  first, imports ``perfbench/workloads.py`` and builds ``fs_logistic``'s
-  inputs, as ``perfbench/run.py --setup-only`` does.
+* ``certify``: ``saddle_certify``, eight second-order runs on a d=256
+  planted saddle that certify every trigger point by power iteration;
+* ``setup``: ``SETUP_PROCESSES`` fresh interpreters per side, one after
+  another, that each put that tree's ``src/`` first, import
+  ``perfbench/workloads.py`` and build ``fs_logistic``'s inputs, as
+  ``perfbench/run.py --setup-only`` does; a round's value is their median.
 
 Separate benchmark processes on a shared host drift by up to 40% between
 runs; alternating in one process cancels most of that.  For each workload
@@ -62,8 +65,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 HERE = Path(__file__).resolve().parents[1]
 SEED = 0
-WORKLOADS = {"fs": "fs_logistic", "online": "online_stream", "plan": "cli_session"}
+WORKLOADS = {"fs": "fs_logistic", "online": "online_stream", "plan": "cli_session",
+             "certify": "saddle_certify"}
 ROWS = {**WORKLOADS, "setup": "fs_logistic"}
+SETUP_PROCESSES = 3  # one process's start-up time is too noisy on a shared host
 # run in a fresh interpreter: argv is the tree's src/, this checkout and a work directory
 SETUP = """\
 import dataclasses, hashlib, sys
@@ -152,7 +157,8 @@ def scaled(value: int, scale: float) -> int:
 
 class Side:
     """One tree's benchmark workloads; ``run(workload, index)`` runs one
-    unit, or one ``setup`` process, and returns (measure, result digest)."""
+    unit, or one round of ``setup`` processes, and returns (measure, result
+    digest)."""
 
     def __init__(self, name: str, root: Path, scale: float, workdir: Path):
         self.root, self.workdir = root.resolve(), workdir
@@ -191,14 +197,18 @@ class Side:
         return seconds, math.nan, result
 
     def setup(self) -> tuple[float, str]:
-        """Wall seconds of one set-up process, and the digest it printed."""
+        """Median wall seconds of ``SETUP_PROCESSES`` set-up processes, and
+        the digests they printed."""
         argv = [sys.executable, "-c", SETUP, str(self.root / "src"), str(HERE), str(self.workdir)]
-        start = time.perf_counter()
-        done = subprocess.run(argv, cwd=self.workdir, capture_output=True, text=True, timeout=120)
-        seconds = time.perf_counter() - start
-        if done.returncode != 0:
-            raise SystemExit(f"ab: set-up in {self.root} exited {done.returncode}: {done.stderr[-2000:]}")
-        return seconds, done.stdout.strip()
+        times, digests = [], []
+        for _ in range(SETUP_PROCESSES):
+            start = time.perf_counter()
+            done = subprocess.run(argv, cwd=self.workdir, capture_output=True, text=True, timeout=120)
+            times.append(time.perf_counter() - start)
+            if done.returncode != 0:
+                raise SystemExit(f"ab: set-up in {self.root} exited {done.returncode}: {done.stderr[-2000:]}")
+            digests.append(done.stdout.strip())
+        return statistics.median(times), " ".join(digests)
 
     def run(self, workload: str, index: int) -> tuple[float, str]:
         if workload == "setup":
