@@ -42,6 +42,7 @@ from .core import (
     Mode,
     ProblemSpec,
     RunConfig,
+    UnsupportedOracleError,
     Vector,
 )
 from .problems import ProblemInstance
@@ -162,7 +163,8 @@ def verify_variance_bound(
             rng = core.seeded_rng(0, 3)
         errs = np.empty((replications, T))
         for rep in range(replications):
-            batches = [core.sample_minibatch(rng, n, b) for _ in range(T)]
+            # one (T, b) block: the T minibatches that T single draws would give
+            batches = core.sample_minibatch(rng, n, b, steps=T)
             errs[rep] = _estimator_errors(problem, xs, grads, b, batches, estimator)
         est = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(T)
@@ -315,19 +317,56 @@ class CoupledReport:
         }
 
 
-def _run_recorded_updates(problem, x0, steps, epoch_len, minibatch, step_size, batch_rng):
-    """Plain epoch-structured update steps (anchor + recursive estimator),
-    recording every iterate; returns (positions, values, batch digest)."""
-    xs = [np.array(x0, dtype=float)]
-    digest = hashlib.sha256()
-    while len(xs) <= steps:
-        g = estimators.full_gradient(problem, xs[-1])
-        k = min(epoch_len, steps + 1 - len(xs))
-        block = core.sample_minibatch(batch_rng, problem.n, minibatch, steps=k)
-        digest.update(block.tobytes())
-        xs.extend(x for x, _, _ in estimators.descend(problem, xs[-1], g, step_size, block))
-    xs = np.stack(xs)
-    return xs, np.array([problem.value(x) for x in xs]), digest.hexdigest()
+def _check_stacked_oracles(problem: ProblemSpec, x: np.ndarray, minibatch: int) -> None:
+    """Refuse a problem whose oracles do not answer the ``(k, d)`` stack ``x``
+    row by row: a ``(d,)`` answer would broadcast silently into the stack."""
+    if problem.grad_diff_batch is None:
+        raise UnsupportedOracleError("the lockstep coupled run needs a difference oracle")
+    k, d = x.shape
+    idx = np.zeros((k, minibatch), dtype=np.int64)
+    for name, got, shape in (
+        ("full_grad", np.shape(problem.full_grad(x)), (k, d)),
+        ("value", np.shape(problem.value(x)), (k,)),
+        ("grad_diff_batch", np.shape(problem.grad_diff_batch(idx, x, x)), (k, d)),
+    ):
+        if got != shape:
+            raise UnsupportedOracleError(
+                f"{name} answers a ({k}, {d}) stack with shape {got}, expected {shape}"
+            )
+
+
+def _run_recorded_updates(problem, x0, steps, epoch_len, minibatch, step_size, batch_rngs):
+    """Plain epoch-structured update steps (anchor + recursive estimator)
+    for a ``(k, d)`` stack of start points in lockstep, row i on its own
+    batch stream ``batch_rngs[i]``; records every iterate.  Each epoch draws
+    one block per stream and each step evaluates f once on the whole stack.
+    Returns positions ``(steps+1, k, d)``, values ``(steps+1, k)`` and one
+    batch digest per stream."""
+    x = np.array(x0, dtype=float)
+    xs = np.empty((steps + 1, *x.shape))
+    fs = np.empty((steps + 1, len(x)))
+    xs[0], fs[0] = x, problem.value(x)
+    digests = [hashlib.sha256() for _ in batch_rngs]
+    t = 0
+    while t < steps:
+        g = estimators.full_gradient(problem, x)
+        blocks = [
+            core.sample_minibatch(rng, problem.n, minibatch, steps=min(epoch_len, steps - t))
+            for rng in batch_rngs
+        ]
+        for digest, block in zip(digests, blocks):
+            digest.update(block.tobytes())
+        # step j's minibatches are row j of every stream's block
+        for t, (x, _, _) in enumerate(
+            estimators.descend(problem, x, g, step_size, np.stack(blocks, axis=1)), t + 1
+        ):
+            xs[t], fs[t] = x, problem.value(x)
+    return xs, fs, [digest.hexdigest() for digest in digests]
+
+
+def _first(hits: np.ndarray) -> int | None:
+    """The index of the first true entry, or None."""
+    return int(hits.argmax()) if hits.any() else None
 
 
 def run_coupled_experiment(
@@ -349,6 +388,11 @@ def run_coupled_experiment(
     2 log(8 delta sqrt(d) / (C1 rho zeta' r)) / (eta delta) steps.
     Both trajectories replay identical minibatch streams; the report keeps
     a digest of each stream so the coupling is checkable.
+
+    All 2 * ``seeds`` trajectories run in lockstep as one ``(2 seeds, d)``
+    stack, so the problem's ``value``, ``full_grad`` and ``grad_diff_batch``
+    must answer a stack row by row (``make_separable_saddle``'s do); any
+    other problem is refused with ``UnsupportedOracleError``.
     """
     problem = instance.spec
     if problem.mode is not Mode.FINITE_SUM:
@@ -388,42 +432,36 @@ def run_coupled_experiment(
         / (eta * delta)
     )
 
+    # rows 0..P-1 start the pairs, rows P..2P-1 their twins r0 * e1 away;
+    # each twin gets its own generator, seeded as its pair's
+    starts = np.stack([
+        x_tilde + core.sample_uniform_ball(core.seeded_rng(cfg.seed, 10_000 + i), d, radius)
+        for i in range(seeds)
+    ])
+    starts = np.concatenate([starts, starts - r0 * e1])
+    _check_stacked_oracles(problem, starts, cfg.minibatch)
+    streams = [core.seeded_rng(cfg.seed, 20_000 + i % seeds) for i in range(2 * seeds)]
+    xs, fs, digests = _run_recorded_updates(
+        problem, starts, window, cfg.epoch_len, cfg.minibatch, eta, streams
+    )
+
     pairs: list[CoupledRun] = []
-    for pair_idx in range(seeds):
-        pert_rng = core.seeded_rng(cfg.seed, 10_000 + pair_idx)
-        x0 = x_tilde + core.sample_uniform_ball(pert_rng, d, radius)
-        x0p = x0 - r0 * e1
-
-        batch_stream = core.seeded_rng(cfg.seed, 20_000 + pair_idx)
-        xs, fs, dig = _run_recorded_updates(
-            problem, x0, window, cfg.epoch_len, cfg.minibatch, eta, batch_stream
-        )
-        batch_stream_twin = core.seeded_rng(cfg.seed, 20_000 + pair_idx)
-        xsp, fsp, digp = _run_recorded_updates(
-            problem, x0p, window, cfg.epoch_len, cfg.minibatch, eta, batch_stream_twin
-        )
-
-        travel = np.linalg.norm(xs - xs[0], axis=1)
-        travel_p = np.linalg.norm(xsp - xsp[0], axis=1)
-        joint = np.maximum(travel, travel_p)
-        hit = np.nonzero(joint >= threshold)[0]
-        escape_iter = int(hit[0]) if hit.size else None
-
-        drop = np.maximum(fs[0] - fs, fsp[0] - fsp)
-        fhit = np.nonzero(drop >= 2.0 * cfg.fval_threshold)[0]
-        fdec_iter = int(fhit[0]) if fhit.size else None
-
+    for i, j in zip(range(seeds), range(seeds, 2 * seeds)):
+        # one pair at a time, so no temporary is as large as the whole stack
+        x, xp = xs[:, i], xs[:, j]
+        joint = np.maximum(np.linalg.norm(x - x[0], axis=1), np.linalg.norm(xp - xp[0], axis=1))
+        drop = np.maximum(fs[0, i] - fs[:, i], fs[0, j] - fs[:, j])
         pairs.append(
             CoupledRun(
-                escape_iter=escape_iter,
-                fdecrease_iter=fdec_iter,
+                escape_iter=_first(joint >= threshold),
+                fdecrease_iter=_first(drop >= 2.0 * cfg.fval_threshold),
                 max_travel=float(joint.max()),
                 max_fdrop=float(drop.max()),
-                batch_digest=dig,
-                batch_digest_twin=digp,
-                x_traj=xs if store_trajectories else None,
-                x_prime_traj=xsp if store_trajectories else None,
-                w_norms=np.linalg.norm(xs - xsp, axis=1) if store_trajectories else None,
+                batch_digest=digests[i],
+                batch_digest_twin=digests[j],
+                x_traj=x if store_trajectories else None,
+                x_prime_traj=xp if store_trajectories else None,
+                w_norms=np.linalg.norm(x - xp, axis=1) if store_trajectories else None,
             )
         )
     escaped = sum(1 for p in pairs if p.escape_iter is not None)

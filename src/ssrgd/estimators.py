@@ -124,7 +124,12 @@ def descend(
     advances the estimator at the new point on that minibatch: the recursive
     one from (x, g), or with ``snapshot`` the one anchored at (x, g).  Yields
     ``(x_k, v_k, batch_k)`` and takes the next batch only when resumed, so the
-    caller decides when to stop and a lazy ``batches`` keeps its draws in place."""
+    caller decides when to stop and a lazy ``batches`` keeps its draws in place.
+
+    ``x`` and ``g`` may also be ``(k, d)`` stacks, each batch then a ``(k, b)``
+    block with row i's minibatch in row i, when the problem's ``grad_diff_batch``
+    answers a stack row by row; the coupled escape experiment runs its
+    trajectories in lockstep so."""
     anchor, v = x, g
     for batch in batches:
         x_old, x = x, x - step_size * v

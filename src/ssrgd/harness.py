@@ -818,6 +818,10 @@ def _first_instance(path):
 def _cmd_diagnose(args) -> int:
     from . import diagnostics  # only this command reads it
 
+    out = Path(args.out) if args.out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        # refused before the experiment runs, so no report is lost at the end
+        raise ConfigError(f"--out {out}: not a file in an existing directory")
     inst = _first_instance(args.config)
     spec = inst.spec
     if args.subcommand == "variance":
@@ -854,8 +858,8 @@ def _cmd_diagnose(args) -> int:
                 paths, lipschitz_grad=spec.lipschitz_grad, step_size=cfg.step_size
             ).to_dict()
     text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    if out is not None:
+        out.write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
 

@@ -133,6 +133,11 @@ def make_separable_saddle(
     Inside the max-norm box of radius R = box_radius the constants
     L = max(1, delta_plant) + 3 gamma4 R^2 and rho = 6 gamma4 R sqrt(d)
     are valid upper bounds.
+
+    ``value``, ``full_grad`` and ``grad_diff_batch`` also take a ``(k, d)``
+    stack of points (with a ``(k, b)`` index block) and answer row by row,
+    each row bit for bit what the single point gets, so the coupled escape
+    experiment can run all its trajectories in lockstep.
     """
     if d < 2:
         raise ConfigError("planted saddle needs d >= 2")
@@ -159,7 +164,7 @@ def make_separable_saddle(
     rho = 6.0 * gamma4 * R * math.sqrt(d)
 
     def value(x):
-        return 0.5 * float(x @ (D * x)) + 0.25 * gamma4 * float(np.add.reduce(x**4))
+        return 0.5 * np.vecdot(x, D * x) + 0.25 * gamma4 * np.add.reduce(x**4, axis=-1)
 
     def full_grad(x):
         return D * x + gamma4 * x**3

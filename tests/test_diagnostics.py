@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import ssrgd
-from ssrgd import core, diagnostics, estimators
-from ssrgd.core import ConfigError, InsufficientDataError, InvalidInputError
+from ssrgd import core, diagnostics, estimators, spectral
+from ssrgd.core import ConfigError, InsufficientDataError, InvalidInputError, UnsupportedOracleError
 from ssrgd.diagnostics import SuperEpochPath
 
 from conftest import counting, quadratic_problem_from_components, random_quadratic_family, reference_epoch
@@ -164,27 +164,88 @@ class TestCoupledExperiment:
             assert pair.batch_digest == pair.batch_digest_twin
         assert rep.radius <= rep.travel_threshold
 
-    @pytest.mark.parametrize("epochs, extra", [(0, 1), (1, -1), (1, 0), (2, 0), (2, 3)])
-    def test_block_epochs_match_per_step_draws(self, epochs, extra):
-        """The recorded updates draw one block per epoch (a short last one);
-        iterates, batch digest and stream position match per-step draws, for
-        windows of 1, m - 1, m, 2m and 2m + 3 steps."""
-        inst, cfg = self._setup()
-        prob, x0 = inst.spec, inst.saddle_points[0][0] + 0.01
-        m, b, eta, window = cfg.epoch_len, cfg.minibatch, cfg.step_size, epochs * cfg.epoch_len + extra
-        rng, ref_rng = core.seeded_rng(4, 20_000), core.seeded_rng(4, 20_000)
-        xs, fs, digest = diagnostics._run_recorded_updates(prob, x0, window, m, b, eta, rng)
-        ref_xs, h, x = [x0], hashlib.sha256(), x0
-        while len(ref_xs) <= window:
+    @staticmethod
+    def _reference_trajectory(prob, x0, window, cfg, rng):
+        """One trajectory on its own, its minibatches drawn step by step:
+        (positions, values, batch digest)."""
+        xs, h, x = [x0], hashlib.sha256(), x0
+        while len(xs) <= window:
             g = estimators.full_gradient(prob, x)
-            k = min(m, window + 1 - len(ref_xs))
-            for x, _, batch in reference_epoch(prob, x, g, eta, ref_rng, b, k, None):
+            k = min(cfg.epoch_len, window + 1 - len(xs))
+            for x, _, batch in reference_epoch(prob, x, g, cfg.step_size, rng, cfg.minibatch, k, None):
                 h.update(batch.tobytes())
-                ref_xs.append(x)
-        assert np.array_equal(xs, np.stack(ref_xs))
-        assert np.array_equal(fs, [prob.value(x) for x in ref_xs])
-        assert digest == h.hexdigest()
-        assert rng.random() == ref_rng.random()
+                xs.append(x)
+        return np.stack(xs), np.array([prob.value(x) for x in xs]), h.hexdigest()
+
+    @pytest.mark.parametrize("streams", [(4,), (4, 9)])
+    @pytest.mark.parametrize("epochs, extra", [(0, 1), (1, -1), (1, 0), (2, 0), (2, 3)])
+    def test_block_epochs_match_per_step_draws(self, epochs, extra, streams):
+        """The recorded updates draw one block per epoch and stream (a short
+        last one); each row's iterates and values, each stream's digest and
+        position match that row run alone on per-step draws, for windows of
+        1, m - 1, m, 2m and 2m + 3 steps, on a one-row stack and on a
+        two-row stack with different streams."""
+        inst, cfg = self._setup()
+        prob = inst.spec
+        window = epochs * cfg.epoch_len + extra
+        x0 = inst.saddle_points[0][0] + 0.01 * np.arange(1, len(streams) + 1)[:, None]
+        rngs = [core.seeded_rng(seed, 20_000) for seed in streams]
+        xs, fs, digests = diagnostics._run_recorded_updates(
+            prob, x0, window, cfg.epoch_len, cfg.minibatch, cfg.step_size, rngs
+        )
+        assert xs.shape == (window + 1, len(streams), prob.d)
+        assert fs.shape == (window + 1, len(streams))
+        for row, seed in enumerate(streams):
+            ref_rng = core.seeded_rng(seed, 20_000)
+            ref_xs, ref_fs, ref_digest = self._reference_trajectory(prob, x0[row], window, cfg, ref_rng)
+            assert np.array_equal(xs[:, row], ref_xs)
+            assert np.array_equal(fs[:, row], ref_fs)
+            assert digests[row] == ref_digest
+            assert rngs[row].random() == ref_rng.random()
+
+    def test_lockstep_pairs_match_one_pair_at_a_time(self):
+        """Every pair's trajectories, digests and statistics equal those of
+        the pair run on its own, one trajectory after the other."""
+        inst, cfg = self._setup()
+        prob, saddle = inst.spec, inst.saddle_points[0][0]
+        rep = diagnostics.run_coupled_experiment(inst, saddle, cfg, 4, store_trajectories=True)
+        e1 = np.linalg.eigh(spectral.assemble_hessian(prob, saddle))[1][:, 0]
+        for i, pair in enumerate(rep.pairs):
+            ball = core.sample_uniform_ball(core.seeded_rng(cfg.seed, 10_000 + i), prob.d, rep.radius)
+            x0 = saddle + ball
+            xs, fs, dig = self._reference_trajectory(
+                prob, x0, rep.window, cfg, core.seeded_rng(cfg.seed, 20_000 + i)
+            )
+            xsp, fsp, digp = self._reference_trajectory(
+                prob, x0 - rep.r0 * e1, rep.window, cfg, core.seeded_rng(cfg.seed, 20_000 + i)
+            )
+            joint = np.maximum(np.linalg.norm(xs - xs[0], axis=1), np.linalg.norm(xsp - xsp[0], axis=1))
+            drop = np.maximum(fs[0] - fs, fsp[0] - fsp)
+            hit = np.nonzero(joint >= rep.travel_threshold)[0]
+            fhit = np.nonzero(drop >= 2.0 * cfg.fval_threshold)[0]
+            assert np.array_equal(pair.x_traj, xs) and np.array_equal(pair.x_prime_traj, xsp)
+            assert np.array_equal(pair.w_norms, np.linalg.norm(xs - xsp, axis=1))
+            assert (pair.batch_digest, pair.batch_digest_twin) == (dig, digp)
+            assert pair.escape_iter == (int(hit[0]) if hit.size else None)
+            assert pair.fdecrease_iter == (int(fhit[0]) if fhit.size else None)
+            assert pair.max_travel == float(joint.max())
+            assert pair.max_fdrop == float(drop.max())
+        assert any(pair.escape_iter is not None for pair in rep.pairs)
+
+    def test_problem_without_a_difference_oracle_refused(self):
+        inst, cfg = self._setup()
+        inst.spec.grad_diff_batch = None
+        with pytest.raises(UnsupportedOracleError, match="difference oracle"):
+            diagnostics.run_coupled_experiment(inst, inst.saddle_points[0][0], cfg, 2)
+
+    @pytest.mark.parametrize("oracle", ["full_grad", "value", "grad_diff_batch"])
+    def test_oracle_that_answers_a_stack_in_the_wrong_shape_refused(self, oracle):
+        # a mean over the stack's rows would broadcast back into it silently
+        inst, cfg = self._setup()
+        answer = getattr(inst.spec, oracle)
+        setattr(inst.spec, oracle, lambda *args: np.mean(answer(*args), axis=0))
+        with pytest.raises(UnsupportedOracleError, match=f"{oracle} answers a \\(4, 10\\) stack"):
+            diagnostics.run_coupled_experiment(inst, inst.saddle_points[0][0], cfg, 2)
 
     def test_pair_digest_is_the_per_step_stream(self):
         inst, cfg = self._setup()

@@ -1007,6 +1007,48 @@ class TestDiagnoseCli:
         assert rep["escape_frequency"] >= 0.75
         assert all(p["coupled"] for p in rep["pairs"])
 
+    def test_out_writes_the_printed_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        out = tmp_path / "coupled.json"
+        assert harness.main([
+            "diagnose", "coupled", "--config", str(cfg), "--pairs", "2", "--out", str(out),
+        ]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["missing/coupled.json", "."])
+    def test_unwritable_out_exits_2_before_the_experiment(self, tmp_path, capsys, monkeypatch, target):
+        # a directory that does not exist, or a directory itself: the report
+        # could not be written, so the experiment must not run first
+        ran = []
+        monkeypatch.setattr(
+            "ssrgd.diagnostics.run_coupled_experiment", lambda *args, **kwargs: ran.append(args)
+        )
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        out = tmp_path / target
+        assert harness.main([
+            "diagnose", "coupled", "--config", str(cfg), "--pairs", "2", "--out", str(out),
+        ]) == 2
+        stdout, err = capsys.readouterr()
+        assert ran == [] and stdout == ""
+        assert err.startswith(f"config error: --out {out}:") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_problem_without_a_difference_oracle_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the lockstep run needs stacked oracles; UnsupportedOracleError is a
+        # package error, so the CLI reports it in one line
+        build = harness.build_problem
+
+        def without_diff(section):
+            inst = build(section)
+            inst.spec.grad_diff_batch = None
+            return inst
+
+        monkeypatch.setattr(harness, "build_problem", without_diff)
+        cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
+        assert harness.main(["diagnose", "coupled", "--config", str(cfg), "--pairs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UnsupportedOracleError: ") and err.count("\n") == 1
+
     def test_package_error_is_one_line_and_exit_2(self, tmp_path, capsys):
         # the planted saddle has lambda_min = -0.3, so it is no saddle at delta 0.5
         cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")

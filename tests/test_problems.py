@@ -96,6 +96,23 @@ class TestSeparableSaddle:
         fd_hvp_check(inst.spec, np.array([-0.2, 0.4, 0.1]))
         lipschitz_ratio_check(inst.spec, inst.spec.domain_radius)
 
+    @pytest.mark.parametrize("d", [2, 7, 33])
+    def test_oracles_answer_a_stack_row_by_row(self, d):
+        # each row bit for bit what the point alone gets, and for value what
+        # the scalar formula f = 0.5 x'Dx + (gamma4/4) sum x^4 gives
+        gamma4, spec = 1.5, make_separable_saddle(d=d, n=8, delta_plant=0.3, gamma4=1.5, seed=1).spec
+        D = np.ones(d)
+        D[-1] = -0.3
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((40, d)) * rng.uniform(0.01, 2.0, size=(40, 1))
+        f, g = spec.value(X), spec.full_grad(X)
+        diff = spec.grad_diff_batch(np.zeros((40, 3), dtype=np.int64), X, X[::-1])
+        assert f.shape == (40,) and g.shape == diff.shape == (40, d)
+        for i, x in enumerate(X):
+            assert f[i] == spec.value(x) == 0.5 * float(x @ (D * x)) + 0.25 * gamma4 * float(np.add.reduce(x**4))
+            assert np.array_equal(g[i], spec.full_grad(x))
+            assert np.array_equal(diff[i], spec.full_grad(x) - spec.full_grad(X[-1 - i]))
+
     def test_rejects_nonpositive_plant(self):
         with pytest.raises(ConfigError):
             make_separable_saddle(d=3, n=4, delta_plant=0.0)

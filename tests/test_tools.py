@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,25 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
         assert w["ratio"] == w["change"]["median"] / w["parent"]["median"]
         assert w["wins"] in (0, 1) and w["identical"] is True
         assert row.split()[-2] == f"{w['wins']}/1"
+
+
+def test_ab_online_round_is_the_median_of_its_units():
+    ab = load_tool("ab")
+    seen = []
+
+    def run_unit(workload, index):
+        seen.append((workload, index))
+        return float((7 * index) % 11), f"u{index}"
+
+    side = SimpleNamespace(run_unit=run_unit)
+    k = ab.ONLINE_UNITS
+    units = range(2 * k, 3 * k)
+    value, digest = ab.Side.run(side, "online", 2)
+    assert seen == [("online", i) for i in units]
+    assert value == statistics.median((7 * i) % 11 for i in units)
+    assert digest == " ".join(f"u{i}" for i in units)
+    seen.clear()
+    assert ab.Side.run(side, "fs", 2) == (3.0, "u2") and seen == [("fs", 2)]
 
 
 def test_ab_result_digest_ignores_f_and_nothing_else():

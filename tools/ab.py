@@ -8,7 +8,8 @@ round it runs one unit of each workload on each side, and the side that
 goes first alternates:
 
 * ``fs``: ``fs_logistic``, eight first-order finite-sum ``run_ssrgd`` runs;
-* ``online``: ``online_stream``, eight first-order online runs;
+* ``online``: ``online_stream``, ``ONLINE_UNITS`` units of eight first-order
+  online runs each; a round's value is the median of their µs per iteration;
 * ``plan``: ``cli_session``, ``ssrgd run`` on a 120-cell plan, then
   ``ssrgd diagnose coupled``;
 * ``certify``: ``saddle_certify``, eight second-order runs on a d=256
@@ -69,6 +70,7 @@ WORKLOADS = {"fs": "fs_logistic", "online": "online_stream", "plan": "cli_sessio
              "certify": "saddle_certify"}
 ROWS = {**WORKLOADS, "setup": "fs_logistic"}
 SETUP_PROCESSES = 3  # one process's start-up time is too noisy on a shared host
+ONLINE_UNITS = 3  # so is one online unit, about 0.3 s of work
 # run in a fresh interpreter: argv is the tree's src/, this checkout and a work directory
 SETUP = """\
 import dataclasses, hashlib, sys
@@ -157,7 +159,8 @@ def scaled(value: int, scale: float) -> int:
 
 class Side:
     """One tree's benchmark workloads; ``run(workload, index)`` runs one
-    unit, or one round of ``setup`` processes, and returns (measure, result
+    round (one unit, ``ONLINE_UNITS`` units of ``online`` or
+    ``SETUP_PROCESSES`` set-up processes) and returns (measure, result
     digest)."""
 
     def __init__(self, name: str, root: Path, scale: float, workdir: Path):
@@ -211,8 +214,15 @@ class Side:
         return statistics.median(times), " ".join(digests)
 
     def run(self, workload: str, index: int) -> tuple[float, str]:
+        """Round ``index`` of ``workload``: (its value, the result digests)."""
         if workload == "setup":
             return self.setup()
+        if workload == "online":
+            units = [self.run_unit(workload, index * ONLINE_UNITS + k) for k in range(ONLINE_UNITS)]
+            return statistics.median(v for v, _ in units), " ".join(d for _, d in units)
+        return self.run_unit(workload, index)
+
+    def run_unit(self, workload: str, index: int) -> tuple[float, str]:
         self.results, self.files = [], []
         ops = self.workloads[workload].unit(index, self.timed)
         digest = result_digest(workload, ops, self.results, self.files)
