@@ -26,7 +26,6 @@ points needs no curvature search).
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections.abc import Callable
@@ -160,7 +159,6 @@ def random_stop_decision(rng: np.random.Generator, k: int, epoch_len: int) -> bo
 def run_ssrgd(
     problem: ProblemSpec,
     cfg: RunConfig,
-    rng: np.random.Generator | None = None,
     *,
     x0: Vector | None = None,
     certifier: Callable[[Vector], Any] | None = None,
@@ -176,16 +174,17 @@ def run_ssrgd(
     invoked with an ``OptState`` snapshot and the step's event after every
     iterate update, including the perturbation itself.
 
-    Each epoch is ``estimators.descend`` from the anchor (x, g).  Each inner
-    step draws from ``rng`` in a fixed order: the step's minibatch first,
-    then (outside a super epoch) its random-stop decision, so ``descend``
-    takes lazy per-step draws.  The iterate and the gradient estimate are
-    checked together, by one finite dot product; a non-finite value raises
+    Each epoch is an anchor (x, g), perturbed if a super epoch starts, and
+    ``estimators.descend`` over the ``core.steps_left`` of m steps that
+    start below the SFO budget; an epoch so cut ends the run.  All draws
+    come from ``core.seeded_rng(cfg.seed, 0)``: per step the minibatch,
+    then (outside a super epoch) the random stop, so ``descend`` takes lazy
+    per-step draws.  The iterate and the gradient estimate are checked
+    together, by one finite dot product; a non-finite value raises
     ``NonFiniteError`` naming the iterate first.
     """
     cfg.validate(problem)
-    if rng is None:
-        rng = core.seeded_rng(cfg.seed, 0)
+    rng = core.seeded_rng(cfg.seed, 0)
     x = core.initial_point(x0, problem.d)
 
     online = problem.mode is Mode.ONLINE
@@ -202,24 +201,24 @@ def run_ssrgd(
 
     def anchor(xp: Vector) -> Vector:
         if online:
-            return estimators.large_batch_gradient(problem, xp, cfg.large_batch, rng, sfo=sfo)
-        return estimators.full_gradient(problem, xp, sfo=sfo)
+            g = estimators.large_batch_gradient(problem, xp, cfg.large_batch, rng, sfo=sfo)
+        else:
+            g = estimators.full_gradient(problem, xp, sfo=sfo)
+        core.ensure_finite(g, "anchor gradient", trace, t)
+        return g
 
-    stop = False
-    while not stop:
+    while True:
         if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
             termination = Termination.MAX_EPOCHS
             break
         if sfo.raw >= cfg.sfo_budget:
             break
 
-        g = anchor(x)
-        core.ensure_finite(g, "anchor gradient", trace, t)
-        grad_norm = float(np.linalg.norm(g))
+        v = anchor(x)
+        grad_norm = float(np.linalg.norm(v))
         if f_x is None:
             f_x = float(problem.value(x))
         trace.append(TraceRecord(t, f_x, grad_norm, sfo.raw, Event.EPOCH_START))
-        v = g
 
         if se.triggers(grad_norm):
             candidates.append((t, x.copy()))
@@ -231,20 +230,15 @@ def run_ssrgd(
                     break
             x = se.start(rng, t, x, f_x)
             v = anchor(x)
-            core.ensure_finite(v, "anchor gradient", trace, t)
             f_x = float(problem.value(x))
             trace.append(TraceRecord(t, f_x, float(np.linalg.norm(v)), sfo.raw, Event.PERTURBATION))
             if step_callback is not None:
                 step_callback(OptState(x.copy(), sfo.raw, t, f_x), Event.PERTURBATION)
 
-        batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in itertools.count())
-        steps = estimators.descend(problem, x, v, cfg.step_size, batches, sfo)
-        for k in range(1, cfg.epoch_len + 1):
-            if sfo.raw >= cfg.sfo_budget:
-                stop = True
-                break
+        k_max = core.steps_left(cfg.epoch_len, cfg.sfo_budget - sfo.raw, 2 * cfg.minibatch)
+        batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in range(k_max))
+        for k, (x, v, _) in enumerate(estimators.descend(problem, x, v, cfg.step_size, batches, sfo), 1):
             t += 1
-            x, v, _ = next(steps)
             f_x = None
             # x.v is finite when both are; on overflow the exact checks pass
             finite = math.isfinite(np.vdot(x, v))
@@ -278,6 +272,9 @@ def run_ssrgd(
                     f_x = float(problem.value(x))
                 trace.append(TraceRecord(t, f_x, None, sfo.raw, event))
             if event is not Event.NONE:
+                break
+        else:
+            if k_max < cfg.epoch_len:  # the budget cut this epoch short
                 break
         epoch += 1
 

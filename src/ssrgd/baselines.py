@@ -59,7 +59,7 @@ class BaselineKind:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown baseline kind {self.kind!r}; valid: {KINDS}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # NaN fails too
             raise ConfigError("step_size must be > 0")
         if self.kind in ("sgd", "svrg") and self.minibatch < 1:
             raise ConfigError("minibatch must be >= 1")
@@ -69,6 +69,10 @@ class BaselineKind:
             raise ConfigError("svrg needs epoch_len >= 1")
         if self.kind == "perturbed_gd":
             self.super_epoch().check("perturbed_gd")
+
+    def iters_left(self, t: int) -> float:
+        """The steps ``max_iters`` leaves after t; inf without a cap."""
+        return math.inf if self.max_iters is None else self.max_iters - t
 
     def super_epoch(self) -> SuperEpoch:
         """Super-epoch state for ``perturbed_gd``; inert (radius 0) for the other kinds."""
@@ -87,7 +91,7 @@ def run_baseline(
 ) -> SsrgdOutcome:
     """Run the requested baseline under an SFO budget."""
     kind.validate()
-    if sfo_budget <= 0:
+    if not sfo_budget > 0:  # NaN fails too
         raise ConfigError("sfo_budget must be positive")
     if rng is None:
         rng = core.seeded_rng(kind.seed, 0)
@@ -109,7 +113,7 @@ def _run_gd(kind, problem, budget, rng, x):
     t = 0
     term = Termination.BUDGET_EXHAUSTED
     while sfo.raw < budget:
-        if kind.max_iters is not None and t >= kind.max_iters:
+        if kind.iters_left(t) <= 0:
             term = Termination.MAX_EPOCHS
             break
         g = estimators.full_gradient(problem, x, sfo=sfo)
@@ -132,14 +136,6 @@ def _run_gd(kind, problem, budget, rng, x):
     )
 
 
-def _steps_left(kind, cap, sfo_left, cost, t):
-    """How many of the next ``cap`` steps, at ``cost`` raw SFO each, a
-    per-step loop takes before it stops at the budget or at ``max_iters``;
-    a block of that many minibatches draws none the loop would not."""
-    k = min(cap, math.ceil(sfo_left / cost))
-    return k if kind.max_iters is None else min(k, kind.max_iters - t)
-
-
 def _run_sgd(kind, problem, budget, rng, x):
     sfo = SfoCounter()
     trace: list[TraceRecord] = []
@@ -157,10 +153,10 @@ def _run_sgd(kind, problem, budget, rng, x):
     b = kind.minibatch
     measure(0)
     while sfo.raw < budget:
-        if kind.max_iters is not None and t >= kind.max_iters:
+        if kind.iters_left(t) <= 0:
             term = Termination.MAX_EPOCHS
             break
-        steps = _steps_left(kind, SGD_CHUNK, budget - sfo.raw, b, t)
+        steps = core.steps_left(min(SGD_CHUNK, kind.iters_left(t)), budget - sfo.raw, b)
         for batch in core.sample_minibatch(rng, problem.n, b, steps=steps):
             g = np.add.reduce(estimators.component_gradients(problem, batch, x), axis=0) / b
             sfo.add(b)
@@ -186,7 +182,7 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
     term = Termination.BUDGET_EXHAUSTED
     f_x = None  # f at the current x once a row has evaluated it; None after x moves
     while sfo.raw < budget:
-        if kind.max_iters is not None and t >= kind.max_iters:
+        if kind.iters_left(t) <= 0:
             term = Termination.MAX_EPOCHS
             break
         anchor_grad = estimators.full_gradient(problem, x, sfo=sfo)
@@ -195,8 +191,8 @@ def _run_svrg(kind, problem, budget, rng, x, full_trace):
         trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
         # the block holds only the steps the budget and the cap leave (none
         # when the anchor spent the budget); the tests above then stop the run
-        k = _steps_left(kind, kind.epoch_len, budget - sfo.raw, 2 * kind.minibatch, t)
-        batches = core.sample_minibatch(rng, problem.n, kind.minibatch, steps=max(k, 0))
+        k = core.steps_left(min(kind.epoch_len, kind.iters_left(t)), budget - sfo.raw, 2 * kind.minibatch)
+        batches = core.sample_minibatch(rng, problem.n, kind.minibatch, steps=k)
         steps = estimators.descend(problem, x, anchor_grad, kind.step_size, batches, sfo, snapshot=True)
         for x, _, _ in steps:
             t += 1

@@ -194,13 +194,13 @@ class RunConfig:
         return SuperEpoch(self.perturb_radius, self.grad_threshold, self.fval_threshold, self.super_epoch_len)
 
     def validate(self, problem: ProblemSpec) -> None:
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # NaN fails too
             raise ConfigError("step_size must be > 0")
         if self.epoch_len < 1:
             raise ConfigError("epoch_len must be >= 1")
         if self.minibatch < 1:
             raise ConfigError("minibatch must be >= 1")
-        if self.sfo_budget < 0:
+        if not self.sfo_budget >= 0:
             raise ConfigError("sfo_budget must be nonnegative")
         if self.eps < 0:
             raise ConfigError("eps must be nonnegative")
@@ -354,6 +354,13 @@ def sample_minibatch(
     if n < 1:
         raise ConfigError("component count must be >= 1")
     return rng.integers(0, n, size=size, dtype=np.int64)
+
+
+def steps_left(cap: int, sfo_left: float, cost: int) -> int:
+    """How many of the next ``cap`` steps, at ``cost`` raw SFO each, start
+    while some of ``sfo_left`` (which may be infinite) remains; a block of
+    that many minibatches draws none that a per-step budget test would not."""
+    return cap if sfo_left >= cap * cost else max(0, math.ceil(sfo_left / cost))
 
 
 def initial_point(x0, d: int) -> Vector:

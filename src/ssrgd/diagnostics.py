@@ -99,7 +99,7 @@ def _exact_grads(problem: ProblemSpec, xs: np.ndarray) -> np.ndarray:
     return np.stack([estimators.full_gradient(problem, x) for x in xs])
 
 
-def _estimator_errors(problem, xs, grads, b, batches, estimator):
+def _estimator_errors(problem, xs, grads, batches, estimator):
     """Squared estimator errors at steps 1..T for one batch sequence."""
     errs, v = np.empty(len(xs) - 1), grads[0]
     for j in range(1, len(xs)):
@@ -155,7 +155,7 @@ def verify_variance_bound(
         acc = np.zeros(T)
         for seq in itertools.product(per_step, repeat=T):
             batches = [np.array(tup, dtype=np.int64) for tup in seq]
-            acc += _estimator_errors(problem, xs, grads, b, batches, estimator)
+            acc += _estimator_errors(problem, xs, grads, batches, estimator)
         est = acc / total
         se = np.zeros(T)
     else:
@@ -165,7 +165,7 @@ def verify_variance_bound(
         for rep in range(replications):
             # one (T, b) block: the T minibatches that T single draws would give
             batches = core.sample_minibatch(rng, n, b, steps=T)
-            errs[rep] = _estimator_errors(problem, xs, grads, b, batches, estimator)
+            errs[rep] = _estimator_errors(problem, xs, grads, batches, estimator)
         est = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(T)
 

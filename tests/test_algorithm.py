@@ -263,6 +263,108 @@ class TestRunFirstOrder:
         starts = [r for r in out.trace if r.event is Event.EPOCH_START]
         assert starts and all(r.grad_norm is not None for r in starts)
 
+    def test_infinite_budget_runs_to_the_epoch_cap(self):
+        inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
+        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), max_epochs=5)
+        out = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, sfo_budget=math.inf), x0=np.ones(5))
+        assert_same_outcome(out, ssrgd.run_ssrgd(inst.spec, cfg, x0=np.ones(5)))
+        assert out.termination is Termination.MAX_EPOCHS and out.sfo_raw == 784
+
+
+def _recorded_run(spec, cfg, x0):
+    """A full-trace run and its step-callback sequence as (iteration, raw
+    SFO, event, bytes of x)."""
+    steps = []
+    out = ssrgd.run_ssrgd(spec, cfg, x0=x0, full_trace=True, step_callback=lambda s, e: steps.append(
+        (s.iteration, s.sfo_count, e, s.x.tobytes())))
+    return out, steps
+
+
+def _cut_by_budget(trace, budget):
+    """How a budget cuts a run whose full trace is ``trace``: the rows kept
+    and whether the cut ended it.  The budget is tested before each anchor
+    and before each inner step, against the raw SFO spent before it; the
+    epoch cap, tested first at an epoch's top, ends the run only when no
+    budget test has."""
+    spent = 0
+    for i, row in enumerate(trace):
+        if row.event is not Event.PERTURBATION and spent >= budget:
+            return trace[:i], True
+        spent = row.sfo_count
+    return trace, False
+
+
+class TestBudgetCut:
+    """``core.steps_left`` cuts each epoch at the budget: a budgeted run is
+    a prefix of the same run without a budget, and ends where a per-step
+    budget test would end it."""
+
+    @staticmethod
+    def check_prefix(spec, cfg, x0, budgets, reach):
+        unbounded, seq = _recorded_run(spec, cfg, x0)
+        assert unbounded.sfo_raw > max(budgets) or cfg.max_epochs is not None
+        for budget in budgets:
+            out, got = _recorded_run(spec, dataclasses.replace(cfg, sfo_budget=budget), x0)
+            rows, cut = _cut_by_budget(unbounded.trace, budget)
+            assert out.trace == rows
+            assert got == seq[:len(got)]
+            assert len(got) == sum(r.event is not Event.EPOCH_START for r in rows)
+            assert out.sfo_raw == (rows[-1].sfo_count if rows else 0)
+            assert np.array_equal(out.final_x, np.frombuffer(got[-1][3]) if got else x0)
+            assert out.termination is (Termination.BUDGET_EXHAUSTED if cut else unbounded.termination)
+            reach.add((cut, out.termination))
+
+    @pytest.mark.parametrize("max_epochs", [None, 1, 2])
+    def test_first_order_cut_is_a_prefix(self, max_epochs):
+        inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.01)
+        a, cost = 64, 2 * cfg.minibatch  # m = b = 8
+        cap = 60 if max_epochs is None else max_epochs
+        budgets = [0, a, a + 1, a + 3 * cost - 1, a + 3 * cost, a + cfg.epoch_len * cost, 300, 1000]
+        reach = set()
+        for seed in range(6):
+            run_cfg = dataclasses.replace(cfg, seed=seed, max_epochs=cap, sfo_budget=10**12)
+            self.check_prefix(inst.spec, run_cfg, np.ones(5), budgets, reach)
+        if max_epochs is None:
+            assert reach == {(True, Termination.BUDGET_EXHAUSTED)}
+        else:  # both endings, and a cut on the capped epoch itself
+            assert {(True, Termination.BUDGET_EXHAUSTED), (False, Termination.MAX_EPOCHS)} <= reach
+
+    @pytest.mark.parametrize("max_epochs", [None, 1, 2])
+    def test_second_order_cut_is_a_prefix(self, max_epochs):
+        inst = ssrgd.make_separable_saddle(d=4, n=16, delta_plant=0.5, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 1.0)
+        assert (cfg.epoch_len, cfg.minibatch) == (4, 4)
+        # anchor and perturbation 32 raw SFO, then m = 4 steps of 8
+        budgets = [16, 32, 55, 56, 64, 65, 500, 3000]
+        reach = set()
+        for seed in range(4):
+            run_cfg = dataclasses.replace(
+                cfg, seed=seed, max_epochs=max_epochs or 400, sfo_budget=10**12)
+            self.check_prefix(inst.spec, run_cfg, np.zeros(4), budgets, reach)
+        assert (True, Termination.BUDGET_EXHAUSTED) in reach
+
+    @pytest.mark.parametrize("budget", [49, 52, 56])
+    def test_cut_on_the_capped_epoch_reports_the_budget(self, budget):
+        # the cut leaves 3 of the 4 steps of the only epoch allowed
+        inst = ssrgd.make_separable_saddle(d=4, n=16, delta_plant=0.5, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 1.0, sfo_budget=budget)
+        out = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, max_epochs=1), x0=np.zeros(4))
+        assert [r.event for r in out.trace] == [Event.EPOCH_START, Event.PERTURBATION] + [Event.NONE] * 3
+        assert out.termination is Termination.BUDGET_EXHAUSTED
+
+    def test_super_epoch_through_step_m_goes_on(self):
+        # 65 raw SFO leave room for all m = 4 steps (32 + 4 * 8 = 64); the
+        # super epoch is still active at step m, so the next epoch starts
+        inst = ssrgd.make_separable_saddle(d=4, n=16, delta_plant=0.5, seed=0)
+        cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 1.0, sfo_budget=65)
+        out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.zeros(4))
+        events = [Event.EPOCH_START, Event.PERTURBATION] + [Event.NONE] * 4 + [Event.EPOCH_START]
+        assert [r.event for r in out.trace] == events
+        assert out.sfo_raw == 80 and out.termination is Termination.BUDGET_EXHAUSTED
+        capped = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, max_epochs=1), x0=np.zeros(4))
+        assert len(capped.trace) == 6 and capped.termination is Termination.MAX_EPOCHS
+
 
 def scripted_problem(L, anchor, diffs):
     """d = 2, f = 0: the anchor gradient is fixed and step k's recursive

@@ -49,6 +49,22 @@ class TestRepeatable:
         assert bool(a.sosp_candidates) is (kind == "perturbed_gd")
 
 
+class TestInfiniteBudget:
+    """An infinite budget with an iteration cap runs every kind to the cap,
+    on the same path as a budget that is never reached."""
+
+    @pytest.mark.parametrize("kind", ["gd", "sgd", "svrg"])
+    def test_runs_to_the_cap(self, kind):
+        # sgd and svrg used to die in math.ceil(inf) with an OverflowError
+        inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
+        bk = BaselineKind(kind=kind, step_size=0.1, minibatch=4, epoch_len=5, max_iters=37, seed=1)
+        out = run_baseline(bk, inst.spec, math.inf, x0=np.ones(5))
+        assert out.termination.value == "max_epochs"
+        # gd writes each row before its step, the others after it
+        assert out.trace[-1].iteration == (36 if kind == "gd" else 37)
+        assert_same_outcome(out, run_baseline(bk, inst.spec, 10**12, x0=np.ones(5)))
+
+
 class TestGd:
     def test_one_step_on_unit_quadratic(self):
         # f(x) = x^2/2, step 1: exact minimizer after one step from any start

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,27 @@ class TestSampleMinibatch:
         assert rng.random() == ref.random()
 
 
+class TestStepsLeft:
+    """The one budget cut: the steps of a block of ``cap`` that start below
+    the budget, at ``cost`` raw SFO each."""
+
+    @pytest.mark.parametrize("sfo_left, want", [
+        (math.inf, 8), (10**12, 8), (80, 8), (81, 8),  # the budget covers the block
+        (79, 8), (73, 8), (72, 8), (71, 8), (70, 7), (1, 1),  # the last steps start below it
+        (0, 0), (-1, 0), (-10**6, 0),  # an anchor spent it, or more
+    ])
+    def test_cut(self, sfo_left, want):
+        assert core.steps_left(8, sfo_left, 10) == want
+
+    @pytest.mark.parametrize("cap, cost, spent", [(1, 1, 0), (5, 6, 7), (8, 16, 64), (40, 2, 3)])
+    def test_matches_a_per_step_budget_test(self, cap, cost, spent):
+        for budget in range(spent + cap * cost + 3):
+            taken, sfo = 0, spent
+            while taken < cap and sfo < budget:
+                taken, sfo = taken + 1, sfo + cost
+            assert core.steps_left(cap, budget - spent, cost) == taken
+
+
 class TestRunConfigValidation:
     def test_first_order_step_cap(self):
         prob = scalar_quadratic([1.0, 2.0])
@@ -116,6 +138,36 @@ class TestRunConfigValidation:
         cfg = RunConfig(step_size=0.1, epoch_len=2, minibatch=2, eps=0.1, sfo_budget=10)
         with pytest.raises(ConfigError, match="large_batch"):
             cfg.validate(inst.spec)
+
+
+class TestNanSettingsRefused:
+    """NaN passes the `<= 0` tests, so each setting is checked as `not > 0`."""
+
+    def test_run_config_budget(self):
+        # run_ssrgd used to ignore the budget and run to the epoch cap
+        inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
+        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), sfo_budget=math.nan, max_epochs=2000)
+        with pytest.raises(ConfigError, match="sfo_budget"):
+            ssrgd.run_ssrgd(inst.spec, cfg)
+
+    @pytest.mark.parametrize("kind", ["gd", "sgd", "svrg"])
+    def test_baseline_budget(self, kind):
+        # it used to return a zero-step run marked budget_exhausted
+        inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
+        bk = baselines.BaselineKind(kind=kind, step_size=0.1, minibatch=2, epoch_len=4)
+        with pytest.raises(ConfigError, match="sfo_budget"):
+            baselines.run_baseline(bk, inst.spec, math.nan)
+
+    def test_step_size(self):
+        # the run used to die at iteration 1 with a NonFiniteError that blamed the iterate
+        inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
+        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), step_size=math.nan)
+        with pytest.raises(ConfigError, match="step_size"):
+            ssrgd.run_ssrgd(inst.spec, cfg)
+        for kind in baselines.KINDS:
+            bk = baselines.BaselineKind(kind=kind, step_size=math.nan, minibatch=2, epoch_len=4)
+            with pytest.raises(ConfigError, match="step_size"):
+                baselines.run_baseline(bk, inst.spec, 1000)
 
 
 class TestSuperEpoch:
