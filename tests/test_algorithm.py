@@ -275,9 +275,11 @@ def _recorded_run(spec, cfg, x0):
     """A full-trace run and its step-callback sequence as (iteration, raw
     SFO, event, bytes of x)."""
     steps = []
-    out = ssrgd.run_ssrgd(spec, cfg, x0=x0, full_trace=True, step_callback=lambda s, e: steps.append(
-        (s.iteration, s.sfo_count, e, s.x.tobytes())))
-    return out, steps
+
+    def record(state, event):
+        steps.append((state.iteration, state.sfo_count, event, state.x.tobytes()))
+
+    return ssrgd.run_ssrgd(spec, cfg, x0=x0, full_trace=True, step_callback=record), steps
 
 
 def _cut_by_budget(trace, budget):
