@@ -97,10 +97,7 @@ def super_epoch_params(
     rho = problem.lipschitz_hess
     if rho <= 0:
         raise ConfigError("second-order mode needs a positive Hessian Lipschitz constant")
-    if not logfactor > 0:
-        raise ConfigError("logfactor must be positive")
-    if math.isinf(logfactor):  # would die in math.ceil below
-        raise ConfigError("logfactor must be finite")
+    core.check_setting("logfactor", logfactor)  # an infinite one would die in math.ceil below
     L = problem.lipschitz_grad
     return dict(
         perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),

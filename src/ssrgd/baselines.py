@@ -59,14 +59,9 @@ class BaselineKind:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown baseline kind {self.kind!r}; valid: {KINDS}")
-        if not self.step_size > 0:  # NaN fails too
-            raise ConfigError("step_size must be > 0")
-        if self.kind in ("sgd", "svrg") and self.minibatch < 1:
-            raise ConfigError("minibatch must be >= 1")
-        if self.kind == "sgd" and self.eval_every < 1:
-            raise ConfigError("sgd needs eval_every >= 1")
-        if self.kind == "svrg" and (self.epoch_len is None or self.epoch_len < 1):
-            raise ConfigError("svrg needs epoch_len >= 1")
+        core.check_settings(self)
+        if self.kind == "svrg" and self.epoch_len is None:
+            raise ConfigError("svrg needs epoch_len")
         if self.kind == "perturbed_gd":
             self.super_epoch().check("perturbed_gd")
 
@@ -91,8 +86,7 @@ def run_baseline(
 ) -> SsrgdOutcome:
     """Run the requested baseline under an SFO budget."""
     kind.validate()
-    if not sfo_budget > 0:  # NaN fails too
-        raise ConfigError("sfo_budget must be positive")
+    core.check_setting("sfo_budget", sfo_budget)
     if rng is None:
         rng = core.seeded_rng(kind.seed, 0)
     x = core.initial_point(x0, problem.d)

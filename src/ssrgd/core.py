@@ -20,8 +20,9 @@ defined here:
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -33,6 +34,20 @@ Vector = np.ndarray
 STEP_FACTOR_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
 
 _REL_TOL = 1e-12
+
+# Which values each numeric optimizer setting may take: (test, rule) pairs tried in
+# order, and NaN fails every test.  RunConfig, BaselineKind, run_baseline and the
+# harness's optimizer sections all check against it; cross-field rules stay in code.
+_POSITIVE = ((lambda v: v > 0, "> 0"), (lambda v: v < math.inf, "< inf"))
+_COUNT = ((lambda v: isinstance(v, numbers.Integral) and v >= 1, "is an integer >= 1"),)
+SETTING_RULES = {
+    **dict.fromkeys(("step_size", "eps", "delta", "logfactor", "perturb_radius",
+                     "grad_threshold", "fval_threshold"), _POSITIVE),
+    "sfo_budget": ((lambda v: v >= 0, ">= 0"),),
+    **dict.fromkeys(("epoch_len", "minibatch", "large_batch", "super_epoch_len",
+                     "max_epochs", "max_iters", "eval_every"), _COUNT),
+    "seed": ((lambda v: isinstance(v, numbers.Integral), "is an integer"),),
+}
 
 
 class Mode(str, Enum):
@@ -194,18 +209,7 @@ class RunConfig:
         return SuperEpoch(self.perturb_radius, self.grad_threshold, self.fval_threshold, self.super_epoch_len)
 
     def validate(self, problem: ProblemSpec) -> None:
-        if not self.step_size > 0:  # NaN fails too
-            raise ConfigError("step_size must be > 0")
-        if self.epoch_len < 1:
-            raise ConfigError("epoch_len must be >= 1")
-        if self.minibatch < 1:
-            raise ConfigError("minibatch must be >= 1")
-        if not self.sfo_budget >= 0:
-            raise ConfigError("sfo_budget must be nonnegative")
-        if self.eps < 0:
-            raise ConfigError("eps must be nonnegative")
-        if not self.perturb_radius >= 0:  # NaN fails too
-            raise ConfigError("perturb_radius must be nonnegative")
+        check_settings(self, off=(("eps", 0),))  # eps = 0 sets no gradient target
         order, step_factor = "first-order", STEP_FACTOR_LIMIT
         if self.second_order:
             if self.minibatch < self.epoch_len:
@@ -218,8 +222,8 @@ class RunConfig:
         cap = step_factor / problem.lipschitz_grad
         if self.step_size > cap * (1 + _REL_TOL):
             raise ConfigError(f"step_size {self.step_size:g} exceeds {order} cap {cap:g}")
-        if problem.mode is Mode.ONLINE and (self.large_batch is None or self.large_batch < 1):
-            raise ConfigError("online mode needs large_batch >= 1")
+        if problem.mode is Mode.ONLINE and self.large_batch is None:
+            raise ConfigError("online mode needs large_batch")
 
 
 @dataclass
@@ -242,14 +246,11 @@ class SuperEpoch:
     t_init: int = -1
 
     def check(self, who: str) -> None:
-        if not self.radius > 0:  # NaN fails too
-            raise ConfigError(f"{who} needs perturb_radius > 0")
-        if not self.grad_threshold > 0:
-            raise ConfigError(f"{who} needs grad_threshold > 0")
-        if not (0 < self.fval_threshold < math.inf):
-            raise ConfigError(f"{who} needs a finite fval_threshold > 0")
-        if self.length < 1:
-            raise ConfigError(f"{who} needs super_epoch_len >= 1")
+        """Refuse a setting left off: ``who`` needs each one to pass its row of SETTING_RULES."""
+        settings = {"perturb_radius": self.radius, "grad_threshold": self.grad_threshold,
+                    "fval_threshold": self.fval_threshold, "super_epoch_len": self.length}
+        for key, value in settings.items():
+            check_setting(key, value, f"{who}: ")
 
     def triggers(self, grad_norm: float) -> bool:
         return not self.active and self.radius > 0 and grad_norm <= self.grad_threshold
@@ -304,6 +305,24 @@ class TraceRecord:
     event: Event = Event.NONE
 
 
+def check_setting(key: str, value, where: str = "") -> None:
+    """Refuse a value outside ``key``'s row of ``SETTING_RULES`` with a
+    ConfigError that names the key and the rule it breaks."""
+    for test, rule in SETTING_RULES[key]:
+        if not test(value):
+            raise ConfigError(f"{where}constraint violated: {key} {rule}")
+
+
+def check_settings(obj, off=()) -> None:
+    """Check each field of a settings dataclass that has a row, except one
+    left at its declared default (None, or a value that means "off") or
+    equal to a (name, value) pair in ``off``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in SETTING_RULES and value != f.default and (f.name, value) not in off:
+            check_setting(f.name, value)
+
+
 def seeded_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Deterministic counter-based stream.
 
@@ -321,7 +340,7 @@ def sample_uniform_ball(rng: np.random.Generator, d: int, r: float) -> Vector:
     """
     if d < 1:
         raise ConfigError("dimension must be >= 1")
-    if r < 0:
+    if not r >= 0:
         raise ConfigError("radius must be nonnegative")
     if r == 0:
         return np.zeros(d)

@@ -129,8 +129,7 @@ def verify_variance_bound(
         raise InvalidInputError("trajectory must contain at least two points")
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("variance verification needs finite-sum mode")
-    if minibatch < 1:
-        raise ConfigError(f"variance verification needs minibatch >= 1 (got {minibatch})")
+    core.check_setting("minibatch", minibatch)
     if replications is not None and replications < 1:
         raise ConfigError(f"replications must be None (exhaustive) or >= 1 (got {replications})")
     n = int(problem.n)
@@ -399,8 +398,7 @@ def run_coupled_experiment(
         raise InvalidInputError("the coupled experiment needs finite-sum mode")
     if seeds < 1:
         raise ConfigError(f"the coupled experiment needs at least one pair (seeds = {seeds})")
-    if cfg.delta <= 0:
-        raise ConfigError("cfg.delta must be positive")
+    core.check_setting("delta", cfg.delta)
     if cfg.minibatch < cfg.epoch_len:
         raise ConfigError("needs minibatch >= epoch_len")
     d = problem.d

@@ -88,8 +88,7 @@ def large_batch_gradient(
     """Average of ``batch_size`` fresh i.i.d. component gradients (online anchor)."""
     if problem.mode is not Mode.ONLINE:
         raise UnsupportedOracleError("large-batch anchor is an online-mode operation")
-    if batch_size is None or batch_size < 1:
-        raise ConfigError("large batch size must be >= 1")
+    core.check_setting("large_batch", batch_size)
     idx = core.sample_minibatch(rng, problem.n, int(batch_size))
     grads = component_gradients(problem, idx, x)
     if sfo is not None:

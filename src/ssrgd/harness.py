@@ -245,8 +245,8 @@ def parse_config(path) -> ExperimentPlan:
                 raise ConfigError("[sweep] grid must be a comma-separated number list")
             if not grid:
                 raise ConfigError("[sweep] grid must be nonempty")
-            if axis == "eps" and not all(v > 0 for v in grid):
-                raise ConfigError("[sweep] constraint violated: eps > 0 at every grid value")
+            for value in grid if axis == "eps" else ():  # each one is a cell's eps
+                core.check_setting("eps", value, "[sweep] ")
             if axis == "n" and not all(v.is_integer() and v >= 1 for v in grid):
                 raise ConfigError("[sweep] constraint violated: n is an integer >= 1 at every grid value")
             sweep = (axis, grid)
@@ -317,12 +317,9 @@ def _parse_optimizer(section: str, raw) -> dict:
         raise ConfigError(f"[{section}] order must be 'first' or 'second'")
     if "logfactor" in params and params.get("order") != "second":
         raise ConfigError(f"[{section}] logfactor is read only with order = second")
-    for key in ("step_size", "eps", "delta", "logfactor",
-                "perturb_radius", "grad_threshold", "fval_threshold"):
-        if key in params and not params[key] > 0:  # NaN fails too
-            raise ConfigError(f"[{section}] constraint violated: {key} > 0")
-    if math.isinf(params.get("logfactor", 0.0)):
-        raise ConfigError(f"[{section}] constraint violated: logfactor < inf")
+    for key, value in params.items():
+        if key in core.SETTING_RULES:
+            core.check_setting(key, value, f"[{section}] ")
     if params.get("trace") not in (None, "full", "epoch"):
         raise ConfigError(f"[{section}] trace must be 'full' or 'epoch'")
     return params
@@ -458,8 +455,8 @@ def run_cell(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceReco
     delta = _second_order_delta(cell.optimizer, inst.spec, eps) or settings["delta"]
     if okind == "ssrgd":
         cfg = build_run_config(cell.optimizer, inst, cell.seed, eps)
-        # run_ssrgd reads cfg.eps only to check eps >= 0, which derive_config
-        # made true; eps-derived settings (second order, online) stay in the key
+        # run_ssrgd reads cfg.eps only to check it, and 0 passes that check;
+        # eps-derived settings (second order, online) stay in the key
         key = (n_override, dataclasses.astuple(dataclasses.replace(cfg, eps=0.0)))
         run = functools.partial(algorithm.run_ssrgd, inst.spec, cfg)
     else:

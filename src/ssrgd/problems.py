@@ -63,8 +63,10 @@ def make_quadratic(
     component mean equals A exactly.  Useful wherever a problem with
     closed-form gradients and an exactly known spectrum is wanted.
     """
-    if d < 1 or n < 1:
+    if not (d >= 1 and n >= 1):
         raise ConfigError("need d >= 1 and n >= 1")
+    if not (abs(scale) < math.inf and spread >= 0):  # NaN fails too
+        raise ConfigError("need a finite scale and spread >= 0")
     rng = core.seeded_rng(seed, 0)
     if matrix is None:
         A = scale * np.eye(d)
@@ -141,13 +143,13 @@ def make_separable_saddle(
     """
     if d < 2:
         raise ConfigError("planted saddle needs d >= 2")
-    if delta_plant <= 0:
+    if not delta_plant > 0:  # NaN fails too
         raise ConfigError("delta_plant must be positive")
-    if n < 1:
+    if not n >= 1:
         raise ConfigError("need n >= 1")
-    if gamma4 <= 0 or box_radius <= 0:
+    if not (gamma4 > 0 and box_radius > 0):
         raise ConfigError("gamma4 and box_radius must be positive")
-    if noise < 0:
+    if not noise >= 0:
         raise ConfigError("noise must be nonnegative")
 
     D = np.ones(d)
@@ -228,6 +230,8 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
     always get fresh arrays.  f is ``max(-m, 0) + log1p(exp(-|m|))`` per
     margin m, which never overflows.
     """
+    if not reg >= 0:  # NaN fails too
+        raise ConfigError("reg must be nonnegative")
     n, d = A.shape
     Ay = A * y[:, None]
     row_norms = np.linalg.norm(A, axis=1)
@@ -301,10 +305,10 @@ def make_nonconvex_logistic(
     minimizer finite.  All derivative bounds hold globally:
     L = max_i ||a_i||^2/4 + 2 reg, rho = max_i ||a_i||^3/(6 sqrt(3)) + 5 reg.
     """
-    if n < 1 or d < 1:
+    if not (n >= 1 and d >= 1):
         raise ConfigError("need n >= 1 and d >= 1")
-    if reg < 0:
-        raise ConfigError("reg must be nonnegative")
+    if not 0 <= flip_prob <= 1:  # NaN fails too
+        raise ConfigError("flip_prob must be in [0, 1]")
     rng = core.seeded_rng(seed, 0)
     j = np.arange(d)
     decay = j / (d - 1) if d > 1 else np.zeros(1)
@@ -380,7 +384,7 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     from a one-entry slot holding the base gradient at the last point asked
     for, which relies on the base ``full_grad`` being a pure function of x.
     """
-    if sigma < 0:
+    if not sigma >= 0:  # NaN fails too
         raise ConfigError("sigma must be nonnegative")
     bspec = base.spec
     if bspec.full_grad is None:

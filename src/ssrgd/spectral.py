@@ -91,7 +91,7 @@ def lambda_min_power(
     if problem.hvp is None:
         raise UnsupportedOracleError("power iteration needs a Hessian-vector oracle")
     L = problem.lipschitz_grad if spectral_bound is None else float(spectral_bound)
-    if L <= 0:
+    if not L > 0:  # NaN fails too
         raise ConfigError("spectral bound must be positive")
     if iters < 1:
         raise ConfigError("need at least one iteration")

@@ -114,14 +114,14 @@ class TestDeriveRejections:
         base = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
         inst = ssrgd.make_online_stream(base, 1.0)
         for lf in (0.0, -1.0, math.nan):  # NaN online used to die in math.ceil
-            with pytest.raises(ConfigError, match="logfactor must be positive"):
+            with pytest.raises(ConfigError, match="constraint violated: logfactor > 0"):
                 ssrgd.derive_config(inst.spec, 0.1, 0.3, lf)
 
     @pytest.mark.parametrize("online", [False, True])
     def test_second_order_needs_finite_logfactor(self, online):
         inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
         spec = ssrgd.make_online_stream(inst, 1.0).spec if online else inst.spec
-        with pytest.raises(ConfigError, match="logfactor must be finite"):
+        with pytest.raises(ConfigError, match="constraint violated: logfactor < inf"):
             ssrgd.derive_config(spec, 0.1, 0.3, math.inf)
 
     @pytest.mark.parametrize("online", [False, True])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import baselines, core, diagnostics
+from ssrgd import baselines, core, diagnostics, spectral
 from ssrgd.core import (
     ConfigError, Event, InvalidInputError, Mode, ProblemSpec, RunConfig, SuperEpoch,
 )
@@ -170,6 +170,27 @@ class TestNanSettingsRefused:
                 baselines.run_baseline(bk, inst.spec, 1000)
 
 
+def coupled_with_nan_delta():
+    inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
+    cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0)
+    diagnostics.run_coupled_experiment(inst, np.zeros(4), dataclasses.replace(cfg, delta=math.nan), 2)
+
+
+class TestNanArguments:
+    """Argument checks written so that NaN fails them (`not r >= 0`), where
+    `r < 0` let NaN through to a NaN draw, a NaN estimate or a math.ceil crash."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: core.sample_uniform_ball(core.seeded_rng(0, 0), 3, math.nan), "radius must be nonnegative"),
+        (lambda: spectral.lambda_min_power(ssrgd.make_quadratic(d=2, n=4).spec, np.zeros(2), spectral_bound=math.nan),
+         "spectral bound must be positive"),
+        (coupled_with_nan_delta, "constraint violated: delta > 0"),
+    ])
+    def test_nan_is_refused(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call()
+
+
 class TestSuperEpoch:
     def _started(self, length=3, fval_threshold=1.0):
         se = SuperEpoch(0.1, 0.5, fval_threshold, length)
@@ -222,7 +243,7 @@ class TestSuperEpoch:
         ],
     )
     def test_check_names_the_setting(self, settings, key):
-        with pytest.raises(ConfigError, match=f"^who needs .*{key}"):
+        with pytest.raises(ConfigError, match=f"^who: constraint violated: {key} "):
             SuperEpoch(*settings).check("who")
 
     @pytest.mark.parametrize("key", ["perturb_radius", "grad_threshold"])
@@ -235,7 +256,7 @@ class TestSuperEpoch:
         )
         with pytest.raises(ConfigError, match=key):
             cfg.validate(scalar_quadratic([1.0, 2.0]))
-        with pytest.raises(ConfigError, match=f"^who needs {key} > 0$"):
+        with pytest.raises(ConfigError, match=f"^who: constraint violated: {key} > 0$"):
             cfg.super_epoch().check("who")
 
 

@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
+import functools
 import inspect
+import io
 import json
 import math
 import os
@@ -6,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import harness, svgplot
-from ssrgd.core import ConfigError, Event, Mode
+from ssrgd import baselines, core, harness, svgplot
+from ssrgd.baselines import BaselineKind
+from ssrgd.core import ConfigError, Event, Mode, RunConfig
 from ssrgd.harness import (
     ExperimentPlan,
     build_problem,
@@ -461,22 +467,19 @@ seeds = 0
         trace = tmp_path / "runs" / by_opt["sgd"]["run_id"] / "trace.csv"
         assert trace.read_text().count("\n") > 1
 
-    def test_sgd_cell_without_measurements_fails_only_its_cell(self, tmp_path, capsys):
-        # eval_every = 0 would divide by zero inside the run; the baseline's
-        # settings check refuses it, so the gd cell still runs and is written
+    def test_sgd_without_measurements_exits_2_before_any_cell(self, tmp_path, capsys):
+        # eval_every = 0 would divide by zero inside the run; the section parse
+        # refuses it against core.SETTING_RULES, so no cell runs, the gd one included
         text = MINIMAL.replace(
             "[optimizer]\nkind = ssrgd\neps = 0.05\nsfo_budget = 4000",
             "[optimizer:sgd]\nkind = sgd\neval_every = 0\nsfo_budget = 2000\n\n"
             "[optimizer:gd]\nkind = gd\nsfo_budget = 2000",
         )
-        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
-        agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
-        by_opt = {c["optimizer"]: c for c in agg["cells"]}
-        assert by_opt["sgd"]["failed"] and "eval_every" in by_opt["sgd"]["error"]
-        assert agg["failed"] == [by_opt["sgd"]["run_id"]]
-        assert not by_opt["gd"]["failed"] and by_opt["gd"]["sfo_raw"] > 0
-        trace = tmp_path / "runs" / by_opt["gd"]["run_id"] / "trace.csv"
-        assert trace.read_text().count("\n") > 1
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [optimizer:sgd] constraint violated: eval_every is an integer >= 1"
+        ]
+        assert not (tmp_path / "runs").exists()
 
     def test_certify_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
@@ -665,7 +668,7 @@ class TestOneDerivation:
     @pytest.mark.parametrize("flag, message", [
         ("--eps", "eps must be positive"),
         ("--delta", "second-order targets need eps > 0 and delta > 0"),
-        ("--logfactor", "logfactor must be positive"),
+        ("--logfactor", "constraint violated: logfactor > 0"),
     ])
     def test_diagnose_coupled_nan_target_exits_2(self, tmp_path, capsys, flag, message):
         cfg = write_config(tmp_path, FINITE_SADDLE, name="c.ini")
@@ -676,7 +679,7 @@ class TestOneDerivation:
         # used to die in math.ceil with an OverflowError traceback
         cfg = write_config(tmp_path, FINITE_SADDLE, name="c.ini")
         assert harness.main(["diagnose", "coupled", "--config", str(cfg), "--logfactor", "inf"]) == 2
-        assert capsys.readouterr().err.splitlines() == ["config error: logfactor must be finite"]
+        assert capsys.readouterr().err.splitlines() == ["config error: constraint violated: logfactor < inf"]
 
     @pytest.mark.parametrize("given, unset", [
         ("epoch_len = 8", "minibatch"), ("epoch_len = 16", "minibatch"), ("minibatch = 4", "epoch_len"),
@@ -727,9 +730,23 @@ class TestOneDerivation:
 
 
 class TestParseRefusals:
+    def test_problem_with_a_nan_parameter_fails_only_its_cells(self, tmp_path, capsys):
+        # make_quadratic(scale=nan) used to raise numpy's LinAlgError, which a
+        # failed cell does not catch: the plan died and wrote no directory at all
+        text = MINIMAL.replace("[optimizer]", "[problem:bad]\nkind = quadratic\nn = 16\nd = 3\nscale = nan\n\n[optimizer]")
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
+        by_problem = {c["problem"]: c for c in agg["cells"]}
+        assert by_problem["bad"]["failed"] and "scale" in by_problem["bad"]["error"]
+        assert agg["failed"] == [by_problem["bad"]["run_id"]]
+        good = by_problem["problem"]
+        assert not good["failed"] and good["sfo_raw"] > 0
+        assert (tmp_path / "runs" / good["run_id"] / "trace.csv").read_text().count("\n") > 1
+
     @pytest.mark.parametrize("sweep, message", [
         ("axis = eps\ngrid = -0.1, 0.05, 0", "[sweep] constraint violated: eps > 0"),
         ("axis = eps\ngrid = 0.1, 0.05, nan", "[sweep] constraint violated: eps > 0"),
+        ("axis = eps\ngrid = 0.1, inf", "[sweep] constraint violated: eps < inf"),
         ("axis = n\ngrid = 16.2, 16.7, 0.5", "[sweep] constraint violated: n is an integer >= 1"),
         ("axis = n\ngrid = 16, 32, 0", "[sweep] constraint violated: n is an integer >= 1"),
         ("axis = n\ngrid = 16, inf", "[sweep] constraint violated: n is an integer >= 1"),
@@ -794,6 +811,103 @@ class TestParseRefusals:
         assert harness.main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+
+# What each row of core.SETTING_RULES admits, written out from the paper's
+# ranges (integer m, b >= 1, positive finite step and thresholds) rather
+# than read back from the table
+COUNT_KEYS = ("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs", "max_iters", "eval_every")
+
+
+def admitted(key, value) -> bool:
+    if key == "sfo_budget":
+        return value >= 0  # inf too; NaN fails
+    if key == "seed":
+        return isinstance(value, int)
+    if key in COUNT_KEYS:
+        return isinstance(value, int) and value >= 1
+    return 0 < value < math.inf
+
+
+def library_settings():
+    """A problem with a step-size cap of 6180, and one RunConfig and one
+    BaselineKind on it that pass every check, with every numeric field set
+    (the super-epoch ones too, so a positive perturb_radius passes)."""
+    spec = ssrgd.make_quadratic(d=2, n=4, scale=1e-4, spread=0.0).spec
+    cfg = RunConfig(step_size=0.1, epoch_len=4, minibatch=4, eps=0.1, sfo_budget=100, large_batch=8,
+                    grad_threshold=0.1, fval_threshold=0.1, super_epoch_len=5, delta=0.1, max_epochs=3)
+    bk = BaselineKind(kind="sgd", step_size=0.1, minibatch=2, epoch_len=4, perturb_radius=0.1, grad_threshold=0.1,
+                      fval_threshold=0.1, super_epoch_len=5, eval_every=10, max_iters=20)
+    return spec, cfg, bk
+
+
+class TestSettingRules:
+    """core.SETTING_RULES decides every numeric optimizer setting, and the
+    library and the CLI refuse the same values by it."""
+
+    def test_every_numeric_setting_has_a_row_and_every_row_a_setting(self):
+        def numeric(hint):
+            return bool({int, float} & set(typing.get_args(hint) or (hint,)))
+
+        fields = {name for cls in (RunConfig, BaselineKind)
+                  for name, hint in typing.get_type_hints(cls).items() if numeric(hint)}
+        keys = {key for key, default in harness._OPTIMIZER_KEYS.items() if key_type(default) in (int, float)}
+        assert set(core.SETTING_RULES) == fields | keys
+
+    @pytest.mark.parametrize("key", sorted(core.SETTING_RULES))
+    @settings(max_examples=30, deadline=None)
+    @given(value=st.one_of(st.integers(-10**3, 10**3), st.floats(-1e3, 1e3),
+                           st.sampled_from([math.nan, math.inf, -math.inf, -0.0])))
+    @example(value=math.nan)
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=0)
+    @example(value=-1)
+    @example(value=2.5)
+    def test_library_and_cli_refuse_the_same_values(self, key, value):
+        spec, cfg, bk = library_settings()
+        for obj in (cfg, bk):
+            if key not in {f.name for f in dataclasses.fields(obj)}:
+                continue
+            default = {f.name: f.default for f in dataclasses.fields(obj)}[key]
+            # a field left at its declared default passes, and so does RunConfig's eps = 0 (no target)
+            passes = admitted(key, value) or value == default or (obj is cfg and key == "eps" and value == 0)
+            changed = dataclasses.replace(obj, **{key: value})
+            validate = changed.validate if obj is bk else functools.partial(changed.validate, spec)
+            if passes:
+                validate()
+            else:
+                with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+                    validate()
+        if key == "sfo_budget":  # run_baseline reads the row for its budget argument
+            if admitted(key, value):
+                baselines.run_baseline(bk, spec, value)
+            else:
+                with pytest.raises(ConfigError, match=key):
+                    baselines.run_baseline(bk, spec, value)
+        if key == "seed":  # no section reads it: the plan's [output] seeds are parsed as integers
+            return
+        # a one-cell plan of the first kind that reads the key, with no default exemption
+        kind = next((k for k, reads in harness.OPTIMIZERS.items() if key in reads), "ssrgd")
+        order = "order = second\n" if key == "logfactor" else ""
+        text = f"{value!r}" if isinstance(value, float) else str(value)
+        plan = ("[problem]\nkind = quadratic\n\n[optimizer]\n"
+                f"kind = {kind}\n{order}{key} = {text}\n\n[output]\ndir = {{out}}\nseeds = 0\n")
+        # a key typed int (each count row, and sfo_budget) is parsed as an integer,
+        # which refuses 2.5, NaN and inf before the row is read: the sfo_budget
+        # row admits inf and non-integral budgets, but the parse does not
+        integral = key_type(harness._OPTIMIZER_KEYS[key]) is int
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), plan)
+            if admitted(key, value) and (isinstance(value, int) or not integral):
+                ((_, params),) = parse_config(path).optimizers
+                assert params[key] == value
+            else:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert harness.main(["run", str(path)]) == 2
+                assert err.getvalue().startswith("config error: [optimizer] ") and key in err.getvalue()
+                assert not (Path(tmp) / "runs").exists()
 
 
 class Captured(Exception):
@@ -1125,7 +1239,7 @@ class TestDiagnoseCli:
         assert err.startswith("error: ") and "finite-sum" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags, why", [
-        (["variance", "--minibatch", "0"], "minibatch >= 1 (got 0)"),
+        (["variance", "--minibatch", "0"], "constraint violated: minibatch is an integer >= 1"),
         (["variance", "--replications", "0"], "or >= 1 (got 0)"),
         (["coupled", "--pairs", "0"], "at least one pair (seeds = 0)"),
         (["coupled", "--pairs", "-2"], "at least one pair (seeds = -2)"),
@@ -1310,6 +1424,10 @@ class TestProblemRegistry:
             for key, default in listed.items():
                 ours = harness._OPTIMIZER_KEYS[key]
                 assert default == ("" if isinstance(ours, type) else str(ours)), (label, key)
+        # the accepted values: each key sits in the row whose last cell states its rule
+        rows = readme_table("| setting | accepted values |")
+        accepted = {key: text for keys, text in rows.items() for key in re.findall(r"`(\w+)`", keys)}
+        assert accepted == {key: " and ".join(rule for _, rule in rules) for key, rules in core.SETTING_RULES.items()}
 
 
 def optimizer_value(key) -> str:

@@ -59,6 +59,40 @@ def lipschitz_ratio_check(spec, radius, pairs=10_000, seed=0):
     assert worst <= spec.lipschitz_grad * (1 + 1e-12), (worst, spec.lipschitz_grad)
 
 
+GENERATORS = {
+    "logistic": lambda **kw: make_nonconvex_logistic(**{"n": 8, "d": 3, **kw}),
+    "saddle": lambda **kw: make_separable_saddle(**{"d": 3, "n": 4, "delta_plant": 0.3, **kw}),
+    "quadratic": lambda **kw: make_quadratic(**{"d": 3, "n": 4, **kw}),
+    "online": lambda **kw: make_online_stream(make_quadratic(d=3, n=4), **{"sigma": 0.5, **kw}),
+}
+
+
+class TestGeneratorParameters:
+    """Each generator checks its own parameters, in a form NaN fails, and
+    names the parameter; NaN used to build a problem (flip_prob, noise,
+    spread), fail later with a message about L (reg, gamma4, box_radius)
+    or raise numpy's LinAlgError (scale)."""
+
+    @pytest.mark.parametrize("generator, key, value", [
+        *[(g, key, math.nan) for g, key in [
+            ("logistic", "n"), ("logistic", "d"), ("logistic", "reg"), ("logistic", "flip_prob"),
+            ("saddle", "n"), ("saddle", "delta_plant"), ("saddle", "noise"), ("saddle", "gamma4"),
+            ("saddle", "box_radius"), ("quadratic", "n"), ("quadratic", "d"), ("quadratic", "scale"),
+            ("quadratic", "spread"), ("online", "sigma"),
+        ]],
+        ("logistic", "flip_prob", -1.0), ("logistic", "flip_prob", 1.5), ("quadratic", "scale", math.inf),
+    ])
+    def test_out_of_range_parameter_is_refused_by_name(self, generator, key, value):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            GENERATORS[generator](**{key: value})
+
+    def test_libsvm_shares_the_logistic_reg_check(self, tmp_path):
+        data = tmp_path / "tiny.svm"
+        data.write_text("1 1:0.5\n-1 2:0.25\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="reg must be nonnegative"):
+            load_libsvm(data, d_cap=4, reg=math.nan)
+
+
 class TestSeparableSaddle:
     def test_saddle_construction(self):
         inst = make_separable_saddle(d=5, n=12, delta_plant=0.4, noise=0.2, seed=3)

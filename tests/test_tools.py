@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
@@ -106,7 +107,9 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
     assert set(record) == {"rounds", "scale", "build", "parent", "change", "workloads"}
     assert (record["rounds"], record["scale"]) == (1, 0.01)
     assert record["build"] == load_tool("fingerprint").build()
-    assert record["parent"] == record["change"] and set(record["parent"]) == {"git"}
+    assert record["parent"] == record["change"] and set(record["parent"]) == {"git", "src_lines"}
+    src = sorted((root / "src" / "ssrgd").glob("*.py"))
+    assert record["parent"]["src_lines"] == len(b"".join(p.read_bytes() for p in src).splitlines())
     assert list(record["workloads"]) == ["fs", "online", "plan", "certify", "setup"]
     assert record["workloads"]["certify"]["workload"] == "saddle_certify"
     assert record["workloads"]["setup"]["workload"] == "fs_logistic"
@@ -118,6 +121,13 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
         assert w["ratio"] == w["change"]["median"] / w["parent"]["median"]
         assert w["wins"] in (0, 1) and w["identical"] is True
         assert row.split()[-2] == f"{w['wins']}/1"
+
+
+@pytest.mark.parametrize("scale", ["nan", "0", "-1"])
+def test_ab_refuses_a_scale_that_is_not_positive(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_tool("ab").main(["--parent", ".", "--scale", scale])
+    assert exc.value.code == 2 and "--scale > 0" in capsys.readouterr().err
 
 
 def test_ab_online_round_is_the_median_of_its_units():

@@ -39,8 +39,9 @@ run configs, start point and gradient there).
 BLAS threads are pinned to 1, as in the benchmark.  ``--out`` also writes
 the table as JSON: per workload each side's per-round values and quartiles,
 the ratio, the wins and ``identical``; then the rounds, the scale, the
-numpy and BLAS build (``fingerprint.build``) and each tree's git sha
-(``dirty`` when its ``src/`` differs from its HEAD, null outside a checkout).
+numpy and BLAS build (``fingerprint.build``) and, for each tree, its git sha
+(``dirty`` when its ``src/`` differs from its HEAD, null outside a checkout)
+and its ``src/`` line count (``src_lines``, as ``cat src/ssrgd/*.py | wc -l``).
 """
 
 from __future__ import annotations
@@ -305,6 +306,11 @@ def tree_version(root: Path) -> str | None:
     return "dirty" if git("status", "--porcelain", "--", "src") else git("rev-parse", "HEAD")
 
 
+def src_lines(root: Path) -> int:
+    """Newlines in the tree's ``src/ssrgd/*.py``, which ``cat src/ssrgd/*.py | wc -l`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "ssrgd").glob("*.py"))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, type=Path, help="checkout root of the baseline tree")
@@ -312,7 +318,7 @@ def main(argv=None) -> int:
     p.add_argument("--scale", type=float, default=1.0, help="multiplies budgets and pair count")
     p.add_argument("--out", type=Path, default=None, help="also write the results as JSON here")
     args = p.parse_args(argv)
-    if args.rounds < 1 or args.scale <= 0:
+    if args.rounds < 1 or not args.scale > 0:  # NaN fails too
         p.error("--rounds must be >= 1 and --scale > 0")
     logging.basicConfig(level=logging.WARNING)  # the harness's own INFO lines stay quiet
     with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
@@ -327,7 +333,8 @@ def main(argv=None) -> int:
     if args.out is not None:
         record = {
             "rounds": args.rounds, "scale": args.scale, "build": fingerprint.build(),
-            "parent": {"git": tree_version(args.parent)}, "change": {"git": tree_version(HERE)},
+            "parent": {"git": tree_version(args.parent), "src_lines": src_lines(args.parent)},
+            "change": {"git": tree_version(HERE), "src_lines": src_lines(HERE)},
             "workloads": results,
         }
         args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
