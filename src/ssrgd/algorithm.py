@@ -92,12 +92,10 @@ def super_epoch_params(
     grad_threshold = eps; fval_threshold = logfactor * delta^3/rho^2;
     super_epoch_len = ceil(logfactor/(step_size * delta)); perturb_radius =
     logfactor * min(delta^3/(rho^2 eps), delta^(3/2)/(rho sqrt(L)))."""
-    if not (eps > 0 and delta > 0):  # NaN fails too
-        raise ConfigError("second-order targets need eps > 0 and delta > 0")
+    core.check_values(eps=eps, delta=delta, logfactor=logfactor)  # math.ceil below needs them finite
     rho = problem.lipschitz_hess
     if rho <= 0:
         raise ConfigError("second-order mode needs a positive Hessian Lipschitz constant")
-    core.check_setting("logfactor", logfactor)  # an infinite one would die in math.ceil below
     L = problem.lipschitz_grad
     return dict(
         perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),
@@ -121,8 +119,7 @@ def derive_config(
     """
     online = problem.mode is Mode.ONLINE
     second = delta is not None
-    if not eps > 0:  # NaN fails too
-        raise ConfigError("eps must be positive")
+    core.check_setting("eps", eps)
     if not second:
         logfactor = 1.0
     eta = min(logfactor, STEP_FACTOR_LIMIT) / problem.lipschitz_grad

@@ -35,17 +35,25 @@ STEP_FACTOR_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
 
 _REL_TOL = 1e-12
 
-# Which values each numeric optimizer setting may take: (test, rule) pairs tried in
-# order, and NaN fails every test.  RunConfig, BaselineKind, run_baseline and the
-# harness's optimizer sections all check against it; cross-field rules stay in code.
+# Which values each number the package takes in may take: (test, rule) pairs tried
+# in order, and NaN fails every test.  The optimizer settings, problem metadata, the
+# generators' parameters (named by their harness keys), the (eps, delta) targets and
+# the sampling and spectral primitives' arguments all check against it; cross-field
+# rules stay in code.
 _POSITIVE = ((lambda v: v > 0, "> 0"), (lambda v: v < math.inf, "< inf"))
+_NONNEGATIVE = ((lambda v: v >= 0, ">= 0"), (lambda v: v < math.inf, "< inf"))
 _COUNT = ((lambda v: isinstance(v, numbers.Integral) and v >= 1, "is an integer >= 1"),)
 SETTING_RULES = {
-    **dict.fromkeys(("step_size", "eps", "delta", "logfactor", "perturb_radius",
-                     "grad_threshold", "fval_threshold"), _POSITIVE),
+    **dict.fromkeys(("step_size", "eps", "delta", "logfactor", "perturb_radius", "grad_threshold",
+                     "fval_threshold", "lipschitz_grad", "domain_radius", "delta_plant", "gamma4",
+                     "box_radius", "spectral_bound"), _POSITIVE),
+    **dict.fromkeys(("lipschitz_hess", "variance_bound", "sigma", "noise", "spread", "reg", "r"),
+                    _NONNEGATIVE),
+    **dict.fromkeys(("scale", "x0_scale"), ((lambda v: abs(v) < math.inf, "is finite"),)),
+    "flip_prob": ((lambda v: 0 <= v <= 1, "in [0, 1]"),),
     "sfo_budget": ((lambda v: v >= 0, ">= 0"),),
-    **dict.fromkeys(("epoch_len", "minibatch", "large_batch", "super_epoch_len",
-                     "max_epochs", "max_iters", "eval_every"), _COUNT),
+    **dict.fromkeys(("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs",
+                     "max_iters", "eval_every", "n", "d", "d_cap", "iters"), _COUNT),
     "seed": ((lambda v: isinstance(v, numbers.Integral), "is an integer"),),
 }
 
@@ -131,6 +139,8 @@ class ProblemSpec:
     take two batched gradient calls and subtract their means.  Either way
     a step over b indices is charged 2b raw SFO (b nominal).
 
+    Each number must pass its row of ``SETTING_RULES`` (L, rho and sigma
+    are finite, as the analysis divides by them); ``n`` keeps its own rule.
     Every oracle must be a pure function of its arguments.  The online
     stream answers repeated gradient requests at one point from a one-entry
     slot, and the optimizers reuse an f value already computed at the
@@ -151,24 +161,14 @@ class ProblemSpec:
     domain_radius: float | None = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError("problem dimension must be >= 1")
-        # the float tests read "not <valid>", so that a NaN fails them
-        if self.n != math.inf:
-            if not self.n >= 1 or int(self.n) != self.n:
-                raise ConfigError("component count must be a positive integer or inf")
-        if not self.lipschitz_grad > 0:
-            raise ConfigError("gradient Lipschitz constant must be positive")
-        if not self.lipschitz_hess >= 0:
-            raise ConfigError("Hessian Lipschitz constant must be nonnegative")
+        # n keeps its own rule: inf, or a positive integer of any numeric type (3.0 too)
+        if self.n != math.inf and not (self.n >= 1 and int(self.n) == self.n):  # NaN fails too
+            raise ConfigError("constraint violated: n is a positive integer or inf")
+        check_settings(self, off=(("n", self.n),))
         if self.component_grad_batch is None:
             raise ConfigError("a problem needs a batched component oracle (component_grad_batch)")
-        if self.mode is Mode.FINITE_SUM:
-            if self.full_grad is None:
-                raise ConfigError("finite-sum mode needs a full-gradient oracle")
-        else:
-            if not self.variance_bound >= 0:
-                raise ConfigError("variance bound must be nonnegative")
+        if self.mode is Mode.FINITE_SUM and self.full_grad is None:
+            raise ConfigError("finite-sum mode needs a full-gradient oracle")
 
     @property
     def mode(self) -> Mode:
@@ -313,14 +313,19 @@ def check_setting(key: str, value, where: str = "") -> None:
             raise ConfigError(f"{where}constraint violated: {key} {rule}")
 
 
+def check_values(off=(), **values) -> None:
+    """``check_setting`` for each keyword argument, except a (key, value)
+    pair in ``off``."""
+    for key, value in values.items():
+        if (key, value) not in off:
+            check_setting(key, value)
+
+
 def check_settings(obj, off=()) -> None:
-    """Check each field of a settings dataclass that has a row, except one
-    left at its declared default (None, or a value that means "off") or
-    equal to a (name, value) pair in ``off``."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.name in SETTING_RULES and value != f.default and (f.name, value) not in off:
-            check_setting(f.name, value)
+    """``check_values`` over each field of a dataclass that has a row, except
+    one left at its declared default (None, or a value that means "off")."""
+    check_values(off, **{f.name: getattr(obj, f.name) for f in fields(obj)
+                         if f.name in SETTING_RULES and getattr(obj, f.name) != f.default})
 
 
 def seeded_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -338,10 +343,7 @@ def sample_uniform_ball(rng: np.random.Generator, d: int, r: float) -> Vector:
 
     Isotropic direction scaled by r * U^(1/d) with U uniform on [0, 1].
     """
-    if d < 1:
-        raise ConfigError("dimension must be >= 1")
-    if not r >= 0:
-        raise ConfigError("radius must be nonnegative")
+    check_values(d=d, r=r)
     if r == 0:
         return np.zeros(d)
     while True:

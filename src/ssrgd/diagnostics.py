@@ -217,6 +217,7 @@ def verify_epoch_decrease(
     (undersized for that estimator, which needs b >= m^2)."""
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("epoch-decrease verification needs finite-sum mode")
+    cfg.validate(problem)
     if cfg.minibatch < cfg.epoch_len:
         raise ConfigError("verification needs minibatch >= epoch_len")
     L = problem.lipschitz_grad
@@ -398,9 +399,8 @@ def run_coupled_experiment(
         raise InvalidInputError("the coupled experiment needs finite-sum mode")
     if seeds < 1:
         raise ConfigError(f"the coupled experiment needs at least one pair (seeds = {seeds})")
+    cfg.validate(problem)  # with the radius check below, this asks for b >= m
     core.check_setting("delta", cfg.delta)
-    if cfg.minibatch < cfg.epoch_len:
-        raise ConfigError("needs minibatch >= epoch_len")
     d = problem.d
     L = problem.lipschitz_grad
     rho = problem.lipschitz_hess

@@ -245,10 +245,9 @@ def parse_config(path) -> ExperimentPlan:
                 raise ConfigError("[sweep] grid must be a comma-separated number list")
             if not grid:
                 raise ConfigError("[sweep] grid must be nonempty")
-            for value in grid if axis == "eps" else ():  # each one is a cell's eps
-                core.check_setting("eps", value, "[sweep] ")
-            if axis == "n" and not all(v.is_integer() and v >= 1 for v in grid):
-                raise ConfigError("[sweep] constraint violated: n is an integer >= 1 at every grid value")
+            for value in grid:  # each one is a cell's eps or n, and n is read as an integer
+                value = int(value) if axis == "n" and value.is_integer() else value
+                core.check_setting(axis, value, "[sweep] ")
             sweep = (axis, grid)
         elif section == "output":
             out = _parse_section("[output]", parser[section], _OUTPUT_KEYS)
@@ -344,6 +343,7 @@ def initial_point(params: dict, inst: problems.ProblemInstance) -> np.ndarray:
     if preset == "zeros":
         return np.zeros(d)
     if preset == "ones":
+        core.check_setting("x0_scale", values["x0_scale"])
         return values["x0_scale"] * np.ones(d)
     if preset == "saddle":
         if not inst.saddle_points:

@@ -63,26 +63,26 @@ def make_quadratic(
     component mean equals A exactly.  Useful wherever a problem with
     closed-form gradients and an exactly known spectrum is wanted.
     """
-    if not (d >= 1 and n >= 1):
-        raise ConfigError("need d >= 1 and n >= 1")
-    if not (abs(scale) < math.inf and spread >= 0):  # NaN fails too
-        raise ConfigError("need a finite scale and spread >= 0")
+    core.check_values(d=d, n=n, scale=scale, spread=spread)
     rng = core.seeded_rng(seed, 0)
-    if matrix is None:
-        A = scale * np.eye(d)
-    else:
-        A = np.array(matrix, dtype=float)
-        if A.shape != (d, d):
-            raise ConfigError(f"matrix must be ({d}, {d})")
-        A = 0.5 * (A + A.T)
-    comps = np.empty((n, d, d))
-    if n > 1 and spread > 0:
-        raw = rng.standard_normal((n, d, d))
-        raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-        raw -= raw.mean(axis=0)
-        comps = A[None, :, :] + spread * raw
-    else:
-        comps[:] = A[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if matrix is None:
+            A = scale * np.eye(d)
+        else:
+            A = np.array(matrix, dtype=float)
+            if A.shape != (d, d):
+                raise ConfigError(f"matrix must be ({d}, {d})")
+            A = 0.5 * (A + A.T)
+        comps = np.empty((n, d, d))
+        if n > 1 and spread > 0:
+            raw = rng.standard_normal((n, d, d))
+            raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+            raw -= raw.mean(axis=0)
+            comps = A[None, :, :] + spread * raw
+        else:
+            comps[:] = A[None, :, :]
+    if not np.isfinite(comps).all():
+        raise ConfigError(f"scale {scale:g} and spread {spread:g} overflow the components")
 
     L = float(max(np.max(np.abs(np.linalg.eigvalsh(Ai))) for Ai in comps))
     eigs = np.linalg.eigvalsh(A)
@@ -141,16 +141,10 @@ def make_separable_saddle(
     each row bit for bit what the single point gets, so the coupled escape
     experiment can run all its trajectories in lockstep.
     """
+    core.check_values(d=d, n=n, delta_plant=delta_plant, noise=noise, gamma4=gamma4,
+                      box_radius=box_radius)
     if d < 2:
         raise ConfigError("planted saddle needs d >= 2")
-    if not delta_plant > 0:  # NaN fails too
-        raise ConfigError("delta_plant must be positive")
-    if not n >= 1:
-        raise ConfigError("need n >= 1")
-    if not (gamma4 > 0 and box_radius > 0):
-        raise ConfigError("gamma4 and box_radius must be positive")
-    if not noise >= 0:
-        raise ConfigError("noise must be nonnegative")
 
     D = np.ones(d)
     D[-1] = -delta_plant
@@ -171,16 +165,7 @@ def make_separable_saddle(
     def full_grad(x):
         return D * x + gamma4 * x**3
 
-    grad_slot = _point_slot(full_grad)
-
-    def component_grad_batch(idx, x):
-        return (D * x + gamma4 * x**3)[None, :] + z[idx]
-
-    def grad_diff_batch(idx, x_new, x_old):
-        # the linear z_i terms cancel in every component's difference; the
-        # old endpoint goes first, as it is the one the slot already holds
-        g_old = grad_slot(x_old)
-        return grad_slot(x_new) - g_old
+    component_grad_batch, grad_diff_batch = _noisy_gradients(full_grad, lambda idx: z[idx])
 
     def hvp(x, vec):
         return D * vec + 3.0 * gamma4 * (x * x) * vec
@@ -220,6 +205,26 @@ def _point_slot(fn):
     return cached
 
 
+def _noisy_gradients(full_grad, noise):
+    """The component oracles of a problem whose component i is the exact
+    gradient plus ``noise(i)``, a term that does not depend on x, so that it
+    cancels exactly in a difference.  A recursive step's old endpoint is the
+    previous step's new one, and an epoch's anchor sits where the last epoch
+    ended, so consecutive requests repeat a point: one ``_point_slot`` holds
+    the gradient, and a difference asks for the old endpoint first, as it is
+    the one the slot already holds."""
+    grad = _point_slot(full_grad)
+
+    def component_grad_batch(idx, x):
+        return grad(x)[None, :] + noise(idx)
+
+    def grad_diff_batch(idx, x_new, x_old):
+        g_old = grad(x_old)
+        return grad(x_new) - g_old
+
+    return component_grad_batch, grad_diff_batch
+
+
 def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInstance:
     """The nonconvex logistic problem on rows ``A`` and labels ``y``.
 
@@ -230,8 +235,7 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
     always get fresh arrays.  f is ``max(-m, 0) + log1p(exp(-|m|))`` per
     margin m, which never overflows.
     """
-    if not reg >= 0:  # NaN fails too
-        raise ConfigError("reg must be nonnegative")
+    core.check_values(reg=reg)
     n, d = A.shape
     Ay = A * y[:, None]
     row_norms = np.linalg.norm(A, axis=1)
@@ -305,10 +309,7 @@ def make_nonconvex_logistic(
     minimizer finite.  All derivative bounds hold globally:
     L = max_i ||a_i||^2/4 + 2 reg, rho = max_i ||a_i||^3/(6 sqrt(3)) + 5 reg.
     """
-    if not (n >= 1 and d >= 1):
-        raise ConfigError("need n >= 1 and d >= 1")
-    if not 0 <= flip_prob <= 1:  # NaN fails too
-        raise ConfigError("flip_prob must be in [0, 1]")
+    core.check_values(n=n, d=d, flip_prob=flip_prob)
     rng = core.seeded_rng(seed, 0)
     j = np.arange(d)
     decay = j / (d - 1) if d > 1 else np.zeros(1)
@@ -384,25 +385,15 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     from a one-entry slot holding the base gradient at the last point asked
     for, which relies on the base ``full_grad`` being a pure function of x.
     """
-    if not sigma >= 0:  # NaN fails too
-        raise ConfigError("sigma must be nonnegative")
+    core.check_values(sigma=sigma)
     bspec = base.spec
     if bspec.full_grad is None:
         raise ConfigError("online stream needs a base with an exact gradient")
     d = bspec.d
-    # A recursive step's old endpoint is the previous step's new one, and an
-    # epoch's anchor sits where the last epoch ended, so consecutive requests
-    # repeat a point.
-    base_grad = _point_slot(lambda x: bspec.full_grad(x))  # sees a later-patched oracle
-
-    def component_grad_batch(idx, x):
-        return base_grad(x)[None, :] + _hashed_ball_noise(idx, d, sigma, seed)
-
-    def grad_diff_batch(idx, x_new, x_old):
-        # the id-keyed noise does not depend on x and cancels exactly; the
-        # old endpoint goes first, as it is the one the slot already holds
-        g_old = base_grad(x_old)
-        return base_grad(x_new) - g_old
+    component_grad_batch, grad_diff_batch = _noisy_gradients(
+        lambda x: bspec.full_grad(x),  # sees a later-patched oracle
+        lambda idx: _hashed_ball_noise(idx, d, sigma, seed),
+    )
 
     spec = ProblemSpec(
         n=math.inf,
@@ -429,6 +420,7 @@ def load_libsvm(path, d_cap: int, reg: float = 0.1) -> ProblemInstance:
     """Parse whitespace-separated ``label idx:val`` sparse lines (1-based
     indices), materialize dense features, and wrap them as a nonconvex
     logistic instance.  Labels map to +1 (label > 0) / -1."""
+    core.check_values(d_cap=d_cap)
     rows: list[tuple[float, dict[int, float]]] = []
     max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:

@@ -91,10 +91,7 @@ def lambda_min_power(
     if problem.hvp is None:
         raise UnsupportedOracleError("power iteration needs a Hessian-vector oracle")
     L = problem.lipschitz_grad if spectral_bound is None else float(spectral_bound)
-    if not L > 0:  # NaN fails too
-        raise ConfigError("spectral bound must be positive")
-    if iters < 1:
-        raise ConfigError("need at least one iteration")
+    core.check_values(spectral_bound=L, iters=iters)
     if rng is None:
         rng = core.seeded_rng(0, 17)
     d = problem.d
@@ -123,23 +120,21 @@ def certify(
 ) -> Certificate:
     """Populate a second-order certificate for the point x.
 
-    Finite-sum problems measure the exact gradient (eps >= 0; 0 asks for an
-    exact stationary point); online problems use a large-batch estimate over
-    ``derive_config``'s ceil(4 sigma^2/eps^2) samples, which needs eps > 0.
-    delta must be positive.  The eigenvalue method is dense below
-    ``dense_cap`` dimensions and shifted power iteration beyond it.
+    Finite-sum problems measure the exact gradient; online problems use a
+    large-batch estimate over ``derive_config``'s ceil(4 sigma^2/eps^2)
+    samples.  eps and delta must pass their rows of ``core.SETTING_RULES``,
+    except that eps = 0 on a finite sum asks for an exact stationary point.
+    The eigenvalue method is dense below ``dense_cap`` dimensions and
+    shifted power iteration beyond it.
     """
-    if not delta > 0:  # NaN fails too
-        raise ConfigError("delta must be positive")
+    core.check_values(off=(("eps", 0),), eps=eps, delta=delta)  # derive_config refuses eps = 0 online
     if problem.mode is Mode.ONLINE:
         if rng is None:
             rng = core.seeded_rng(0, 29)
         B = algorithm.derive_config(problem, eps).large_batch
         g = estimators.large_batch_gradient(problem, x, B, rng)
-    elif eps >= 0:
-        g = estimators.full_gradient(problem, x)
     else:
-        raise ConfigError("eps must be >= 0")
+        g = estimators.full_gradient(problem, x)
     grad_norm = float(np.linalg.norm(g))
     is_fosp = grad_norm <= eps
     if problem.d <= dense_cap:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import logging
 import math
 import warnings
 
@@ -107,7 +108,7 @@ class TestDeriveRejections:
     def test_first_order_finite_sum_needs_positive_eps(self):
         inst = ssrgd.make_quadratic(d=2, n=16, seed=0)
         for eps in (0.0, -0.1, math.nan):
-            with pytest.raises(ConfigError, match="eps must be positive"):
+            with pytest.raises(ConfigError, match="constraint violated: eps > 0"):
                 ssrgd.derive_config(inst.spec, eps)
 
     def test_online_second_order_needs_positive_logfactor(self):
@@ -129,7 +130,7 @@ class TestDeriveRejections:
         inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
         spec = ssrgd.make_online_stream(inst, 1.0).spec if online else inst.spec
         for delta in (0.0, -1.0, math.nan):
-            with pytest.raises(ConfigError, match="need eps > 0 and delta > 0"):
+            with pytest.raises(ConfigError, match="constraint violated: delta > 0"):
                 ssrgd.derive_config(spec, 0.1, delta, 8.0)
 
 
@@ -413,6 +414,31 @@ class TestFusedFinitenessCheck:
             out = self.run(prob, 0.1, x0=(1e300, 1e300), budget=200)
         assert np.all(np.isfinite(out.final_x)) and out.final_x[0] == 1e300
         assert np.vdot(out.final_x, anchor) == math.inf  # the fallback ran
+
+
+class TestDomainBoxWarning:
+    """``run_ssrgd`` warns once when an iterate leaves the box inside which
+    the declared L and rho hold, and not at all while it stays inside."""
+
+    def run(self, caplog, box_radius, x0):
+        inst = ssrgd.make_separable_saddle(d=3, n=8, delta_plant=0.3, seed=0, box_radius=box_radius)
+        cfg = ssrgd.derive_config(inst.spec, 1e-3, sfo_budget=4000)
+        with caplog.at_level(logging.WARNING, logger="ssrgd"):
+            out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.array(x0), full_trace=False)
+        return out, [r.getMessage() for r in caplog.records]
+
+    def test_leaving_the_box_warns_exactly_once(self, caplog):
+        # from just off the planted saddle the run descends to a minimum at
+        # |x_3| = sqrt(0.3), outside a box of radius 0.2, and stays there
+        out, warned = self.run(caplog, 0.2, [0.0, 0.0, 0.1])
+        assert np.max(np.abs(out.final_x)) > 0.5
+        assert len(warned) == 1
+        assert warned[0].startswith("iterate left the declared domain box (|x|_inf=") and "> 0.2)" in warned[0]
+
+    def test_staying_inside_logs_nothing(self, caplog):
+        out, logged = self.run(caplog, 1.0, [0.5, -0.5, 0.0])
+        assert np.max(np.abs(out.final_x)) < 0.5
+        assert logged == []
 
 
 def walk_super_epochs(trace):

@@ -177,13 +177,13 @@ def coupled_with_nan_delta():
 
 
 class TestNanArguments:
-    """Argument checks written so that NaN fails them (`not r >= 0`), where
-    `r < 0` let NaN through to a NaN draw, a NaN estimate or a math.ceil crash."""
+    """Argument checks that NaN fails (each reads its row of core.SETTING_RULES),
+    where `r < 0` let NaN through to a NaN draw, a NaN estimate or a math.ceil crash."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: core.sample_uniform_ball(core.seeded_rng(0, 0), 3, math.nan), "radius must be nonnegative"),
+        (lambda: core.sample_uniform_ball(core.seeded_rng(0, 0), 3, math.nan), "constraint violated: r >= 0"),
         (lambda: spectral.lambda_min_power(ssrgd.make_quadratic(d=2, n=4).spec, np.zeros(2), spectral_bound=math.nan),
-         "spectral bound must be positive"),
+         "constraint violated: spectral_bound > 0"),
         (coupled_with_nan_delta, "constraint violated: delta > 0"),
     ])
     def test_nan_is_refused(self, call, message):
@@ -358,14 +358,13 @@ class TestFiniteness:
 
 def _breaks_a_rule(n, d, L, rho, sigma, batch, full) -> bool:
     """The rules of ``ProblemSpec.__post_init__``, written independently:
-    a problem is a finite sum exactly when n is not inf."""
+    a problem is a finite sum exactly when n is not inf, and L, rho and
+    sigma are finite in either mode, as the analysis divides by them."""
     finite_n = n != math.inf
     bad_n = finite_n and not (n >= 1 and n == int(n))
-    if finite_n:
-        bad_mode = not full
-    else:
-        bad_mode = not sigma >= 0
-    return d < 1 or bad_n or not L > 0 or not rho >= 0 or not batch or bad_mode
+    bad_mode = finite_n and not full
+    bad_constants = not (0 < L < math.inf and 0 <= rho < math.inf and 0 <= sigma < math.inf)
+    return d < 1 or bad_n or bad_constants or not batch or bad_mode
 
 
 SPEC_NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(

@@ -144,6 +144,35 @@ class TestEpochDecrease:
             diagnostics.verify_epoch_decrease(inst.spec, bad, 10)
 
 
+def epoch_decrease_with(**changes):
+    inst = ssrgd.make_quadratic(d=2, n=9, seed=4)
+    cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.1), **changes)
+    diagnostics.verify_epoch_decrease(inst.spec, cfg, 10)
+
+
+def coupled_with(**changes):
+    inst = ssrgd.make_separable_saddle(d=4, n=8, delta_plant=0.3, seed=0)
+    cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0), **changes)
+    diagnostics.run_coupled_experiment(inst, np.zeros(4), cfg, 2)
+
+
+class TestDiagnosticsValidateTheirConfig:
+    """Each diagnostic runs ``cfg.validate`` first.  Before, these ran on: a
+    NaN step size to a NaN mean_f_end, a NaN epoch length into a TypeError, a
+    coupled NaN step size into a ValueError, and a NaN f threshold with the
+    f-decrease exit never reached."""
+
+    @pytest.mark.parametrize("run, key", [
+        (epoch_decrease_with, "step_size"),
+        (epoch_decrease_with, "epoch_len"),
+        (coupled_with, "step_size"),
+        (coupled_with, "fval_threshold"),
+    ])
+    def test_nan_setting_is_refused(self, run, key):
+        with pytest.raises(ConfigError, match=f"^constraint violated: {key} "):
+            run(**{key: math.nan})
+
+
 class TestCoupledExperiment:
     def _setup(self, delta_plant=0.3, seed=0):
         inst = ssrgd.make_separable_saddle(

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -639,15 +640,18 @@ class TestOneDerivation:
         np.save(ckpt, np.zeros(6))
         cfg = write_config(tmp_path, ONLINE_SADDLE, name="on.ini")
         assert harness.main(["certify", str(cfg), str(ckpt), "--eps", eps]) == 2
-        assert capsys.readouterr().err.splitlines() == ["config error: eps must be positive"]
+        assert capsys.readouterr().err.splitlines() == ["config error: constraint violated: eps > 0"]
 
     @pytest.mark.parametrize("online, flag, value, message", [
-        (True, "--delta", "-1", "delta must be positive"),
-        (True, "--delta", "nan", "delta must be positive"),
-        (False, "--delta", "-1", "delta must be positive"),
-        (False, "--delta", "nan", "delta must be positive"),
-        (False, "--eps", "-1", "eps must be >= 0"),
-        (False, "--eps", "nan", "eps must be >= 0"),
+        (True, "--delta", "-1", "constraint violated: delta > 0"),
+        (True, "--delta", "nan", "constraint violated: delta > 0"),
+        (False, "--delta", "-1", "constraint violated: delta > 0"),
+        (False, "--delta", "nan", "constraint violated: delta > 0"),
+        (False, "--eps", "-1", "constraint violated: eps > 0"),
+        (False, "--eps", "nan", "constraint violated: eps > 0"),
+        # an infinite delta used to certify the planted saddle (lambda_min = -0.3)
+        (True, "--delta", "inf", "constraint violated: delta < inf"),
+        (False, "--delta", "inf", "constraint violated: delta < inf"),
     ])
     def test_certify_out_of_range_target_exits_2(self, tmp_path, capsys, online, flag, value, message):
         ckpt = tmp_path / "ck.npy"
@@ -666,8 +670,8 @@ class TestOneDerivation:
         assert (cert["grad_norm"], cert["is_fosp"], cert["is_sosp"]) == (0.0, True, False)
 
     @pytest.mark.parametrize("flag, message", [
-        ("--eps", "eps must be positive"),
-        ("--delta", "second-order targets need eps > 0 and delta > 0"),
+        ("--eps", "constraint violated: eps > 0"),
+        ("--delta", "constraint violated: delta > 0"),
         ("--logfactor", "constraint violated: logfactor > 0"),
     ])
     def test_diagnose_coupled_nan_target_exits_2(self, tmp_path, capsys, flag, message):
@@ -730,14 +734,20 @@ class TestOneDerivation:
 
 
 class TestParseRefusals:
-    def test_problem_with_a_nan_parameter_fails_only_its_cells(self, tmp_path, capsys):
-        # make_quadratic(scale=nan) used to raise numpy's LinAlgError, which a
-        # failed cell does not catch: the plan died and wrote no directory at all
-        text = MINIMAL.replace("[optimizer]", "[problem:bad]\nkind = quadratic\nn = 16\nd = 3\nscale = nan\n\n[optimizer]")
+    # Each bad section used to end the plan with a traceback and no aggregate.json:
+    # make_quadratic(scale=nan) and the overflowing quadratic raised numpy's
+    # LinAlgError, and sigma = inf raised an OverflowError in derive_config.
+    @pytest.mark.parametrize("section, key", [
+        ("kind = quadratic\nn = 16\nd = 3\nscale = nan\n", "scale"),
+        ("kind = quadratic\nn = 16\nd = 3\nscale = 1e308\nspread = 1e308\n", "spread"),
+        ("kind = nonconvex_logistic\nn = 16\nd = 3\nsigma = inf\n", "sigma"),
+    ], ids=["nan-scale", "overflowing-quadratic", "infinite-sigma"])
+    def test_problem_with_a_nan_parameter_fails_only_its_cells(self, tmp_path, capsys, section, key):
+        text = MINIMAL.replace("[optimizer]", f"[problem:bad]\n{section}\n[optimizer]")
         assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
         agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
         by_problem = {c["problem"]: c for c in agg["cells"]}
-        assert by_problem["bad"]["failed"] and "scale" in by_problem["bad"]["error"]
+        assert by_problem["bad"]["failed"] and key in by_problem["bad"]["error"]
         assert agg["failed"] == [by_problem["bad"]["run_id"]]
         good = by_problem["problem"]
         assert not good["failed"] and good["sfo_raw"] > 0
@@ -814,9 +824,14 @@ class TestParseRefusals:
 
 
 # What each row of core.SETTING_RULES admits, written out from the paper's
-# ranges (integer m, b >= 1, positive finite step and thresholds) rather
-# than read back from the table
+# ranges (integer m, b >= 1, positive finite step and thresholds, finite
+# L, rho and sigma) rather than read back from the table
+POSITIVE_KEYS = ("step_size", "eps", "delta", "logfactor", "perturb_radius", "grad_threshold", "fval_threshold")
 COUNT_KEYS = ("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs", "max_iters", "eval_every")
+OPTIMIZER_ROWS = (*POSITIVE_KEYS, "sfo_budget", *COUNT_KEYS, "seed")
+# Rows that a function argument reads, not a section key or a dataclass field:
+# sample_uniform_ball's radius, and lambda_min_power's shift and length
+ARGUMENT_ROWS = ("r", "spectral_bound", "iters")
 
 
 def admitted(key, value) -> bool:
@@ -824,8 +839,14 @@ def admitted(key, value) -> bool:
         return value >= 0  # inf too; NaN fails
     if key == "seed":
         return isinstance(value, int)
-    if key in COUNT_KEYS:
+    if key in (*COUNT_KEYS, "n", "d", "d_cap", "iters"):
         return isinstance(value, int) and value >= 1
+    if key in ("lipschitz_hess", "variance_bound", "sigma", "noise", "spread", "reg", "r"):
+        return 0 <= value < math.inf
+    if key in ("scale", "x0_scale"):
+        return -math.inf < value < math.inf
+    if key == "flip_prob":
+        return 0 <= value <= 1
     return 0 < value < math.inf
 
 
@@ -846,15 +867,19 @@ class TestSettingRules:
     library and the CLI refuse the same values by it."""
 
     def test_every_numeric_setting_has_a_row_and_every_row_a_setting(self):
-        def numeric(hint):
-            return bool({int, float} & set(typing.get_args(hint) or (hint,)))
+        def numeric(hint):  # int or float, or a union with one; a Callable returning float is not
+            union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+            return bool({int, float} & set(typing.get_args(hint) if union else (hint,)))
 
-        fields = {name for cls in (RunConfig, BaselineKind)
+        # ProblemSpec's n keeps its own rule (a positive integer or inf); the n row is the generators'
+        fields = {name for cls in (RunConfig, BaselineKind, core.ProblemSpec)
                   for name, hint in typing.get_type_hints(cls).items() if numeric(hint)}
-        keys = {key for key, default in harness._OPTIMIZER_KEYS.items() if key_type(default) in (int, float)}
-        assert set(core.SETTING_RULES) == fields | keys
+        tables = (harness._OPTIMIZER_KEYS, harness.PROBLEM_KEYS, *(row for _, row in harness.PROBLEMS.values()))
+        keys = {key for table in tables for key, default in table.items() if key_type(default) in (int, float)}
+        assert set(core.SETTING_RULES) == fields | keys | set(ARGUMENT_ROWS)
+        assert set(OPTIMIZER_ROWS) < set(core.SETTING_RULES)
 
-    @pytest.mark.parametrize("key", sorted(core.SETTING_RULES))
+    @pytest.mark.parametrize("key", sorted(OPTIMIZER_ROWS))
     @settings(max_examples=30, deadline=None)
     @given(value=st.one_of(st.integers(-10**3, 10**3), st.floats(-1e3, 1e3),
                            st.sampled_from([math.nan, math.inf, -math.inf, -0.0])))
@@ -908,6 +933,89 @@ class TestSettingRules:
                     assert harness.main(["run", str(path)]) == 2
                 assert err.getvalue().startswith("config error: [optimizer] ") and key in err.getvalue()
                 assert not (Path(tmp) / "runs").exists()
+
+
+def libsvm_with_cap(d_cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "one.svm"
+        path.write_text("1 1:0.5\n-1 1:0.25\n", encoding="utf-8")
+        return ssrgd.problems.load_libsvm(path, d_cap=d_cap)
+
+
+def spec_with(**changes):
+    return core.ProblemSpec(**{
+        "n": 4, "d": 2, "lipschitz_grad": 1.0, "lipschitz_hess": 0.0, "value": lambda x: 0.0,
+        "full_grad": lambda x: x, "component_grad_batch": lambda idx, x: np.tile(x, (len(idx), 1)), **changes,
+    })
+
+
+QUADRATIC = ssrgd.make_quadratic(d=2, n=4)
+SADDLE = ssrgd.make_separable_saddle(d=3, n=4, delta_plant=0.3)
+# Each row beyond the optimizer settings, with each function that reads it,
+# called with every other argument valid
+ROW_READERS = {
+    "n": [lambda v: ssrgd.make_quadratic(d=2, n=v), lambda v: ssrgd.make_nonconvex_logistic(n=v, d=2),
+          lambda v: ssrgd.make_separable_saddle(d=2, n=v, delta_plant=0.3)],
+    "d": [lambda v: ssrgd.make_quadratic(d=v, n=2), lambda v: ssrgd.make_nonconvex_logistic(n=4, d=v),
+          lambda v: spec_with(d=v), lambda v: core.sample_uniform_ball(core.seeded_rng(0, 0), v, 1.0)],
+    **{key: [lambda v, key=key: ssrgd.make_quadratic(d=2, n=4, **{key: v})] for key in ("scale", "spread")},
+    **{key: [lambda v, key=key: ssrgd.make_separable_saddle(**{"d": 2, "n": 4, "delta_plant": 0.3, key: v})]
+       for key in ("delta_plant", "noise", "gamma4", "box_radius")},
+    **{key: [lambda v, key=key: ssrgd.make_nonconvex_logistic(n=8, d=2, **{key: v})] for key in ("reg", "flip_prob")},
+    "d_cap": [libsvm_with_cap],
+    "sigma": [lambda v: ssrgd.make_online_stream(QUADRATIC, v)],
+    **{key: [lambda v, key=key: spec_with(**{key: v})]
+       for key in ("lipschitz_grad", "lipschitz_hess", "variance_bound", "domain_radius")},
+    "x0_scale": [lambda v: harness.initial_point({"kind": "quadratic", "x0": "ones", "x0_scale": v}, QUADRATIC)],
+    "r": [lambda v: core.sample_uniform_ball(core.seeded_rng(0, 0), 2, v)],
+    "spectral_bound": [lambda v: ssrgd.spectral.lambda_min_power(QUADRATIC.spec, np.zeros(2), v, iters=5)],
+    "iters": [lambda v: ssrgd.spectral.lambda_min_power(QUADRATIC.spec, np.zeros(2), iters=v)],
+}
+# The readers of the (eps, delta) targets, which used to take an infinite one
+TARGET_READERS = {
+    "derive_config": lambda eps, delta: ssrgd.derive_config(SADDLE.spec, eps, delta),
+    "super_epoch_params": lambda eps, delta: ssrgd.algorithm.super_epoch_params(SADDLE.spec, eps, delta, 1.0, 0.1),
+    "certify": lambda eps, delta: ssrgd.spectral.certify(SADDLE.spec, np.zeros(3), eps, delta),
+}
+
+
+class TestRowReaders:
+    """Every function that reads a row of core.SETTING_RULES beyond the
+    optimizer settings refuses what the row refuses, by name, and takes
+    what it admits."""
+
+    def test_every_new_row_has_a_reader(self):
+        assert set(ROW_READERS) == set(core.SETTING_RULES) - set(OPTIMIZER_ROWS)
+
+    @pytest.mark.parametrize("key, reader", [
+        pytest.param(key, reader, id=f"{key}-{i}") for key, readers in ROW_READERS.items()
+        for i, reader in enumerate(readers)
+    ])
+    @settings(max_examples=30, deadline=None)  # small integers, so that a valid n or d builds fast
+    @given(value=st.one_of(st.integers(-20, 20), st.floats(-1e3, 1e3),
+                           st.sampled_from([math.nan, math.inf, -math.inf, -0.0])))
+    @example(value=math.nan)
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=0)
+    @example(value=-1)
+    @example(value=2.5)
+    @example(value=1)
+    def test_reader_refuses_exactly_what_the_row_refuses(self, key, reader, value):
+        if admitted(key, value):
+            reader(value)
+        else:
+            with pytest.raises(ConfigError, match=rf"^constraint violated: {key} "):
+                reader(value)
+
+    @pytest.mark.parametrize("reader", TARGET_READERS)
+    @pytest.mark.parametrize("key", ["eps", "delta"])
+    @pytest.mark.parametrize("value, rule", [(math.inf, "< inf"), (-math.inf, "> 0"), (math.nan, "> 0")])
+    def test_targets_refuse_what_their_rows_refuse(self, reader, key, value, rule):
+        targets = {"eps": 0.1, "delta": 0.3, key: value}
+        with pytest.raises(ConfigError, match=f"^constraint violated: {key} {re.escape(rule)}$"):
+            TARGET_READERS[reader](**targets)
+        TARGET_READERS[reader](**{**targets, key: 0.2})
 
 
 class Captured(Exception):

@@ -89,7 +89,7 @@ class TestGeneratorParameters:
     def test_libsvm_shares_the_logistic_reg_check(self, tmp_path):
         data = tmp_path / "tiny.svm"
         data.write_text("1 1:0.5\n-1 2:0.25\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="reg must be nonnegative"):
+        with pytest.raises(ConfigError, match="constraint violated: reg >= 0"):
             load_libsvm(data, d_cap=4, reg=math.nan)
 
 

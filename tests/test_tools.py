@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -190,3 +191,20 @@ def test_ab_plan_files_digest_ignores_f_and_nothing_else(tmp_path):
     assert digest(1.0, 65, 1.0) != base
     (tmp_path / "runs" / "aggregate.json").write_text("{}")
     assert digest(1.0, 64, 1.0) != base
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
+    # Under warnings as errors, Hypothesis's failure report raised a
+    # DeprecationWarning out of a pytest hook: INTERNALERROR, and no later test ran.
+    settings = (SCRIPT.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    filters = re.search(r"^filterwarnings = .*$", settings, re.MULTILINE).group(0)
+    (tmp_path / "pyproject.toml").write_text(f"[tool.pytest.ini_options]\n{filters}\n", encoding="utf-8")
+    (tmp_path / "test_a.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n", encoding="utf-8"
+    )
+    (tmp_path / "test_b.py").write_text("def test_passes():\n    pass\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
