@@ -97,12 +97,17 @@ def super_epoch_params(
     if rho <= 0:
         raise ConfigError("second-order mode needs a positive Hessian Lipschitz constant")
     L = problem.lipschitz_grad
-    return dict(
-        perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),
-        grad_threshold=eps,
-        fval_threshold=logfactor * delta**3 / rho**2,
-        super_epoch_len=math.ceil(logfactor / (step_size * delta)),
-    )
+    try:  # a float power overflows, a product can underflow to a 0 divisor, and ceil(inf) fails
+        return dict(
+            perturb_radius=logfactor * min(delta**3 / (rho**2 * eps), delta**1.5 / (rho * math.sqrt(L))),
+            grad_threshold=eps,
+            fval_threshold=logfactor * delta**3 / rho**2,
+            super_epoch_len=math.ceil(logfactor / (step_size * delta)),
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(
+            f"eps {eps:g}, delta {delta:g}: constraint violated: the super-epoch settings are finite floats"
+        ) from None
 
 
 def derive_config(
@@ -126,7 +131,10 @@ def derive_config(
     super_epoch = super_epoch_params(problem, eps, delta, logfactor, eta) if second else {}
     anchor = problem.n
     if online:
-        anchor = max(1, math.ceil(logfactor * 4.0 * problem.variance_bound**2 / eps**2))
+        try:  # a float power overflows, eps**2 can underflow to 0, and ceil(inf) fails
+            anchor = max(1, math.ceil(logfactor * 4.0 * problem.variance_bound**2 / eps**2))
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError(f"eps {eps:g}: constraint violated: 4 logfactor sigma^2/eps^2 is a finite float") from None
     m = _ceil_sqrt(anchor)
     return RunConfig(
         step_size=eta, epoch_len=m, minibatch=m, eps=eps, sfo_budget=sfo_budget, seed=seed,

@@ -360,7 +360,10 @@ def sample_minibatch(
 ) -> np.ndarray:
     """i.i.d. uniform index multiset of size ``b``, drawn with replacement
     (the independence the variance analysis uses).  Online problems
-    (``n == inf``) receive fresh i.i.d. sample ids instead of indices.
+    (``n == inf``) receive fresh i.i.d. sample ids instead of indices: the
+    top 62 bits of one raw generator output each, which is what
+    ``rng.integers(0, 2**62)`` draws (Lemire's method over a power-of-two
+    range is a plain shift) without its per-call set-up.
 
     ``steps=k`` draws a ``(k, b)`` block of minibatches in one call.  Its
     rows are bit-for-bit the k minibatches that k separate calls would
@@ -370,7 +373,9 @@ def sample_minibatch(
         raise ConfigError("minibatch size must be >= 1")
     size = b if steps is None else (steps, b)
     if math.isinf(n):
-        return rng.integers(0, 2**62, size=size, dtype=np.int64)
+        ids = rng.bit_generator.random_raw(size)
+        ids >>= np.uint64(2)
+        return ids.view(np.int64)
     n = int(n)
     if n < 1:
         raise ConfigError("component count must be >= 1")

@@ -145,6 +145,10 @@ def make_separable_saddle(
                       box_radius=box_radius)
     if d < 2:
         raise ConfigError("planted saddle needs d >= 2")
+    try:  # a float power overflows with an exception
+        fstar = -delta_plant**2 / (4.0 * gamma4)
+    except OverflowError:
+        raise ConfigError("constraint violated: delta_plant^2 is a finite float") from None
 
     D = np.ones(d)
     D[-1] = -delta_plant
@@ -184,7 +188,7 @@ def make_separable_saddle(
     )
     return ProblemInstance(
         spec=spec,
-        known_fstar=-delta_plant**2 / (4.0 * gamma4),
+        known_fstar=fstar,
         saddle_points=[(np.zeros(d), -delta_plant)],
     )
 
@@ -327,50 +331,60 @@ def make_nonconvex_logistic(
     return _logistic_instance(A, y, reg)
 
 
-def _hashed_uniforms(ids: np.ndarray, lane: int | np.ndarray) -> np.ndarray:
-    """Deterministic id -> U[0,1) map (splitmix64), one lane per draw.
-
-    ``lane`` may be an integer array that broadcasts against ``ids``.
-    """
-    with np.errstate(over="ignore"):  # uint64 wrap-around is the point
-        z = ids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * np.asarray(
-            2 * lane + 1, dtype=np.uint64
-        )
-        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            z = z ^ (z >> np.uint64(shift))
-            z = z * np.uint64(mult)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) / 2**53
+# splitmix64's constants: the golden-ratio stream gamma, the finalizer's two
+# (shift, multiplier) rounds, and the multiplier that mixes the stream seed into an id
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+                    (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_SEED_MIX = 0xD1342543DE82EF95
 
 
-def _hashed_ball_noise(ids: np.ndarray, d: int, radius: float, seed: int) -> np.ndarray:
-    """Uniform-in-ball noise vectors keyed by sample id (vectorized over
-    ids and lanes).
+def _splitmix_uniforms(z: np.ndarray) -> np.ndarray:
+    """U[0,1) from splitmix64's finalizer over the uint64 array ``z``, which
+    it overwrites (array integer ops wrap silently, which is the point)."""
+    t = np.empty_like(z)
+    for shift, mult in _SPLITMIX_ROUNDS:
+        z ^= np.right_shift(z, shift, out=t)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u /= 2**53
+    return u
+
+
+def _ball_noise_map(d: int, radius: float, seed: int):
+    """The map from sample ids to uniform-in-ball noise vectors of one
+    stream: an id array of shape ``(..., b)`` gets ``(..., b, d)``, each
+    row bit for bit what that id gets alone.
 
     Box-Muller gaussians from hashed uniforms give the isotropic direction;
     the radius is scaled by U^(1/d).  Stateless, so the same (seed, id)
     always reproduces the same noise without constructing a generator per
-    id, which matters inside estimator inner loops.
+    id, which matters inside estimator inner loops.  Pair p of coordinates
+    (2p, 2p+1) reads lanes 3p and 3p+1, lane 2 is the radius draw, and one
+    hash pass covers all of them; the seed key and the lane offsets are
+    worked out here, once per stream.
     """
-    with np.errstate(over="ignore"):
-        ids = np.asarray(ids, dtype=np.uint64) ^ np.uint64(seed % 2**64) * np.uint64(
-            0xD1342543DE82EF95
-        )
-    # pair p of coordinates (2p, 2p+1) reads lanes 3p and 3p+1; lane 2 is
-    # the radius draw.  One hash pass covers all of them.
+    key = np.uint64(seed % 2**64 * _SEED_MIX % 2**64)
     pairs = (d + 1) // 2
     lanes = 3 * np.arange(pairs)
-    u = _hashed_uniforms(ids[:, None], np.concatenate([lanes, lanes + 1, [2]]))
-    u1 = np.clip(u[:, :pairs], 1e-300, None)
-    theta = 2.0 * np.pi * u[:, pairs:-1]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty((len(ids), d))
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = (r * np.sin(theta))[:, : d // 2]
-    norms = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm's own sum
-    norms[norms == 0] = 1.0
-    scale = radius * u[:, -1] ** (1.0 / d) / norms
-    return z * scale[:, None]
+    # lane l's stream offset, gamma * (2 l + 1) mod 2^64 (a ufunc wraps silently)
+    offsets = np.multiply(_GOLDEN_GAMMA, 2 * np.concatenate([lanes, lanes + 1, [2]]).astype(np.uint64) + 1)
+
+    def noise(ids) -> np.ndarray:
+        u = _splitmix_uniforms(np.add((np.asarray(ids, dtype=np.uint64) ^ key)[..., None], offsets))
+        r = np.sqrt(-2.0 * np.log(np.maximum(u[..., :pairs], 1e-300)))
+        theta = 2.0 * np.pi * u[..., pairs:-1]
+        z = np.empty(u.shape[:-1] + (d,))
+        np.multiply(r, np.cos(theta), out=z[..., 0::2])
+        z[..., 1::2] = (r * np.sin(theta))[..., : d // 2]
+        norms = np.sqrt(np.add.reduce(z * z, axis=-1))  # np.linalg.norm's own sum
+        norms[norms == 0] = 1.0
+        z *= (radius * u[..., -1] ** (1.0 / d) / norms)[..., None]
+        return z
+
+    return noise
 
 
 def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> ProblemInstance:
@@ -392,7 +406,7 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     d = bspec.d
     component_grad_batch, grad_diff_batch = _noisy_gradients(
         lambda x: bspec.full_grad(x),  # sees a later-patched oracle
-        lambda idx: _hashed_ball_noise(idx, d, sigma, seed),
+        _ball_noise_map(d, sigma, seed),
     )
 
     spec = ProblemSpec(

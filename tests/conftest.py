@@ -83,7 +83,7 @@ def logistic_rows(A, y, reg, idx, x):
 def online_rows(base, sigma, seed, idx, x):
     """Rows of the online stream over ``base``: the base gradient plus each
     id's hashed noise."""
-    return base.spec.full_grad(x)[None, :] + problems._hashed_ball_noise(idx, base.spec.d, sigma, seed)
+    return base.spec.full_grad(x)[None, :] + problems._ball_noise_map(base.spec.d, sigma, seed)(idx)
 
 
 def reference_epoch(problem, x, g, step_size, rng, b, steps, sfo, *, snapshot=False):

@@ -134,6 +134,30 @@ class TestDeriveRejections:
                 ssrgd.derive_config(spec, 0.1, delta, 8.0)
 
 
+class TestDerivationAtTheFloatEdge:
+    """A target that passes its row but leaves the float range in the
+    derivation is refused with a ConfigError, not an arithmetic error."""
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310, 1e200])
+    def test_super_epoch_settings(self, delta):
+        spec = ssrgd.make_separable_saddle(d=3, n=4, delta_plant=0.4, seed=0).spec
+        with pytest.raises(ConfigError, match="constraint violated: the super-epoch settings are finite"):
+            ssrgd.derive_config(spec, 0.1, delta)
+
+    def test_underflowed_settings_never_run(self):
+        # delta**3 underflows: the derivation gives fval_threshold 0, which the run refuses
+        spec = ssrgd.make_separable_saddle(d=3, n=4, delta_plant=0.4, seed=0).spec
+        cfg = ssrgd.derive_config(spec, 0.1, 1e-110)
+        with pytest.raises(ConfigError, match="constraint violated: fval_threshold > 0"):
+            ssrgd.run_ssrgd(spec, cfg)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e-160, 1e200])
+    def test_online_anchor_batch(self, eps):
+        base = ssrgd.make_nonconvex_logistic(n=16, d=3, seed=0)
+        with pytest.raises(ConfigError, match="constraint violated: 4 logfactor sigma"):
+            ssrgd.derive_config(ssrgd.make_online_stream(base, 0.5).spec, eps)
+
+
 def _spec(online, n, L, rho, sigma):
     return core.ProblemSpec(
         n=math.inf if online else n, d=3, lipschitz_grad=L, lipschitz_hess=rho,

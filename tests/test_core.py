@@ -84,6 +84,17 @@ class TestSampleMinibatch:
         idx = core.sample_minibatch(core.seeded_rng(2, 0), math.inf, 5)
         assert idx.shape == (5,) and np.all(idx >= 0)
 
+    @pytest.mark.parametrize("steps", [None, 4])
+    def test_online_ids_are_the_top_62_bits_of_raw_draws(self, steps):
+        rng, twin, old = (core.seeded_rng(6, 0) for _ in range(3))
+        size = 9 if steps is None else (steps, 9)
+        ids = core.sample_minibatch(rng, math.inf, 9, steps=steps)
+        assert ids.dtype == np.int64 and np.array_equal(ids, twin.bit_generator.random_raw(size) >> 2)
+        # the same ids as the bounded draw, and the stream where one raw output per id leaves it
+        assert np.array_equal(ids, old.integers(0, 2**62, size=size, dtype=np.int64))
+        nxt = [g.bit_generator.random_raw(3).tolist() for g in (rng, twin, old)]
+        assert nxt[0] == nxt[1] == nxt[2]
+
     @pytest.mark.parametrize("n, b, k", [
         (4096, 64, 64), (256, 16, 40), (256, 1, 50), (64, 8, 8), (4096, 63, 10), (math.inf, 7, 9),
     ])

@@ -736,12 +736,14 @@ class TestOneDerivation:
 class TestParseRefusals:
     # Each bad section used to end the plan with a traceback and no aggregate.json:
     # make_quadratic(scale=nan) and the overflowing quadratic raised numpy's
-    # LinAlgError, and sigma = inf raised an OverflowError in derive_config.
+    # LinAlgError, sigma = inf raised an OverflowError in derive_config, and
+    # delta_plant = 1e200 an OverflowError computing the saddle's known f*.
     @pytest.mark.parametrize("section, key", [
         ("kind = quadratic\nn = 16\nd = 3\nscale = nan\n", "scale"),
         ("kind = quadratic\nn = 16\nd = 3\nscale = 1e308\nspread = 1e308\n", "spread"),
         ("kind = nonconvex_logistic\nn = 16\nd = 3\nsigma = inf\n", "sigma"),
-    ], ids=["nan-scale", "overflowing-quadratic", "infinite-sigma"])
+        ("kind = separable_saddle\nn = 4\nd = 3\ndelta_plant = 1e200\n", "delta_plant"),
+    ], ids=["nan-scale", "overflowing-quadratic", "infinite-sigma", "overflowing-delta-plant"])
     def test_problem_with_a_nan_parameter_fails_only_its_cells(self, tmp_path, capsys, section, key):
         text = MINIMAL.replace("[optimizer]", f"[problem:bad]\n{section}\n[optimizer]")
         assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
@@ -752,6 +754,28 @@ class TestParseRefusals:
         good = by_problem["problem"]
         assert not good["failed"] and good["sfo_raw"] > 0
         assert (tmp_path / "runs" / good["run_id"] / "trace.csv").read_text().count("\n") > 1
+
+    # A target that passes its row but leaves the float range in the derivation
+    # used to end the plan with a ZeroDivisionError or OverflowError traceback.
+    @pytest.mark.parametrize("problem, bad, key", [
+        ("kind = nonconvex_logistic\nn = 16\nd = 3\nsigma = 0.5", "eps = 5e-324", "eps"),
+        ("kind = nonconvex_logistic\nn = 16\nd = 3\nsigma = 0.5", "eps = 1e-310", "eps"),
+        ("kind = separable_saddle\nn = 16\nd = 3\ndelta_plant = 0.4",
+         "eps = 0.05\norder = second\ndelta = 5e-324", "delta"),
+        ("kind = separable_saddle\nn = 16\nd = 3\ndelta_plant = 0.4",
+         "eps = 0.05\norder = second\ndelta = 1e-310", "delta"),
+    ], ids=["online-eps-5e-324", "online-eps-1e-310", "delta-5e-324", "delta-1e-310"])
+    def test_target_at_the_float_edge_fails_only_its_cells(self, tmp_path, problem, bad, key):
+        text = MINIMAL.replace("kind = quadratic\nn = 16\nd = 3\nspread = 0.2", problem).replace(
+            "[output]", f"[optimizer:bad]\nkind = ssrgd\n{bad}\nsfo_budget = 4000\n\n[output]")
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
+        by_optimizer = {c["optimizer"]: c for c in agg["cells"]}
+        bad_cell = by_optimizer["bad"]
+        assert bad_cell["failed"] and "constraint violated" in bad_cell["error"] and key in bad_cell["error"]
+        assert agg["failed"] == [bad_cell["run_id"]]
+        good = by_optimizer["optimizer"]
+        assert not good["failed"] and good["sfo_raw"] > 0
 
     @pytest.mark.parametrize("sweep, message", [
         ("axis = eps\ngrid = -0.1, 0.05, 0", "[sweep] constraint violated: eps > 0"),

@@ -309,33 +309,61 @@ class TestQuadratic:
         assert np.allclose(H, M, atol=1e-15)
 
 
+def reference_hashed_uniforms(ids, lane):
+    """Deterministic id -> U[0,1) map (splitmix64) of one lane, written
+    apart from the package's in-place pass."""
+    with np.errstate(over="ignore"):  # uint64 wrap-around is the point
+        z = ids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * np.asarray(
+            2 * lane + 1, dtype=np.uint64
+        )
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z = z ^ (z >> np.uint64(shift))
+            z = z * np.uint64(mult)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) / 2**53
+
+
 def reference_hashed_ball_noise(ids, d, radius, seed):
-    """Per-lane loop form of ``problems._hashed_ball_noise``."""
+    """Per-lane loop form of ``problems._ball_noise_map(d, radius, seed)`` on a
+    1-D id array."""
     with np.errstate(over="ignore"):
         ids = np.asarray(ids, dtype=np.uint64) ^ np.uint64(seed % 2**64) * np.uint64(
             0xD1342543DE82EF95
         )
     z = np.empty((len(ids), d))
     for p in range((d + 1) // 2):
-        u1 = np.clip(problems._hashed_uniforms(ids, 3 * p), 1e-300, None)
-        u2 = problems._hashed_uniforms(ids, 3 * p + 1)
+        u1 = np.clip(reference_hashed_uniforms(ids, 3 * p), 1e-300, None)
+        u2 = reference_hashed_uniforms(ids, 3 * p + 1)
         r = np.sqrt(-2.0 * np.log(u1))
         z[:, 2 * p] = r * np.cos(2.0 * np.pi * u2)
         if 2 * p + 1 < d:
             z[:, 2 * p + 1] = r * np.sin(2.0 * np.pi * u2)
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0] = 1.0
-    scale = radius * problems._hashed_uniforms(ids, 2) ** (1.0 / d) / norms
+    scale = radius * reference_hashed_uniforms(ids, 2) ** (1.0 / d) / norms
     return z * scale[:, None]
 
 
 class TestHashedNoise:
-    @pytest.mark.parametrize("d", [1, 2, 7, 20, 256])
-    def test_lane_vectorized_matches_loop(self, d):
+    @pytest.mark.parametrize("shape", [(64,), (4, 16)], ids=["ids", "id-block"])
+    @pytest.mark.parametrize("seed", [5, 2**64 + 5, 3 * 2**64 - 1])
+    @pytest.mark.parametrize("d", [1, 2, 7, 20, 33, 256])
+    def test_lane_vectorized_matches_loop(self, d, seed, shape):
         ids = np.random.default_rng(d).integers(0, 2**62, size=64, dtype=np.int64)
         ids[:3] = (0, 1, 2**62 - 1)
-        expected = reference_hashed_ball_noise(ids, d, 0.7, seed=5)
-        assert np.array_equal(problems._hashed_ball_noise(ids, d, 0.7, 5), expected)
+        expected = reference_hashed_ball_noise(ids, d, 0.7, seed)
+        got = problems._ball_noise_map(d, 0.7, seed)(ids.reshape(shape))
+        assert got.shape == shape + (d,)
+        assert np.array_equal(got.reshape(64, d), expected)
+
+    def test_online_oracle_answers_an_id_block_row_for_row(self):
+        spec = make_online_stream(make_nonconvex_logistic(n=128, d=7, seed=1), 0.5, seed=2).spec
+        block = core.sample_minibatch(np.random.default_rng(0), spec.n, 10, steps=4)
+        x = 0.3 * np.ones(spec.d)
+        got = spec.component_grad_batch(block, x)
+        assert got.shape == (4, 10, spec.d)
+        for row, ids in zip(got, block):
+            assert np.array_equal(row, spec.component_grad_batch(ids, x))
 
 
 def two_call_difference(spec, idx, x_new, x_old):
@@ -399,7 +427,7 @@ class TestOnlineGradientSlot:
     def test_in_place_change_of_x_does_not_poison_the_slot(self):
         bspec, spec = self.make()
         idx = np.arange(5)
-        noise = problems._hashed_ball_noise(idx, spec.d, 0.5, 2)
+        noise = problems._ball_noise_map(spec.d, 0.5, 2)(idx)
         x = 0.3 * np.ones(spec.d)
         spec.component_grad_batch(idx, x)
         x[0] += 1.0  # same array object, new value
@@ -415,7 +443,7 @@ class TestOnlineGradientSlot:
         spec.component_grad_batch(idx, x)[:] = np.nan
         spec.grad_diff_batch(idx, x, x)[:] = np.nan
         assert np.array_equal(spec.grad_diff_batch(idx, x, x), np.zeros(spec.d))
-        noise = problems._hashed_ball_noise(idx, spec.d, 0.5, 2)
+        noise = problems._ball_noise_map(spec.d, 0.5, 2)(idx)
         assert np.array_equal(spec.component_grad_batch(idx, x), g[None, :] + noise)
         assert bspec.full_grad.calls == 2
 

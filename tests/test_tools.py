@@ -96,32 +96,43 @@ def test_ab_smoke_same_tree_on_both_sides(tmp_path):
          "--out", str(out)],
         capture_output=True, text=True, timeout=300, check=True,
     )
-    header, *rows = done.stdout.splitlines()
+    lines = done.stdout.splitlines()
+    assert len(lines) == 12
+    (header, *rows), (control_header, *control_rows) = lines[:6], lines[6:]
     assert header.split()[:2] == ["workload", "unit"]
-    assert [row.split()[:2] for row in rows] == [
-        ["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"], ["certify", "us/iter"], ["setup", "s"]
-    ]
-    for row in rows:
-        *_, ratio, wins, identical = row.split()
-        assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
+    assert control_header.split()[:4] == ["workload", "unit", "change", "(q1"]
+    assert control_header.split()[6] == "control"
+    for table_rows in (rows, control_rows):
+        assert [row.split()[:2] for row in table_rows] == [
+            ["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"], ["certify", "us/iter"], ["setup", "s"]
+        ]
+        for row in table_rows:
+            *_, ratio, wins, identical = row.split()
+            assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert set(record) == {"rounds", "scale", "build", "parent", "change", "workloads"}
+    assert set(record) == {"rounds", "scale", "build", "parent", "change", "workloads", "control"}
     assert (record["rounds"], record["scale"]) == (1, 0.01)
     assert record["build"] == load_tool("fingerprint").build()
     assert record["parent"] == record["change"] and set(record["parent"]) == {"git", "src_lines"}
     src = sorted((root / "src" / "ssrgd").glob("*.py"))
     assert record["parent"]["src_lines"] == len(b"".join(p.read_bytes() for p in src).splitlines())
-    assert list(record["workloads"]) == ["fs", "online", "plan", "certify", "setup"]
+    assert list(record["workloads"]) == list(record["control"]) == ["fs", "online", "plan", "certify", "setup"]
     assert record["workloads"]["certify"]["workload"] == "saddle_certify"
     assert record["workloads"]["setup"]["workload"] == "fs_logistic"
-    for w, row in zip(record["workloads"].values(), rows):
-        assert set(w) == {"workload", "unit", "parent", "change", "ratio", "wins", "identical"}
-        for side in ("parent", "change"):
-            assert set(w[side]) == {"q1", "median", "q3", "runs"} and len(w[side]["runs"]) == 1
-            assert w[side]["q1"] == w[side]["median"] == w[side]["q3"] == w[side]["runs"][0] > 0
-        assert w["ratio"] == w["change"]["median"] / w["parent"]["median"]
-        assert w["wins"] in (0, 1) and w["identical"] is True
-        assert row.split()[-2] == f"{w['wins']}/1"
+    for table_rows, key, (base, other) in ((rows, "workloads", ("parent", "change")),
+                                          (control_rows, "control", ("change", "control"))):
+        for w, row in zip(record[key].values(), table_rows):
+            assert set(w) == {"workload", "unit", base, other, "ratio", "wins", "identical"}
+            for side in (base, other):
+                assert set(w[side]) == {"q1", "median", "q3", "runs"} and len(w[side]["runs"]) == 1
+                assert w[side]["q1"] == w[side]["median"] == w[side]["q3"] == w[side]["runs"][0] > 0
+            assert w["ratio"] == w[other]["median"] / w[base]["median"]
+            assert w["wins"] in (0, 1) and w["identical"] is True
+            assert row.split()[-2] == f"{w['wins']}/1"
+    for name, row in record["control"].items():
+        # the control's change column is the main table's, from the same round
+        assert row["workload"] == record["workloads"][name]["workload"]
+        assert row["change"] == record["workloads"][name]["change"]
 
 
 @pytest.mark.parametrize("scale", ["nan", "0", "-1"])

@@ -3,9 +3,13 @@
 Loads ``src/ssrgd`` from another checkout (the parent) and from this one
 (the change) side by side, as the packages ``ab_parent`` and ``ab_change``,
 and binds a copy of this checkout's ``perfbench/workloads.py`` to each, so
-both sides build exactly the benchmark's inputs (seed 0).  Round after
-round it runs one unit of each workload on each side, and the side that
-goes first alternates:
+both sides build exactly the benchmark's inputs (seed 0).  It loads this
+checkout a second time too, as ``ab_control``, so the change's ratio
+against an identical tree, the harness's own noise floor, is measured
+beside the ratio against the parent.  Round after round it runs one unit
+of each workload on each of the three sides, which go through all six
+orders, one a round (a multiple of six rounds balances them exactly), since
+a side that always ran between the other two read slower on ``plan``:
 
 * ``fs``: ``fs_logistic``, eight first-order finite-sum ``run_ssrgd`` runs;
 * ``online``: ``online_stream``, ``ONLINE_UNITS`` units of eight first-order
@@ -20,7 +24,7 @@ goes first alternates:
   ``perfbench/run.py --setup-only`` does; a round's value is their median.
 
 Separate benchmark processes on a shared host drift by up to 40% between
-runs; alternating in one process cancels most of that.  For each workload
+runs; taking turns in one process cancels most of that.  For each workload
 it prints the quartiles of µs per iteration (seconds for ``plan`` and
 ``setup``) on each side, the change/parent ratio of the medians, how many
 rounds the change was faster, and whether both sides computed identical
@@ -32,7 +36,7 @@ run configs, start point and gradient there).
     python3 tools/ab.py --parent ../parent
     python3 tools/ab.py --parent ../parent --rounds 16
     python3 tools/ab.py --parent . --rounds 1 --scale 0.01   # smoke run
-    python3 tools/ab.py --parent ../parent --rounds 10 --out BENCH_<label>.json
+    python3 tools/ab.py --parent ../parent --rounds 12 --out BENCH_<label>.json
 
 ``--scale`` multiplies every SFO budget and the number of coupled pairs;
 ``setup`` builds the same inputs at any scale.
@@ -42,6 +46,9 @@ the ratio, the wins and ``identical``; then the rounds, the scale, the
 numpy and BLAS build (``fingerprint.build``) and, for each tree, its git sha
 (``dirty`` when its ``src/`` differs from its HEAD, null outside a checkout)
 and its ``src/`` line count (``src_lines``, as ``cat src/ssrgd/*.py | wc -l``).
+A second table gives the control against the change, and ``--out`` stores
+those rows under ``control``, each with the fields of a ``workloads`` row
+but ``change`` and ``control`` in place of ``parent`` and ``change``.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ import configparser
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import json
 import logging
 import math
@@ -244,48 +252,53 @@ def quartiles(xs) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: Side, change: Side, rounds: int) -> dict:
-    """Per workload: each side's per-round values and their quartiles, the
-    change/parent ratio of the medians, the change's wins and whether every
-    round computed identical results on both sides."""
-    times = {w: {"parent": [], "change": []} for w in ROWS}
-    same = {w: True for w in ROWS}
+def compare(sides: list[tuple[str, Side]], rounds: int) -> tuple[dict, dict]:
+    """Round after round, one round of every row on each side, the sides in
+    the next of their orders each round, so over all their orders every
+    side runs in every place equally often.  Returns each row's per-round
+    values and result digests, by side label."""
+    times = {w: {label: [] for label, _ in sides} for w in ROWS}
+    digests = {w: {label: [] for label, _ in sides} for w in ROWS}
     for w in WORKLOADS:  # untimed warm-up: imports, caches, first allocations
-        parent.workloads[w].warmup()
-        change.workloads[w].warmup()
+        for _, side in sides:
+            side.workloads[w].warmup()
+    orders = list(itertools.permutations(sides))
     for r in range(rounds):
-        order = [("parent", parent), ("change", change)]
-        if r % 2:
-            order.reverse()
         for w in ROWS:
-            digests = {}
-            for label, side in order:
-                value, digests[label] = side.run(w, r)
+            for label, side in orders[r % len(orders)]:
+                value, digest = side.run(w, r)
                 times[w][label].append(value)
-            same[w] = same[w] and digests["parent"] == digests["change"]
+                digests[w][label].append(digest)
+    return times, digests
+
+
+def pair_rows(times: dict, digests: dict, base: str, other: str) -> dict:
+    """Per workload: the two sides' per-round values and their quartiles,
+    the ``other``/``base`` ratio of the medians, the rounds ``other`` was
+    faster and whether every round computed identical results on both."""
     results = {}
     for w, workload in ROWS.items():
-        p, c = times[w]["parent"], times[w]["change"]
-        pq, cq = quartiles(p), quartiles(c)
+        b, o = times[w][base], times[w][other]
+        bq, oq = quartiles(b), quartiles(o)
         results[w] = {
             "workload": workload, "unit": "s" if w in ("plan", "setup") else "us/iter",
-            "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2], "runs": p},
-            "change": {"q1": cq[0], "median": cq[1], "q3": cq[2], "runs": c},
-            "ratio": cq[1] / pq[1], "wins": sum(cv < pv for pv, cv in zip(p, c)),
-            "identical": same[w],
+            base: {"q1": bq[0], "median": bq[1], "q3": bq[2], "runs": b},
+            other: {"q1": oq[0], "median": oq[1], "q3": oq[2], "runs": o},
+            "ratio": oq[1] / bq[1], "wins": sum(ov < bv for bv, ov in zip(b, o)),
+            "identical": digests[w][base] == digests[w][other],
         }
     return results
 
 
-def table(results: dict, rounds: int) -> list[str]:
-    lines = [f"{'workload':<9}{'unit':<9}{'parent (q1 med q3)':>28}{'change (q1 med q3)':>28}"
+def table(results: dict, rounds: int, base: str, other: str) -> list[str]:
+    lines = [f"{'workload':<9}{'unit':<9}{base + ' (q1 med q3)':>28}{other + ' (q1 med q3)':>28}"
              f"{'ratio':>8}{'wins':>7}  identical"]
     for w, r in results.items():
-        pq, cq = ("%8.4g %8.4g %8.4g" % (r[side]["q1"], r[side]["median"], r[side]["q3"])
-                  for side in ("parent", "change"))
+        bq, oq = ("%8.4g %8.4g %8.4g" % (r[side]["q1"], r[side]["median"], r[side]["q3"])
+                  for side in (base, other))
         wins = f"{r['wins']}/{rounds}"
         lines.append(
-            f"{w:<9}{r['unit']:<9}{pq:>28}{cq:>28}"
+            f"{w:<9}{r['unit']:<9}{bq:>28}{oq:>28}"
             f"{r['ratio']:>8.3f}{wins:>7}  {'yes' if r['identical'] else 'NO'}"
         )
     return lines
@@ -322,20 +335,24 @@ def main(argv=None) -> int:
         p.error("--rounds must be >= 1 and --scale > 0")
     logging.basicConfig(level=logging.WARNING)  # the harness's own INFO lines stay quiet
     with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
-        parent = Side("ab_parent", args.parent, args.scale, Path(tmp))
-        change = Side("ab_change", HERE, args.scale, Path(tmp))
+        sides = [("parent", Side("ab_parent", args.parent, args.scale, Path(tmp))),
+                 ("change", Side("ab_change", HERE, args.scale, Path(tmp))),
+                 ("control", Side("ab_control", HERE, args.scale, Path(tmp)))]
         try:
-            results = compare(parent, change, args.rounds)
+            times, digests = compare(sides, args.rounds)
         finally:
-            parent.close()
-            change.close()
-    print("\n".join(table(results, args.rounds)))
+            for _, side in sides:
+                side.close()
+    results = pair_rows(times, digests, "parent", "change")
+    control = pair_rows(times, digests, "change", "control")
+    print("\n".join(table(results, args.rounds, "parent", "change")))
+    print("\n".join(table(control, args.rounds, "change", "control")))
     if args.out is not None:
         record = {
             "rounds": args.rounds, "scale": args.scale, "build": fingerprint.build(),
             "parent": {"git": tree_version(args.parent), "src_lines": src_lines(args.parent)},
             "change": {"git": tree_version(HERE), "src_lines": src_lines(HERE)},
-            "workloads": results,
+            "workloads": results, "control": control,
         }
         args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
