@@ -130,7 +130,7 @@ class ProblemSpec:
     inside the (max-norm) box of radius ``domain_radius`` when one is
     declared, and globally otherwise.  ``component_grad_batch`` (required)
     returns the stacked gradients for an index array and is the only
-    component oracle; ``component_grad`` stays, unset, for the benchmark tracer.
+    component oracle.
 
     ``grad_diff_batch(idx, x_new, x_old)`` is an optional difference oracle
     returning ``mean_i(grad_i(x_new) - grad_i(x_old))`` over the index
@@ -152,13 +152,13 @@ class ProblemSpec:
     lipschitz_grad: float
     lipschitz_hess: float
     value: Callable[[Vector], float]
-    component_grad: Callable[[int, Vector], Vector] | None = None
     full_grad: Callable[[Vector], Vector] | None = None
     component_grad_batch: Callable[[np.ndarray, Vector], np.ndarray] | None = None
     grad_diff_batch: Callable[[np.ndarray, Vector, Vector], Vector] | None = None
     hvp: Callable[[Vector, Vector], Vector] | None = None
     variance_bound: float = 0.0
     domain_radius: float | None = None
+    component_grad = None  # not a field: perfbench/tracer.py reads it and skips None
 
     def __post_init__(self):
         # n keeps its own rule: inf, or a positive integer of any numeric type (3.0 too)

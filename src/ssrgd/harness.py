@@ -29,7 +29,7 @@ arrive; then the plan writes one
 ``aggregate.json`` and, with ``plot = true``, charts drawn from the traces
 in memory.  Run ids are content hashes of the cell description and no file
 names its own directory, so a plan writes the same bytes in any directory.
-Workers: ``ssrgd run --workers``, else SSRGD_WORKERS (default 1).
+Workers: ``ssrgd run --workers`` (default 1).
 
 CLI subcommands: ``run``, ``scaling``, ``certify``, ``diagnose``.  Exit
 codes: 0 full success, 1 any failed cell, 2 config error.
@@ -49,7 +49,6 @@ import io
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -520,7 +519,7 @@ def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
     return BaselineKind(**{**derived, **given, "seed": seed})
 
 
-def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
+def run_plan(plan: ExperimentPlan, workers: int = 1) -> dict:
     """Run every cell, write each one's trace and summary as its row's
     results arrive, then write the aggregate (cells in plan order) and,
     with ``plot``, the charts.
@@ -531,17 +530,12 @@ def run_plan(plan: ExperimentPlan, workers: int | None = None) -> dict:
     so each distinct optimizer run happens once per row; every cell still
     gets the files a lone ``run_cell`` would give it.
 
-    ``workers`` (``ssrgd run --workers``) defaults to SSRGD_WORKERS.  A cell
-    that aborts with a package error (a non-finite oracle value, or a
-    setting its run config rejects) is marked failed in the aggregate, with
-    its error, without stopping the other cells.
+    ``workers`` is ``ssrgd run --workers``.  A cell that aborts with a
+    package error (a non-finite oracle value, or a setting its run config
+    rejects) is marked failed in the aggregate, with its error, without
+    stopping the other cells.
     """
-    if workers is None:
-        raw = os.environ.get("SSRGD_WORKERS", "1")
-        workers = int(raw) if raw.isdecimal() else 0
-        if workers < 1:
-            raise ConfigError(f"SSRGD_WORKERS must be an integer >= 1, got {raw!r}")
-    elif workers < 1:
+    if workers < 1:
         raise ConfigError(f"--workers must be an integer >= 1, got {workers}")
     cells = plan.cells()  # a refused plan leaves no directory behind
     out_root = Path(plan.out_dir)
@@ -869,7 +863,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment plan")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_sc = sub.add_parser("scaling", help="fit oracle-complexity exponents")

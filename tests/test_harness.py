@@ -1233,13 +1233,6 @@ class TestParallelWorkers:
         assert harness.main(["run", str(cfg), "--workers", "0"]) == 2
         assert "--workers must be an integer >= 1, got 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
-    def test_bad_worker_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("SSRGD_WORKERS", value)
-        assert harness.main(["run", str(write_config(tmp_path, MINIMAL))]) == 2
-        assert f"SSRGD_WORKERS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
-
 
 class TestDiagnoseCli:
     def test_coupled(self, tmp_path, capsys):

@@ -3,16 +3,16 @@ import importlib.util
 import itertools
 import json
 import re
-import statistics
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+BENCHMARK = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+E2E = BENCHMARK["end_to_end"]
 
 
 def fingerprint(*names) -> list[str]:
@@ -88,120 +88,82 @@ def test_paths_digest_ignores_f_and_nothing_else():
     assert fp.without_f(report) == {"sfo_raw": 5, "cells": [{"escape_iter": 3}]}
 
 
-def test_ab_smoke_same_tree_on_both_sides(tmp_path):
-    root = SCRIPT.parents[1]
-    out = tmp_path / "BENCH_smoke.json"
-    done = subprocess.run(
-        [sys.executable, str(root / "tools" / "ab.py"), "--parent", str(root), "--rounds", "1", "--scale", "0.01",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=300, check=True,
-    )
-    lines = done.stdout.splitlines()
-    assert len(lines) == 12
-    (header, *rows), (control_header, *control_rows) = lines[:6], lines[6:]
-    assert header.split()[:2] == ["workload", "unit"]
-    assert control_header.split()[:4] == ["workload", "unit", "change", "(q1"]
-    assert control_header.split()[6] == "control"
-    for table_rows in (rows, control_rows):
-        assert [row.split()[:2] for row in table_rows] == [
-            ["fs", "us/iter"], ["online", "us/iter"], ["plan", "s"], ["certify", "us/iter"], ["setup", "s"]
-        ]
-        for row in table_rows:
-            *_, ratio, wins, identical = row.split()
-            assert float(ratio) > 0 and wins in ("0/1", "1/1") and identical == "yes"
-    record = json.loads(out.read_text(encoding="utf-8"))
-    assert set(record) == {"rounds", "scale", "build", "parent", "change", "workloads", "control"}
-    assert (record["rounds"], record["scale"]) == (1, 0.01)
+@pytest.fixture(scope="module")
+def ab():
+    return load_tool("ab")
+
+
+def canned(value=2.0, failed=0, fingerprint="f0"):
+    """One benchmark run as ``ab.run_once`` returns it: every end-to-end
+    metric at ``value`` and one operation."""
+    return {"metrics": {m["name"]: value for m in E2E}, "failed": failed,
+            "ops": {("run", "0", fingerprint, 640, 10, None)}}
+
+
+@pytest.mark.parametrize("metric", [m["name"] for m in E2E])
+def test_ab_wins_follow_the_metrics_better_direction(ab, metric):
+    better = {m["name"]: m["better"] for m in E2E}[metric]
+    assert better == ("higher" if metric == "sfo_per_s" else "lower")
+    runs = {"parent": [canned(2.0)] * 3, "change": [canned(1.0), canned(3.0), canned(1.0)]}
+    row = ab.compare(runs, E2E)["metrics"][metric]
+    assert row["wins"] == (2 if better == "lower" else 1)
+    assert row["better"] == better and row["ratio"] == 0.5
+    assert row["parent"]["runs"] == [2.0] * 3 and row["change"]["runs"] == [1.0, 3.0, 1.0]
+
+
+def test_ab_ties_count_for_neither_side(ab):
+    row = ab.compare({"parent": [canned(2.0), canned(1.0)], "change": [canned(2.0), canned(1.0)]}, E2E)
+    assert all(m["wins"] == 0 and m["ratio"] == 1.0 for m in row["metrics"].values())
+
+
+def test_ab_one_run_gives_equal_quartiles(ab):
+    row = ab.compare({"parent": [canned(2.0)], "change": [canned(3.0)]}, E2E)
+    for m in row["metrics"].values():
+        assert m["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0, "runs": [2.0]}
+        assert m["change"] == {"q1": 3.0, "median": 3.0, "q3": 3.0, "runs": [3.0]}
+
+
+def test_ab_one_differing_fingerprint_breaks_identical(ab):
+    parent = [canned(), canned()]
+    assert ab.compare({"parent": parent, "change": [canned(3.0), canned(1.0)]}, E2E)["identical"] is True
+    assert ab.compare({"parent": parent, "change": [canned(), canned(fingerprint="f1")]}, E2E)["identical"] is False
+
+
+def test_ab_failed_counts_carry_through(ab):
+    row = ab.compare({"parent": [canned(failed=0), canned(failed=2)],
+                      "change": [canned(failed=1), canned(failed=0)]}, E2E)
+    assert row["failed"] == {"parent": 2, "change": 1}
+
+
+def test_ab_one_pair_of_this_tree_against_itself(ab):
+    record = json.loads(json.dumps(ab.measure(ab.HERE, 1, 0.0, ["online_stream"])))  # as --out writes it
+    assert set(record) == {"pairs", "seconds", "build", "parent", "change", "workloads"}
+    assert (record["pairs"], record["seconds"]) == (1, 0.0)
     assert record["build"] == load_tool("fingerprint").build()
     assert record["parent"] == record["change"] and set(record["parent"]) == {"git", "src_lines"}
-    src = sorted((root / "src" / "ssrgd").glob("*.py"))
+    src = sorted((ab.HERE / "src" / "ssrgd").glob("*.py"))
     assert record["parent"]["src_lines"] == len(b"".join(p.read_bytes() for p in src).splitlines())
-    assert list(record["workloads"]) == list(record["control"]) == ["fs", "online", "plan", "certify", "setup"]
-    assert record["workloads"]["certify"]["workload"] == "saddle_certify"
-    assert record["workloads"]["setup"]["workload"] == "fs_logistic"
-    for table_rows, key, (base, other) in ((rows, "workloads", ("parent", "change")),
-                                          (control_rows, "control", ("change", "control"))):
-        for w, row in zip(record[key].values(), table_rows):
-            assert set(w) == {"workload", "unit", base, other, "ratio", "wins", "identical"}
-            for side in (base, other):
-                assert set(w[side]) == {"q1", "median", "q3", "runs"} and len(w[side]["runs"]) == 1
-                assert w[side]["q1"] == w[side]["median"] == w[side]["q3"] == w[side]["runs"][0] > 0
-            assert w["ratio"] == w[other]["median"] / w[base]["median"]
-            assert w["wins"] in (0, 1) and w["identical"] is True
-            assert row.split()[-2] == f"{w['wins']}/1"
-    for name, row in record["control"].items():
-        # the control's change column is the main table's, from the same round
-        assert row["workload"] == record["workloads"][name]["workload"]
-        assert row["change"] == record["workloads"][name]["change"]
+    row = record["workloads"]["online_stream"]
+    assert list(record["workloads"]) == ["online_stream"] and set(row) == {"metrics", "failed", "identical"}
+    assert row["identical"] is True and row["failed"] == {"parent": 0, "change": 0}
+    assert list(row["metrics"]) == [m["name"] for m in E2E]
+    for m in row["metrics"].values():
+        assert set(m) == {"unit", "better", "parent", "change", "ratio", "wins"}
+        for side in ("parent", "change"):
+            assert set(m[side]) == {"q1", "median", "q3", "runs"} and len(m[side]["runs"]) == 1
+            assert m[side]["q1"] == m[side]["median"] == m[side]["q3"] == m[side]["runs"][0] > 0
+        assert m["ratio"] == m["change"]["median"] / m["parent"]["median"] and m["wins"] in (0, 1)
+    header, *rows = ab.table(record)
+    assert header.split()[:3] == ["workload", "metric", "unit"]
+    assert [r.split()[:2] for r in rows] == [["online_stream", name] for name in row["metrics"]]
+    assert all(r.split()[-2:] == ["yes", "0/0"] for r in rows)
 
 
-@pytest.mark.parametrize("scale", ["nan", "0", "-1"])
-def test_ab_refuses_a_scale_that_is_not_positive(scale, capsys):
+@pytest.mark.parametrize("flag", [("--pairs", "0"), ("--seconds", "-1"), ("--seconds", "nan")])
+def test_ab_refuses_no_pairs_and_bad_seconds(ab, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        load_tool("ab").main(["--parent", ".", "--scale", scale])
-    assert exc.value.code == 2 and "--scale > 0" in capsys.readouterr().err
-
-
-def test_ab_online_round_is_the_median_of_its_units():
-    ab = load_tool("ab")
-    seen = []
-
-    def run_unit(workload, index):
-        seen.append((workload, index))
-        return float((7 * index) % 11), f"u{index}"
-
-    side = SimpleNamespace(run_unit=run_unit)
-    k = ab.ONLINE_UNITS
-    units = range(2 * k, 3 * k)
-    value, digest = ab.Side.run(side, "online", 2)
-    assert seen == [("online", i) for i in units]
-    assert value == statistics.median((7 * i) % 11 for i in units)
-    assert digest == " ".join(f"u{i}" for i in units)
-    seen.clear()
-    assert ab.Side.run(side, "fs", 2) == (3.0, "u2") and seen == [("fs", 2)]
-
-
-def test_ab_result_digest_ignores_f_and_nothing_else():
-    ab = load_tool("ab")
-    fp = ab.fingerprint
-    inst = fp.problems.make_nonconvex_logistic(n=64, d=4, seed=1)
-    out = fp._ssrgd(inst, 0.05, budget=3_000, seed=2, x0=0.5 * np.ones(4), full_trace=True)
-    ops = [SimpleNamespace(key="2", sfo=out.sfo_raw, iters=40, failure=None)]
-    base = ab.result_digest("fs", ops, [out])
-    other_f = [dataclasses.replace(r, f_value=r.f_value * (1 + 1e-16) + 1e-9) for r in out.trace]
-    assert ab.result_digest("fs", ops, [dataclasses.replace(out, trace=other_f)]) == base
-    moved = dataclasses.replace(out, final_x=out.final_x + 1e-15)
-    assert ab.result_digest("fs", ops, [moved]) != base
-    failed = [SimpleNamespace(key="2", sfo=out.sfo_raw, iters=40, failure="check")]
-    assert ab.result_digest("fs", failed, [out]) != base
-
-    def plan(out_dir, max_fdrop, escaped):
-        printed = {"cells": 2, "failed": [], "out_dir": out_dir}
-        report = {"escape_frequency": escaped, "pairs": [{"max_fdrop": max_fdrop}]}
-        return [(0, json.dumps(printed)), (0, json.dumps(report))]
-
-    ops = [SimpleNamespace(key="run", sfo=10, iters=5, failure=None)]
-    base = ab.result_digest("plan", ops, plan("/a/runs", 0.5, 1.0))
-    assert ab.result_digest("plan", ops, plan("/b/runs", 0.25, 1.0)) == base
-    assert ab.result_digest("plan", ops, plan("/a/runs", 0.5, 0.9)) != base
-    assert ab.result_digest("plan", ops, plan("/a/runs", 0.5, 1.0), ["0" * 64]) != base
-
-
-def test_ab_plan_files_digest_ignores_f_and_nothing_else(tmp_path):
-    ab = load_tool("ab")
-
-    def digest(f_value, sfo, f_final):
-        cell = tmp_path / "runs" / "c0ffee"
-        cell.mkdir(parents=True, exist_ok=True)
-        (cell / "trace.csv").write_text(f"iter,f,grad_norm,sfo,event\n0,{f_value},0.5,{sfo},epoch_start\n")
-        (cell / "summary.json").write_text(json.dumps({"f_final": f_final, "sfo_raw": sfo}))
-        return ab.files_digest(tmp_path / "runs")
-
-    base = digest(1.0, 64, 1.0)
-    assert digest(1.0 + 1e-15, 64, 0.5) == base
-    assert digest(1.0, 65, 1.0) != base
-    (tmp_path / "runs" / "aggregate.json").write_text("{}")
-    assert digest(1.0, 64, 1.0) != base
+        ab.main(["--parent", ".", *flag])
+    assert exc.value.code == 2 and "--pairs must be >= 1 and --seconds finite and >= 0" in capsys.readouterr().err
 
 
 def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
