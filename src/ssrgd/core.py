@@ -135,9 +135,10 @@ class ProblemSpec:
     ``grad_diff_batch(idx, x_new, x_old)`` is an optional difference oracle
     returning ``mean_i(grad_i(x_new) - grad_i(x_old))`` over the index
     array in one call, for problems whose per-component term cancels in
-    the difference.  When absent, the recursive and snapshot estimators
-    take two batched gradient calls and subtract their means.  Either way
-    a step over b indices is charged 2b raw SFO (b nominal).
+    the difference.  Without it a step asks ``component_grad_batch`` for both
+    endpoints as one ``(2, d)`` stack, by the stack contract: indices
+    ``(..., b)`` and points ``(..., d)`` give ``(..., b, d)``, each ``(b, d)``
+    slice bit for bit the single call's.  A step is charged 2b raw SFO (b nominal).
 
     Each number must pass its row of ``SETTING_RULES`` (L, rho and sigma
     are finite, as the analysis divides by them); ``n`` keeps its own rule.

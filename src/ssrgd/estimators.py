@@ -10,12 +10,12 @@ Four estimators, each a function of the values it reads:
 * snapshot estimator
   ``v = mean_{i in I_b}(grad_i(x) - grad_i(anchor)) + full_grad(anchor)``.
 
-The same index multiset is used for both evaluation points of a step.  A
-problem that supplies ``grad_diff_batch`` answers the difference in one
-call; otherwise the two endpoints' batched component gradients are reduced
-in fixed slot order, so results are deterministic regardless of how the
-oracle evaluates the batch internally.  Batch means are
-``np.add.reduce(g, axis=0) / b``, which is what ``ndarray.mean`` computes.
+The same index multiset is used for both evaluation points of a step, in
+one oracle call: ``grad_diff_batch`` when the problem has it, otherwise
+``component_grad_batch`` on the point stack ``[x_old, x_new]`` (the stack
+contract of ``ProblemSpec``), each endpoint's rows reduced in fixed slot
+order, so results do not depend on how the oracle evaluates the batch.
+Batch means are ``np.add.reduce(g, axis=-2) / b``, as ``ndarray.mean``.
 
 ``descend`` is the one epoch shape: from an anchor point and its gradient
 it runs the recursive (SSRGD) or the snapshot (SVRG) steps over minibatches
@@ -50,19 +50,22 @@ def component_gradients(problem: ProblemSpec, indices, x: Vector) -> np.ndarray:
 
 
 def _mean_grad_diff(problem: ProblemSpec, batch, x_new: Vector, x_old: Vector, sfo) -> Vector:
-    """``mean_i(grad_i(x_new) - grad_i(x_old))`` over ``batch``: one difference
-    oracle call when the problem has one, two batched gradients otherwise.
-    Charges 2b raw SFO (both endpoints, same indices) and b nominal."""
+    """``mean_i(grad_i(x_new) - grad_i(x_old))`` over ``batch`` in one oracle
+    call, charged 2b raw SFO (both endpoints, same indices) and b nominal."""
     idx = np.asarray(batch, dtype=np.int64)
     if idx.size == 0:
         raise ConfigError("empty minibatch")
     if problem.grad_diff_batch is not None:
         diff = np.asarray(problem.grad_diff_batch(idx, x_new, x_old), dtype=float)
     else:
-        # the old endpoint goes first: it is the point the last call asked for
-        b, grads = idx.size, problem.component_grad_batch  # idx checked above
-        g_old = np.add.reduce(np.asarray(grads(idx, x_old), dtype=float), axis=0) / b
-        diff = np.add.reduce(np.asarray(grads(idx, x_new), dtype=float), axis=0) / b - g_old
+        x = np.empty((2,) + x_new.shape)  # np.stack costs four times as much
+        x[0], x[1] = x_old, x_new
+        g = np.asarray(problem.component_grad_batch(idx, x), dtype=float)
+        if g.shape != (2,) + idx.shape + x.shape[-1:]:
+            raise UnsupportedOracleError(f"component_grad_batch answers a {x.shape} point stack with"
+                                         f" shape {g.shape}, against the stack contract")
+        g_old, g_new = np.add.reduce(g, axis=-2) / idx.shape[-1]
+        diff = g_new - g_old
     if sfo is not None:
         sfo.add(2 * idx.size, idx.size)
     return diff
@@ -126,9 +129,8 @@ def descend(
     caller decides when to stop and a lazy ``batches`` keeps its draws in place.
 
     ``x`` and ``g`` may also be ``(k, d)`` stacks, each batch then a ``(k, b)``
-    block with row i's minibatch in row i, when the problem's ``grad_diff_batch``
-    answers a stack row by row; the coupled escape experiment runs its
-    trajectories in lockstep so."""
+    block with row i's minibatch in row i, when the problem's oracles answer
+    stacks row by row; the coupled escape experiment runs in lockstep so."""
     anchor, v = x, g
     for batch in batches:
         x_old, x = x, x - step_size * v

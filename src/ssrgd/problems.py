@@ -95,7 +95,7 @@ def make_quadratic(
         return A @ x
 
     def component_grad_batch(idx, x):
-        return comps[idx] @ x
+        return np.matmul(comps[idx], x[..., None, :, None])[..., 0]
 
     def hvp(x, vec):
         return A @ vec
@@ -235,9 +235,9 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
     Work is done once per point.  One ``_point_slot`` holds the margins
     ``Ay @ x``, which ``value``, ``full_grad`` and ``hvp`` read, so an epoch
     start's anchor and its f share one product; another holds the
-    regularizer gradient that every component gradient at x adds.  Callers
-    always get fresh arrays.  f is ``max(-m, 0) + log1p(exp(-|m|))`` per
-    margin m, which never overflows.
+    regularizer gradient that ``full_grad`` adds.  The component oracle
+    answers point stacks (``ProblemSpec``).  Callers always get fresh arrays.
+    f is ``max(-m, 0) + log1p(exp(-|m|))`` per margin m, which never overflows.
     """
     core.check_values(reg=reg)
     n, d = A.shape
@@ -265,12 +265,13 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
         return -(Ay.T @ s) / n + reg_grad(x)
 
     def component_grad_batch(idx, x):
-        g = Ay.take(idx, axis=0)  # a fresh copy, worked on in place
-        w = np.exp(g @ x)
+        g = Ay.take(idx, axis=0)
+        w = np.matmul(g, x[..., None])  # a margin column per point of the stack
+        np.exp(w, out=w)
         w += 1.0
         np.divide(-1.0, w, out=w)  # -sigmoid(-margin): (-1)/d is -(1/d) exactly
-        g *= w[:, None]
-        g += reg_grad(x)
+        g = g * w
+        g += (reg * 2.0 * x / (1.0 + x * x) ** 2)[..., None, :]
         return g
 
     def hvp(x, vec):

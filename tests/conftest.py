@@ -17,7 +17,7 @@ def scalar_quadratic(a_values) -> ProblemSpec:
         lipschitz_hess=0.0,
         value=lambda x: 0.5 * abar * float(x[0] ** 2),
         full_grad=lambda x: abar * x,
-        component_grad_batch=lambda idx, x: a[idx, None] * x[None, :],
+        component_grad_batch=lambda idx, x: a[idx, None] * x[..., None, :],
         hvp=lambda x, v: abar * v,
     )
 
@@ -66,7 +66,7 @@ def quadratic_problem_from_components(comps) -> ProblemSpec:
         lipschitz_hess=0.0,
         value=lambda x: 0.5 * float(x @ (A @ x)),
         full_grad=lambda x: A @ x,
-        component_grad_batch=lambda idx, x: comps[idx] @ x,
+        component_grad_batch=lambda idx, x: np.matmul(comps[idx], x[..., None, :, None])[..., 0],
         hvp=lambda x, v: A @ v,
     )
 

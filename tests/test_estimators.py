@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ssrgd import core, estimators
+from ssrgd.algorithm import derive_config, run_ssrgd
 from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import ConfigError, NonFiniteError, ProblemSpec, UnsupportedOracleError
-from ssrgd.problems import make_online_stream, make_quadratic
+from ssrgd.problems import make_nonconvex_logistic, make_online_stream, make_quadratic
 
 from conftest import (
     counting, quadratic_problem_from_components, random_quadratic_family, reference_epoch,
@@ -364,6 +365,21 @@ class TestDescend:
         assert np.array_equal(second, core.sample_minibatch(ref, 7, 3))
 
 
+    @pytest.mark.parametrize("recursive", [True, False])
+    def test_a_point_stack_descends_row_by_row(self, recursive):
+        # without a difference oracle a (k, d) stack still takes one
+        # component call per step, and row i is bit for bit its own descent
+        prob = make_nonconvex_logistic(n=64, d=5, seed=2).spec
+        X = 0.5 + 0.1 * np.arange(15.0).reshape(3, 5)
+        G = np.stack([estimators.full_gradient(prob, x) for x in X])
+        block = core.sample_minibatch(core.seeded_rng(1, 0), prob.n, 4, steps=15).reshape(5, 3, 4)
+        got = list(estimators.descend(prob, X, G, 0.2, block, snapshot=not recursive))
+        for i in range(3):
+            want = estimators.descend(prob, X[i], G[i], 0.2, block[:, i], snapshot=not recursive)
+            for (x, v, _), (rx, rv, _) in zip(got, want, strict=True):
+                assert np.array_equal(x[i], rx) and np.array_equal(v[i], rv)
+
+
 class TestComponentOracle:
     def test_batched_oracle_is_required(self):
         with pytest.raises(ConfigError, match="component_grad_batch"):
@@ -380,9 +396,9 @@ class TestComponentOracle:
         assert oracle.calls == 1
         assert np.array_equal(grads, [[6.0], [2.0], [6.0]])
 
-    def test_two_call_difference_asks_for_the_old_endpoint_first(self):
-        # the endpoint a recursive step shares with the last step goes first,
-        # so an oracle's per-point slot still holds it
+    def test_stacked_difference_asks_once_for_old_then_new_endpoint(self):
+        # one component call answers both endpoints, the one a recursive step
+        # shares with the last step in row 0
         prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=6, seed=2))
         asked = []
 
@@ -393,23 +409,45 @@ class TestComponentOracle:
         spec = dataclasses.replace(prob, component_grad_batch=recording, grad_diff_batch=None)
         x_old, x_new, idx = np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.5, -1.0]), [4, 0, 4, 2]
         v = estimators.recursive_step(spec, np.zeros(3), x_old, x_new, idx)
-        assert [a.tolist() for a in asked] == [x_old.tolist(), x_new.tolist()]
+        assert [a.tolist() for a in asked] == [[x_old.tolist(), x_new.tolist()]]
         g = estimators.component_gradients
         want = (np.add.reduce(g(prob, idx, x_new), axis=0) / 4
                 - np.add.reduce(g(prob, idx, x_old), axis=0) / 4)
         assert np.array_equal(v, want)
 
 
+@pytest.mark.parametrize("step", ["recursive_step", "svrg_step"])
+def test_one_component_call_per_inner_step(step, monkeypatch):
+    """Anchors go through ``full_grad``, so a first-order run on a problem
+    without a difference oracle asks its component oracle once per inner
+    step, both endpoints in one stack, for the SFO it was charged before."""
+    spec = make_nonconvex_logistic(n=256, d=10, seed=1).spec
+    x0 = 0.5 * np.ones(spec.d)
+
+    def run(problem):
+        if step == "recursive_step":
+            return run_ssrgd(problem, derive_config(problem, 0.05, sfo_budget=30_000, seed=3), x0=x0)
+        kind = BaselineKind("svrg", step_size=0.1, minibatch=8, epoch_len=10)
+        return run_baseline(kind, problem, 30_000, x0=x0)
+
+    plain = run(spec)
+    oracle, steps = counting(spec.component_grad_batch), counting(getattr(estimators, step))
+    monkeypatch.setattr(estimators, step, steps)
+    out = run(dataclasses.replace(spec, component_grad_batch=oracle))
+    assert steps.calls > 0 and oracle.calls == steps.calls
+    assert (out.sfo_raw, out.sfo_nominal) == (plain.sfo_raw, plain.sfo_nominal)
+
+
 def test_svrg_non_finite_oracle_stops_at_the_same_iterate():
-    """An oracle that turns NaN on its 7th call poisons v at step 4 (two
-    batched calls per snapshot step), so the iterate is NaN at step 5."""
+    """An oracle that turns NaN on its 4th call poisons v at step 4 (one
+    stacked call per snapshot step), so the iterate is NaN at step 5."""
     prob = scalar_quadratic([1.0, 2.0, 3.0])
     clean = prob.component_grad_batch
 
     def poisoned(idx, x):
         poisoned.calls += 1
         g = clean(idx, x)
-        return g * np.nan if poisoned.calls >= 7 else g
+        return g * np.nan if poisoned.calls >= 4 else g
 
     poisoned.calls = 0
     prob = dataclasses.replace(prob, component_grad_batch=poisoned)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 import ssrgd
-from ssrgd import core, estimators, problems
-from ssrgd.core import ConfigError, DatasetError
+from ssrgd import core, estimators, harness, problems
+from ssrgd.core import ConfigError, DatasetError, ProblemSpec, UnsupportedOracleError
 from ssrgd.problems import (
     load_libsvm,
     make_nonconvex_logistic,
@@ -394,7 +395,12 @@ class TestDifferenceOracle:
         cfg = ssrgd.derive_config(spec, 0.1, sfo_budget=10_000, seed=4)
         x0 = 0.5 * np.ones(spec.d)
         fused = ssrgd.run_ssrgd(spec, cfg, x0=x0)
-        fallback = ssrgd.run_ssrgd(dataclasses.replace(spec, grad_diff_batch=None), cfg, x0=x0)
+        # the stream's component oracle answers one point, not a stack, so the
+        # reference spells the two calls out as its difference oracle
+        def two_calls(idx, x_new, x_old):
+            return two_call_difference(spec, idx, x_new, x_old)
+
+        fallback = ssrgd.run_ssrgd(dataclasses.replace(spec, grad_diff_batch=two_calls), cfg, x0=x0)
         assert [r.event for r in fused.trace] == [r.event for r in fallback.trace]
         assert len(fused.trace) == len(fallback.trace)
         assert (fused.sfo_raw, fused.sfo_nominal) == (fallback.sfo_raw, fallback.sfo_nominal)
@@ -560,6 +566,113 @@ class TestLogisticBatchKernel:
         everything = np.arange(n)
         x = rng.standard_normal(d)
         assert np.array_equal(spec.component_grad_batch(everything, x), formula(everything, x))
+
+
+def parent_logistic_rows(Ay, reg, idx, x):
+    """The logistic component oracle at one point as it was written before
+    it answered point stacks."""
+    g = Ay.take(idx, axis=0)
+    w = np.exp(g @ x)
+    w += 1.0
+    np.divide(-1.0, w, out=w)
+    g *= w[:, None]
+    g += reg * 2.0 * x / (1.0 + x * x) ** 2
+    return g
+
+
+def stack_contract_problem(kind, d, tmp_path, monkeypatch):
+    """A built-in problem without a difference oracle, and its component
+    oracle at one point in the parent's formula."""
+    if kind == "quadratic":
+        spec = make_quadratic(d, 40, seed=d, spread=0.7).spec
+        # a product with a basis vector reads each matrix entry exactly
+        comps = np.stack([spec.component_grad_batch(np.arange(40), e) for e in np.eye(d)], axis=-1)
+        return spec, lambda idx, x: comps[idx] @ x
+    built, logistic = [], problems._logistic_instance
+
+    def recording(A, y, reg):
+        built.append((A * y[:, None], reg))
+        return logistic(A, y, reg)
+
+    monkeypatch.setattr(problems, "_logistic_instance", recording)
+    if kind == "logistic":
+        spec = make_nonconvex_logistic(n=96, d=d, reg=0.05, seed=d).spec
+    else:
+        rng = np.random.default_rng(d)
+        path = tmp_path / "data.svm"
+        path.write_text("".join(
+            f"{rng.choice([-1, 1])} " + " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row)) + "\n"
+            for row in rng.standard_normal((80, d))
+        ))
+        spec = load_libsvm(path, d_cap=d).spec
+    [(Ay, reg)] = built
+    return spec, lambda idx, x: parent_logistic_rows(Ay, reg, idx, x)
+
+
+class TestStackContract:
+    """Every built-in problem without a difference oracle answers point
+    stacks, each ``(b, d)`` slice bit for bit the single call's answer
+    (``ProblemSpec``)."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "libsvm", "quadratic"])
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    def test_stacks_answer_as_single_calls(self, kind, d, b, tmp_path, monkeypatch):
+        spec, parent = stack_contract_problem(kind, d, tmp_path, monkeypatch)
+        rng = np.random.default_rng(100 * d + b)
+        X = rng.standard_normal((3, d))
+        idx = rng.integers(0, spec.n, b)
+        for x in X:
+            assert np.array_equal(spec.component_grad_batch(idx, x), parent(idx, x))
+        pair = spec.component_grad_batch(idx, X[:2])
+        assert pair.shape == (2, b, d)
+        for k in range(2):
+            assert np.array_equal(pair[k], spec.component_grad_batch(idx, X[k])), k
+        block = rng.integers(0, spec.n, (3, b))
+        rows = spec.component_grad_batch(block, X)
+        assert rows.shape == (3, b, d)
+        for k in range(3):
+            assert np.array_equal(rows[k], spec.component_grad_batch(block[k], X[k])), k
+
+    @staticmethod
+    def ignoring_the_stack(d):
+        return ProblemSpec(
+            n=16, d=d, lipschitz_grad=1.0, lipschitz_hess=0.0,
+            value=lambda x: 0.5 * float(x @ x), full_grad=lambda x: x,
+            component_grad_batch=lambda idx, x: np.tile(x, (len(idx), 1)),
+        )
+
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    def test_an_oracle_that_ignores_the_stack_is_refused(self, b):
+        spec = self.ignoring_the_stack(3)
+        x_old, x_new = np.ones(3), np.full(3, 0.5)
+        with pytest.raises(UnsupportedOracleError, match="stack contract"):
+            estimators.recursive_step(spec, np.zeros(3), x_old, x_new, np.arange(b))
+
+    def test_in_a_plan_only_that_problems_cell_fails(self, tmp_path, capsys, monkeypatch):
+        build = harness.build_problem
+
+        def swapping(params, n_override=None):
+            inst = build(params, n_override)
+            if params.get("seed") == 5:
+                inst.spec = self.ignoring_the_stack(inst.spec.d)
+            return inst
+
+        monkeypatch.setattr(harness, "build_problem", swapping)
+        plan = tmp_path / "plan.ini"
+        plan.write_text(
+            "[problem]\nkind = quadratic\nn = 16\nd = 3\nspread = 0.2\n\n"
+            "[problem:bad]\nkind = quadratic\nn = 16\nd = 3\nseed = 5\n\n"
+            "[optimizer]\nkind = ssrgd\neps = 0.05\nsfo_budget = 4000\n\n"
+            f"[output]\ndir = {tmp_path / 'runs'}\nseeds = 0\n"
+        )
+        assert harness.main(["run", str(plan)]) == 1
+        capsys.readouterr()
+        cells = json.loads((tmp_path / "runs" / "aggregate.json").read_text())["cells"]
+        by_problem = {c["problem"]: c for c in cells}
+        assert by_problem["bad"]["failed"] and "stack contract" in by_problem["bad"]["error"]
+        good = by_problem["problem"]
+        assert not good["failed"] and good["sfo_raw"] > 0
 
 
 class TestSaddleDifferenceSlot:
