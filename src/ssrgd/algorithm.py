@@ -179,11 +179,11 @@ def run_ssrgd(
     Each epoch is an anchor (x, g), perturbed if a super epoch starts, and
     ``estimators.descend`` over the ``core.steps_left`` of m steps that
     start below the SFO budget; an epoch so cut ends the run.  All draws
-    come from ``core.seeded_rng(cfg.seed, 0)``: per step the minibatch,
-    then (outside a super epoch) the random stop, so ``descend`` takes lazy
-    per-step draws.  The iterate and the gradient estimate are checked
-    together, by one finite dot product; a non-finite value raises
-    ``NonFiniteError`` naming the iterate first.
+    come from ``core.seeded_rng(cfg.seed, 0)``: per step the minibatch, then
+    (outside a super epoch) the random stop; one ``core.epoch_block`` holds a
+    finite-sum epoch's, drawn lazily online or if it declines.  The iterate
+    and the gradient estimate are checked together, by one finite dot
+    product; a non-finite value raises ``NonFiniteError`` naming the iterate first.
     """
     cfg.validate(problem)
     rng = core.seeded_rng(cfg.seed, 0)
@@ -238,7 +238,10 @@ def run_ssrgd(
                 step_callback(OptState(x.copy(), sfo.raw, t, f_x), Event.PERTURBATION)
 
         k_max = core.steps_left(cfg.epoch_len, cfg.sfo_budget - sfo.raw, 2 * cfg.minibatch)
-        batches = (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in range(k_max))
+        drawn = None if online else core.epoch_block(
+            rng, problem.n, cfg.minibatch, k_max, 0 if se.active else cfg.epoch_len)
+        batches, stop, commit = drawn or (
+            (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in range(k_max)), None, None)
         for k, (x, v, _) in enumerate(estimators.descend(problem, x, v, cfg.step_size, batches, sfo), 1):
             t += 1
             f_x = None
@@ -265,7 +268,7 @@ def run_ssrgd(
             if se.active:
                 f_x = float(problem.value(x))
                 event = se.exit_event(t, f_x)
-            elif random_stop_decision(rng, k, cfg.epoch_len):
+            elif k == stop if drawn else random_stop_decision(rng, k, cfg.epoch_len):
                 event = Event.RANDOM_STOP
             if step_callback is not None:
                 step_callback(OptState(x.copy(), sfo.raw, t, f_x), event)
@@ -278,6 +281,8 @@ def run_ssrgd(
         else:
             if k_max < cfg.epoch_len:  # the budget cut this epoch short
                 break
+        if drawn:
+            commit(k)
         epoch += 1
 
     return SsrgdOutcome(

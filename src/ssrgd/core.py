@@ -383,6 +383,46 @@ def sample_minibatch(
     return rng.integers(0, n, size=size, dtype=np.int64)
 
 
+def epoch_block(rng: np.random.Generator, n: float, b: int, steps: int, epoch_len: int):
+    """``steps`` chained finite-sum steps (``sample_minibatch(rng, n, b)``, then if ``epoch_len``
+    ``random_stop_decision(rng, k, epoch_len)``), bit for bit from one ``random_raw`` call:
+    ``integers`` takes 32-bit halves of raw words, low first (a spare one waits in ``has_uint32``),
+    keeps the top 32 bits of half * n and rejects low bits below floor = (2^32 - n) mod n
+    (Lemire 2019); ``random()`` takes a fresh word >> 11.  Returns the block, the first stop step
+    (0 if none) and ``commit(k)``, which leaves ``rng`` where k steps would; or None, drawing
+    nothing, if n >= 2^32, if steps * b * floor / 2^32 > 1/16, or if a half is rejected.
+    """
+    n, bg = int(n), rng.bit_generator
+    per = b if n > 1 else 0  # integers(0, 1) draws no words
+    floor = (2**32 - n) % n  # 0 when n is a power of two: no half is rejected
+    if n >= 2**32 or steps * per * floor > 2**28:
+        return None
+    saved, s = bg.state, np.arange(steps if epoch_len else 0)
+    h = saved["has_uint32"]
+    at = ((s + 1) * per - h + 1) // 2 + s  # step s's stop word follows the words its halves take
+    keep = np.ones((steps * per - h + 1) // 2 + len(at), bool)
+    keep[at] = False
+    raw = bg.random_raw(len(keep))
+    halves = raw[keep].astype("<u8", copy=False).view("<u4")
+    halves = np.concatenate((np.array([saved["uinteger"]] * h, "<u4"), halves))  # the buffered half first
+    scaled = halves[:steps * per] * np.uint64(n)
+    if floor and np.any((scaled & np.uint64(2**32 - 1)) < floor):
+        bg.state = saved
+        return None
+    scaled >>= np.uint64(32)
+    stops = (raw[at] >> np.uint64(11)) * 2.0**-53 < 1.0 / (epoch_len - s)
+
+    def commit(k: int) -> None:
+        words = (k * per - h + 1) // 2  # a split word leaves its high half buffered
+        saved["has_uint32"] = h + 2 * words - k * per
+        saved["uinteger"] = int(halves[h + 2 * words - 1]) if words else saved["uinteger"]
+        bg.state = saved
+        bg.random_raw(words + (k if epoch_len else 0))
+
+    block = scaled.view(np.int64).reshape(steps, per) if per else np.zeros((steps, b), np.int64)
+    return block, int(stops.argmax()) + 1 if stops.any() else 0, commit
+
+
 def steps_left(cap: int, sfo_left: float, cost: int) -> int:
     """How many of the next ``cap`` steps, at ``cost`` raw SFO each, start
     while some of ``sfo_left`` (which may be infinite) remains; a block of

@@ -19,9 +19,9 @@ Batch means are ``np.add.reduce(g, axis=-2) / b``, as ``ndarray.mean``.
 
 ``descend`` is the one epoch shape: from an anchor point and its gradient
 it runs the recursive (SSRGD) or the snapshot (SVRG) steps over minibatches
-its caller supplies, a ``(steps, b)`` block drawn by one
-``core.sample_minibatch`` call where nothing else draws from the stream
-mid-epoch, or a lazy per-step draw where something does (SSRGD's random stop).
+its caller supplies: a ``(steps, b)`` block from ``core.sample_minibatch``
+(or, with SSRGD's random stops, ``core.epoch_block``) where the stream allows
+one, else a lazy per-step draw (online SSRGD and the epochs the block declines).
 """
 
 from __future__ import annotations

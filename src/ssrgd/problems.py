@@ -42,7 +42,6 @@ class ProblemInstance:
     """A problem plus everything a test or experiment needs to judge it."""
 
     spec: ProblemSpec
-    known_fstar: float | None = None
     saddle_points: list[tuple[Vector, float]] = field(default_factory=list)
     base: "ProblemInstance | None" = None
 
@@ -85,8 +84,6 @@ def make_quadratic(
         raise ConfigError(f"scale {scale:g} and spread {spread:g} overflow the components")
 
     L = float(max(np.max(np.abs(np.linalg.eigvalsh(Ai))) for Ai in comps))
-    eigs = np.linalg.eigvalsh(A)
-    fstar = 0.0 if eigs[0] >= 0 else None
 
     def value(x):
         return 0.5 * float(x @ (A @ x))
@@ -110,7 +107,7 @@ def make_quadratic(
         component_grad_batch=component_grad_batch,
         hvp=hvp,
     )
-    return ProblemInstance(spec=spec, known_fstar=fstar)
+    return ProblemInstance(spec=spec)
 
 
 def make_separable_saddle(
@@ -145,8 +142,8 @@ def make_separable_saddle(
                       box_radius=box_radius)
     if d < 2:
         raise ConfigError("planted saddle needs d >= 2")
-    try:  # a float power overflows with an exception
-        fstar = -delta_plant**2 / (4.0 * gamma4)
+    try:  # the saddle's depth delta_plant^2/(4 gamma4) is a float; a float power overflows with an exception
+        delta_plant**2 / (4.0 * gamma4)
     except OverflowError:
         raise ConfigError("constraint violated: delta_plant^2 is a finite float") from None
 
@@ -188,7 +185,6 @@ def make_separable_saddle(
     )
     return ProblemInstance(
         spec=spec,
-        known_fstar=fstar,
         saddle_points=[(np.zeros(d), -delta_plant)],
     )
 
@@ -425,7 +421,6 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     )
     return ProblemInstance(
         spec=spec,
-        known_fstar=base.known_fstar,
         saddle_points=list(base.saddle_points),
         base=base,
     )

@@ -406,6 +406,76 @@ def scripted_problem(L, anchor, diffs):
     )
 
 
+def _run_with_steps(spec, cfg, x0, **kwargs):
+    """A run and its step-callback sequence as (iteration, raw SFO, event,
+    bytes of x, f)."""
+    steps = []
+
+    def record(state, event):
+        steps.append((state.iteration, state.sfo_count, event, state.x.tobytes(), state.f))
+
+    return ssrgd.run_ssrgd(spec, cfg, x0=x0, step_callback=record, **kwargs), steps
+
+
+class TestEpochBlockRuns:
+    """A finite-sum epoch draws its minibatches and random stops from one
+    ``core.epoch_block``; with every block declined, the per-step chain runs
+    instead, and the two runs are the same bit for bit."""
+
+    @staticmethod
+    def case(name):
+        """(spec, cfg, x0, certifier) of each case: even and odd b, n a power
+        of two or not, first and second order, budgets that cut an epoch."""
+        if name.startswith("logistic"):
+            n = 300 if name == "logistic" else 64  # b = 18 and 8
+            inst = ssrgd.make_nonconvex_logistic(n=n, d=5, seed=1)
+            return inst.spec, ssrgd.derive_config(inst.spec, 0.01, sfo_budget=20_017, seed=3), np.ones(5), None
+        if name == "quadratic":  # n = 49: b = 7 leaves a half buffered every other step
+            inst = ssrgd.make_quadratic(d=4, n=49, seed=2, spread=0.5)
+            return inst.spec, ssrgd.derive_config(inst.spec, 0.01, sfo_budget=5_063, seed=5), np.ones(4), None
+        if name == "saddle":
+            inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
+            return inst.spec, ssrgd.derive_config(inst.spec, 0.05, 0.3, 8.0, sfo_budget=40_001, seed=21), \
+                np.zeros(6), None
+        # delta below the planted curvature: the saddle fails, a later minimum certifies (b = 7)
+        inst = ssrgd.make_separable_saddle(d=6, n=49, delta_plant=0.4, noise=0.05, seed=2)
+        return inst.spec, ssrgd.derive_config(inst.spec, 0.05, 0.2, 8.0, sfo_budget=60_000, seed=0), \
+            np.zeros(6), lambda x: spectral.certify(inst.spec, x, 0.05, 0.2)
+
+    @pytest.mark.parametrize("name", ["logistic", "logistic-pow2", "quadratic", "saddle", "saddle-certified"])
+    @pytest.mark.parametrize("full_trace", [True, False])
+    def test_block_and_chain_give_the_same_run(self, monkeypatch, name, full_trace):
+        spec, cfg, x0, certifier = self.case(name)
+        real, replayed = core.epoch_block, []
+
+        def recording(*args):
+            replayed.append(real(*args))
+            return replayed[-1]
+
+        monkeypatch.setattr(core, "epoch_block", recording)
+        block, block_steps = _run_with_steps(spec, cfg, x0, certifier=certifier, full_trace=full_trace)
+        monkeypatch.setattr(core, "epoch_block", lambda *args: None)
+        chain, chain_steps = _run_with_steps(spec, cfg, x0, certifier=certifier, full_trace=full_trace)
+        assert_same_outcome(block, chain)
+        assert block_steps == chain_steps
+        assert getattr(block.certificate, "is_sosp", None) == getattr(chain.certificate, "is_sosp", None)
+        assert replayed and all(r is not None for r in replayed)
+        events = {r.event for r in block.trace}
+        assert (Event.PERTURBATION in events) is name.startswith("saddle")
+        assert Event.RANDOM_STOP in events
+        if name == "saddle-certified":
+            assert block.termination is Termination.SOSP_CERTIFIED
+        else:  # the budget cut the last epoch short
+            assert block.termination is Termination.BUDGET_EXHAUSTED
+            assert block.trace[-1].event is (Event.NONE if full_trace else Event.EPOCH_START)
+
+    def test_online_runs_draw_per_step(self, monkeypatch):
+        inst = ssrgd.make_online_stream(ssrgd.make_nonconvex_logistic(n=64, d=5, seed=2), 0.5, seed=3)
+        monkeypatch.setattr(core, "epoch_block", counting(core.epoch_block))
+        ssrgd.run_ssrgd(inst.spec, ssrgd.derive_config(inst.spec, 0.1, sfo_budget=4_000), x0=np.ones(5))
+        assert core.epoch_block.calls == 0
+
+
 class TestFusedFinitenessCheck:
     """``run_ssrgd`` checks the iterate and the estimate with one dot product
     and falls back to the per-vector checks only when it is not finite."""

@@ -106,6 +106,105 @@ class TestSampleMinibatch:
         assert rng.random() == ref.random()
 
 
+def _philox_state(rng):
+    """The bit generator's whole state, comparable with ==."""
+    st = rng.bit_generator.state
+    return (tuple(st["state"]["counter"]), tuple(st["buffer"]), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
+def _chained_epoch(rng, n, b, steps, epoch_len):
+    """What ``core.epoch_block`` replays: per step a minibatch, then (with
+    ``epoch_len``) the random stop; the rows drawn and the stop step (0 if none)."""
+    rows = []
+    for k in range(1, steps + 1):
+        rows.append(core.sample_minibatch(rng, n, b))
+        if epoch_len and ssrgd.random_stop_decision(rng, k, epoch_len):
+            return rows, k
+    return rows, 0
+
+
+def _next_draws(rng):
+    """Ten further draws that read both the 32-bit half buffer and fresh words."""
+    return [rng.integers(0, 1000, size=3).tolist(), rng.random(), rng.integers(0, 7).item(),
+            rng.integers(0, 2**31 + 11, size=2).tolist(), rng.random(), rng.integers(0, 5, size=1).tolist(),
+            rng.standard_normal(2).tolist(), rng.integers(0, 2**40), rng.random(), rng.integers(0, 9)]
+
+
+class TestEpochBlock:
+    """``core.epoch_block`` against the per-step chain it replays: the same
+    rows, the same stop, and (after ``commit``) the same stream."""
+
+    @staticmethod
+    def check(seed, n, b, steps, epoch_len, buffered, take=None):
+        """One case; returns whether the block declined.  ``take`` (no stops)
+        is how many steps run before commit, as a super epoch's exit decides."""
+        rng, ref = core.seeded_rng(seed, 0), core.seeded_rng(seed, 0)
+        if buffered:  # one bounded draw leaves the high half of a word buffered
+            assert rng.integers(0, 10) == ref.integers(0, 10)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        before = _philox_state(rng)
+        drawn = core.epoch_block(rng, n, b, steps, epoch_len)
+        if drawn is None:
+            assert _philox_state(rng) == before
+            return True
+        block, stop, commit = drawn
+        assert block.shape == (steps, b) and block.dtype == np.int64
+        rows, want_stop = _chained_epoch(ref, n, b, steps if take is None else take, epoch_len)
+        assert stop == want_stop
+        assert np.array_equal(block[:len(rows)], np.reshape(rows, (len(rows), b)))
+        commit(len(rows))
+        assert _philox_state(rng) == _philox_state(ref)
+        assert _next_draws(rng) == _next_draws(ref)
+        return False
+
+    @pytest.mark.parametrize("n, b, m, steps", [
+        (4096, 64, 64, 64), (4096, 64, 64, 17), (4096, 63, 64, 64), (1000, 7, 9, 9), (999, 1, 8, 8),
+        (1, 5, 6, 6), (1, 4, 4, 2), (2**32 - 5, 7, 8, 8), (2**32 - 5, 8, 8, 5), (3, 2, 40, 40),
+    ])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_stops_match_the_chain(self, n, b, m, steps, buffered):
+        for seed in range(200):
+            assert not self.check(seed, n, b, steps, m, buffered)
+
+    @pytest.mark.parametrize("n, b, steps", [(4096, 64, 64), (64, 9, 9), (1, 3, 4), (2**32 - 5, 5, 6)])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_without_stops_commit_takes_the_steps_run(self, n, b, steps, buffered):
+        for seed in range(200):
+            assert not self.check(seed, n, b, steps, 0, buffered, take=seed % (steps + 1))
+
+    @pytest.mark.parametrize("epoch_len", [0, 2])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_rejections_decline_and_draw_nothing(self, epoch_len, buffered):
+        # n = 2^32 - 2^27 rejects a half whose low 32 bits of half * n fall below
+        # floor = 2^27, one in 32: a two-half epoch expects 1/16 of a rejection,
+        # the most a block may, so it replays unless one of its halves is rejected
+        n = 2**32 - 2**27
+        declined = [self.check(seed, n, 2, 1, epoch_len and 1, buffered) for seed in range(400)]
+        assert 5 < sum(declined) < 60
+        # over 1/16 of a rejection expected: declined before any draw
+        assert all(self.check(seed, n, 3, 1, epoch_len and 1, buffered) for seed in range(20))
+        assert all(self.check(seed, 2**31 + 11, 1, 1, epoch_len and 1, buffered) for seed in range(20))
+        assert all(self.check(seed, 2**31 + 11, 16, 2, epoch_len, buffered) for seed in range(20))
+
+    def test_forced_rejection_declines(self):
+        # the first raw word of this stream has a low half that Lemire's method rejects for n
+        rng = core.seeded_rng(0, 0)
+        low = int(rng.bit_generator.random_raw()) & 0xFFFFFFFF
+        n = next(n for n in range(2, 2**20) if (low * n) % 2**32 < (2**32 - n) % n)
+        ref = core.seeded_rng(0, 0)
+        ref.integers(0, n)  # the rejected low half, then the high half: none left buffered
+        assert ref.bit_generator.state["has_uint32"] == 0
+        assert self.check(0, n, 2, 3, 3, False)
+
+    @pytest.mark.parametrize("n", [2**32, 2**32 + 1, 2**40])
+    def test_wide_ranges_decline(self, n):
+        rng = core.seeded_rng(1, 0)
+        before = _philox_state(rng)
+        assert core.epoch_block(rng, n, 4, 4, 4) is None
+        assert _philox_state(rng) == before
+
+
 class TestStepsLeft:
     """The one budget cut: the steps of a block of ``cap`` that start below
     the budget, at ``cost`` raw SFO each."""

@@ -114,7 +114,6 @@ class TestSeparableSaddle:
         # f(x) = (x1^2 - 0.5 x2^2)/2 + (x1^4 + x2^4)/4: minima (0, +-sqrt(.5))
         inst = make_separable_saddle(d=2, n=4, delta_plant=0.5, noise=0.0, seed=0)
         spec = inst.spec
-        assert inst.known_fstar == pytest.approx(-0.0625, abs=1e-15)
         xm = np.array([0.0, math.sqrt(0.5)])
         assert spec.value(xm) == pytest.approx(-0.0625, abs=1e-12)
         assert np.linalg.norm(spec.full_grad(xm)) < 1e-12
@@ -298,10 +297,6 @@ class TestQuadratic:
         x = np.array([1.0, -2.0, 0.5])
         mean_g = inst.spec.component_grad_batch(np.arange(7), x).mean(axis=0)
         assert np.linalg.norm(mean_g - inst.spec.full_grad(x)) < 1e-12
-
-    def test_known_fstar_psd(self):
-        inst = make_quadratic(d=3, n=2, seed=0, spread=0.0)
-        assert inst.known_fstar == 0.0
 
     def test_hessian_assembly(self):
         M = np.array([[2.0, 0.3], [0.3, 1.0]])
