@@ -79,16 +79,15 @@ def run_baseline(
     kind: BaselineKind,
     problem: ProblemSpec,
     sfo_budget: int,
-    rng: np.random.Generator | None = None,
     *,
     x0: Vector | None = None,
     full_trace: bool = True,
 ) -> SsrgdOutcome:
-    """Run the requested baseline under an SFO budget."""
+    """Run the requested baseline under an SFO budget, on the stream
+    ``core.seeded_rng(kind.seed, 0)``."""
     kind.validate()
     core.check_setting("sfo_budget", sfo_budget)
-    if rng is None:
-        rng = core.seeded_rng(kind.seed, 0)
+    rng = core.seeded_rng(kind.seed, 0)
     x = core.initial_point(x0, problem.d)
     if kind.kind in ("gd", "perturbed_gd"):
         return _run_gd(kind, problem, sfo_budget, rng, x)

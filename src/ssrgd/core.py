@@ -46,7 +46,7 @@ _COUNT = ((lambda v: isinstance(v, numbers.Integral) and v >= 1, "is an integer 
 SETTING_RULES = {
     **dict.fromkeys(("step_size", "eps", "delta", "logfactor", "perturb_radius", "grad_threshold",
                      "fval_threshold", "lipschitz_grad", "domain_radius", "delta_plant", "gamma4",
-                     "box_radius", "spectral_bound"), _POSITIVE),
+                     "box_radius"), _POSITIVE),
     **dict.fromkeys(("lipschitz_hess", "variance_bound", "sigma", "noise", "spread", "reg", "r"),
                     _NONNEGATIVE),
     **dict.fromkeys(("scale", "x0_scale"), ((lambda v: abs(v) < math.inf, "is finite"),)),
@@ -135,10 +135,13 @@ class ProblemSpec:
     ``grad_diff_batch(idx, x_new, x_old)`` is an optional difference oracle
     returning ``mean_i(grad_i(x_new) - grad_i(x_old))`` over the index
     array in one call, for problems whose per-component term cancels in
-    the difference.  Without it a step asks ``component_grad_batch`` for both
-    endpoints as one ``(2, d)`` stack, by the stack contract: indices
-    ``(..., b)`` and points ``(..., d)`` give ``(..., b, d)``, each ``(b, d)``
-    slice bit for bit the single call's.  A step is charged 2b raw SFO (b nominal).
+    the difference.  It answers an ``(..., b)`` index block with ``(..., d)``
+    rows, or with one row when its answer does not depend on the indices,
+    as the planted saddle's does.  Without it a step asks
+    ``component_grad_batch`` for both endpoints as one ``(2, d)`` stack, by
+    the stack contract: indices ``(..., b)`` and points ``(..., d)`` give
+    ``(..., b, d)``, each ``(b, d)`` slice bit for bit the single call's.
+    A step is charged 2b raw SFO (b nominal).
 
     Each number must pass its row of ``SETTING_RULES`` (L, rho and sigma
     are finite, as the analysis divides by them); ``n`` keeps its own rule.
@@ -232,8 +235,8 @@ class SuperEpoch:
     """Super-epoch state machine of Li 2019, Alg. 2, run by SSRGD and perturbed GD.
 
     It triggers when none is active, the radius is positive and the gradient
-    norm is at most ``grad_threshold``; ``start`` records x~, f~ and t_init
-    and returns x~ plus a uniform-ball draw.  It ends once f has dropped by
+    norm is at most ``grad_threshold``; ``start`` records f~ and t_init at
+    x~ and returns x~ plus a uniform-ball draw.  It ends once f has dropped by
     ``fval_threshold`` below f~ or, failing that, ``length`` steps after t_init.
     """
 
@@ -242,7 +245,6 @@ class SuperEpoch:
     fval_threshold: float
     length: int
     active: bool = False
-    x_tilde: Vector | None = None
     f_tilde: float = math.nan
     t_init: int = -1
 
@@ -258,8 +260,7 @@ class SuperEpoch:
 
     def start(self, rng: np.random.Generator, t: int, x: Vector, f: float) -> Vector:
         self.active, self.t_init, self.f_tilde = True, t, f
-        self.x_tilde = x.copy()
-        return self.x_tilde + sample_uniform_ball(rng, x.shape[0], self.radius)
+        return x + sample_uniform_ball(rng, x.shape[0], self.radius)
 
     def exit_event(self, t: int, f: float) -> Event:
         """Close the active super epoch at (t, f) if either exit condition

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,14 +99,17 @@ def _exact_grads(problem: ProblemSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _estimator_errors(problem, xs, grads, batches, estimator):
-    """Squared estimator errors at steps 1..T for one batch sequence."""
-    errs, v = np.empty(len(xs) - 1), grads[0]
+    """Squared estimator errors at steps 1..T, shape ``(S, T)``, of the S
+    sequences of the ``(T, S, b)`` block ``batches``: one estimator call per
+    step at the ``(1, d)`` points ``xs[j][None]``, row s bit for bit what
+    sequence s gets alone."""
+    errs, v = np.empty((batches.shape[1], len(xs) - 1)), grads[0]
     for j in range(1, len(xs)):
         if estimator == "recursive":
-            v = estimators.recursive_step(problem, v, xs[j - 1], xs[j], batches[j - 1])
+            v = estimators.recursive_step(problem, v, xs[j - 1][None], xs[j][None], batches[j - 1])
         else:
-            v = estimators.svrg_step(problem, xs[0], grads[0], xs[j], batches[j - 1])
-        errs[j - 1] = float(np.sum((v - grads[j]) ** 2))
+            v = estimators.svrg_step(problem, xs[0][None], grads[0], xs[j][None], batches[j - 1])
+        errs[:, j - 1] = np.add.reduce((v - grads[j]) ** 2, axis=-1)
     return errs
 
 
@@ -121,7 +123,9 @@ def verify_variance_bound(
     estimator: str = "recursive",
 ) -> VarianceReport:
     """Monte Carlo (or exhaustive) check of the estimator variance bound
-    along a fixed trajectory starting from an exact anchor estimate."""
+    along a fixed trajectory starting from an exact anchor estimate.  Batch
+    sequences, in ``itertools.product`` order or each a ``(T, b)`` draw, go
+    through the estimators in chunks of about 2^19 / (b d^2) sequences."""
     if estimator not in ("recursive", "svrg"):
         raise ConfigError("estimator must be 'recursive' or 'svrg'")
     xs = np.asarray(trajectory, dtype=float)
@@ -144,27 +148,24 @@ def verify_variance_bound(
     else:
         bounds = (L * L / b) * np.sum((xs[1:] - xs[0]) ** 2, axis=1)
 
-    if replications is None:
-        per_step = list(itertools.product(range(n), repeat=b))
-        total = len(per_step) ** T
-        if total > EXHAUSTIVE_LIMIT:
-            raise ConfigError(
-                f"exhaustive mode would enumerate {total} sequences (limit {EXHAUSTIVE_LIMIT})"
-            )
-        acc = np.zeros(T)
-        for seq in itertools.product(per_step, repeat=T):
-            batches = [np.array(tup, dtype=np.int64) for tup in seq]
-            acc += _estimator_errors(problem, xs, grads, batches, estimator)
-        est = acc / total
-        se = np.zeros(T)
+    total = n ** (b * T) if replications is None else replications
+    if replications is None and total > EXHAUSTIVE_LIMIT:
+        raise ConfigError(f"exhaustive mode would enumerate {total} sequences (limit {EXHAUSTIVE_LIMIT})")
+    if rng is None:
+        rng = core.seeded_rng(0, 3)
+    chunk = max(1, 2**19 // (b * xs.shape[1] ** 2))  # the quadratic oracle gathers S*b (d, d) blocks
+    errs = np.empty((total, T))
+    for lo in range(0, total, chunk):
+        S = min(chunk, total - lo)
+        if replications is None:  # sequence k's b*T indices are its base-n digits, most significant first
+            k = np.arange(lo, lo + S, dtype=np.int64)[:, None]
+            block = k // n ** np.arange(b * T - 1, -1, -1, dtype=np.int64) % n
+        else:
+            block = core.sample_minibatch(rng, n, b, steps=S * T)
+        errs[lo:lo + S] = _estimator_errors(problem, xs, grads, block.reshape(S, T, b).swapaxes(0, 1), estimator)
+    if replications is None:  # summed one sequence at a time: an axis-0 sum adds pairwise
+        est, se = np.cumsum(errs, axis=0)[-1] / total, np.zeros(T)
     else:
-        if rng is None:
-            rng = core.seeded_rng(0, 3)
-        errs = np.empty((replications, T))
-        for rep in range(replications):
-            # one (T, b) block: the T minibatches that T single draws would give
-            batches = core.sample_minibatch(rng, n, b, steps=T)
-            errs[rep] = _estimator_errors(problem, xs, grads, batches, estimator)
         est = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(T)
 

@@ -490,7 +490,7 @@ def run_cell(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceReco
             "termination": outcome.termination.value,
             "f_final": outcome.trace[-1].f_value if outcome.trace else None,
             "final_grad_norm": _last_grad_norm(outcome.trace),
-            "certificate": {**cert.to_dict(), "delta": delta} if cert is not None else None,
+            "certificate": {**dataclasses.asdict(cert), "delta": delta} if cert is not None else None,
         }
     )
     return summary, outcome.trace
@@ -798,7 +798,7 @@ def _cmd_certify(args) -> int:
     except (OSError, ValueError, SsrgdError) as exc:
         raise ConfigError(f"checkpoint {args.checkpoint}: {exc}") from exc
     cert = spectral.certify(inst.spec, x, args.eps, args.delta)
-    print(json.dumps(cert.to_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(cert), indent=2))
     return 0
 
 

@@ -190,14 +190,16 @@ def make_separable_saddle(
 
 
 def _point_slot(fn):
-    """One-entry cache of the pure function ``fn(x)``, keyed on x's float64
-    bytes, not its identity, so a caller may change x in place.  The held
+    """One-entry cache of the pure function ``fn(x)``, keyed on x's shape and
+    float64 bytes, not its identity, so a caller may change x in place, and a
+    ``(1, d)`` stack does not get the answer its ``(d,)`` row got.  The held
     result is shared between calls, so it must never reach a caller who
     could change it."""
-    held: list = [None, None]  # float64 bytes of the last x, fn(x) there
+    held: list = [None, None]  # shape and float64 bytes of the last x, fn(x) there
 
     def cached(x):
-        key = np.asarray(x, dtype=float).tobytes()
+        a = np.asarray(x, dtype=float)
+        key = a.shape, a.tobytes()
         if key != held[0]:
             held[:] = key, fn(x)
         return held[1]
@@ -216,7 +218,7 @@ def _noisy_gradients(full_grad, noise):
     grad = _point_slot(full_grad)
 
     def component_grad_batch(idx, x):
-        return grad(x)[None, :] + noise(idx)
+        return grad(x)[..., None, :] + noise(idx)
 
     def grad_diff_batch(idx, x_new, x_old):
         g_old = grad(x_old)
@@ -230,8 +232,7 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
 
     Work is done once per point.  One ``_point_slot`` holds the margins
     ``Ay @ x``, which ``value``, ``full_grad`` and ``hvp`` read, so an epoch
-    start's anchor and its f share one product; another holds the
-    regularizer gradient that ``full_grad`` adds.  The component oracle
+    start's anchor and its f share one product.  The component oracle
     answers point stacks (``ProblemSpec``).  Callers always get fresh arrays.
     f is ``max(-m, 0) + log1p(exp(-|m|))`` per margin m, which never overflows.
     """
@@ -242,7 +243,6 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
     L = float(np.max(row_norms) ** 2 / 4.0 + 2.0 * reg)
     rho = float(SIGMOID_D2_MAX * np.max(row_norms) ** 3 + RATIONAL_REG_D3_MAX * reg)
     margins = _point_slot(lambda x: Ay @ x)
-    reg_grad = _point_slot(lambda x: reg * 2.0 * x / (1.0 + x * x) ** 2)
 
     def reg_value(x):
         return reg * float(np.add.reduce(x * x / (1.0 + x * x)))
@@ -258,7 +258,7 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
 
     def full_grad(x):
         s = 1.0 / (1.0 + np.exp(margins(x)))  # sigmoid(-margin)
-        return -(Ay.T @ s) / n + reg_grad(x)
+        return -(Ay.T @ s) / n + reg * 2.0 * x / (1.0 + x * x) ** 2
 
     def component_grad_batch(idx, x):
         g = Ay.take(idx, axis=0)
@@ -395,6 +395,9 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     must not see it.  Repeated gradient requests at one point are answered
     from a one-entry slot holding the base gradient at the last point asked
     for, which relies on the base ``full_grad`` being a pure function of x.
+    The stream answers a ``(k, d)`` point stack only when the base
+    ``full_grad`` does: the planted saddle's does, the logistic one's takes
+    a single point.
     """
     core.check_values(sigma=sigma)
     bspec = base.spec

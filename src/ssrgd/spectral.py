@@ -2,10 +2,11 @@
 
 A point x passes when its measured gradient norm is at most eps and the
 smallest Hessian eigenvalue estimate, minus the estimator's slack, is at
-least -delta.  For small dimensions the Hessian is assembled column by
-column from Hessian-vector products and solved densely (zero slack); larger
-problems fall back to shifted power iteration on L*I - H, which never needs
-the matrix itself.
+least -delta.  Up to ``DENSE_CAP`` dimensions the Hessian is assembled
+column by column from Hessian-vector products and solved densely (zero
+slack); larger problems fall back to ``POWER_ITERS`` steps of shifted power
+iteration on L*I - H, with L the problem's ``lipschitz_grad``, which never
+needs the matrix itself.
 
 Certification lives outside the optimizer loop by design: the optimizer
 escapes saddle points without any curvature search, and these routines only
@@ -23,6 +24,7 @@ from . import algorithm, core, estimators
 from .core import ConfigError, Mode, ProblemSpec, UnsupportedOracleError, Vector
 
 DENSE_CAP = 200
+POWER_ITERS = 800
 # multiplies the random-start power-method tail bound (0.5 log d + 3)/iters;
 # deliberately conservative, see lambda_min_power
 POWER_SLACK_CONST = 2.0
@@ -36,16 +38,6 @@ class Certificate:
     is_fosp: bool
     is_sosp: bool
     method: str  # "dense" | "shifted_power"
-
-    def to_dict(self) -> dict:
-        return {
-            "grad_norm": self.grad_norm,
-            "lambda_min_est": self.lambda_min_est,
-            "lambda_min_ci": self.lambda_min_ci,
-            "is_fosp": self.is_fosp,
-            "is_sosp": self.is_sosp,
-            "method": self.method,
-        }
 
 
 def assemble_hessian(problem: ProblemSpec, x: Vector) -> np.ndarray:
@@ -62,11 +54,11 @@ def assemble_hessian(problem: ProblemSpec, x: Vector) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def lambda_min_dense(problem: ProblemSpec, x: Vector, dense_cap: int = DENSE_CAP) -> float:
-    """Exact smallest eigenvalue of the assembled Hessian (small d only)."""
-    if problem.d > dense_cap:
+def lambda_min_dense(problem: ProblemSpec, x: Vector) -> float:
+    """Exact smallest eigenvalue of the assembled Hessian (d up to ``DENSE_CAP`` only)."""
+    if problem.d > DENSE_CAP:
         raise ConfigError(
-            f"d={problem.d} exceeds the dense cap {dense_cap}; use lambda_min_power"
+            f"d={problem.d} exceeds the dense cap {DENSE_CAP}; use lambda_min_power"
         )
     return float(np.linalg.eigvalsh(assemble_hessian(problem, x))[0])
 
@@ -74,8 +66,7 @@ def lambda_min_dense(problem: ProblemSpec, x: Vector, dense_cap: int = DENSE_CAP
 def lambda_min_power(
     problem: ProblemSpec,
     x: Vector,
-    spectral_bound: float | None = None,
-    iters: int = 800,
+    iters: int = POWER_ITERS,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Smallest-eigenvalue estimate via power iteration on L*I - H.
@@ -90,8 +81,8 @@ def lambda_min_power(
     """
     if problem.hvp is None:
         raise UnsupportedOracleError("power iteration needs a Hessian-vector oracle")
-    L = problem.lipschitz_grad if spectral_bound is None else float(spectral_bound)
-    core.check_values(spectral_bound=L, iters=iters)
+    L = problem.lipschitz_grad
+    core.check_values(iters=iters)
     if rng is None:
         rng = core.seeded_rng(0, 17)
     d = problem.d
@@ -115,8 +106,6 @@ def certify(
     delta: float,
     *,
     rng: np.random.Generator | None = None,
-    dense_cap: int = DENSE_CAP,
-    power_iters: int = 800,
 ) -> Certificate:
     """Populate a second-order certificate for the point x.
 
@@ -124,8 +113,8 @@ def certify(
     large-batch estimate over ``derive_config``'s ceil(4 sigma^2/eps^2)
     samples.  eps and delta must pass their rows of ``core.SETTING_RULES``,
     except that eps = 0 on a finite sum asks for an exact stationary point.
-    The eigenvalue method is dense below ``dense_cap`` dimensions and
-    shifted power iteration beyond it.
+    The eigenvalue method is dense up to ``DENSE_CAP`` dimensions and
+    shifted power iteration of ``POWER_ITERS`` steps beyond it.
     """
     core.check_values(off=(("eps", 0),), eps=eps, delta=delta)  # derive_config refuses eps = 0 online
     if problem.mode is Mode.ONLINE:
@@ -137,12 +126,12 @@ def certify(
         g = estimators.full_gradient(problem, x)
     grad_norm = float(np.linalg.norm(g))
     is_fosp = grad_norm <= eps
-    if problem.d <= dense_cap:
-        lam = lambda_min_dense(problem, x, dense_cap)
+    if problem.d <= DENSE_CAP:
+        lam = lambda_min_dense(problem, x)
         slack = 0.0
         method = "dense"
     else:
-        lam, slack = lambda_min_power(problem, x, iters=power_iters, rng=rng)
+        lam, slack = lambda_min_power(problem, x, iters=POWER_ITERS, rng=rng)
         method = "shifted_power"
     return Certificate(
         grad_norm=grad_norm,

@@ -15,6 +15,17 @@ from conftest import (
 )
 
 
+def run_on_own_stream(monkeypatch, bk, prob, budget, x0):
+    """``run_baseline``'s outcome and the generator it drew from, which it
+    makes itself as ``core.seeded_rng(bk.seed, 0)``."""
+    made, seeded = [], core.seeded_rng
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "seeded_rng", lambda *args: made.append(seeded(*args)) or made[-1])
+        out = run_baseline(bk, prob, budget, x0=x0)
+    (rng,) = made
+    return out, rng
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -160,14 +171,14 @@ class TestSgdChunks:
         # an iteration cap just past the first chunk boundary
         (10**9, baselines.SGD_CHUNK + 3, baselines.SGD_CHUNK + 3),
     ])
-    def test_matches_per_step_draws(self, budget, max_iters, steps):
+    def test_matches_per_step_draws(self, budget, max_iters, steps, monkeypatch):
         prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
         x0 = np.array([1.0, -0.5, 2.0])
         bk = BaselineKind(
-            kind="sgd", step_size=0.05, minibatch=2, eval_every=40, max_iters=max_iters
+            kind="sgd", step_size=0.05, minibatch=2, eval_every=40, seed=9, max_iters=max_iters
         )
-        rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
-        out = run_baseline(bk, prob, budget, rng, x0=x0)
+        out, rng = run_on_own_stream(monkeypatch, bk, prob, budget, x0)
+        ref_rng = core.seeded_rng(9, 0)
         assert np.array_equal(out.final_x, self.reference(prob, x0, 0.05, 2, steps, ref_rng))
         assert out.sfo_raw == 2 * steps and out.trace[-1].iteration == steps
         assert rng.random() == ref_rng.random()
@@ -181,12 +192,12 @@ class TestSvrg:
         (57, None, [5, 3]),  # the budget runs out inside the second epoch
         (40, None, [5, 0]),  # the second anchor already exceeds the budget
     ])
-    def test_block_epochs_match_per_step_draws(self, budget, max_iters, epochs):
+    def test_block_epochs_match_per_step_draws(self, budget, max_iters, epochs, monkeypatch):
         prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
         x0 = np.array([1.0, -0.5, 2.0])
-        bk = BaselineKind(kind="svrg", step_size=0.2, minibatch=3, epoch_len=5, max_iters=max_iters)
-        rng, ref_rng = core.seeded_rng(9, 0), core.seeded_rng(9, 0)
-        out = run_baseline(bk, prob, budget, rng, x0=x0)
+        bk = BaselineKind(kind="svrg", step_size=0.2, minibatch=3, epoch_len=5, seed=9, max_iters=max_iters)
+        out, rng = run_on_own_stream(monkeypatch, bk, prob, budget, x0)
+        ref_rng = core.seeded_rng(9, 0)
         x, sfo = x0, core.SfoCounter()
         for steps in epochs:
             g = estimators.full_gradient(prob, x, sfo)
@@ -196,13 +207,12 @@ class TestSvrg:
         assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
         assert rng.random() == ref_rng.random()
 
-    def test_anchor_far_past_the_budget_ends_the_run(self):
+    def test_anchor_far_past_the_budget_ends_the_run(self, monkeypatch):
         # one anchor costs 64 raw SFO against a budget of 10: the budget is
         # overspent by more than a step's cost, so the epoch has no steps
         inst = ssrgd.make_quadratic(d=3, n=64, seed=0)
-        bk = BaselineKind(kind="svrg", step_size=0.1, minibatch=2, epoch_len=8)
-        rng = core.seeded_rng(9, 0)
-        out = run_baseline(bk, inst.spec, 10, rng, x0=np.ones(3))
+        bk = BaselineKind(kind="svrg", step_size=0.1, minibatch=2, epoch_len=8, seed=9)
+        out, rng = run_on_own_stream(monkeypatch, bk, inst.spec, 10, np.ones(3))
         assert (out.sfo_raw, len(out.trace), out.termination.value) == (64, 1, "budget_exhausted")
         assert np.array_equal(out.final_x, np.ones(3))
         assert rng.random() == core.seeded_rng(9, 0).random()

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +73,67 @@ class TestVarianceVerifier:
         xs = short_trajectory(prob, 12, seed=5)
         with pytest.raises(ConfigError, match="exhaustive"):
             diagnostics.verify_variance_bound(prob, xs, minibatch=4, replications=None)
+
+
+def variance_reference(problem, xs, b, replications, rng, estimator):
+    """The estimates and standard errors of ``verify_variance_bound`` from one
+    estimator call per step of each batch sequence, summed in sequence order."""
+    grads = np.stack([estimators.full_gradient(problem, x) for x in xs])
+    T = len(xs) - 1
+
+    def errors(batches):
+        errs, v = np.empty(T), grads[0]
+        for j in range(1, T + 1):
+            if estimator == "recursive":
+                v = estimators.recursive_step(problem, v, xs[j - 1], xs[j], batches[j - 1])
+            else:
+                v = estimators.svrg_step(problem, xs[0], grads[0], xs[j], batches[j - 1])
+            errs[j - 1] = float(np.sum((v - grads[j]) ** 2))
+        return errs
+
+    if replications is None:
+        acc, total = np.zeros(T), 0
+        for seq in itertools.product(itertools.product(range(int(problem.n)), repeat=b), repeat=T):
+            acc += errors([np.array(step, dtype=np.int64) for step in seq])
+            total += 1
+        return acc / total, np.zeros(T)
+    errs = np.array([errors(core.sample_minibatch(rng, problem.n, b, steps=T)) for _ in range(replications)])
+    return errs.mean(axis=0), errs.std(axis=0, ddof=1) / math.sqrt(replications)
+
+
+class TestStackedVarianceVerifier:
+    """All batch sequences of a chunk go through one estimator call per step;
+    every estimate and standard error is bit for bit the per-sequence loop's."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "saddle"])  # the stacked path and the difference oracle
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("estimator", ["recursive", "svrg"])
+    @pytest.mark.parametrize("replications", [None, 200])
+    def test_matches_the_per_sequence_loop(self, kind, T, b, estimator, replications):
+        n = 6 if T == 1 else 3  # exhaustive: 6, 36, 27 and 729 sequences
+        if kind == "logistic":
+            spec = ssrgd.make_nonconvex_logistic(n=n, d=4, reg=0.05, seed=T + b).spec
+        else:
+            spec = ssrgd.make_separable_saddle(d=4, n=n, delta_plant=0.3, noise=0.5, seed=T + b).spec
+        xs = short_trajectory(spec, T, seed=10 * T + b)
+        rep = diagnostics.verify_variance_bound(spec, xs, b, replications, core.seeded_rng(b, 3),
+                                                estimator=estimator)
+        est, se = variance_reference(spec, xs, b, replications, core.seeded_rng(b, 3), estimator)
+        assert [(r.estimate, r.stderr) for r in rep.rows] == list(zip(est.tolist(), se.tolist()))
+
+    def test_chunks_bound_the_quadratic_gather(self):
+        # its oracle gathers a (d, d) block per index: 30000 sequences in one
+        # call would hold 30000 * 20 * 20 floats, 92 MB, at once
+        spec = ssrgd.make_quadratic(d=20, n=50, seed=1, spread=0.5).spec
+        xs = short_trajectory(spec, 1)
+        tracemalloc.start()
+        try:
+            diagnostics.verify_variance_bound(spec, xs, 1, 30_000, core.seeded_rng(0, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEpochDecrease:

@@ -854,8 +854,8 @@ POSITIVE_KEYS = ("step_size", "eps", "delta", "logfactor", "perturb_radius", "gr
 COUNT_KEYS = ("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs", "max_iters", "eval_every")
 OPTIMIZER_ROWS = (*POSITIVE_KEYS, "sfo_budget", *COUNT_KEYS, "seed")
 # Rows that a function argument reads, not a section key or a dataclass field:
-# sample_uniform_ball's radius, and lambda_min_power's shift and length
-ARGUMENT_ROWS = ("r", "spectral_bound", "iters")
+# sample_uniform_ball's radius, and lambda_min_power's length
+ARGUMENT_ROWS = ("r", "iters")
 
 
 def admitted(key, value) -> bool:
@@ -992,7 +992,6 @@ ROW_READERS = {
        for key in ("lipschitz_grad", "lipschitz_hess", "variance_bound", "domain_radius")},
     "x0_scale": [lambda v: harness.initial_point({"kind": "quadratic", "x0": "ones", "x0_scale": v}, QUADRATIC)],
     "r": [lambda v: core.sample_uniform_ball(core.seeded_rng(0, 0), 2, v)],
-    "spectral_bound": [lambda v: ssrgd.spectral.lambda_min_power(QUADRATIC.spec, np.zeros(2), v, iters=5)],
     "iters": [lambda v: ssrgd.spectral.lambda_min_power(QUADRATIC.spec, np.zeros(2), iters=v)],
 }
 # The readers of the (eps, delta) targets, which used to take an infinite one

@@ -483,7 +483,7 @@ class TestLogisticOracles:
 
 
 class TestLogisticSlots:
-    """The logistic oracles share per-point slots; every answer must be what
+    """The logistic oracles share a per-point slot; every answer must be what
     a freshly built instance gives."""
 
     IDX = np.array([3, 3, 40, 7, 95])
@@ -604,30 +604,52 @@ def stack_contract_problem(kind, d, tmp_path, monkeypatch):
     return spec, lambda idx, x: parent_logistic_rows(Ay, reg, idx, x)
 
 
+def check_stack_contract(spec, parent, d, b):
+    """``spec``'s component oracle answers single points as ``parent`` does,
+    and point stacks (with one index array or a block of them) slice by
+    slice as single calls."""
+    rng = np.random.default_rng(100 * d + b)
+    high = 2**62 if spec.n == math.inf else spec.n  # online sample ids take 62 bits
+    X = rng.standard_normal((3, d))
+    idx = rng.integers(0, high, b)
+    for x in X:
+        assert np.array_equal(spec.component_grad_batch(idx, x), parent(idx, x))
+    pair = spec.component_grad_batch(idx, X[:2])
+    assert pair.shape == (2, b, d)
+    for k in range(2):
+        assert np.array_equal(pair[k], spec.component_grad_batch(idx, X[k])), k
+    block = rng.integers(0, high, (3, b))
+    rows = spec.component_grad_batch(block, X)
+    assert rows.shape == (3, b, d)
+    for k in range(3):
+        assert np.array_equal(rows[k], spec.component_grad_batch(block[k], X[k])), k
+
+
 class TestStackContract:
-    """Every built-in problem without a difference oracle answers point
-    stacks, each ``(b, d)`` slice bit for bit the single call's answer
-    (``ProblemSpec``)."""
+    """Every built-in component oracle answers point stacks, each ``(b, d)``
+    slice bit for bit the single call's answer (``ProblemSpec``); the online
+    stream does over the planted saddle, whose ``full_grad`` takes stacks."""
 
     @pytest.mark.parametrize("kind", ["logistic", "libsvm", "quadratic"])
     @pytest.mark.parametrize("d", [1, 5, 20])
     @pytest.mark.parametrize("b", [1, 7, 64])
     def test_stacks_answer_as_single_calls(self, kind, d, b, tmp_path, monkeypatch):
         spec, parent = stack_contract_problem(kind, d, tmp_path, monkeypatch)
-        rng = np.random.default_rng(100 * d + b)
-        X = rng.standard_normal((3, d))
-        idx = rng.integers(0, spec.n, b)
-        for x in X:
-            assert np.array_equal(spec.component_grad_batch(idx, x), parent(idx, x))
-        pair = spec.component_grad_batch(idx, X[:2])
-        assert pair.shape == (2, b, d)
-        for k in range(2):
-            assert np.array_equal(pair[k], spec.component_grad_batch(idx, X[k])), k
-        block = rng.integers(0, spec.n, (3, b))
-        rows = spec.component_grad_batch(block, X)
-        assert rows.shape == (3, b, d)
-        for k in range(3):
-            assert np.array_equal(rows[k], spec.component_grad_batch(block[k], X[k])), k
+        check_stack_contract(spec, parent, d, b)
+
+    @pytest.mark.parametrize("kind", ["saddle", "online"])
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    def test_noisy_components_answer_stacks(self, kind, d, b, monkeypatch):
+        # component i is the exact gradient plus a noise row that does not depend on x
+        made, noisy = [], problems._noisy_gradients
+        monkeypatch.setattr(problems, "_noisy_gradients", lambda grad, noise: made.append((grad, noise))
+                            or noisy(grad, noise))
+        inst = make_separable_saddle(d=d, n=40, delta_plant=0.3, seed=d)
+        if kind == "online":
+            inst = make_online_stream(inst, 0.5, seed=d)
+        grad, noise = made[-1]
+        check_stack_contract(inst.spec, lambda idx, x: grad(x)[None, :] + noise(idx), d, b)
 
     @staticmethod
     def ignoring_the_stack(d):
@@ -695,6 +717,14 @@ class TestSaddleDifferenceSlot:
                 got = spec.grad_diff_batch(self.IDX, new, old)
                 assert np.array_equal(got, want), step
                 got[...] = np.nan
+
+    def test_a_point_and_its_one_row_stack_get_answers_of_their_own_shape(self):
+        # x and x[None] have the same bytes; the variance verifier asks at (1, d) stacks
+        spec = self.make()
+        x = 0.3 * np.ones(6)
+        for point in (x, x[None], x, x[None]):
+            assert spec.grad_diff_batch(self.IDX, point, point).shape == point.shape
+            assert spec.component_grad_batch(self.IDX, point).shape == point.shape[:-1] + (4, 6)
 
     def test_k_recursive_steps_compute_k_plus_one_gradients(self, monkeypatch):
         slot, grads = problems._point_slot, []

@@ -34,10 +34,11 @@ class TestDense:
         ref = float(np.linalg.eigvalsh(M)[0])
         assert lam == pytest.approx(ref, abs=1e-8)
 
-    def test_cap_refuses(self):
+    def test_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_CAP", 10)
         spec, _ = random_symmetric_problem(12, seed=5)
         with pytest.raises(ConfigError, match="lambda_min_power"):
-            spectral.lambda_min_dense(spec, np.zeros(12), dense_cap=10)
+            spectral.lambda_min_dense(spec, np.zeros(12))
 
     def test_needs_hvp(self):
         spec, _ = random_symmetric_problem(4, seed=6)
@@ -50,18 +51,18 @@ class TestPower:
     def test_two_by_two(self):
         M = np.diag([1.0, -0.5])
         inst = make_quadratic(d=2, n=1, seed=0, matrix=M, spread=0.0)
+        assert inst.spec.lipschitz_grad == 1.0  # the shift
         est, slack = spectral.lambda_min_power(
-            inst.spec, np.zeros(2), spectral_bound=1.0, iters=500,
-            rng=core.seeded_rng(0, 1),
+            inst.spec, np.zeros(2), iters=500, rng=core.seeded_rng(0, 1),
         )
         assert est == pytest.approx(-0.5, abs=1e-3)
         assert abs(est - (-0.5)) <= slack
 
     def test_identity(self):
         inst = make_quadratic(d=4, n=1, seed=0, spread=0.0)
+        assert inst.spec.lipschitz_grad == 1.0  # the shift
         est, slack = spectral.lambda_min_power(
-            inst.spec, np.zeros(4), spectral_bound=1.0, iters=300,
-            rng=core.seeded_rng(1, 1),
+            inst.spec, np.zeros(4), iters=300, rng=core.seeded_rng(1, 1),
         )
         assert abs(est - 1.0) <= slack + 1e-9
 
@@ -117,22 +118,25 @@ class TestCertify:
             if base.is_sosp:
                 assert looser.is_sosp
 
-    def test_power_method_used_above_cap(self):
+    def test_power_method_used_above_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_CAP", 10)
         spec, M = random_symmetric_problem(30, seed=9)
-        cert = spectral.certify(spec, np.zeros(30), 1.0, 5.0, dense_cap=10)
+        cert = spectral.certify(spec, np.zeros(30), 1.0, 5.0)
         assert cert.method == "shifted_power"
         assert cert.lambda_min_ci > 0
 
     @pytest.mark.parametrize("iters", [50, 100, 200])
-    def test_power_certificate_never_overclaims(self, iters):
+    def test_power_certificate_never_overclaims(self, iters, monkeypatch):
         # lambda_min = -0.12 < -delta; est is an upper bound on lambda_min,
         # so only est - slack may be compared against -delta
+        monkeypatch.setattr(spectral, "DENSE_CAP", 10)
+        monkeypatch.setattr(spectral, "POWER_ITERS", iters)
         diag = np.linspace(-0.12, 1.0, 50)
         inst = make_quadratic(d=50, n=1, seed=0, matrix=np.diag(diag), spread=0.0)
-        cert = spectral.certify(inst.spec, np.zeros(50), 0.01, 0.1,
-                                dense_cap=10, power_iters=iters)
+        cert = spectral.certify(inst.spec, np.zeros(50), 0.01, 0.1)
         assert cert.method == "shifted_power" and cert.is_fosp
         assert not cert.is_sosp
+        assert cert.lambda_min_ci == spectral.lambda_min_power(inst.spec, np.zeros(50), iters=iters)[1]
 
     def test_online_uses_large_batch(self):
         base = make_quadratic(d=4, n=2, seed=4, spread=0.0)
