@@ -71,8 +71,10 @@ class BaselineKind:
 
     def super_epoch(self) -> SuperEpoch:
         """Super-epoch state for ``perturbed_gd``; inert (radius 0) for the other kinds."""
-        radius = self.perturb_radius if self.kind == "perturbed_gd" else 0.0
-        return SuperEpoch(radius, self.grad_threshold, self.fval_threshold, self.super_epoch_len)
+        se = SuperEpoch(**{key: getattr(self, key) for key in core.SUPER_EPOCH_KEYS})
+        if self.kind != "perturbed_gd":
+            se.perturb_radius = 0.0
+        return se
 
 
 def run_baseline(
@@ -84,11 +86,13 @@ def run_baseline(
     full_trace: bool = True,
 ) -> SsrgdOutcome:
     """Run the requested baseline under an SFO budget, on the stream
-    ``core.seeded_rng(kind.seed, 0)``."""
+    ``core.seeded_rng(kind.seed, 0)``; every kind but ``sgd`` needs a finite sum."""
     kind.validate()
     core.check_setting("sfo_budget", sfo_budget)
     rng = core.seeded_rng(kind.seed, 0)
     x = core.initial_point(x0, problem.d)
+    if kind.kind != "sgd" and problem.mode is not Mode.FINITE_SUM:
+        raise UnsupportedOracleError(f"{kind.kind} needs the finite-sum full gradient")
     if kind.kind in ("gd", "perturbed_gd"):
         return _run_gd(kind, problem, sfo_budget, rng, x)
     if kind.kind == "sgd":
@@ -97,8 +101,6 @@ def run_baseline(
 
 
 def _run_gd(kind, problem, budget, rng, x):
-    if problem.mode is not Mode.FINITE_SUM:
-        raise UnsupportedOracleError("gd variants need the finite-sum full gradient")
     sfo = SfoCounter()
     trace: list[TraceRecord] = []
     candidates: list[tuple[int, Vector]] = []
@@ -167,8 +169,6 @@ def _run_sgd(kind, problem, budget, rng, x):
 
 
 def _run_svrg(kind, problem, budget, rng, x, full_trace):
-    if problem.mode is not Mode.FINITE_SUM:
-        raise UnsupportedOracleError("svrg needs the finite-sum full gradient")
     sfo = SfoCounter()
     trace: list[TraceRecord] = []
     t = 0

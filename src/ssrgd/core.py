@@ -56,6 +56,9 @@ SETTING_RULES = {
                      "max_iters", "eval_every", "n", "d", "d_cap", "iters"), _COUNT),
     "seed": ((lambda v: isinstance(v, numbers.Integral), "is an integer"),),
 }
+# The four super-epoch settings: the fields of SuperEpoch, of RunConfig and of BaselineKind
+# that carry them, and the harness keys that set them, each with its row above.
+SUPER_EPOCH_KEYS = ("perturb_radius", "grad_threshold", "fval_threshold", "super_epoch_len")
 
 
 class Mode(str, Enum):
@@ -210,7 +213,7 @@ class RunConfig:
         return self.perturb_radius > 0
 
     def super_epoch(self) -> SuperEpoch:
-        return SuperEpoch(self.perturb_radius, self.grad_threshold, self.fval_threshold, self.super_epoch_len)
+        return SuperEpoch(**{key: getattr(self, key) for key in SUPER_EPOCH_KEYS})
 
     def validate(self, problem: ProblemSpec) -> None:
         check_settings(self, off=(("eps", 0),))  # eps = 0 sets no gradient target
@@ -234,33 +237,32 @@ class RunConfig:
 class SuperEpoch:
     """Super-epoch state machine of Li 2019, Alg. 2, run by SSRGD and perturbed GD.
 
-    It triggers when none is active, the radius is positive and the gradient
-    norm is at most ``grad_threshold``; ``start`` records f~ and t_init at
-    x~ and returns x~ plus a uniform-ball draw.  It ends once f has dropped by
-    ``fval_threshold`` below f~ or, failing that, ``length`` steps after t_init.
+    Its settings are the ``SUPER_EPOCH_KEYS``.  It triggers when none is active,
+    ``perturb_radius`` is positive and the gradient norm is at most ``grad_threshold``;
+    ``start`` records f~ and t_init at x~ and returns x~ plus a draw from the ball of
+    radius ``perturb_radius``.  It ends once f has dropped by ``fval_threshold`` below
+    f~ or, failing that, ``super_epoch_len`` steps after t_init.
     """
 
-    radius: float
+    perturb_radius: float
     grad_threshold: float
     fval_threshold: float
-    length: int
+    super_epoch_len: int
     active: bool = False
     f_tilde: float = math.nan
     t_init: int = -1
 
     def check(self, who: str) -> None:
         """Refuse a setting left off: ``who`` needs each one to pass its row of SETTING_RULES."""
-        settings = {"perturb_radius": self.radius, "grad_threshold": self.grad_threshold,
-                    "fval_threshold": self.fval_threshold, "super_epoch_len": self.length}
-        for key, value in settings.items():
-            check_setting(key, value, f"{who}: ")
+        for key in SUPER_EPOCH_KEYS:
+            check_setting(key, getattr(self, key), f"{who}: ")
 
     def triggers(self, grad_norm: float) -> bool:
-        return not self.active and self.radius > 0 and grad_norm <= self.grad_threshold
+        return not self.active and self.perturb_radius > 0 and grad_norm <= self.grad_threshold
 
     def start(self, rng: np.random.Generator, t: int, x: Vector, f: float) -> Vector:
         self.active, self.t_init, self.f_tilde = True, t, f
-        return x + sample_uniform_ball(rng, x.shape[0], self.radius)
+        return x + sample_uniform_ball(rng, x.shape[0], self.perturb_radius)
 
     def exit_event(self, t: int, f: float) -> Event:
         """Close the active super epoch at (t, f) if either exit condition
@@ -269,7 +271,7 @@ class SuperEpoch:
             return Event.NONE
         if self.f_tilde - f >= self.fval_threshold:
             event = Event.SUPER_EPOCH_END_FDECREASE
-        elif t - self.t_init >= self.length:
+        elif t - self.t_init >= self.super_epoch_len:
             event = Event.SUPER_EPOCH_END_TIMEOUT
         else:
             return Event.NONE
@@ -369,19 +371,24 @@ def sample_minibatch(
 
     ``steps=k`` draws a ``(k, b)`` block of minibatches in one call.  Its
     rows are bit-for-bit the k minibatches that k separate calls would
-    draw, and it leaves ``rng`` at the same position.
+    draw, and it leaves ``rng`` at the same position.  A draw too large to
+    allocate is refused with ``ConfigError``.
     """
     if b < 1:
         raise ConfigError("minibatch size must be >= 1")
+    online = math.isinf(n)
+    if not online and int(n) < 1:
+        raise ConfigError("component count must be >= 1")
     size = b if steps is None else (steps, b)
-    if math.isinf(n):
-        ids = rng.bit_generator.random_raw(size)
+    try:  # numpy refuses a size it cannot allocate with MemoryError, one past its limits with ValueError
+        ids = rng.bit_generator.random_raw(size) if online else rng.integers(0, int(n), size, np.int64)
+    except (MemoryError, ValueError):
+        count = b * (steps or 1)
+        raise ConfigError(f"a draw of 10^{math.log10(count):.3g} indices is too large to allocate") from None
+    if online:
         ids >>= np.uint64(2)
         return ids.view(np.int64)
-    n = int(n)
-    if n < 1:
-        raise ConfigError("component count must be >= 1")
-    return rng.integers(0, n, size=size, dtype=np.int64)
+    return ids
 
 
 def epoch_block(rng: np.random.Generator, n: float, b: int, steps: int, epoch_len: int):
@@ -391,19 +398,24 @@ def epoch_block(rng: np.random.Generator, n: float, b: int, steps: int, epoch_le
     keeps the top 32 bits of half * n and rejects low bits below floor = (2^32 - n) mod n
     (Lemire 2019); ``random()`` takes a fresh word >> 11.  Returns the block, the first stop step
     (0 if none) and ``commit(k)``, which leaves ``rng`` where k steps would; or None, drawing
-    nothing, if n >= 2^32, if steps * b * floor / 2^32 > 1/16, or if a half is rejected.
+    nothing, if n >= 2^32, if steps * b * floor / 2^32 > 1/16, if a half is rejected, or if
+    the block's words cannot be allocated.
     """
     n, bg = int(n), rng.bit_generator
     per = b if n > 1 else 0  # integers(0, 1) draws no words
     floor = (2**32 - n) % n  # 0 when n is a power of two: no half is rejected
     if n >= 2**32 or steps * per * floor > 2**28:
         return None
-    saved, s = bg.state, np.arange(steps if epoch_len else 0)
+    saved = bg.state
     h = saved["has_uint32"]
-    at = ((s + 1) * per - h + 1) // 2 + s  # step s's stop word follows the words its halves take
-    keep = np.ones((steps * per - h + 1) // 2 + len(at), bool)
-    keep[at] = False
-    raw = bg.random_raw(len(keep))
+    try:  # the per-step draw refuses a size numpy cannot allocate
+        s = np.arange(steps if epoch_len else 0)
+        at = ((s + 1) * per - h + 1) // 2 + s  # step s's stop word follows the words its halves take
+        keep = np.ones((steps * per - h + 1) // 2 + len(at), bool)
+        keep[at] = False
+        raw = bg.random_raw(len(keep))
+    except (MemoryError, ValueError):
+        return None
     halves = raw[keep].astype("<u8", copy=False).view("<u4")
     halves = np.concatenate((np.array([saved["uinteger"]] * h, "<u4"), halves))  # the buffered half first
     scaled = halves[:steps * per] * np.uint64(n)

@@ -82,16 +82,11 @@ class VarianceCheckRow:
 class VarianceReport:
     estimator: str
     replications: int | None  # None = exhaustive enumeration
-    rows: list[VarianceCheckRow]
     passed: bool
+    rows: list[VarianceCheckRow]
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "replications": self.replications,
-            "passed": self.passed,
-            "rows": [vars(r) for r in self.rows],
-        }
+        return dataclasses.asdict(self)
 
 
 def _exact_grads(problem: ProblemSpec, xs: np.ndarray) -> np.ndarray:
@@ -209,13 +204,13 @@ def verify_epoch_decrease(
     problem: ProblemSpec,
     cfg: RunConfig,
     epochs: int,
-    rng: np.random.Generator | None = None,
     *,
     x0: Vector | None = None,
 ) -> EpochDecreaseReport:
     """Monte Carlo check of the one-epoch decrease inequality from a fixed
     start, with an illustrative snapshot-estimator run at the same b = m
-    (undersized for that estimator, which needs b >= m^2)."""
+    (undersized for that estimator, which needs b >= m^2).  Both draw their
+    minibatches from ``core.seeded_rng(cfg.seed, 7)``."""
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("epoch-decrease verification needs finite-sum mode")
     cfg.validate(problem)
@@ -226,8 +221,7 @@ def verify_epoch_decrease(
         raise ConfigError("verification needs step_size <= (sqrt(5)-1)/(2L)")
     if epochs < 2:
         raise ConfigError("need at least two replications")
-    if rng is None:
-        rng = core.seeded_rng(cfg.seed, 7)
+    rng = core.seeded_rng(cfg.seed, 7)
     x_start = core.initial_point(x0, problem.d)
     eta = cfg.step_size
     m = cfg.epoch_len
@@ -274,15 +268,20 @@ def verify_epoch_decrease(
 
 @dataclass
 class CoupledRun:
+    """One coupled pair: its first escape and f-decrease steps (None if
+    never), its largest travel and f drop, each stream's batch digest, both
+    trajectories (views into the lockstep positions) and their distance at
+    each step."""
+
     escape_iter: int | None
     fdecrease_iter: int | None
     max_travel: float
     max_fdrop: float
     batch_digest: str
     batch_digest_twin: str
-    x_traj: np.ndarray | None = None
-    x_prime_traj: np.ndarray | None = None
-    w_norms: np.ndarray | None = None
+    x_traj: np.ndarray
+    x_prime_traj: np.ndarray
+    w_norms: np.ndarray
 
 
 @dataclass
@@ -377,7 +376,6 @@ def run_coupled_experiment(
     seeds: int,
     *,
     check_saddle: bool = True,
-    store_trajectories: bool = False,
 ) -> CoupledReport:
     """Escape statistics for coupled trajectory pairs around a saddle.
 
@@ -387,8 +385,9 @@ def run_coupled_experiment(
     offset is r0 = zeta' * r / sqrt(d) along the most negative curvature
     direction at ``x_tilde``, and the window is
     2 log(8 delta sqrt(d) / (C1 rho zeta' r)) / (eta delta) steps.
-    Both trajectories replay identical minibatch streams; the report keeps
-    a digest of each stream so the coupling is checkable.
+    Both trajectories replay identical minibatch streams; each pair keeps
+    a digest of each stream, so the coupling is checkable, and both of its
+    trajectories.
 
     All 2 * ``seeds`` trajectories run in lockstep as one ``(2 seeds, d)``
     stack, so the problem's ``value``, ``full_grad`` and ``grad_diff_batch``
@@ -458,9 +457,7 @@ def run_coupled_experiment(
                 max_fdrop=float(drop.max()),
                 batch_digest=digests[i],
                 batch_digest_twin=digests[j],
-                x_traj=x if store_trajectories else None,
-                x_prime_traj=xp if store_trajectories else None,
-                w_norms=np.linalg.norm(x - xp, axis=1) if store_trajectories else None,
+                x_traj=x, x_prime_traj=xp, w_norms=np.linalg.norm(x - xp, axis=1),
             )
         )
     escaped = sum(1 for p in pairs if p.escape_iter is not None)
@@ -568,13 +565,13 @@ def collect_super_epoch_paths(
 
 
 def verify_localization(
-    paths,
+    paths: list[SuperEpochPath],
     *,
     lipschitz_grad: float,
     step_size: float | None = None,
 ) -> LocalizationReport:
     """Check ||x_t - x_0|| <= sqrt(4 t (f(x_0) - f(x_t)) / (C' L)) along
-    each super-epoch path, with C' = ``C_PRIME``.  Steps where the value
+    each path of the list, with C' = ``C_PRIME``.  Steps where the value
     increased are recorded and excluded (the statement presumes decrease).
     No path to check raises ``InsufficientDataError``."""
     cap = 1.0 / (2.0 * C_PRIME * lipschitz_grad)
@@ -582,8 +579,6 @@ def verify_localization(
         raise ConfigError(
             f"localization regime needs step_size <= 1/(2 C' L); got {step_size:g} > {cap:g}"
         )
-    if isinstance(paths, SuperEpochPath):
-        paths = [paths]
     all_rows: list[list[LocalizationRow]] = []
     path_passed: list[bool] = []
     increases = 0

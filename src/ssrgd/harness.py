@@ -108,12 +108,11 @@ _OPTIMIZER_KEYS = {
     "eval_every": int,
     "trace": "full",
 }
-_SUPER_EPOCH_KEYS = ("perturb_radius", "grad_threshold", "fval_threshold", "super_epoch_len")
 OPTIMIZERS = {
     "ssrgd": ("order", "logfactor", "trace", "step_size", "epoch_len", "minibatch",
-              "large_batch", "max_epochs", *_SUPER_EPOCH_KEYS),
+              "large_batch", "max_epochs", *core.SUPER_EPOCH_KEYS),
     "gd": ("step_size", "max_iters"),
-    "perturbed_gd": ("step_size", "max_iters", *_SUPER_EPOCH_KEYS),
+    "perturbed_gd": ("step_size", "max_iters", *core.SUPER_EPOCH_KEYS),
     "sgd": ("step_size", "minibatch", "eval_every", "max_iters"),
     "svrg": ("step_size", "minibatch", "epoch_len", "max_iters", "trace"),
 }
@@ -418,20 +417,19 @@ def sfo_at_first_fosp(trace: list[TraceRecord], eps: float) -> int | None:
     return None
 
 
-def run_cell(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceRecord]]:
+def run_cell(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
     """Execute one cell; returns (summary dict, trace records).
 
-    ``runs`` is the run table of the cell's row (see ``run_plan``), a fresh
-    one by default.  Its key is what the optimizer receives that may differ
-    within a row: SSRGD's run config with eps fixed, or the baseline kind
-    and its SFO budget, plus the n of an ``axis = n`` sweep.  A stored
+    ``runs`` is the run table of the cell's row (see ``run_plan``); its
+    key is what the optimizer receives that may differ within a row:
+    SSRGD's run config with eps fixed, or the baseline kind and its SFO
+    budget, plus the n of an ``axis = n`` sweep.  A stored
     outcome is read instead of run again; a run that raises is not stored.
     First-order finite-sum SSRGD, ``gd``, ``sgd`` and ``svrg`` never read
     eps, so the cells of an eps sweep share their run.  The table also keeps
     the row's problem instance under ``("problem", n)``; its oracles are
     pure functions of the point, so sharing it changes no result.
     """
-    runs = {} if runs is None else runs
     settings = _with_defaults(cell.optimizer, _OPTIMIZER_KEYS)
     eps = float(cell.sweep_value if cell.sweep_axis == "eps" else settings["eps"])
     n_override = cell.sweep_value if cell.sweep_axis == "n" else None
@@ -513,7 +511,7 @@ def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
     if kind == "svrg":
         cfg = algorithm.derive_config(spec, eps)
         derived.update(epoch_len=cfg.epoch_len, minibatch=cfg.minibatch)
-    if kind == "perturbed_gd" and any(key not in given for key in _SUPER_EPOCH_KEYS):
+    if kind == "perturbed_gd" and any(key not in given for key in core.SUPER_EPOCH_KEYS):
         step, delta = given.get("step_size", derived["step_size"]), _second_order_delta(oparams, spec, eps)
         derived.update(algorithm.super_epoch_params(spec, eps, delta, 1.0, step))
     return BaselineKind(**{**derived, **given, "seed": seed})
@@ -588,7 +586,7 @@ def _run_row(cells: list[Cell]) -> list[tuple[dict, list[TraceRecord]]]:
     return [_run_cell_safely(cell, runs) for cell in cells]
 
 
-def _run_cell_safely(cell: Cell, runs: dict | None = None) -> tuple[dict, list[TraceRecord]]:
+def _run_cell_safely(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
     try:
         return run_cell(cell, runs)
     except SsrgdError as exc:
@@ -691,6 +689,10 @@ def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -
     written: list[str] = []
     run_ids = [s["run_id"] for s in cells]
 
+    def write(name: str, svg: str) -> None:
+        (out_dir / name).write_text(svg, encoding="utf-8")
+        written.append(str(out_dir / name))
+
     f_series, g_series = [], []
     for s in cells:
         trace = traces[s["run_id"]]
@@ -701,25 +703,14 @@ def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -
             g_series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
 
     if f_series:
-        p = out_dir / "trace_f_vs_sfo.svg"
-        p.write_text(
-            svgplot.line_chart(
-                f_series, title="objective vs oracle work", xlabel="SFO (raw)",
-                ylabel="f", run_ids=run_ids,
-            ),
-            encoding="utf-8",
-        )
-        written.append(str(p))
+        write("trace_f_vs_sfo.svg", svgplot.line_chart(
+            f_series, title="objective vs oracle work", xlabel="SFO (raw)", ylabel="f", run_ids=run_ids,
+        ))
     if g_series:
-        p = out_dir / "trace_gradnorm_vs_sfo.svg"
-        p.write_text(
-            svgplot.line_chart(
-                g_series, title="measured gradient norm vs oracle work",
-                xlabel="SFO (raw)", ylabel="||grad f||", logy=True, run_ids=run_ids,
-            ),
-            encoding="utf-8",
-        )
-        written.append(str(p))
+        write("trace_gradnorm_vs_sfo.svg", svgplot.line_chart(
+            g_series, title="measured gradient norm vs oracle work",
+            xlabel="SFO (raw)", ylabel="||grad f||", logy=True, run_ids=run_ids,
+        ))
 
     sweep = aggregate.get("sweep")
     if sweep and len(sweep.get("grid", [])) >= 3:
@@ -730,17 +721,12 @@ def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -
         else:
             xs = [(1.0 / pt["x"]) if sweep["axis"] == "eps" else pt["x"] for pt in rep["points"]]
             ys = [pt["mean_sfo"] for pt in rep["points"]]
-            p = out_dir / "scaling_fit.svg"
-            p.write_text(
-                svgplot.scatter_fit_chart(
-                    xs, ys, rep["slope"], rep["intercept"] / math.log(10),
-                    title=f"oracle complexity scaling ({sweep['axis']})",
-                    xlabel="1/eps" if sweep["axis"] == "eps" else "n",
-                    ylabel="SFO to eps-FOSP", run_ids=run_ids,
-                ),
-                encoding="utf-8",
-            )
-            written.append(str(p))
+            write("scaling_fit.svg", svgplot.scatter_fit_chart(
+                xs, ys, rep["slope"], rep["intercept"] / math.log(10),
+                title=f"oracle complexity scaling ({sweep['axis']})",
+                xlabel="1/eps" if sweep["axis"] == "eps" else "n",
+                ylabel="SFO to eps-FOSP", run_ids=run_ids,
+            ))
 
     with_cert = [s for s in cells if s.get("certificate")]
     seeds = {s["seed"] for s in cells}
@@ -750,15 +736,10 @@ def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -
             groups.setdefault(s["optimizer"], []).append(bool(s["certificate"]["is_sosp"]))
         labels = sorted(groups)
         values = [sum(groups[k]) / len(groups[k]) for k in labels]
-        p = out_dir / "escape_rate.svg"
-        p.write_text(
-            svgplot.bar_chart(
-                labels, values, title="certified second-order rate",
-                ylabel="fraction of runs", run_ids=[s["run_id"] for s in with_cert],
-            ),
-            encoding="utf-8",
-        )
-        written.append(str(p))
+        write("escape_rate.svg", svgplot.bar_chart(
+            labels, values, title="certified second-order rate",
+            ylabel="fraction of runs", run_ids=[s["run_id"] for s in with_cert],
+        ))
 
     (out_dir / "plots.json").write_text(
         json.dumps(sorted(Path(p).name for p in written), indent=2) + "\n", encoding="utf-8"
@@ -827,9 +808,7 @@ def _cmd_diagnose(args) -> int:
         ).to_dict()
     elif args.subcommand == "epoch-decrease":
         cfg = algorithm.derive_config(spec, 0.01, seed=args.seed)
-        report = diagnostics.verify_epoch_decrease(
-            spec, cfg, args.replications, core.seeded_rng(args.seed, 7)
-        ).to_dict()
+        report = diagnostics.verify_epoch_decrease(spec, cfg, args.replications).to_dict()
     else:  # coupled or localization, both around the first listed saddle
         if not inst.saddle_points:
             raise ConfigError(f"{args.subcommand} diagnostics need a problem with a listed saddle")

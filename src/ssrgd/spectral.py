@@ -99,31 +99,25 @@ def lambda_min_power(
     return L - rayleigh, slack
 
 
-def certify(
-    problem: ProblemSpec,
-    x: Vector,
-    eps: float,
-    delta: float,
-    *,
-    rng: np.random.Generator | None = None,
-) -> Certificate:
+def certify(problem: ProblemSpec, x: Vector, eps: float, delta: float) -> Certificate:
     """Populate a second-order certificate for the point x.
 
     Finite-sum problems measure the exact gradient; online problems use a
     large-batch estimate over ``derive_config``'s ceil(4 sigma^2/eps^2)
-    samples.  eps and delta must pass their rows of ``core.SETTING_RULES``,
-    except that eps = 0 on a finite sum asks for an exact stationary point.
+    samples drawn from ``core.seeded_rng(0, 29)``, the stream that then
+    starts an online power iteration.  eps and delta must pass their rows
+    of ``core.SETTING_RULES``, except that eps = 0 on a finite sum asks for
+    an exact stationary point.
     The eigenvalue method is dense up to ``DENSE_CAP`` dimensions and
     shifted power iteration of ``POWER_ITERS`` steps beyond it.
     """
     core.check_values(off=(("eps", 0),), eps=eps, delta=delta)  # derive_config refuses eps = 0 online
     if problem.mode is Mode.ONLINE:
-        if rng is None:
-            rng = core.seeded_rng(0, 29)
+        rng = core.seeded_rng(0, 29)
         B = algorithm.derive_config(problem, eps).large_batch
         g = estimators.large_batch_gradient(problem, x, B, rng)
     else:
-        g = estimators.full_gradient(problem, x)
+        rng, g = None, estimators.full_gradient(problem, x)
     grad_norm = float(np.linalg.norm(g))
     is_fosp = grad_norm <= eps
     if problem.d <= DENSE_CAP:

@@ -32,6 +32,14 @@ def assert_same_outcome(a, b) -> None:
     assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.sosp_candidates, b.sosp_candidates))
 
 
+def on_stream(monkeypatch, rng, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with ``core.seeded_rng`` handing out ``rng``: a
+    function that makes its own stream draws from the one the test gives it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "seeded_rng", lambda *_: rng)
+        return fn(*args, **kwargs)
+
+
 def counting(fn):
     """``fn`` wrapped so that ``.calls`` counts its invocations."""
 

@@ -105,6 +105,20 @@ class TestSampleMinibatch:
         assert np.array_equal(block, [core.sample_minibatch(ref, n, b) for _ in range(k)])
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("n, b, steps, size", [
+        (64, 10**15, None, "10^15"), (64, 10**15, 1, "10^15"), (64, 10**5, 10**10, "10^15"),
+        (math.inf, 10**15, None, "10^15"), (math.inf, 10**200, None, "10^200"), (64, 10**200, 2, "10^200"),
+    ])
+    def test_a_draw_too_large_to_allocate_is_refused(self, n, b, steps, size):
+        # numpy's MemoryError (8 PB is past any address space) or ValueError
+        # (past its size limit) becomes a ConfigError, and nothing is drawn
+        rng = core.seeded_rng(3, 0)
+        before = _philox_state(rng)
+        with pytest.raises(ConfigError) as refused:
+            core.sample_minibatch(rng, n, b, steps=steps)
+        assert str(refused.value) == f"a draw of {size} indices is too large to allocate"
+        assert _philox_state(rng) == before
+
 
 def _philox_state(rng):
     """The bit generator's whole state, comparable with ==."""
@@ -196,6 +210,12 @@ class TestEpochBlock:
         ref.integers(0, n)  # the rejected low half, then the high half: none left buffered
         assert ref.bit_generator.state["has_uint32"] == 0
         assert self.check(0, n, 2, 3, 3, False)
+
+    @pytest.mark.parametrize("b, steps, epoch_len", [(10**15, 1, 1), (1, 10**15, 0), (10**15, 10**15, 10**15)])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_block_too_large_to_allocate_declines(self, b, steps, epoch_len, buffered):
+        # the per-step draw then refuses the minibatch's size
+        assert self.check(0, 64, b, steps, epoch_len, buffered)
 
     @pytest.mark.parametrize("n", [2**32, 2**32 + 1, 2**40])
     def test_wide_ranges_decline(self, n):

@@ -12,7 +12,7 @@ from ssrgd import core, diagnostics, estimators, spectral
 from ssrgd.core import ConfigError, InsufficientDataError, InvalidInputError, UnsupportedOracleError
 from ssrgd.diagnostics import SuperEpochPath
 
-from conftest import counting, quadratic_problem_from_components, random_quadratic_family, reference_epoch
+from conftest import counting, on_stream, quadratic_problem_from_components, random_quadratic_family, reference_epoch
 
 
 def short_trajectory(prob, steps, seed=0, scale=0.3):
@@ -137,46 +137,47 @@ class TestStackedVarianceVerifier:
 
 
 class TestEpochDecrease:
-    def test_convex_quadratic_holds(self):
+    def test_convex_quadratic_holds(self, monkeypatch):
         inst = ssrgd.make_quadratic(d=4, n=16, seed=1, spread=0.4)
         cfg = ssrgd.derive_config(inst.spec, 0.1, seed=0)
-        rep = diagnostics.verify_epoch_decrease(
-            inst.spec, cfg, epochs=1500, rng=core.seeded_rng(5, 0),
-            x0=2.0 * np.ones(4),
+        rep = on_stream(
+            monkeypatch, core.seeded_rng(5, 0), diagnostics.verify_epoch_decrease,
+            inst.spec, cfg, epochs=1500, x0=2.0 * np.ones(4),
         )
         assert rep.passed
         assert rep.mean_f_end < rep.f_start
 
-    def test_tight_at_minimum(self):
+    def test_tight_at_minimum(self, monkeypatch):
         inst = ssrgd.make_quadratic(d=3, n=9, seed=2, spread=0.3)
         cfg = ssrgd.derive_config(inst.spec, 0.1, seed=0)
-        rep = diagnostics.verify_epoch_decrease(
-            inst.spec, cfg, epochs=50, rng=core.seeded_rng(6, 0), x0=np.zeros(3)
+        rep = on_stream(
+            monkeypatch, core.seeded_rng(6, 0), diagnostics.verify_epoch_decrease,
+            inst.spec, cfg, epochs=50, x0=np.zeros(3)
         )
         assert rep.f_start == 0.0
         assert rep.decrease_term == 0.0
         assert rep.mean_f_end == pytest.approx(0.0, abs=1e-20)
         assert rep.passed
 
-    def test_svrg_contrast_recorded(self):
+    def test_svrg_contrast_recorded(self, monkeypatch):
         inst = ssrgd.make_quadratic(d=4, n=36, seed=3, spread=0.5)
         cfg = ssrgd.derive_config(inst.spec, 0.1, seed=0)
-        rep = diagnostics.verify_epoch_decrease(
-            inst.spec, cfg, epochs=800, rng=core.seeded_rng(7, 0),
-            x0=1.5 * np.ones(4),
+        rep = on_stream(
+            monkeypatch, core.seeded_rng(7, 0), diagnostics.verify_epoch_decrease,
+            inst.spec, cfg, epochs=800, x0=1.5 * np.ones(4),
         )
         # illustrative only: the undersized-snapshot run is recorded, with no
         # pass/fail attached
         assert math.isfinite(rep.svrg_mean_f_end)
         assert math.isfinite(rep.svrg_gap)
 
-    def test_block_epochs_match_per_step_draws(self):
+    def test_block_epochs_match_per_step_draws(self, monkeypatch):
         inst = ssrgd.make_quadratic(d=3, n=9, seed=2, spread=0.3)
         prob = inst.spec
         cfg = ssrgd.derive_config(prob, 0.1, seed=0)
         x0, m, b, eta = np.ones(3), cfg.epoch_len, cfg.minibatch, cfg.step_size
         rng, ref_rng = core.seeded_rng(6, 0), core.seeded_rng(6, 0)
-        rep = diagnostics.verify_epoch_decrease(prob, cfg, 5, rng, x0=x0)
+        rep = on_stream(monkeypatch, rng, diagnostics.verify_epoch_decrease, prob, cfg, 5, x0=x0)
         g0 = estimators.full_gradient(prob, x0)
         f_end, f_end_svrg, gsums = [], [], []
 
@@ -248,9 +249,7 @@ class TestCoupledExperiment:
 
     def test_pair_construction(self):
         inst, cfg = self._setup()
-        rep = diagnostics.run_coupled_experiment(
-            inst, inst.saddle_points[0][0], cfg, 3, store_trajectories=True
-        )
+        rep = diagnostics.run_coupled_experiment(inst, inst.saddle_points[0][0], cfg, 3)
         for pair in rep.pairs:
             assert pair.w_norms[0] == pytest.approx(rep.r0, rel=1e-12)
             assert pair.batch_digest == pair.batch_digest_twin
@@ -300,7 +299,7 @@ class TestCoupledExperiment:
         the pair run on its own, one trajectory after the other."""
         inst, cfg = self._setup()
         prob, saddle = inst.spec, inst.saddle_points[0][0]
-        rep = diagnostics.run_coupled_experiment(inst, saddle, cfg, 4, store_trajectories=True)
+        rep = diagnostics.run_coupled_experiment(inst, saddle, cfg, 4)
         e1 = np.linalg.eigh(spectral.assemble_hessian(prob, saddle))[1][:, 0]
         for i, pair in enumerate(rep.pairs):
             ball = core.sample_uniform_ball(core.seeded_rng(cfg.seed, 10_000 + i), prob.d, rep.radius)
@@ -387,7 +386,7 @@ class TestLocalization:
             np.array([inst.spec.value(x0), inst.spec.value(x1)]), True,
         )
         rep = diagnostics.verify_localization(
-            path, lipschitz_grad=L, step_size=eta
+            [path], lipschitz_grad=L, step_size=eta
         )
         assert rep.pass_fraction == 1.0
         row = rep.rows_per_path[0][0]
@@ -399,7 +398,7 @@ class TestLocalization:
         xs = np.array([[0.0], [1.0]])
         fs = np.array([0.0, 1.0])  # the value went up
         rep = diagnostics.verify_localization(
-            SuperEpochPath(0, xs, fs, True), lipschitz_grad=1.0
+            [SuperEpochPath(0, xs, fs, True)], lipschitz_grad=1.0
         )
         assert rep.increase_steps == 1 and rep.pass_fraction == 1.0
 

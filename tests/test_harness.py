@@ -700,7 +700,7 @@ class TestOneDerivation:
     def test_online_svrg_cell_fails_for_want_of_the_full_gradient(self, tmp_path):
         text = ONLINE_SADDLE.replace("kind = ssrgd", "kind = svrg\nsfo_budget = 1000")
         (cell,) = parse_config(write_config(tmp_path, text)).cells()
-        summary, _ = harness._run_cell_safely(cell)
+        summary, _ = harness._run_cell_safely(cell, {})
         assert summary["failed"]
         assert summary["error"] == "svrg needs the finite-sum full gradient"
 
@@ -719,7 +719,7 @@ class TestOneDerivation:
         assert build_run_config(plan.optimizers[0][1], inst, 0, None).delta == delta
         bk = harness._baseline_from_params(plan.optimizers[1][1], inst, 0, 0.05)
         derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, delta, 1.0, bk.step_size)
-        assert derived == {key: getattr(bk, key) for key in harness._SUPER_EPOCH_KEYS}
+        assert derived == {key: getattr(bk, key) for key in core.SUPER_EPOCH_KEYS}
 
     def test_perturbed_gd_derives_the_super_epoch_settings_it_leaves_unset(self):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.4, seed=0)
@@ -728,7 +728,7 @@ class TestOneDerivation:
         derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, 0.3, 1.0, 0.05)
         assert (bk.perturb_radius, bk.step_size) == (0.01, 0.05)
         assert derived["perturb_radius"] != 0.01
-        assert {key: getattr(bk, key) for key in harness._SUPER_EPOCH_KEYS} == {
+        assert {key: getattr(bk, key) for key in core.SUPER_EPOCH_KEYS} == {
             **derived, "perturb_radius": 0.01
         }
 
@@ -1061,7 +1061,7 @@ class TestDefaultBudget:
             text = text.replace("order = second\n", "").replace("logfactor = 8.0\n", "")
         (cell, _) = parse_config(write_config(tmp_path, text)).cells()
         with pytest.raises(Captured) as got:
-            harness.run_cell(cell)
+            harness.run_cell(cell, {})
         assert got.value.args == (10**7,)
 
 
@@ -1154,7 +1154,7 @@ class TestSharedRuns:
         written = output_bytes(plan)
         assert json.loads(written["aggregate.json"]) == agg
         for cell in cells:
-            summary, trace = harness._run_cell_safely(cell)
+            summary, trace = harness._run_cell_safely(cell, {})
             assert written[f"{cell.run_id}/summary.json"].decode() == (
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
@@ -1383,6 +1383,64 @@ class TestDiagnoseCli:
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["slope"] == pytest.approx(0.5, abs=1e-9)
+
+
+class TestDiagnoseReportKeys:
+    """Each ``ssrgd diagnose`` report prints its keys in one fixed order."""
+
+    @pytest.mark.parametrize("flags, config, keys, row_key, row_keys", [
+        (["variance", "--steps", "2", "--replications", "20"], MINIMAL,
+         ["estimator", "replications", "passed", "rows"], "rows", ["t", "estimate", "bound", "stderr", "passed"]),
+        (["epoch-decrease", "--replications", "2"], MINIMAL,
+         ["f_start", "mean_f_end", "stderr_f_end", "decrease_term", "passed", "svrg_mean_f_end", "svrg_gap"],
+         None, None),
+        (["coupled", "--pairs", "2"], SADDLE_PLAN,
+         ["escape_frequency", "fdecrease_frequency", "travel_threshold", "radius", "r0", "window", "c1", "pairs"],
+         "pairs", ["escape_iter", "fdecrease_iter", "max_travel", "max_fdrop", "coupled"]),
+        (["localization", "--super-epochs", "1", "--budget", "3000"], SADDLE_PLAN,
+         ["pass_fraction", "paths", "path_passed", "increase_steps"], None, None),
+    ])
+    def test_key_order(self, tmp_path, capsys, flags, config, keys, row_key, row_keys):
+        cfg = write_config(tmp_path, config)
+        assert harness.main(["diagnose", *flags[:1], "--config", str(cfg), *flags[1:]]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep) == keys
+        if row_key is not None:
+            assert rep[row_key] and all(list(row) == row_keys for row in rep[row_key])
+
+
+def test_super_epoch_keys_name_one_setting_each():
+    # the four settings keep one name: the fields of SuperEpoch, RunConfig and
+    # BaselineKind that hold them, their rows of SETTING_RULES and the harness keys
+    keys = core.SUPER_EPOCH_KEYS
+    assert [f.name for f in dataclasses.fields(core.SuperEpoch) if f.default is dataclasses.MISSING] == list(keys)
+    assert all(key in core.SETTING_RULES for key in keys)
+    assert set(harness.OPTIMIZERS["perturbed_gd"]) == {"step_size", "max_iters", *keys}
+    values = dict(zip(keys, (0.25, 0.125, 0.5, 7)))
+    cfg = RunConfig(step_size=0.1, epoch_len=2, minibatch=2, eps=0.1, sfo_budget=10, **values)
+    bk = BaselineKind(kind="perturbed_gd", step_size=0.1, **values)
+    for holder in (cfg, bk):
+        se = holder.super_epoch()
+        assert {key: getattr(holder, key) for key in keys} == {key: getattr(se, key) for key in keys} == values
+
+
+class TestOversizedDraws:
+    """A draw too large to allocate fails only its own cell: numpy's
+    MemoryError or ValueError becomes a ConfigError that names its size."""
+
+    @pytest.mark.parametrize("problem, optimizer, size", [
+        ("", "kind = ssrgd\nminibatch = 1000000000000000\nepoch_len = 1", "10^15"),
+        ("", "kind = sgd\nminibatch = 1000000000000000", "10^15"),
+        ("sigma = 0.5\n", "kind = ssrgd\nlarge_batch = 1000000000000000", "10^15"),
+        ("sigma = 0.5\n", "kind = ssrgd\neps = 1e-100", "10^200"),  # an anchor of about 1e200 ids
+    ])
+    def test_one_cell_plan_exits_1_with_the_aggregate(self, tmp_path, capsys, problem, optimizer, size):
+        text = (f"[problem]\nkind = nonconvex_logistic\nn = 64\nd = 5\n{problem}\n"
+                f"[optimizer]\n{optimizer}\nsfo_budget = 1000\n\n[output]\ndir = {{out}}\n")
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        (cell,) = json.loads((tmp_path / "runs" / "aggregate.json").read_text(encoding="utf-8"))["cells"]
+        assert cell["failed"] and cell["error"] == f"a draw of {size} indices is too large to allocate"
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEscapeRateChart:

@@ -8,6 +8,8 @@ from ssrgd import core, spectral
 from ssrgd.core import ConfigError, UnsupportedOracleError
 from ssrgd.problems import make_online_stream, make_quadratic, make_separable_saddle
 
+from conftest import on_stream
+
 
 def random_symmetric_problem(d, seed, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -138,11 +140,10 @@ class TestCertify:
         assert not cert.is_sosp
         assert cert.lambda_min_ci == spectral.lambda_min_power(inst.spec, np.zeros(50), iters=iters)[1]
 
-    def test_online_uses_large_batch(self):
+    def test_online_uses_large_batch(self, monkeypatch):
         base = make_quadratic(d=4, n=2, seed=4, spread=0.0)
         inst = make_online_stream(base, 0.5, seed=5)
-        cert = spectral.certify(inst.spec, np.zeros(4), 0.1, 0.5,
-                                rng=core.seeded_rng(4, 4))
+        cert = on_stream(monkeypatch, core.seeded_rng(4, 4), spectral.certify, inst.spec, np.zeros(4), 0.1, 0.5)
         assert cert.is_fosp and cert.is_sosp
 
 

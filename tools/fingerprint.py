@@ -101,9 +101,7 @@ def _digest(*parts, paths: bool = False) -> str:
 
 def _coupled(saddle, paths):
     cfg = algorithm.derive_config(saddle.spec, 0.05, 0.3, 8.0, sfo_budget=10**9, seed=18)
-    rep = diagnostics.run_coupled_experiment(
-        saddle, saddle.saddle_points[0][0], cfg, 3, store_trajectories=True
-    )
+    rep = diagnostics.run_coupled_experiment(saddle, saddle.saddle_points[0][0], cfg, 3)
     return _digest(rep.to_dict(), *(
         part for p in rep.pairs
         for part in (p.x_traj, p.x_prime_traj, p.w_norms, [p.batch_digest, p.batch_digest_twin])
@@ -112,9 +110,7 @@ def _coupled(saddle, paths):
 
 def _epoch_decrease(logistic, paths):
     cfg = algorithm.derive_config(logistic.spec, 0.05, seed=19)
-    rep = diagnostics.verify_epoch_decrease(
-        logistic.spec, cfg, 20, core.seeded_rng(19, 7), x0=0.5 * np.ones(logistic.spec.d)
-    )
+    rep = diagnostics.verify_epoch_decrease(logistic.spec, cfg, 20, x0=0.5 * np.ones(logistic.spec.d))
     return _digest(rep.to_dict(), paths=paths)
 
 
