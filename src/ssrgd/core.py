@@ -35,11 +35,12 @@ STEP_FACTOR_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
 
 _REL_TOL = 1e-12
 
-# Which values each number the package takes in may take: (test, rule) pairs tried
-# in order, and NaN fails every test.  The optimizer settings, problem metadata, the
-# generators' parameters (named by their harness keys), the (eps, delta) targets and
-# the sampling and spectral primitives' arguments all check against it; cross-field
-# rules stay in code.
+# Which values each setting the package takes in may take: (test, rule) pairs tried in
+# order, and NaN fails every test.  The optimizer settings, problem metadata, generator
+# parameters (by their harness keys), (eps, delta) targets, seeds, diagnostics' counts
+# and the sampling and spectral primitives' arguments check against it; a word's row
+# (``one_of``) is added by the module that gives the words meaning.  Cross-field rules
+# and the per-step checks of sample_minibatch and random_stop_decision stay in code.
 _POSITIVE = ((lambda v: v > 0, "> 0"), (lambda v: v < math.inf, "< inf"))
 _NONNEGATIVE = ((lambda v: v >= 0, ">= 0"), (lambda v: v < math.inf, "< inf"))
 _COUNT = ((lambda v: isinstance(v, numbers.Integral) and v >= 1, "is an integer >= 1"),)
@@ -53,7 +54,9 @@ SETTING_RULES = {
     "flip_prob": ((lambda v: 0 <= v <= 1, "in [0, 1]"),),
     "sfo_budget": ((lambda v: v >= 0, ">= 0"),),
     **dict.fromkeys(("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs",
-                     "max_iters", "eval_every", "n", "d", "d_cap", "iters"), _COUNT),
+                     "max_iters", "eval_every", "n", "d", "d_cap", "iters", "replications", "pairs",
+                     "max_paths", "workers"), _COUNT),
+    "epochs": ((lambda v: isinstance(v, numbers.Integral) and v >= 2, "is an integer >= 2"),),
     "seed": ((lambda v: isinstance(v, numbers.Integral), "is an integer"),),
 }
 # The four super-epoch settings: the fields of SuperEpoch, of RunConfig and of BaselineKind
@@ -309,6 +312,11 @@ class TraceRecord:
     event: Event = Event.NONE
 
 
+def one_of(*words: str) -> tuple:
+    """The row of a setting that takes exactly one of ``words``."""
+    return ((lambda v: v in words, f"is one of {', '.join(words)}"),)
+
+
 def check_setting(key: str, value, where: str = "") -> None:
     """Refuse a value outside ``key``'s row of ``SETTING_RULES`` with a
     ConfigError that names the key and the rule it breaks."""
@@ -336,8 +344,9 @@ def seeded_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Deterministic counter-based stream.
 
     Identical (seed, stream_id) pairs yield identical draws; distinct
-    stream ids give independent streams.
+    stream ids give independent streams.  ``seed`` must pass its row.
     """
+    check_setting("seed", seed)
     key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

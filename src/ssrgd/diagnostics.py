@@ -46,6 +46,7 @@ from .core import (
 )
 from .problems import ProblemInstance
 
+core.SETTING_RULES["estimator"] = core.one_of("recursive", "svrg")  # see _estimator_errors
 EXHAUSTIVE_LIMIT = 300_000
 # Constants of the analysis: the coupled pair's offset as a share of the
 # perturbation radius, and C' of the localization bound.
@@ -121,16 +122,13 @@ def verify_variance_bound(
     along a fixed trajectory starting from an exact anchor estimate.  Batch
     sequences, in ``itertools.product`` order or each a ``(T, b)`` draw, go
     through the estimators in chunks of about 2^19 / (b d^2) sequences."""
-    if estimator not in ("recursive", "svrg"):
-        raise ConfigError("estimator must be 'recursive' or 'svrg'")
+    core.check_values(off=(("replications", None),), estimator=estimator, minibatch=minibatch,
+                      replications=replications)
     xs = np.asarray(trajectory, dtype=float)
     if xs.ndim != 2 or len(xs) < 2:
         raise InvalidInputError("trajectory must contain at least two points")
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("variance verification needs finite-sum mode")
-    core.check_setting("minibatch", minibatch)
-    if replications is not None and replications < 1:
-        raise ConfigError(f"replications must be None (exhaustive) or >= 1 (got {replications})")
     n = int(problem.n)
     b = int(minibatch)
     T = len(xs) - 1
@@ -219,8 +217,7 @@ def verify_epoch_decrease(
     L = problem.lipschitz_grad
     if cfg.step_size > core.STEP_FACTOR_LIMIT / L * (1 + 1e-12):
         raise ConfigError("verification needs step_size <= (sqrt(5)-1)/(2L)")
-    if epochs < 2:
-        raise ConfigError("need at least two replications")
+    core.check_setting("epochs", epochs)
     rng = core.seeded_rng(cfg.seed, 7)
     x_start = core.initial_point(x0, problem.d)
     eta = cfg.step_size
@@ -373,11 +370,11 @@ def run_coupled_experiment(
     instance: ProblemInstance,
     x_tilde: Vector,
     cfg: RunConfig,
-    seeds: int,
+    pairs: int,
     *,
     check_saddle: bool = True,
 ) -> CoupledReport:
-    """Escape statistics for coupled trajectory pairs around a saddle.
+    """Escape statistics for ``pairs`` coupled trajectory pairs around a saddle.
 
     Works in the regime of the small-stuck-region analysis, with the
     analysis' constants C1 = 20/(eta L) and zeta' = ``ZETA_PRIME``: the
@@ -389,7 +386,7 @@ def run_coupled_experiment(
     a digest of each stream, so the coupling is checkable, and both of its
     trajectories.
 
-    All 2 * ``seeds`` trajectories run in lockstep as one ``(2 seeds, d)``
+    All 2 * ``pairs`` trajectories run in lockstep as one ``(2 pairs, d)``
     stack, so the problem's ``value``, ``full_grad`` and ``grad_diff_batch``
     must answer a stack row by row (``make_separable_saddle``'s do); any
     other problem is refused with ``UnsupportedOracleError``.
@@ -397,8 +394,7 @@ def run_coupled_experiment(
     problem = instance.spec
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("the coupled experiment needs finite-sum mode")
-    if seeds < 1:
-        raise ConfigError(f"the coupled experiment needs at least one pair (seeds = {seeds})")
+    core.check_setting("pairs", pairs)
     cfg.validate(problem)  # with the radius check below, this asks for b >= m
     core.check_setting("delta", cfg.delta)
     d = problem.d
@@ -434,22 +430,22 @@ def run_coupled_experiment(
     # each twin gets its own generator, seeded as its pair's
     starts = np.stack([
         x_tilde + core.sample_uniform_ball(core.seeded_rng(cfg.seed, 10_000 + i), d, radius)
-        for i in range(seeds)
+        for i in range(pairs)
     ])
     starts = np.concatenate([starts, starts - r0 * e1])
     _check_stacked_oracles(problem, starts, cfg.minibatch)
-    streams = [core.seeded_rng(cfg.seed, 20_000 + i % seeds) for i in range(2 * seeds)]
+    streams = [core.seeded_rng(cfg.seed, 20_000 + i % pairs) for i in range(2 * pairs)]
     xs, fs, digests = _run_recorded_updates(
         problem, starts, window, cfg.epoch_len, cfg.minibatch, eta, streams
     )
 
-    pairs: list[CoupledRun] = []
-    for i, j in zip(range(seeds), range(seeds, 2 * seeds)):
+    runs: list[CoupledRun] = []
+    for i, j in zip(range(pairs), range(pairs, 2 * pairs)):
         # one pair at a time, so no temporary is as large as the whole stack
         x, xp = xs[:, i], xs[:, j]
         joint = np.maximum(np.linalg.norm(x - x[0], axis=1), np.linalg.norm(xp - xp[0], axis=1))
         drop = np.maximum(fs[0, i] - fs[:, i], fs[0, j] - fs[:, j])
-        pairs.append(
+        runs.append(
             CoupledRun(
                 escape_iter=_first(joint >= threshold),
                 fdecrease_iter=_first(drop >= 2.0 * cfg.fval_threshold),
@@ -460,12 +456,12 @@ def run_coupled_experiment(
                 x_traj=x, x_prime_traj=xp, w_norms=np.linalg.norm(x - xp, axis=1),
             )
         )
-    escaped = sum(1 for p in pairs if p.escape_iter is not None)
-    fdec = sum(1 for p in pairs if p.fdecrease_iter is not None)
+    escaped = sum(1 for p in runs if p.escape_iter is not None)
+    fdec = sum(1 for p in runs if p.fdecrease_iter is not None)
     return CoupledReport(
-        pairs=pairs,
-        escape_frequency=escaped / seeds,
-        fdecrease_frequency=fdec / seeds,
+        pairs=runs,
+        escape_frequency=escaped / pairs,
+        fdecrease_frequency=fdec / pairs,
         travel_threshold=threshold,
         radius=radius,
         r0=r0,
@@ -527,8 +523,7 @@ def collect_super_epoch_paths(
     problem = instance.spec
     if problem.mode is not Mode.FINITE_SUM:
         raise InvalidInputError("super-epoch path collection needs finite-sum mode")
-    if max_paths is not None and max_paths < 1:
-        raise ConfigError(f"path collection needs max_paths of None or >= 1 (got {max_paths})")
+    core.check_values(off=(("max_paths", None),), max_paths=max_paths)
     paths: list[SuperEpochPath] = []
     for seed in seeds:
         segment: list[Vector] | None = None
@@ -574,6 +569,7 @@ def verify_localization(
     each path of the list, with C' = ``C_PRIME``.  Steps where the value
     increased are recorded and excluded (the statement presumes decrease).
     No path to check raises ``InsufficientDataError``."""
+    core.check_values(off=(("step_size", None),), lipschitz_grad=lipschitz_grad, step_size=step_size)
     cap = 1.0 / (2.0 * C_PRIME * lipschitz_grad)
     if step_size is not None and step_size > cap * (1 + 1e-12):
         raise ConfigError(

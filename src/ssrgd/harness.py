@@ -82,7 +82,7 @@ PROBLEMS = {
 # ``seed`` also goes to the generator when it takes one; ``sigma``, when
 # given, wraps the problem as an online stream of that noise radius.
 PROBLEM_KEYS = {"kind": str, "seed": 0, "sigma": float, "x0": "zeros", "x0_scale": 1.0}
-_X0_PRESETS = ("zeros", "ones", "saddle")
+core.SETTING_RULES["x0"] = core.one_of("zeros", "ones", "saddle")  # see initial_point
 
 # Optimizer and output sections follow the same convention.  An optimizer
 # setting typed here without a default is derived when a section leaves it
@@ -108,6 +108,7 @@ _OPTIMIZER_KEYS = {
     "eval_every": int,
     "trace": "full",
 }
+core.SETTING_RULES.update(order=core.one_of("first", "second"), trace=core.one_of("full", "epoch"))
 OPTIMIZERS = {
     "ssrgd": ("order", "logfactor", "trace", "step_size", "epoch_len", "minibatch",
               "large_batch", "max_epochs", *core.SUPER_EPOCH_KEYS),
@@ -118,6 +119,7 @@ OPTIMIZERS = {
 }
 
 _SWEEP_KEYS = {"axis": str, "grid": str}
+core.SETTING_RULES["axis"] = core.one_of("eps", "n")
 _OUTPUT_KEYS = {"dir": "runs", "plot": False, "seeds": "0", "max_cells": 1000}
 
 
@@ -235,8 +237,7 @@ def parse_config(path) -> ExperimentPlan:
         elif section == "sweep":
             params = _parse_section("[sweep]", parser[section], _SWEEP_KEYS)
             axis = params.get("axis")
-            if axis not in ("eps", "n"):
-                raise ConfigError("[sweep] axis must be 'eps' or 'n'")
+            core.check_setting("axis", axis, "[sweep] ")
             try:
                 grid = [float(v) for v in params.get("grid", "").split(",") if v.strip()]
             except ValueError:
@@ -299,8 +300,7 @@ def _parse_problem(section: str, raw) -> dict:
     for key, default in row.items():
         if isinstance(default, type) and key not in params:
             raise ConfigError(f"[{section}] kind {kind} needs {key!r}")
-    if "x0" in params and params["x0"] not in _X0_PRESETS:
-        raise ConfigError(f"[{section}] x0 must be zeros, ones, or saddle")
+    core.check_setting("x0", params.get("x0", PROBLEM_KEYS["x0"]), f"[{section}] ")
     return params
 
 
@@ -310,15 +310,11 @@ def _parse_optimizer(section: str, raw) -> dict:
     reads = ("kind", "eps", "delta", "sfo_budget", *OPTIMIZERS[kind])
     keys = {key: _OPTIMIZER_KEYS[key] for key in reads}
     params = _parse_section(f"[{section}] (kind = {kind})", raw, keys)
-    if params.get("order") not in (None, "first", "second"):
-        raise ConfigError(f"[{section}] order must be 'first' or 'second'")
-    if "logfactor" in params and params.get("order") != "second":
-        raise ConfigError(f"[{section}] logfactor is read only with order = second")
     for key, value in params.items():
         if key in core.SETTING_RULES:
             core.check_setting(key, value, f"[{section}] ")
-    if params.get("trace") not in (None, "full", "epoch"):
-        raise ConfigError(f"[{section}] trace must be 'full' or 'epoch'")
+    if "logfactor" in params and params.get("order") != "second":
+        raise ConfigError(f"[{section}] logfactor is read only with order = second")
     return params
 
 
@@ -338,35 +334,33 @@ def build_problem(params: dict, n_override: int | None = None) -> problems.Probl
 def initial_point(params: dict, inst: problems.ProblemInstance) -> np.ndarray:
     values = _with_defaults(params, PROBLEM_KEYS)
     preset, d = values["x0"], inst.spec.d
+    core.check_setting("x0", preset)
     if preset == "zeros":
         return np.zeros(d)
     if preset == "ones":
         core.check_setting("x0_scale", values["x0_scale"])
         return values["x0_scale"] * np.ones(d)
-    if preset == "saddle":
-        if not inst.saddle_points:
-            raise ConfigError("problem lists no saddle points for x0 = saddle")
-        return inst.saddle_points[0][0].copy()
-    raise ConfigError(f"unknown x0 preset {preset!r}")
+    if not inst.saddle_points:
+        raise ConfigError("problem lists no saddle points for x0 = saddle")
+    return inst.saddle_points[0][0].copy()
 
 
-def _second_order_delta(oparams: dict, spec, eps: float) -> float | None:
-    """The delta of ``perturbed_gd`` or ``order = second`` (None otherwise): the
-    ``delta`` key, else sqrt(rho * eps), else the key table's 0.1 when rho = 0."""
-    if oparams["kind"] != "perturbed_gd" and oparams.get("order") != "second":
-        return None
-    return oparams.get("delta", math.sqrt(spec.lipschitz_hess * eps) or _OPTIMIZER_KEYS["delta"])
-
-
-def build_run_config(
-    oparams: dict, inst: problems.ProblemInstance, seed: int, eps_override: float | None
-) -> RunConfig:
-    """Derived defaults for the problem, then the section's settings (over
-    the key table's defaults, such as the SFO budget) as overrides."""
+def resolve_settings(oparams: dict, spec, eps: float | None) -> tuple[dict, float, float | None]:
+    """An optimizer section's settings over the key table's defaults (such as the
+    SFO budget), its eps unless a sweep gives one, and the delta its run targets:
+    for ``perturbed_gd`` or ``order = second`` the ``delta`` key, else
+    sqrt(rho * eps), else the key table's 0.1 when rho = 0; None otherwise."""
     settings = _with_defaults(oparams, _OPTIMIZER_KEYS)
-    eps = float(eps_override if eps_override is not None else settings["eps"])
-    delta = _second_order_delta(oparams, inst.spec, eps)
-    cfg = algorithm.derive_config(inst.spec, eps, delta, settings["logfactor"], seed=seed)
+    eps = float(settings["eps"] if eps is None else eps)
+    if settings["kind"] != "perturbed_gd" and settings["order"] != "second":
+        return settings, eps, None
+    return settings, eps, oparams.get("delta", math.sqrt(spec.lipschitz_hess * eps) or _OPTIMIZER_KEYS["delta"])
+
+
+def build_run_config(spec, seed: int, settings: dict, eps: float, delta: float | None) -> RunConfig:
+    """Derived defaults for the problem at a cell's eps and run delta, then the
+    settings ``resolve_settings`` gave as overrides."""
+    cfg = algorithm.derive_config(spec, eps, delta, settings["logfactor"], seed=seed)
     derived_from = ("eps", "delta", "logfactor")  # inputs of the derivation, not overrides
     overrides = {f.name: settings[f.name] for f in dataclasses.fields(RunConfig)
                  if f.name in settings and f.name not in derived_from}
@@ -430,13 +424,14 @@ def run_cell(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
     the row's problem instance under ``("problem", n)``; its oracles are
     pure functions of the point, so sharing it changes no result.
     """
-    settings = _with_defaults(cell.optimizer, _OPTIMIZER_KEYS)
-    eps = float(cell.sweep_value if cell.sweep_axis == "eps" else settings["eps"])
     n_override = cell.sweep_value if cell.sweep_axis == "n" else None
     if ("problem", n_override) not in runs:
         runs["problem", n_override] = build_problem(cell.problem, n_override)
     inst = runs["problem", n_override]
     x0 = initial_point(cell.problem, inst)
+    settings, eps, run_delta = resolve_settings(
+        cell.optimizer, inst.spec, cell.sweep_value if cell.sweep_axis == "eps" else None
+    )
     okind = settings["kind"]
     full_trace = settings["trace"] == "full"
 
@@ -449,15 +444,15 @@ def run_cell(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
     }
 
     # a second-order cell is certified at its run's delta, a first-order one at the key's
-    delta = _second_order_delta(cell.optimizer, inst.spec, eps) or settings["delta"]
+    delta = run_delta or settings["delta"]
     if okind == "ssrgd":
-        cfg = build_run_config(cell.optimizer, inst, cell.seed, eps)
+        cfg = build_run_config(inst.spec, cell.seed, settings, eps, run_delta)
         # run_ssrgd reads cfg.eps only to check it, and 0 passes that check;
         # eps-derived settings (second order, online) stay in the key
         key = (n_override, dataclasses.astuple(dataclasses.replace(cfg, eps=0.0)))
         run = functools.partial(algorithm.run_ssrgd, inst.spec, cfg)
     else:
-        kind = _baseline_from_params(cell.optimizer, inst, cell.seed, eps)
+        kind = _baseline_from_params(inst.spec, cell.seed, settings, eps, run_delta)
         key = (n_override, dataclasses.astuple(kind), settings["sfo_budget"])
         run = functools.partial(baselines.run_baseline, kind, inst.spec, settings["sfo_budget"])
     if key not in runs:
@@ -501,18 +496,18 @@ def _last_grad_norm(trace: list[TraceRecord]) -> float | None:
     return None
 
 
-def _baseline_from_params(oparams, inst, seed, eps) -> BaselineKind:
-    """The section's fields over derived ones, over ``BaselineKind``'s: a 0.9/L
+def _baseline_from_params(spec, seed, settings, eps, delta) -> BaselineKind:
+    """The resolved settings' fields over derived ones, over ``BaselineKind``'s: a 0.9/L
     (``gd``, ``perturbed_gd``) or 0.1/L step, ``svrg``'s m and b from ``derive_config``,
-    and ``perturbed_gd``'s super-epoch settings at ``_second_order_delta``."""
-    kind, spec = oparams["kind"], inst.spec
-    given = {f.name: oparams[f.name] for f in dataclasses.fields(BaselineKind) if f.name in oparams}
+    and ``perturbed_gd``'s super-epoch settings at the run delta."""
+    kind = settings["kind"]
+    given = {f.name: settings[f.name] for f in dataclasses.fields(BaselineKind) if f.name in settings}
     derived = {"step_size": (0.9 if kind in ("gd", "perturbed_gd") else 0.1) / spec.lipschitz_grad}
     if kind == "svrg":
         cfg = algorithm.derive_config(spec, eps)
         derived.update(epoch_len=cfg.epoch_len, minibatch=cfg.minibatch)
     if kind == "perturbed_gd" and any(key not in given for key in core.SUPER_EPOCH_KEYS):
-        step, delta = given.get("step_size", derived["step_size"]), _second_order_delta(oparams, spec, eps)
+        step = given.get("step_size", derived["step_size"])
         derived.update(algorithm.super_epoch_params(spec, eps, delta, 1.0, step))
     return BaselineKind(**{**derived, **given, "seed": seed})
 
@@ -533,8 +528,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> dict:
     rejects) is marked failed in the aggregate, with its error, without
     stopping the other cells.
     """
-    if workers < 1:
-        raise ConfigError(f"--workers must be an integer >= 1, got {workers}")
+    core.check_setting("workers", workers)
     cells = plan.cells()  # a refused plan leaves no directory behind
     out_root = Path(plan.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -609,8 +603,7 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
     The confidence interval comes from per-seed slopes.  Nonpositive counts
     are left out; the fitted cells must share one (problem, optimizer) pair.
     """
-    if axis not in ("eps", "n"):
-        raise ConfigError("axis must be 'eps' or 'n'")
+    core.check_setting("axis", axis)
     per_seed: dict[int, dict[float, float]] = {}
     pairs = set()
     for s in aggregate["cells"]:
@@ -808,6 +801,7 @@ def _cmd_diagnose(args) -> int:
         ).to_dict()
     elif args.subcommand == "epoch-decrease":
         cfg = algorithm.derive_config(spec, 0.01, seed=args.seed)
+        core.check_setting("epochs", args.replications, "--replications: ")  # named by the flag the user set
         report = diagnostics.verify_epoch_decrease(spec, cfg, args.replications).to_dict()
     else:  # coupled or localization, both around the first listed saddle
         if not inst.saddle_points:

@@ -399,7 +399,7 @@ def make_online_stream(base: ProblemInstance, sigma: float, seed: int = 0) -> Pr
     ``full_grad`` does: the planted saddle's does, the logistic one's takes
     a single point.
     """
-    core.check_values(sigma=sigma)
+    core.check_values(sigma=sigma, seed=seed)
     bspec = base.spec
     if bspec.full_grad is None:
         raise ConfigError("online stream needs a base with an exact gradient")

@@ -7,7 +7,7 @@ import ssrgd
 from ssrgd import baselines, core, estimators
 from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import ConfigError, Event, UnsupportedOracleError
-from ssrgd.harness import _baseline_from_params, sfo_at_first_fosp
+from ssrgd.harness import _baseline_from_params, resolve_settings, sfo_at_first_fosp
 
 from conftest import (
     assert_same_outcome, quadratic_problem_from_components, random_quadratic_family, reference_epoch,
@@ -52,7 +52,8 @@ class TestRepeatable:
             else:
                 inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=2)
                 x0 = 0.5 * np.ones(5)
-            bk = _baseline_from_params({"kind": kind, "delta": 0.3}, inst, 7, 0.05)
+            resolved = resolve_settings({"kind": kind, "delta": 0.3}, inst.spec, 0.05)
+            bk = _baseline_from_params(inst.spec, 7, *resolved)
             return run_baseline(bk, inst.spec, 3_000, x0=x0)
 
         a = run()

@@ -319,6 +319,23 @@ class TestNanArguments:
             call()
 
 
+class TestRefusals:
+    """Refusals of the core types and primitives that no other test reaches."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: core.sample_minibatch(core.seeded_rng(0, 0), 4, 0),
+                     "minibatch size must be >= 1", id="minibatch-0"),
+        pytest.param(lambda: core.sample_minibatch(core.seeded_rng(0, 0), 0, 2),
+                     "component count must be >= 1", id="n-0"),
+        pytest.param(lambda: ProblemSpec(n=4, d=2, lipschitz_grad=1.0, lipschitz_hess=0.0, value=lambda x: 0.0,
+                                         component_grad_batch=lambda idx, x: np.zeros((len(idx), 2))),
+                     "finite-sum mode needs a full-gradient oracle", id="no-full-grad"),
+    ])
+    def test_refusal(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call()
+
+
 class TestSuperEpoch:
     def _started(self, length=3, fval_threshold=1.0):
         se = SuperEpoch(0.1, 0.5, fval_threshold, length)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,43 @@ class TestDiagnosticsValidateTheirConfig:
     def test_nan_setting_is_refused(self, run, key):
         with pytest.raises(ConfigError, match=f"^constraint violated: {key} "):
             run(**{key: math.nan})
+
+
+QUADRATIC = ssrgd.make_quadratic(d=2, n=4)
+SADDLE = ssrgd.make_separable_saddle(d=3, n=4, delta_plant=0.3)
+SECOND_ORDER = ssrgd.derive_config(SADDLE.spec, 0.05, 0.3, 8.0, sfo_budget=2_000)
+TWO_POINTS = np.zeros((2, 2))
+STILL = [SuperEpochPath(0, np.zeros((2, 2)), np.zeros(2), True)]
+
+
+class TestRefusals:
+    """Each refusal of the diagnostics that no other test reaches, by exception
+    type and message (tests/test_harness.py's row readers refuse their counts).
+    A NaN step_size used to skip the 1/(2 C' L) cap."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: diagnostics.verify_localization(STILL, lipschitz_grad=1.0, step_size=math.nan),
+                     ConfigError, "constraint violated: step_size > 0", id="step_size=nan"),
+        pytest.param(lambda: diagnostics.verify_variance_bound(
+            ssrgd.make_online_stream(QUADRATIC, 0.1).spec, TWO_POINTS, 1, 2),
+            InvalidInputError, "variance verification needs finite-sum mode", id="variance-online"),
+        # second order admits a step up to logfactor / L; the decrease check does not
+        pytest.param(lambda: diagnostics.verify_epoch_decrease(
+            SADDLE.spec, dataclasses.replace(SECOND_ORDER, step_size=1.0 / SADDLE.spec.lipschitz_grad), 2),
+            ConfigError, "verification needs step_size <= (sqrt(5)-1)/(2L)", id="epoch-decrease-step"),
+        pytest.param(lambda: diagnostics.run_coupled_experiment(QUADRATIC, np.zeros(2), SECOND_ORDER, 1),
+                     ConfigError, "needs a positive Hessian Lipschitz constant", id="coupled-rho-0"),
+        pytest.param(lambda: diagnostics.run_coupled_experiment(
+            SADDLE, np.zeros(3), dataclasses.replace(SECOND_ORDER, perturb_radius=0.0), 1),
+            ConfigError, "effective perturbation radius is zero", id="coupled-radius-0"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_a_step_in_the_localization_regime_is_kept(self):
+        cfg = dataclasses.replace(SECOND_ORDER, step_size=0.5 / (2.0 * diagnostics.C_PRIME * SADDLE.spec.lipschitz_grad))
+        assert diagnostics.localization_config(SADDLE.spec, cfg) is cfg
 
 
 class TestCoupledExperiment:

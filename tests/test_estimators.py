@@ -86,6 +86,16 @@ def gaussian_online_problem(d, sigma):
     )
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: estimators.component_gradients(make_quadratic(d=2, n=4).spec, [], np.zeros(2)),
+                     "empty minibatch", id="empty-minibatch"),
+    ])
+    def test_refusal(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call()
+
+
 class TestLargeBatchGradient:
     def test_single_sample_equals_component(self):
         prob = gaussian_online_problem(3, 1.0)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import baselines, core, harness, svgplot
+from ssrgd import baselines, core, diagnostics, harness, svgplot
 from ssrgd.baselines import BaselineKind
 from ssrgd.core import ConfigError, Event, Mode, RunConfig
 from ssrgd.harness import (
@@ -62,6 +62,16 @@ def write_config(tmp_path, text, name="plan.ini"):
     return p
 
 
+def run_config(oparams, inst):
+    """The RunConfig of a section at seed 0, resolved as ``run_cell`` resolves it."""
+    return build_run_config(inst.spec, 0, *harness.resolve_settings(oparams, inst.spec, None))
+
+
+def baseline_kind(oparams, inst, seed, eps):
+    """The BaselineKind of a section at a cell's seed and eps, resolved as ``run_cell`` resolves it."""
+    return harness._baseline_from_params(inst.spec, seed, *harness.resolve_settings(oparams, inst.spec, eps))
+
+
 def output_bytes(plan) -> dict:
     """Bytes of every file under the plan's output directory, by relative path."""
     root = Path(plan.out_dir)
@@ -80,7 +90,7 @@ class TestParseConfig:
         plan = parse_config(write_config(tmp_path, MINIMAL))
         assert len(plan.problems) == 1 and len(plan.optimizers) == 1
         inst = build_problem(plan.problems[0][1])
-        cfg = build_run_config(plan.optimizers[0][1], inst, seed=0, eps_override=None)
+        cfg = run_config(plan.optimizers[0][1], inst)
         assert cfg.step_size == pytest.approx(GOLDEN / inst.spec.lipschitz_grad, rel=1e-12)
         assert cfg.epoch_len == cfg.minibatch == 4  # ceil(sqrt(16))
         assert cfg.perturb_radius == 0
@@ -570,7 +580,7 @@ class TestCertificateDelta:
         (cell,) = run_plan(plan)["cells"]
         inst = build_problem(plan.problems[0][1])
         delta = math.sqrt(inst.spec.lipschitz_hess * 0.05)
-        assert build_run_config(plan.optimizers[0][1], inst, 0, None).delta == delta
+        assert run_config(plan.optimizers[0][1], inst).delta == delta
         cert = cell["certificate"]
         assert cert["delta"] == delta
         assert cert["lambda_min_est"] == pytest.approx(-0.3, abs=1e-2)
@@ -605,7 +615,7 @@ class TestSfoToSosp:
 class TestBaselineDefaults:
     def test_perturbed_gd_defaults_are_the_super_epoch_params(self):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.4, seed=0)
-        bk = harness._baseline_from_params({"kind": "perturbed_gd", "delta": 0.3}, inst, 0, 0.05)
+        bk = baseline_kind({"kind": "perturbed_gd", "delta": 0.3}, inst, 0, 0.05)
         derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, 0.3, 1.0, bk.step_size)
         assert derived == {
             key: getattr(bk, key)
@@ -692,7 +702,7 @@ class TestOneDerivation:
         text = f"[problem]\nkind = nonconvex_logistic\nn = 256\n\n[optimizer]\nkind = svrg\n{given}\n"
         plan = parse_config(write_config(tmp_path, text))
         inst = build_problem(plan.problems[0][1])
-        bk = harness._baseline_from_params(plan.optimizers[0][1], inst, 0, 0.01)
+        bk = baseline_kind(plan.optimizers[0][1], inst, 0, 0.01)
         key, value = given.split(" = ")
         assert getattr(bk, key) == int(value)
         assert getattr(bk, unset) == ssrgd.derive_config(inst.spec, 0.01).minibatch == 16
@@ -716,15 +726,15 @@ class TestOneDerivation:
         delta = math.sqrt(inst.spec.lipschitz_hess * 0.05)
         assert not agg["failed"] and len(agg["cells"]) == 4
         assert [c["certificate"]["delta"] for c in agg["cells"]] == [delta] * 4
-        assert build_run_config(plan.optimizers[0][1], inst, 0, None).delta == delta
-        bk = harness._baseline_from_params(plan.optimizers[1][1], inst, 0, 0.05)
+        assert run_config(plan.optimizers[0][1], inst).delta == delta
+        bk = baseline_kind(plan.optimizers[1][1], inst, 0, 0.05)
         derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, delta, 1.0, bk.step_size)
         assert derived == {key: getattr(bk, key) for key in core.SUPER_EPOCH_KEYS}
 
     def test_perturbed_gd_derives_the_super_epoch_settings_it_leaves_unset(self):
         inst = ssrgd.make_separable_saddle(d=10, n=64, delta_plant=0.4, seed=0)
         oparams = {"kind": "perturbed_gd", "delta": 0.3, "perturb_radius": 0.01, "step_size": 0.05}
-        bk = harness._baseline_from_params(oparams, inst, 0, 0.05)
+        bk = baseline_kind(oparams, inst, 0, 0.05)
         derived = ssrgd.algorithm.super_epoch_params(inst.spec, 0.05, 0.3, 1.0, 0.05)
         assert (bk.perturb_radius, bk.step_size) == (0.01, 0.05)
         assert derived["perturb_radius"] != 0.01
@@ -854,17 +864,25 @@ POSITIVE_KEYS = ("step_size", "eps", "delta", "logfactor", "perturb_radius", "gr
 COUNT_KEYS = ("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs", "max_iters", "eval_every")
 OPTIMIZER_ROWS = (*POSITIVE_KEYS, "sfo_budget", *COUNT_KEYS, "seed")
 # Rows that a function argument reads, not a section key or a dataclass field:
-# sample_uniform_ball's radius, and lambda_min_power's length
-ARGUMENT_ROWS = ("r", "iters")
+# sample_uniform_ball's radius, lambda_min_power's length, the diagnostics'
+# counts and run_plan's workers
+ARGUMENT_ROWS = ("r", "iters", "replications", "epochs", "pairs", "max_paths", "workers")
+# The rows of the words a section key or an argument takes, with those words
+WORD_ROWS = {"order": ("first", "second"), "trace": ("full", "epoch"), "x0": ("zeros", "ones", "saddle"),
+             "axis": ("eps", "n"), "estimator": ("recursive", "svrg")}
 
 
 def admitted(key, value) -> bool:
+    if key in WORD_ROWS:
+        return value in WORD_ROWS[key]
     if key == "sfo_budget":
         return value >= 0  # inf too; NaN fails
     if key == "seed":
         return isinstance(value, int)
-    if key in (*COUNT_KEYS, "n", "d", "d_cap", "iters"):
+    if key in (*COUNT_KEYS, "n", "d", "d_cap", "iters", "replications", "pairs", "max_paths", "workers"):
         return isinstance(value, int) and value >= 1
+    if key == "epochs":  # a ddof=1 standard error needs two
+        return isinstance(value, int) and value >= 2
     if key in ("lipschitz_hess", "variance_bound", "sigma", "noise", "spread", "reg", "r"):
         return 0 <= value < math.inf
     if key in ("scale", "x0_scale"):
@@ -900,7 +918,7 @@ class TestSettingRules:
                   for name, hint in typing.get_type_hints(cls).items() if numeric(hint)}
         tables = (harness._OPTIMIZER_KEYS, harness.PROBLEM_KEYS, *(row for _, row in harness.PROBLEMS.values()))
         keys = {key for table in tables for key, default in table.items() if key_type(default) in (int, float)}
-        assert set(core.SETTING_RULES) == fields | keys | set(ARGUMENT_ROWS)
+        assert set(core.SETTING_RULES) == fields | keys | set(ARGUMENT_ROWS) | set(WORD_ROWS)
         assert set(OPTIMIZER_ROWS) < set(core.SETTING_RULES)
 
     @pytest.mark.parametrize("key", sorted(OPTIMIZER_ROWS))
@@ -975,8 +993,38 @@ def spec_with(**changes):
 
 QUADRATIC = ssrgd.make_quadratic(d=2, n=4)
 SADDLE = ssrgd.make_separable_saddle(d=3, n=4, delta_plant=0.3)
+# The diagnostics' settings on these problems: b = m = 2 at the golden step, and
+# the coupled run's second-order target (a 213-step window)
+FIRST_ORDER = ssrgd.derive_config(QUADRATIC.spec, 0.1)
+SECOND_ORDER = ssrgd.derive_config(SADDLE.spec, 0.05, 0.3, 8.0, sfo_budget=2_000)
+STILL_PATH = diagnostics.SuperEpochPath(0, np.zeros((2, 2)), np.zeros(2), True)
+# A sweep along which both eps and n vary, so either axis fits
+TWO_AXES = {"cells": [{"run_id": str(k), "seed": 0, "eps": 0.1 / 2**k, "n": 64 * 4**k, "sfo_to_fosp": 100 * 4**k,
+                       "failed": False, "optimizer": "o", "problem": "p"} for k in range(3)]}
+
+
+def one_cell_plan(workers):
+    with tempfile.TemporaryDirectory() as tmp:  # one row: no worker pool is started
+        run_plan(ExperimentPlan([("p", {"kind": "quadratic", "n": 4, "d": 2})],
+                                [("o", {"kind": "gd", "max_iters": 1})], [0], None, tmp, False, 1), workers)
+
+
+def optimizer_section(key):
+    """A reader of ``key`` in an ``ssrgd`` section, whose refusal drops the section prefix."""
+    def read(value):
+        try:
+            harness._parse_optimizer("optimizer", {"kind": "ssrgd", key: str(value)})
+        except ConfigError as exc:
+            raise ConfigError(str(exc).removeprefix("[optimizer] ")) from None
+    return read
+
+
 # Each row beyond the optimizer settings, with each function that reads it,
-# called with every other argument valid
+# called with every other argument valid.  Before the diagnostics' counts and
+# run_plan's workers had rows, a NaN or fractional count reached numpy as a
+# TypeError (and NaN workers ran serially); verify_localization took an L of
+# 0 or -1 to a ZeroDivisionError or a math domain error, and NaN to
+# pass_fraction 0.0.
 ROW_READERS = {
     "n": [lambda v: ssrgd.make_quadratic(d=2, n=v), lambda v: ssrgd.make_nonconvex_logistic(n=v, d=2),
           lambda v: ssrgd.make_separable_saddle(d=2, n=v, delta_plant=0.3)],
@@ -988,11 +1036,22 @@ ROW_READERS = {
     **{key: [lambda v, key=key: ssrgd.make_nonconvex_logistic(n=8, d=2, **{key: v})] for key in ("reg", "flip_prob")},
     "d_cap": [libsvm_with_cap],
     "sigma": [lambda v: ssrgd.make_online_stream(QUADRATIC, v)],
-    **{key: [lambda v, key=key: spec_with(**{key: v})]
-       for key in ("lipschitz_grad", "lipschitz_hess", "variance_bound", "domain_radius")},
+    **{key: [lambda v, key=key: spec_with(**{key: v})] for key in ("lipschitz_hess", "variance_bound", "domain_radius")},
+    "lipschitz_grad": [lambda v: spec_with(lipschitz_grad=v),
+                       lambda v: diagnostics.verify_localization([STILL_PATH], lipschitz_grad=v)],
     "x0_scale": [lambda v: harness.initial_point({"kind": "quadratic", "x0": "ones", "x0_scale": v}, QUADRATIC)],
     "r": [lambda v: core.sample_uniform_ball(core.seeded_rng(0, 0), 2, v)],
     "iters": [lambda v: ssrgd.spectral.lambda_min_power(QUADRATIC.spec, np.zeros(2), iters=v)],
+    "replications": [lambda v: diagnostics.verify_variance_bound(QUADRATIC.spec, np.zeros((2, 2)), 1, v)],
+    "estimator": [lambda v: diagnostics.verify_variance_bound(QUADRATIC.spec, np.zeros((2, 2)), 1, 2, estimator=v)],
+    "epochs": [lambda v: diagnostics.verify_epoch_decrease(QUADRATIC.spec, FIRST_ORDER, v)],
+    "pairs": [lambda v: diagnostics.run_coupled_experiment(SADDLE, np.zeros(3), SECOND_ORDER, v)],
+    "max_paths": [lambda v: diagnostics.collect_super_epoch_paths(
+        SADDLE, diagnostics.localization_config(SADDLE.spec, SECOND_ORDER), [0], x0=np.zeros(3), max_paths=v)],
+    "workers": [one_cell_plan],
+    **{key: [optimizer_section(key)] for key in ("order", "trace")},
+    "x0": [lambda v: harness.initial_point({"kind": "separable_saddle", "x0": v}, SADDLE)],
+    "axis": [lambda v: scaling_report(TWO_AXES, v)],
 }
 # The readers of the (eps, delta) targets, which used to take an infinite one
 TARGET_READERS = {
@@ -1030,6 +1089,16 @@ class TestRowReaders:
         else:
             with pytest.raises(ConfigError, match=rf"^constraint violated: {key} "):
                 reader(value)
+
+    @pytest.mark.parametrize("key, reader", [
+        pytest.param(key, reader, id=f"{key}-{i}") for key in WORD_ROWS for i, reader in enumerate(ROW_READERS[key])
+    ])
+    def test_word_reader_takes_exactly_its_words(self, key, reader):
+        for word in WORD_ROWS[key]:
+            reader(word)
+        for other in ("", WORD_ROWS[key][0].upper(), None):
+            with pytest.raises(ConfigError, match=rf"^constraint violated: {key} is one of "):
+                reader(other)
 
     @pytest.mark.parametrize("reader", TARGET_READERS)
     @pytest.mark.parametrize("key", ["eps", "delta"])
@@ -1230,7 +1299,7 @@ class TestParallelWorkers:
         assert harness.main(["run", str(cfg), "--workers", "3"]) == 0
         assert "SSRGD_WORKERS" not in os.environ
         assert harness.main(["run", str(cfg), "--workers", "0"]) == 2
-        assert "--workers must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert "config error: constraint violated: workers is an integer >= 1" in capsys.readouterr().err
 
 
 class TestDiagnoseCli:
@@ -1364,10 +1433,11 @@ class TestDiagnoseCli:
 
     @pytest.mark.parametrize("flags, why", [
         (["variance", "--minibatch", "0"], "constraint violated: minibatch is an integer >= 1"),
-        (["variance", "--replications", "0"], "or >= 1 (got 0)"),
-        (["coupled", "--pairs", "0"], "at least one pair (seeds = 0)"),
-        (["coupled", "--pairs", "-2"], "at least one pair (seeds = -2)"),
-        (["localization", "--super-epochs", "0"], "max_paths of None or >= 1 (got 0)"),
+        (["variance", "--replications", "0"], "constraint violated: replications is an integer >= 1"),
+        (["coupled", "--pairs", "0"], "constraint violated: pairs is an integer >= 1"),
+        (["coupled", "--pairs", "-2"], "constraint violated: pairs is an integer >= 1"),
+        (["localization", "--super-epochs", "0"], "constraint violated: max_paths is an integer >= 1"),
+        (["epoch-decrease", "--replications", "1"], "--replications: constraint violated: epochs is an integer >= 2"),
     ])
     def test_empty_or_zero_sized_request_exits_2(self, tmp_path, capsys, flags, why):
         cfg = write_config(tmp_path, SADDLE_PLAN, name="saddle.ini")
@@ -1644,6 +1714,79 @@ class TestOptimizerKeys:
             text = f"[problem]\nkind = quadratic\n\n[optimizer]\nkind = {kind}\n{extra}{key} = {optimizer_value(key)}\n"
             ((_, params),) = parse_config(write_config(tmp_path, text)).optimizers
             assert set(params) == {"kind", key} | ({"order"} if extra else set())
+
+
+OUTPUT = MINIMAL[MINIMAL.index("[output]"):]
+SWEEP = MINIMAL + "\n[sweep]\naxis = eps\ngrid = 0.1\n"
+
+
+class TestRefusals:
+    """Each refusal of the config parser and the harness entry points, by
+    message, and the edge branches no other test reaches."""
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(MINIMAL.replace("seeds = 0", "seeds = 0\nplot = maybe"),
+                     "[output] key 'plot': expected bool, got 'maybe'", id="bool"),
+        pytest.param(SWEEP.replace("grid = 0.1", "grid = 0.1, x"),
+                     "[sweep] grid must be a comma-separated number list", id="grid"),
+        pytest.param(SWEEP.replace("grid = 0.1", "grid = ,"), "[sweep] grid must be nonempty", id="empty-grid"),
+        pytest.param(SWEEP.replace("axis = eps", "axis = d"),
+                     "[sweep] constraint violated: axis is one of eps, n", id="axis"),
+        pytest.param(SWEEP.replace("axis = eps\n", ""),
+                     "[sweep] constraint violated: axis is one of eps, n", id="no-axis"),
+        pytest.param(MINIMAL[:MINIMAL.index("[optimizer]")] + OUTPUT,
+                     "missing required section [optimizer] (or [optimizer:<name>])", id="no-optimizer"),
+        pytest.param(MINIMAL.replace("seeds = 0", "seeds = 0, a"),
+                     "[output] seeds must be a comma-separated integer list", id="seeds"),
+        pytest.param(MINIMAL.replace("seeds = 0", "seeds = ,"), "[output] seeds must be nonempty", id="empty-seeds"),
+        pytest.param(MINIMAL.replace("kind = quadratic\n", ""), "[problem] missing required key 'kind'", id="no-kind"),
+        pytest.param(MINIMAL.replace("spread = 0.2", "x0 = twos"),
+                     "[problem] constraint violated: x0 is one of zeros, ones, saddle", id="x0"),
+        pytest.param(MINIMAL.replace("kind = ssrgd", "kind = ssrgd\norder = third"),
+                     "[optimizer] constraint violated: order is one of first, second", id="order"),
+        pytest.param(MINIMAL.replace("kind = ssrgd", "kind = ssrgd\ntrace = none"),
+                     "[optimizer] constraint violated: trace is one of full, epoch", id="trace"),
+    ])
+    def test_config_refusal(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_config(tmp_path, text))
+
+    def test_missing_and_unparsable_config(self, tmp_path):
+        missing = tmp_path / "missing.ini"
+        with pytest.raises(ConfigError, match=f"^config file not found: {re.escape(str(missing))}$"):
+            parse_config(missing)
+        path = write_config(tmp_path, "[problem\nkind = quadratic\n")
+        with pytest.raises(ConfigError, match=f"^could not parse {re.escape(str(path))}: "):
+            parse_config(path)
+
+    def test_saddle_start_without_a_saddle(self):
+        with pytest.raises(ConfigError, match="^problem lists no saddle points for x0 = saddle$"):
+            harness.initial_point({"kind": "quadratic", "x0": "saddle"}, QUADRATIC)
+
+    def test_trace_file_with_another_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: unexpected CSV header ['a', 'b']") + "$"):
+            read_trace_csv(path)
+
+    def test_diagnose_coupled_without_a_saddle_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        assert harness.main(["diagnose", "coupled", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: coupled diagnostics need a problem with a listed saddle\n"
+
+    def test_scaling_skips_cells_off_the_axis_and_seeds_with_under_three_points(self):
+        law = lambda n: 5.0 * math.sqrt(n)  # noqa: E731
+        agg = synthetic_aggregate("n", law)
+        extra = [{**agg["cells"][0], "run_id": "online", "n": None},  # an online cell has no n
+                 *({**cell, "run_id": f"s9-{k}", "seed": 9} for k, cell in enumerate(agg["cells"][:2]))]
+        rep = scaling_report({**agg, "cells": agg["cells"] + extra}, "n")
+        assert rep == scaling_report(agg, "n")
+        assert len(rep["per_seed_slopes"]) == 3
+
+    def test_chart_of_one_x_value_spans_a_unit_range(self):
+        # a flat axis gets one decade, so no coordinate divides by zero
+        svg = svgplot.scatter_fit_chart([10, 10], [1.0, 2.0], 0.5, 0.0, title="t", xlabel="x", ylabel="y")
+        assert ET.fromstring(svg).tag.endswith("svg") and "nan" not in svg and "inf" not in svg
 
 
 class TestColdImport:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -92,6 +93,23 @@ class TestGeneratorParameters:
         data.write_text("1 1:0.5\n-1 2:0.25\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="constraint violated: reg >= 0"):
             load_libsvm(data, d_cap=4, reg=math.nan)
+
+
+class TestSeedRow:
+    """Every generator reads its seed through the seed row of core.SETTING_RULES.
+    A NaN seed used to raise numpy's "cannot convert float NaN to integer", and
+    seed 2.5 built seed 2's problem."""
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_seed_is_refused_by_the_seed_row(self, generator, seed):
+        with pytest.raises(ConfigError, match="^constraint violated: seed is an integer$"):
+            GENERATORS[generator](seed=seed)
+
+    @pytest.mark.parametrize("seed", [math.nan, 2.5, 2.0])
+    def test_seeded_rng_refuses_a_non_integer_seed(self, seed):
+        with pytest.raises(ConfigError, match="^constraint violated: seed is an integer$"):
+            core.seeded_rng(seed, 0)
 
 
 class TestSeparableSaddle:
@@ -248,6 +266,34 @@ class TestOnlineStream:
         assert inst.spec.full_grad is None
         assert inst.spec.variance_bound == 0.5
         assert inst.base is base
+
+
+class TestRefusals:
+    """Refusals of the generators and the libsvm reader that no other test reaches."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: make_quadratic(d=2, n=4, matrix=np.eye(3)), "matrix must be (2, 2)", id="matrix-shape"),
+        pytest.param(lambda: make_online_stream(make_online_stream(make_quadratic(d=2, n=4), 0.1), 0.1),
+                     "online stream needs a base with an exact gradient", id="online-of-online"),
+    ])
+    def test_refusal(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("text, message", [
+        ("x 1:0.5\n", "line 1: bad label 'x'"),
+        ("1 1:0.5\n-1 0:0.25\n", "line 2: feature index 0 must be >= 1"),
+    ])
+    def test_libsvm_refusal(self, tmp_path, text, message):
+        path = tmp_path / "bad.svm"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_libsvm(path, d_cap=4)
+
+    def test_libsvm_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.svm"
+        path.write_text("1 1:0.5\n\n  \n-1 1:0.25\n", encoding="utf-8")
+        assert load_libsvm(path, d_cap=1).spec.n == 2
 
 
 class TestLibsvm(object):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,17 @@ def random_symmetric_problem(d, seed, scale=1.0):
     M = 0.5 * (M + M.T) * scale
     inst = make_quadratic(d=d, n=1, seed=0, matrix=M, spread=0.0)
     return inst.spec, M
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: spectral.lambda_min_power(
+            dataclasses.replace(make_quadratic(d=2, n=4).spec, hvp=None), np.zeros(2)),
+            UnsupportedOracleError, "power iteration needs a Hessian-vector oracle", id="power-without-hvp"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
 
 class TestDense:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -181,3 +182,45 @@ def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert done.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
+
+
+def test_uncovered_lists_the_branch_not_taken(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        '"""Docstring."""\n\nimport math\n\n\n'
+        "def sign(x):\n"
+        '    """Docstring."""\n'
+        "    total: int\n"
+        "    if (x > 0 and\n"
+        "            math.isfinite(x)):\n"
+        "        return 1\n"
+        "    return -1\n\n\n"
+        'if __name__ == "__main__":\n'
+        "    sign(1)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_mod.py").write_text(
+        "import mod\n\n\ndef test_positive():\n    assert mod.sign(2) == 1\n", encoding="utf-8"
+    )
+
+    def uncovered(*pytest_args):
+        # the tool's own functions on this package, as its main runs them on src/ssrgd
+        script = (
+            "import sys; from pathlib import Path; import uncovered\n"
+            "pkg = Path(sys.argv[1])\n"
+            "code, executed = uncovered.trace_pytest(pkg, sys.argv[2:])\n"
+            "print('\\n'.join(uncovered.unreached(pkg, executed)))\n"
+            "sys.exit(code)\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", script, str(pkg), "test_mod.py", "-q", "-p", "no:cacheprovider", *pytest_args],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join((str(pkg), str(SCRIPT.parent)))},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    done = uncovered()
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "pkg/mod.py:12: return -1"
+    assert "1 passed" in done.stdout
+    assert uncovered("-k", "no_such_test").returncode == 5  # pytest's code for no test run

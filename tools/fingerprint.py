@@ -83,7 +83,8 @@ def _ssrgd(inst, eps, delta=None, logfactor=1.0, *, budget, seed, x0, full_trace
 
 
 def _baseline(inst, kind, *, budget, seed, x0, full_trace=True, **params):
-    bk = harness._baseline_from_params({"kind": kind, **params}, inst, seed, 0.05)
+    resolved = harness.resolve_settings({"kind": kind, **params}, inst.spec, 0.05)
+    bk = harness._baseline_from_params(inst.spec, seed, *resolved)
     return baselines.run_baseline(bk, inst.spec, budget, x0=x0, full_trace=full_trace)
 
 
