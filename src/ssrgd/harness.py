@@ -26,9 +26,10 @@ cells that differ only in the sweep point share each optimizer run they
 have in common.  Each cell writes ``<dir>/<run_id>/trace.csv`` (header
 ``iter,f,grad_norm,sfo,event``) and ``summary.json`` as its row's results
 arrive; then the plan writes one
-``aggregate.json`` and, with ``plot = true``, charts drawn from the traces
-in memory.  Run ids are content hashes of the cell description and no file
-names its own directory, so a plan writes the same bytes in any directory.
+``aggregate.json`` and, with ``plot = true``, charts drawn from the
+columns kept of each run (``chart_columns``).  Run ids are content hashes
+of the cell description and no file names its own directory, so a plan
+writes the same bytes in any directory.
 Workers: ``ssrgd run --workers`` (default 1).
 
 CLI subcommands: ``run``, ``scaling``, ``certify``, ``diagnose``.  Exit
@@ -50,6 +51,8 @@ import json
 import logging
 import math
 import sys
+import typing
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -403,6 +406,29 @@ def read_trace_csv(path) -> list[TraceRecord]:
     return records
 
 
+class ChartColumns(typing.NamedTuple):
+    """What the two trace charts draw of one run, as float64 columns: the
+    SFO count and f of every row (``sfo``, ``f``), and the SFO count and
+    gradient norm of the rows that measured one (``g_sfo``, ``g``)."""
+
+    sfo: array
+    f: array
+    g_sfo: array
+    g: array
+
+
+def chart_columns(trace: list[TraceRecord]) -> ChartColumns:
+    """The ``ChartColumns`` of a trace: 32 bytes per row at most, where the
+    trace holds a ``TraceRecord`` per row."""
+    measured = [row for row in trace if row.grad_norm is not None]
+    return ChartColumns(
+        array("d", [row.sfo_count for row in trace]),
+        array("d", [row.f_value for row in trace]),
+        array("d", [row.sfo_count for row in measured]),
+        array("d", [row.grad_norm for row in measured]),
+    )
+
+
 def sfo_at_first_fosp(trace: list[TraceRecord], eps: float) -> int | None:
     """Raw SFO count at the first measured gradient norm <= eps."""
     for row in trace:
@@ -537,7 +563,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> dict:
     for i, cell in enumerate(cells):
         key = json.dumps([cell.problem, cell.optimizer, cell.seed], sort_keys=True)
         rows.setdefault(key, []).append(i)
-    summaries, traces = [None] * len(cells), {}
+    summaries, charts = [None] * len(cells), {}
     with contextlib.ExitStack() as stack:
         run = map
         if workers > 1 and len(rows) > 1:
@@ -546,7 +572,9 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> dict:
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         tasks = ([cells[i] for i in row] for row in rows.values())
         for row, results in zip(rows.values(), run(_run_row, tasks)):
-            csv_text: dict[int, str] = {}  # cells that share a run get one trace object
+            # cells that share a run get one trace object, so one CSV text and one column entry
+            csv_text: dict[int, str] = {}
+            columns: dict[int, ChartColumns] = {}
             for i, (summary, trace) in zip(row, results):
                 cell_dir = out_root / summary["run_id"]
                 cell_dir.mkdir(exist_ok=True)
@@ -558,7 +586,9 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> dict:
                 )
                 summaries[i] = summary
                 if plan.plot and not summary["failed"]:
-                    traces[summary["run_id"]] = trace
+                    if id(trace) not in columns:
+                        columns[id(trace)] = chart_columns(trace)
+                    charts[summary["run_id"]] = columns[id(trace)]
 
     aggregate = {
         "cells": summaries,
@@ -570,7 +600,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> dict:
         json.dumps(aggregate, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if plan.plot:
-        emit_plots(aggregate, traces, out_root)
+        emit_plots(aggregate, charts, out_root)
     return aggregate
 
 
@@ -604,6 +634,8 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
     are left out; the fitted cells must share one (problem, optimizer) pair.
     """
     core.check_setting("axis", axis)
+    if subtract_n and axis != "n":
+        raise ConfigError(f"--subtract-n applies to axis 'n' only, not {axis!r}")
     per_seed: dict[int, dict[float, float]] = {}
     pairs = set()
     for s in aggregate["cells"]:
@@ -613,7 +645,7 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
         if xval is None:
             continue
         y = float(s["sfo_to_fosp"])
-        if subtract_n and axis == "n":
+        if subtract_n:
             y -= float(s["n"])
         if y <= 0:
             continue
@@ -666,10 +698,12 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
     }
 
 
-def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -> list[str]:
+def emit_plots(aggregate: dict, charts: dict[str, ChartColumns], out_dir) -> list[str]:
     """Write self-contained SVG charts for an aggregate; returns their paths.
 
-    ``traces`` maps each successful cell's run id to its trace.  Always:
+    ``charts`` maps each successful cell's run id to its run's
+    ``chart_columns``, the only part of a trace the charts draw; ``run_plan``
+    keeps one entry per run, shared by the cells of that run.  Always:
     objective vs SFO and measured gradient norm vs SFO (log y) when there is
     at least one successful cell.  A scaling fit is added for sweeps with
     >= 3 points of one (problem, optimizer) pair, and a certified-rate bar
@@ -688,12 +722,11 @@ def emit_plots(aggregate: dict, traces: dict[str, list[TraceRecord]], out_dir) -
 
     f_series, g_series = [], []
     for s in cells:
-        trace = traces[s["run_id"]]
+        col = charts[s["run_id"]]
         label = f"{s['optimizer']}/{s['problem']}/s{s['seed']}"
-        f_series.append((label, [r.sfo_count for r in trace], [r.f_value for r in trace]))
-        pts = [(r.sfo_count, r.grad_norm) for r in trace if r.grad_norm is not None]
-        if pts:
-            g_series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
+        f_series.append((label, col.sfo, col.f))
+        if col.g:
+            g_series.append((label, col.g_sfo, col.g))
 
     if f_series:
         write("trace_f_vs_sfo.svg", svgplot.line_chart(
@@ -760,6 +793,9 @@ def _cmd_scaling(args) -> int:
         aggregate = json.loads(Path(args.aggregate).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"aggregate {args.aggregate}: {exc}") from exc
+    cells = aggregate.get("cells") if isinstance(aggregate, dict) else None
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ConfigError(f"aggregate {args.aggregate}: not an object whose 'cells' is a list of objects")
     rep = scaling_report(aggregate, args.axis, subtract_n=args.subtract_n)
     print(json.dumps(rep, indent=2))
     return 0
@@ -813,6 +849,7 @@ def _cmd_diagnose(args) -> int:
         if args.subcommand == "coupled":
             report = diagnostics.run_coupled_experiment(inst, saddle, cfg, args.pairs).to_dict()
         else:
+            core.check_setting("max_paths", args.super_epochs, "--super-epochs: ")
             cfg = diagnostics.localization_config(spec, cfg)
             paths = diagnostics.collect_super_epoch_paths(
                 inst, cfg, seeds=range(args.seed, args.seed + args.super_epochs),

@@ -137,35 +137,47 @@ def line_chart(
 ) -> str:
     """Render (label, xs, ys) series as polylines.
 
-    With ``logy``, nonpositive y values are dropped from their series.
+    A point is drawn when both coordinates are finite numbers and, with
+    ``logy``, y > 0; a series with no such point is left out.  Each ``xs``
+    and ``ys`` is read twice, once for the extents and once for the
+    polyline, and no list of points is built, so columns of any length
+    cost no more memory than their polyline text.
     """
-    cleaned = []
+    def points(xs, ys):
+        for x, y in zip(xs, ys):
+            if (x is not None and y is not None and math.isfinite(x) and math.isfinite(y)
+                    and (not logy or y > 0)):
+                yield float(x), float(y)
+
+    drawn = []
+    xlo = ylo = math.inf
+    xhi = yhi = -math.inf
     for label, xs, ys in series:
-        pts = [
-            (float(x), float(y))
-            for x, y in zip(xs, ys)
-            if x is not None and y is not None
-            and math.isfinite(x) and math.isfinite(y)
-            and (not logy or y > 0)
-        ]
-        if pts:
-            cleaned.append((label, pts))
-    if not cleaned:
+        empty = True
+        for x, y in points(xs, ys):
+            empty = False
+            # strict comparisons keep the first extreme, as min() and max() do (0.0 before -0.0)
+            if x < xlo:
+                xlo = x
+            if x > xhi:
+                xhi = x
+            if y < ylo:
+                ylo = y
+            if y > yhi:
+                yhi = y
+        if not empty:
+            drawn.append((label, xs, ys))
+    if not drawn:
         xlo = xhi = ylo = yhi = 1.0
-    else:
-        xlo = min(p[0] for _, pts in cleaned for p in pts)
-        xhi = max(p[0] for _, pts in cleaned for p in pts)
-        ylo = min(p[1] for _, pts in cleaned for p in pts)
-        yhi = max(p[1] for _, pts in cleaned for p in pts)
     frame = _Frame(xlo, max(xhi, xlo * (1 + 1e-9) + 1e-12), ylo, max(yhi, ylo + 1e-12), False, logy)
     xticks = _nice_ticks(xlo, xhi)
     yticks = _log_ticks(ylo, yhi) if logy else _nice_ticks(ylo, yhi)
 
-    parts = _preamble(run_ids, xmin=xlo, xmax=xhi, ymin=ylo, ymax=yhi, series=len(cleaned))
+    parts = _preamble(run_ids, xmin=xlo, xmax=xhi, ymin=ylo, ymax=yhi, series=len(drawn))
     _axes(parts, frame, xticks, yticks, title, xlabel, ylabel)
-    for k, (label, pts) in enumerate(cleaned):
+    for k, (label, xs, ys) in enumerate(drawn):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in pts)
+        coords = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in points(xs, ys))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -10,9 +10,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import typing
 import xml.etree.ElementTree as ET
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,12 @@ def written_traces(plan, agg) -> dict:
     root = Path(plan.out_dir)
     return {c["run_id"]: read_trace_csv(root / c["run_id"] / "trace.csv")
             for c in agg["cells"] if not c["failed"]}
+
+
+def written_charts(plan, agg) -> dict:
+    """``emit_plots``' input for a finished plan: the chart columns of each
+    written trace, built by the helper ``run_plan`` builds them with."""
+    return {rid: harness.chart_columns(trace) for rid, trace in written_traces(plan, agg).items()}
 
 
 class TestParseConfig:
@@ -295,6 +303,17 @@ class TestScalingReport:
         rep = scaling_report(agg, "n", subtract_n=True)
         assert rep["slope"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_subtract_n_is_refused_on_the_eps_axis(self, tmp_path, capsys):
+        # the flag subtracts the full-gradient term n, which an eps sweep does not vary
+        agg = synthetic_aggregate("eps", lambda e: 7.0 / e**2)
+        with pytest.raises(ConfigError, match="^--subtract-n applies to axis 'n' only, not 'eps'$"):
+            scaling_report(agg, "eps", subtract_n=True)
+        path = tmp_path / "agg.json"
+        path.write_text(json.dumps(agg))
+        assert harness.main(["scaling", str(path), "--axis", "eps", "--subtract-n"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "config error: --subtract-n applies to axis 'n' only, not 'eps'\n"
+
     def test_insufficient_points(self):
         agg = synthetic_aggregate("eps", lambda e: 1.0 / e)
         agg["cells"] = [c for c in agg["cells"] if c["eps"] > 0.03]
@@ -333,7 +352,7 @@ class TestEmitPlots:
     def test_single_cell_two_svgs(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
         agg = run_plan(plan)
-        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
+        files = emit_plots(agg, written_charts(plan, agg), tmp_path / "plots")
         assert len(files) == 2
         for f in files:
             root = ET.fromstring(Path(f).read_text())
@@ -342,7 +361,7 @@ class TestEmitPlots:
     def test_svgs_embed_run_ids(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MINIMAL))
         agg = run_plan(plan)
-        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
+        files = emit_plots(agg, written_charts(plan, agg), tmp_path / "plots")
         rid = agg["cells"][0]["run_id"]
         assert all(rid in Path(f).read_text() for f in files)
 
@@ -392,7 +411,7 @@ plot = true
         text = MINIMAL + "\n[sweep]\naxis = eps\ngrid = 0.2, 0.1, 0.05\n"
         plan = parse_config(write_config(tmp_path, text))
         agg = run_plan(plan)
-        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
+        files = emit_plots(agg, written_charts(plan, agg), tmp_path / "plots")
         scaling = [f for f in files if Path(f).name == "scaling_fit.svg"]
         assert scaling
         root = ET.fromstring(Path(scaling[0]).read_text())
@@ -406,6 +425,175 @@ plot = true
         from xml.sax.saxutils import escape
 
         assert svgplot.escape(text) == escape(text)
+
+
+def reference_line_chart(series, *, title, xlabel, ylabel, logy=False, run_ids=()):
+    """``svgplot.line_chart`` as it was before it streamed its input: a list
+    of (x, y) tuples per series, then one pass over the lists per extent."""
+    cleaned = []
+    for label, xs, ys in series:
+        pts = [
+            (float(x), float(y))
+            for x, y in zip(xs, ys)
+            if x is not None and y is not None
+            and math.isfinite(x) and math.isfinite(y)
+            and (not logy or y > 0)
+        ]
+        if pts:
+            cleaned.append((label, pts))
+    if not cleaned:
+        xlo = xhi = ylo = yhi = 1.0
+    else:
+        xlo = min(p[0] for _, pts in cleaned for p in pts)
+        xhi = max(p[0] for _, pts in cleaned for p in pts)
+        ylo = min(p[1] for _, pts in cleaned for p in pts)
+        yhi = max(p[1] for _, pts in cleaned for p in pts)
+    frame = svgplot._Frame(xlo, max(xhi, xlo * (1 + 1e-9) + 1e-12), ylo, max(yhi, ylo + 1e-12), False, logy)
+    xticks = svgplot._nice_ticks(xlo, xhi)
+    yticks = svgplot._log_ticks(ylo, yhi) if logy else svgplot._nice_ticks(ylo, yhi)
+
+    parts = svgplot._preamble(run_ids, xmin=xlo, xmax=xhi, ymin=ylo, ymax=yhi, series=len(cleaned))
+    svgplot._axes(parts, frame, xticks, yticks, title, xlabel, ylabel)
+    for k, (label, pts) in enumerate(cleaned):
+        color = svgplot.PALETTE[k % len(svgplot.PALETTE)]
+        coords = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in pts)
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        ly = svgplot.MARGIN_T + 16 + 15 * k
+        parts.append(
+            f'<line x1="{svgplot.WIDTH - svgplot.MARGIN_R - 150}" y1="{ly - 4}" '
+            f'x2="{svgplot.WIDTH - svgplot.MARGIN_R - 130}" '
+            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{svgplot.WIDTH - svgplot.MARGIN_R - 125}" y="{ly}" font-size="11">'
+            f'{svgplot.escape(str(label))}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def chart_outcome(chart, series, logy):
+    """A chart's text, or the type and message of what it raised."""
+    try:
+        return chart(series, title="t", xlabel="x", ylabel="y", logy=logy, run_ids=["r<1>"])
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+NAN, INF = math.nan, math.inf
+# Each case is drawn with and without logy.  Every x above 2**53 sits in a
+# wide span: the tick loop never advances by a step below the float spacing
+# of the axis values.
+LINE_CHART_CASES = {
+    "none": [("a", [1, 2, None, 4, 5], [1.0, None, 3.0, 2.0, None])],
+    "nan-inf": [("a", [0, 1, 2, 3, 4, 5], [1.0, NAN, INF, -INF, 2.0, 0.5]),
+                ("b", [NAN, INF, -INF, 6], [1.0, 1.0, 1.0, 0.25])],
+    "nonpositive-y": [("a", [1, 2, 3, 4, 5], [0.0, -1.0, 1e-3, 10.0, -0.0]),
+                      ("b", [2, 3], [-2.0, 0.5])],
+    "signed-zero-ties": [("a", [0.0, -0.0, 1.0, 2.0], [-0.0, 0.0, 2.0, -0.0]),
+                         ("b", [-0.0, 2.0, 0.0], [0.0, -0.0, -0.0])],
+    "signed-zero-ties-reversed": [("a", [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]),
+                                  ("b", [0.0, -0.0], [-1.0, 0.0])],
+    "no-finite-point": [("a", [NAN, 1, INF], [1.0, INF, 2.0]), ("b", [1, 2, 3], [3.0, 4.0, 1.0]),
+                        ("c", [], [])],
+    "only-empty-series": [("a", [NAN], [NAN]), ("b", [], [])],
+    "no-series": [],
+    "above-2**53": [("a", [2**53 + 1, 2**53 + 3, 2**60 + 1, 7], [1.0, 2.0, 3.0, 0.5]),
+                    ("b", [2**53, 2**62 + 5], [0.25, 4.0])],
+}
+
+
+class TestLineChart:
+    """``svgplot.line_chart`` streams each series twice and builds no point
+    list; its text must stay byte for byte the list-building chart's."""
+
+    @pytest.mark.parametrize("logy", [False, True])
+    @pytest.mark.parametrize("case", sorted(LINE_CHART_CASES))
+    def test_equals_the_list_building_chart(self, case, logy):
+        series = LINE_CHART_CASES[case]
+        expected = chart_outcome(reference_line_chart, series, logy)
+        assert chart_outcome(svgplot.line_chart, series, logy) == expected
+        assert isinstance(expected, str) and ET.fromstring(expected).tag.endswith("svg")
+        if all(None not in xs and None not in ys for _, xs, ys in series):
+            # the float64 columns ``emit_plots`` passes draw the same chart
+            columns = [(label, array("d", xs), array("d", ys)) for label, xs, ys in series]
+            assert chart_outcome(svgplot.line_chart, columns, logy) == expected
+
+    def test_signed_zero_ties_keep_the_first_extreme(self):
+        first = ET.fromstring(svgplot.line_chart(LINE_CHART_CASES["signed-zero-ties"],
+                                                 title="t", xlabel="x", ylabel="y"))
+        assert (first.attrib["data-xmin"], first.attrib["data-ymin"]) == ("0.0", "-0.0")
+        assert first.attrib["data-ymax"] == "2.0"
+        second = ET.fromstring(svgplot.line_chart(LINE_CHART_CASES["signed-zero-ties-reversed"],
+                                                  title="t", xlabel="x", ylabel="y"))
+        assert (second.attrib["data-xmin"], second.attrib["data-ymax"]) == ("-0.0", "0.0")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        series=st.lists(st.tuples(
+            st.text(max_size=3),
+            st.lists(st.sampled_from([None, NAN, INF, -INF, 0.0, -0.0, -1.0, 1e-3, 2.5, 7, 1e4, 2**53 + 1]),
+                     max_size=8),
+            st.lists(st.sampled_from([None, NAN, INF, -INF, 0.0, -0.0, -3.0, 1e-3, 0.5, 2, 1e5]),
+                     max_size=8),
+        ), max_size=4),
+        logy=st.booleans(),
+    )
+    def test_equals_the_list_building_chart_on_mixed_series(self, series, logy):
+        assert chart_outcome(svgplot.line_chart, series, logy) == chart_outcome(reference_line_chart, series, logy)
+
+
+class TestChartColumns:
+    def test_cells_that_share_a_run_share_one_column_entry(self, tmp_path, monkeypatch):
+        # first-order SSRGD never reads eps, so each seed's three cells share one run
+        built, charts = [], {}
+        chart_columns = harness.chart_columns
+
+        def counted(trace):
+            built.append(chart_columns(trace))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "chart_columns", counted)
+        monkeypatch.setattr(harness, "emit_plots", lambda agg, given, out: charts.update(given))
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1\nplot = true")
+        plan = parse_config(write_config(tmp_path, text + "\n[sweep]\naxis = eps\ngrid = 0.2, 0.1, 0.05\n"))
+        agg = run_plan(plan)
+        assert len(charts) == 6 and len(built) == 2
+        for seed, entry in zip((0, 1), built):
+            assert all(charts[c["run_id"]] is entry for c in agg["cells"] if c["seed"] == seed)
+        assert written_charts(plan, agg) == charts
+
+    def test_columns_hold_what_the_two_charts_draw(self):
+        trace = [core.TraceRecord(0, 2.0, 0.5, 0), core.TraceRecord(1, NAN, None, 3),
+                 core.TraceRecord(2, 1.0, INF, 2**53 + 1)]
+        cols = harness.chart_columns(trace)
+        assert (cols.sfo.typecode, cols.f.typecode, cols.g_sfo.typecode, cols.g.typecode) == ("d",) * 4
+        assert cols.sfo.tolist() == [0.0, 3.0, float(2**53 + 1)]
+        assert cols.f.tolist()[::2] == [2.0, 1.0] and math.isnan(cols.f[1])
+        assert (cols.g_sfo.tolist(), cols.g.tolist()) == ([0.0, float(2**53 + 1)], [0.5, INF])
+        assert harness.chart_columns([]) == (array("d"),) * 4
+
+    def test_plotting_holds_little_per_plotted_point(self, tmp_path):
+        # 20 one-cell rows of 2500 gd steps, each step a row with f and a
+        # measured norm: 100k plotted points.  Holding each cell's TraceRecord
+        # list and a tuple per plotted point peaked near 176 bytes a point;
+        # the chart columns peak near 44.
+        text = ("[problem]\nkind = quadratic\nn = 1\nd = 1\n\n[optimizer]\nkind = gd\nsfo_budget = 2500\n\n"
+                "[output]\ndir = {out}\nseeds = " + ", ".join(map(str, range(20))) + "\nplot = true\n")
+        plan = parse_config(write_config(tmp_path, text))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            agg = run_plan(plan)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert not agg["failed"]
+        points = sum(len(cols.f) + len(cols.g) for cols in written_charts(plan, agg).values())
+        assert points == 100_000
+        assert peak < 100 * points
 
 
 class TestCli:
@@ -518,6 +706,9 @@ seeds = 0
     @pytest.mark.parametrize("name, text, why", [
         ("missing.json", None, "No such file"),
         ("garbled.json", "not json", "Expecting value"),
+        ("object.json", '{"foo": 1}', "not an object whose 'cells' is a list of objects"),
+        ("list.json", "[1, 2]", "not an object whose 'cells' is a list of objects"),
+        ("cells.json", '{"cells": [1]}', "not an object whose 'cells' is a list of objects"),
     ])
     def test_scaling_rejects_unreadable_aggregate(self, tmp_path, capsys, name, text, why):
         path = tmp_path / name
@@ -1436,7 +1627,7 @@ class TestDiagnoseCli:
         (["variance", "--replications", "0"], "constraint violated: replications is an integer >= 1"),
         (["coupled", "--pairs", "0"], "constraint violated: pairs is an integer >= 1"),
         (["coupled", "--pairs", "-2"], "constraint violated: pairs is an integer >= 1"),
-        (["localization", "--super-epochs", "0"], "constraint violated: max_paths is an integer >= 1"),
+        (["localization", "--super-epochs", "0"], "--super-epochs: constraint violated: max_paths is an integer >= 1"),
         (["epoch-decrease", "--replications", "1"], "--replications: constraint violated: epochs is an integer >= 2"),
     ])
     def test_empty_or_zero_sized_request_exits_2(self, tmp_path, capsys, flags, why):
@@ -1517,7 +1708,7 @@ class TestEscapeRateChart:
     def test_emitted_for_multi_seed_certified_cells(self, tmp_path):
         plan = parse_config(write_config(tmp_path, MULTI))
         agg = run_plan(plan)
-        files = emit_plots(agg, written_traces(plan, agg), tmp_path / "plots")
+        files = emit_plots(agg, written_charts(plan, agg), tmp_path / "plots")
         names = {Path(f).name for f in files}
         assert "escape_rate.svg" in names
         root = ET.fromstring(
