@@ -18,10 +18,10 @@ either the function value has dropped by ``fval_threshold`` below the
 trigger point or ``super_epoch_len`` steps have elapsed.  After a timeout
 the run simply continues; the event is logged for diagnostics.
 
-Termination is an artifact addition: an SFO budget, an optional epoch cap,
-and an optional certification hook evaluated at each super-epoch trigger
-point (the hook is kept out of the inner loop on purpose; escaping saddle
-points needs no curvature search).
+Termination is an artifact addition: an SFO budget, optional epoch and
+iteration caps, and an optional certification hook evaluated at each
+super-epoch trigger point (the hook is kept out of the inner loop on
+purpose; escaping saddle points needs no curvature search).
 """
 
 from __future__ import annotations
@@ -178,11 +178,13 @@ def run_ssrgd(
 
     Each epoch is an anchor (x, g), perturbed if a super epoch starts, and
     ``estimators.descend`` over the ``core.steps_left`` of m steps that
-    start below the SFO budget; an epoch so cut ends the run.  All draws
-    come from ``core.seeded_rng(cfg.seed, 0)``: per step the minibatch, then
-    (outside a super epoch) the random stop; one ``core.epoch_block`` holds a
-    finite-sum epoch's, drawn lazily online or if it declines.  The iterate
-    and the gradient estimate are checked together, by one finite dot
+    start below the SFO budget and ``cfg.max_iters``; an epoch so cut ends
+    the run.  All draws come from ``core.seeded_rng(cfg.seed, 0)``: per step
+    the minibatch, then (outside a super epoch) the random stop; one
+    ``core.epoch_block`` holds a finite-sum epoch's, drawn lazily online or if
+    it declines.  ``cfg.snapshot`` (SVRG) steps the estimator anchored at (x, g)
+    with no stop, on one ``core.sample_minibatch`` block per epoch.  The
+    iterate and the gradient estimate are checked together, by one finite dot
     product; a non-finite value raises ``NonFiniteError`` naming the iterate first.
     """
     cfg.validate(problem)
@@ -196,9 +198,10 @@ def run_ssrgd(
     termination = Termination.BUDGET_EXHAUSTED
     certificate = None
     se = cfg.super_epoch()
+    iters = cfg.max_iters or math.inf
     t = 0
     epoch = 0
-    warned_domain = False
+    watch_domain = problem.domain_radius is not None  # until an iterate leaves the box
     f_x = None  # f at the current x once a row has evaluated it; None after x moves
 
     def anchor(xp: Vector) -> Vector:
@@ -210,7 +213,8 @@ def run_ssrgd(
         return g
 
     while True:
-        if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
+        # the epoch cap outranks the SFO budget, which outranks the iteration cap
+        if epoch >= (cfg.max_epochs or math.inf) or (t >= iters and sfo.raw < cfg.sfo_budget):
             termination = Termination.MAX_EPOCHS
             break
         if sfo.raw >= cfg.sfo_budget:
@@ -237,30 +241,26 @@ def run_ssrgd(
             if step_callback is not None:
                 step_callback(OptState(x.copy(), sfo.raw, t, f_x), Event.PERTURBATION)
 
-        k_max = core.steps_left(cfg.epoch_len, cfg.sfo_budget - sfo.raw, 2 * cfg.minibatch)
-        drawn = None if online else core.epoch_block(
-            rng, problem.n, cfg.minibatch, k_max, 0 if se.active else cfg.epoch_len)
+        k_max = core.steps_left(min(cfg.epoch_len, iters - t), cfg.sfo_budget - sfo.raw, 2 * cfg.minibatch)
+        if cfg.snapshot:  # no stop to draw: the epoch's minibatches in one call
+            drawn = core.sample_minibatch(rng, problem.n, cfg.minibatch, steps=k_max), 0, None
+        else:
+            drawn = None if online else core.epoch_block(
+                rng, problem.n, cfg.minibatch, k_max, 0 if se.active else cfg.epoch_len)
         batches, stop, commit = drawn or (
             (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in range(k_max)), None, None)
-        for k, (x, v, _) in enumerate(estimators.descend(problem, x, v, cfg.step_size, batches, sfo), 1):
+        steps = estimators.descend(problem, x, v, cfg.step_size, batches, sfo, snapshot=cfg.snapshot)
+        for k, (x, v, _) in enumerate(steps, 1):
             t += 1
             f_x = None
             # x.v is finite when both are; on overflow the exact checks pass
             finite = math.isfinite(np.vdot(x, v))
             if not finite:
                 core.ensure_finite(x, "iterate", trace, t)
-            if (
-                problem.domain_radius is not None
-                and not warned_domain
-                and np.max(np.abs(x)) > problem.domain_radius
-            ):
-                logger.warning(
-                    "iterate left the declared domain box (|x|_inf=%.3g > %.3g); "
-                    "Lipschitz metadata no longer guaranteed",
-                    float(np.max(np.abs(x))),
-                    problem.domain_radius,
-                )
-                warned_domain = True
+            if watch_domain and np.abs(x).max() > problem.domain_radius:  # the method skips np.max's wrapper
+                watch_domain = False
+                logger.warning("iterate left the declared domain box (|x|_inf=%.3g > %.3g); Lipschitz metadata"
+                               " no longer guaranteed", float(np.abs(x).max()), problem.domain_radius)
             if not finite:
                 core.ensure_finite(v, "gradient estimate", trace, t)
 
@@ -279,9 +279,9 @@ def run_ssrgd(
             if event is not Event.NONE:
                 break
         else:
-            if k_max < cfg.epoch_len:  # the budget cut this epoch short
-                break
-        if drawn:
+            if k_max < cfg.epoch_len:  # the budget or the cap cut this epoch short: the run ends above
+                continue
+        if commit:
             commit(k)
         epoch += 1
 

@@ -3,7 +3,8 @@
 Four kinds: full-batch gradient descent (``gd``), its perturbed variant
 (``perturbed_gd``), constant-step minibatch SGD (``sgd``), and snapshot
 SVRG (``svrg``).  All return ``SsrgdOutcome`` so any analysis that consumes
-an SSRGD trace consumes these unchanged.
+an SSRGD trace consumes these unchanged.  SVRG runs as ``algorithm.run_ssrgd``
+with ``RunConfig.snapshot`` set and its ``max_iters`` as the iteration cap.
 
 The perturbed variant runs the same ``core.SuperEpoch`` code as the main
 algorithm (gradient threshold, uniform-ball kick, f-decrease or timeout
@@ -21,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, estimators
-from .algorithm import SsrgdOutcome, Termination
+from .algorithm import SsrgdOutcome, Termination, run_ssrgd
 from .core import (
     ConfigError,
     Event,
     Mode,
     ProblemSpec,
+    RunConfig,
     SfoCounter,
     SuperEpoch,
     TraceRecord,
@@ -65,10 +67,6 @@ class BaselineKind:
         if self.kind == "perturbed_gd":
             self.super_epoch().check("perturbed_gd")
 
-    def iters_left(self, t: int) -> float:
-        """The steps ``max_iters`` leaves after t; inf without a cap."""
-        return math.inf if self.max_iters is None else self.max_iters - t
-
     def super_epoch(self) -> SuperEpoch:
         """Super-epoch state for ``perturbed_gd``; inert (radius 0) for the other kinds."""
         se = SuperEpoch(**{key: getattr(self, key) for key in core.SUPER_EPOCH_KEYS})
@@ -89,15 +87,15 @@ def run_baseline(
     ``core.seeded_rng(kind.seed, 0)``; every kind but ``sgd`` needs a finite sum."""
     kind.validate()
     core.check_setting("sfo_budget", sfo_budget)
-    rng = core.seeded_rng(kind.seed, 0)
     x = core.initial_point(x0, problem.d)
     if kind.kind != "sgd" and problem.mode is not Mode.FINITE_SUM:
         raise UnsupportedOracleError(f"{kind.kind} needs the finite-sum full gradient")
-    if kind.kind in ("gd", "perturbed_gd"):
-        return _run_gd(kind, problem, sfo_budget, rng, x)
-    if kind.kind == "sgd":
-        return _run_sgd(kind, problem, sfo_budget, rng, x)
-    return _run_svrg(kind, problem, sfo_budget, rng, x, full_trace)
+    if kind.kind == "svrg":
+        cfg = RunConfig(step_size=kind.step_size, epoch_len=kind.epoch_len, minibatch=kind.minibatch, eps=0.0,
+                        sfo_budget=sfo_budget, seed=kind.seed, max_iters=kind.max_iters, snapshot=True)
+        return run_ssrgd(problem, cfg, x0=x, full_trace=full_trace)
+    run = _run_sgd if kind.kind == "sgd" else _run_gd
+    return run(kind, problem, sfo_budget, core.seeded_rng(kind.seed, 0), x)
 
 
 def _run_gd(kind, problem, budget, rng, x):
@@ -108,7 +106,7 @@ def _run_gd(kind, problem, budget, rng, x):
     t = 0
     term = Termination.BUDGET_EXHAUSTED
     while sfo.raw < budget:
-        if kind.iters_left(t) <= 0:
+        if t >= (kind.max_iters or math.inf):
             term = Termination.MAX_EPOCHS
             break
         g = estimators.full_gradient(problem, x, sfo=sfo)
@@ -145,13 +143,13 @@ def _run_sgd(kind, problem, budget, rng, x):
             gn = None
         trace.append(TraceRecord(iteration, float(problem.value(x)), gn, sfo.raw, Event.NONE))
 
-    b = kind.minibatch
+    b, cap = kind.minibatch, kind.max_iters or math.inf
     measure(0)
     while sfo.raw < budget:
-        if kind.iters_left(t) <= 0:
+        if t >= cap:
             term = Termination.MAX_EPOCHS
             break
-        steps = core.steps_left(min(SGD_CHUNK, kind.iters_left(t)), budget - sfo.raw, b)
+        steps = core.steps_left(min(SGD_CHUNK, cap - t), budget - sfo.raw, b)
         for batch in core.sample_minibatch(rng, problem.n, b, steps=steps):
             g = np.add.reduce(estimators.component_gradients(problem, batch, x), axis=0) / b
             sfo.add(b)
@@ -162,38 +160,6 @@ def _run_sgd(kind, problem, budget, rng, x):
                 measure(t)
     if trace[-1].iteration != t:
         measure(t)
-    return SsrgdOutcome(
-        final_x=x, trace=trace, termination=term,
-        sfo_raw=sfo.raw, sfo_nominal=sfo.nominal,
-    )
-
-
-def _run_svrg(kind, problem, budget, rng, x, full_trace):
-    sfo = SfoCounter()
-    trace: list[TraceRecord] = []
-    t = 0
-    term = Termination.BUDGET_EXHAUSTED
-    f_x = None  # f at the current x once a row has evaluated it; None after x moves
-    while sfo.raw < budget:
-        if kind.iters_left(t) <= 0:
-            term = Termination.MAX_EPOCHS
-            break
-        anchor_grad = estimators.full_gradient(problem, x, sfo=sfo)
-        if f_x is None:
-            f_x = float(problem.value(x))
-        trace.append(TraceRecord(t, f_x, float(np.linalg.norm(anchor_grad)), sfo.raw, Event.EPOCH_START))
-        # the block holds only the steps the budget and the cap leave (none
-        # when the anchor spent the budget); the tests above then stop the run
-        k = core.steps_left(min(kind.epoch_len, kind.iters_left(t)), budget - sfo.raw, 2 * kind.minibatch)
-        batches = core.sample_minibatch(rng, problem.n, kind.minibatch, steps=k)
-        steps = estimators.descend(problem, x, anchor_grad, kind.step_size, batches, sfo, snapshot=True)
-        for x, _, _ in steps:
-            t += 1
-            f_x = None
-            core.ensure_finite(x, "iterate", trace, t)
-            if full_trace:
-                f_x = float(problem.value(x))
-                trace.append(TraceRecord(t, f_x, None, sfo.raw, Event.NONE))
     return SsrgdOutcome(
         final_x=x, trace=trace, termination=term,
         sfo_raw=sfo.raw, sfo_nominal=sfo.nominal,

@@ -193,7 +193,8 @@ class RunConfig:
     factors the convergence statements hide: it multiplies
     ``fval_threshold``, ``super_epoch_len`` and ``perturb_radius`` and
     relaxes the step-size cap in second-order mode.  Second-order mode is
-    active whenever ``perturb_radius > 0``.
+    active whenever ``perturb_radius > 0``.  ``snapshot`` (SVRG's estimator, with
+    no random stop or step cap) and ``max_iters`` serve ``svrg``, which sets no super epoch.
     """
 
     step_size: float
@@ -210,6 +211,8 @@ class RunConfig:
     delta: float = 0.0
     logfactor: float = 1.0
     max_epochs: int | None = None
+    max_iters: int | None = None
+    snapshot: bool = False
 
     @property
     def second_order(self) -> bool:
@@ -230,7 +233,7 @@ class RunConfig:
             self.super_epoch().check("second-order mode")
             order, step_factor = "second-order", max(self.logfactor, STEP_FACTOR_LIMIT)
         cap = step_factor / problem.lipschitz_grad
-        if self.step_size > cap * (1 + _REL_TOL):
+        if self.step_size > cap * (1 + _REL_TOL) and not self.snapshot:
             raise ConfigError(f"step_size {self.step_size:g} exceeds {order} cap {cap:g}")
         if problem.mode is Mode.ONLINE and self.large_batch is None:
             raise ConfigError("online mode needs large_batch")

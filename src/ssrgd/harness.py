@@ -796,6 +796,14 @@ def _cmd_scaling(args) -> int:
     cells = aggregate.get("cells") if isinstance(aggregate, dict) else None
     if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
         raise ConfigError(f"aggregate {args.aggregate}: not an object whose 'cells' is a list of objects")
+    where = f"aggregate {args.aggregate}: "
+    for cell in cells:  # the fields scaling_report reads as numbers; a non-number checks as NaN
+        fosp = cell.get("sfo_to_fosp")
+        if fosp is not None and not (isinstance(fosp, (int, float)) and 0 <= fosp < math.inf):
+            raise ConfigError(f"{where}constraint violated: sfo_to_fosp is a finite number >= 0 or null")
+        for key in ("eps", "n", "seed"):
+            if cell.get(key) is not None:
+                core.check_setting(key, cell[key] if isinstance(cell[key], (int, float)) else math.nan, where)
     rep = scaling_report(aggregate, args.axis, subtract_n=args.subtract_n)
     print(json.dumps(rep, indent=2))
     return 0

@@ -22,9 +22,13 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _axis_end(lo: float, hi: float) -> float:
+    """``hi``, or on a flat axis (hi <= lo) ``lo`` plus a pad wider than the float spacing at lo."""
+    return hi if hi > lo else lo + max(1.0, abs(lo) * 1e-12)
+
+
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _axis_end(lo, hi)
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
@@ -36,6 +40,8 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(v)
+        if v + step == v:  # a step below the float spacing at v
+            break
         v += step
     return ticks
 
@@ -64,13 +70,9 @@ class _Frame:
     def __init__(self, xlo, xhi, ylo, yhi, logx, logy):
         self.logx, self.logy = logx, logy
         self.xlo = math.log10(xlo) if logx else xlo
-        self.xhi = math.log10(xhi) if logx else xhi
+        self.xhi = _axis_end(self.xlo, math.log10(xhi) if logx else xhi)
         self.ylo = math.log10(ylo) if logy else ylo
-        self.yhi = math.log10(yhi) if logy else yhi
-        if self.xhi <= self.xlo:
-            self.xhi = self.xlo + 1.0
-        if self.yhi <= self.ylo:
-            self.yhi = self.ylo + 1.0
+        self.yhi = _axis_end(self.ylo, math.log10(yhi) if logy else yhi)
 
     def px(self, x):
         x = math.log10(x) if self.logx else x

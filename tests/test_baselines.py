@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -15,13 +16,13 @@ from conftest import (
 )
 
 
-def run_on_own_stream(monkeypatch, bk, prob, budget, x0):
+def run_on_own_stream(monkeypatch, bk, prob, budget, x0, full_trace=True):
     """``run_baseline``'s outcome and the generator it drew from, which it
-    makes itself as ``core.seeded_rng(bk.seed, 0)``."""
+    (or for ``svrg``, ``run_ssrgd``) makes once as ``core.seeded_rng(bk.seed, 0)``."""
     made, seeded = [], core.seeded_rng
     with monkeypatch.context() as patch:
         patch.setattr(core, "seeded_rng", lambda *args: made.append(seeded(*args)) or made[-1])
-        out = run_baseline(bk, prob, budget, x0=x0)
+        out = run_baseline(bk, prob, budget, x0=x0, full_trace=full_trace)
     (rng,) = made
     return out, rng
 
@@ -197,16 +198,37 @@ class TestSvrg:
         prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
         x0 = np.array([1.0, -0.5, 2.0])
         bk = BaselineKind(kind="svrg", step_size=0.2, minibatch=3, epoch_len=5, seed=9, max_iters=max_iters)
-        out, rng = run_on_own_stream(monkeypatch, bk, prob, budget, x0)
-        ref_rng = core.seeded_rng(9, 0)
-        x, sfo = x0, core.SfoCounter()
-        for steps in epochs:
-            g = estimators.full_gradient(prob, x, sfo)
-            epoch = reference_epoch(prob, x, g, 0.2, ref_rng, 3, steps, sfo, snapshot=True)
-            x = ([(x, g, None)] + epoch)[-1][0]
-        assert np.array_equal(out.final_x, x)
-        assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
-        assert rng.random() == ref_rng.random()
+        for full_trace in (True, False):  # an epoch-start trace keeps the same path
+            out, rng = run_on_own_stream(monkeypatch, bk, prob, budget, x0, full_trace)
+            ref_rng = core.seeded_rng(9, 0)
+            x, sfo, t, rows = x0, core.SfoCounter(), 0, []
+            for steps in epochs:
+                g = estimators.full_gradient(prob, x, sfo)
+                rows.append(core.TraceRecord(t, float(prob.value(x)), float(np.linalg.norm(g)), sfo.raw,
+                                             Event.EPOCH_START))
+                start = sfo.raw
+                epoch = reference_epoch(prob, x, g, 0.2, ref_rng, 3, steps, sfo, snapshot=True)
+                for k, (x, _, _) in enumerate(epoch, 1):
+                    if full_trace:
+                        rows.append(core.TraceRecord(t + k, float(prob.value(x)), None, start + 6 * k))
+                t += steps
+            assert out.trace == rows
+            assert out.termination.value == ("max_epochs" if max_iters else "budget_exhausted")
+            assert np.array_equal(out.final_x, x)
+            assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
+            assert rng.random() == ref_rng.random()
+
+    def test_leaving_the_domain_box_warns_exactly_once(self, caplog):
+        # as SSRGD's run: from just off the planted saddle it descends to a
+        # minimum at |x_3| = sqrt(0.3), outside a box of radius 0.2
+        inst = ssrgd.make_separable_saddle(d=3, n=8, delta_plant=0.3, seed=0, box_radius=0.2)
+        bk = BaselineKind(kind="svrg", step_size=0.5 / inst.spec.lipschitz_grad, minibatch=3, epoch_len=3)
+        with caplog.at_level(logging.WARNING, logger="ssrgd"):
+            out = run_baseline(bk, inst.spec, 4000, x0=np.array([0.0, 0.0, 0.1]), full_trace=False)
+        warned = [r.getMessage() for r in caplog.records]
+        assert np.max(np.abs(out.final_x)) > 0.5
+        assert len(warned) == 1
+        assert warned[0].startswith("iterate left the declared domain box (|x|_inf=") and "> 0.2)" in warned[0]
 
     def test_anchor_far_past_the_budget_ends_the_run(self, monkeypatch):
         # one anchor costs 64 raw SFO against a budget of 10: the budget is

@@ -450,7 +450,8 @@ def test_one_component_call_per_inner_step(step, monkeypatch):
 
 def test_svrg_non_finite_oracle_stops_at_the_same_iterate():
     """An oracle that turns NaN on its 4th call poisons v at step 4 (one
-    stacked call per snapshot step), so the iterate is NaN at step 5."""
+    stacked call per snapshot step); the run's x.v check stops it there,
+    naming the estimate, before the iterate turns NaN at step 5."""
     prob = scalar_quadratic([1.0, 2.0, 3.0])
     clean = prob.component_grad_batch
 
@@ -462,8 +463,8 @@ def test_svrg_non_finite_oracle_stops_at_the_same_iterate():
     poisoned.calls = 0
     prob = dataclasses.replace(prob, component_grad_batch=poisoned)
     kind = BaselineKind("svrg", step_size=0.1, minibatch=2, epoch_len=10)
-    with pytest.raises(NonFiniteError, match="^iterate contains non-finite entries$") as info:
+    with pytest.raises(NonFiniteError, match="^gradient estimate contains non-finite entries$") as info:
         run_baseline(kind, prob, 10_000, x0=np.array([1.0]))
-    assert info.value.iteration == 5
-    assert [row.iteration for row in info.value.trace] == [0, 1, 2, 3, 4]
+    assert info.value.iteration == 4
+    assert [row.iteration for row in info.value.trace] == [0, 1, 2, 3]
     assert all(math.isfinite(row.f_value) for row in info.value.trace)

@@ -505,6 +505,15 @@ LINE_CHART_CASES = {
 }
 
 
+def run_child(code: str, timeout: float = 120) -> str:
+    """The standard output of ``python -c code`` in a fresh interpreter that
+    imports this package; it fails after ``timeout`` seconds rather than hang."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=timeout, check=True).stdout
+
+
 class TestLineChart:
     """``svgplot.line_chart`` streams each series twice and builds no point
     list; its text must stay byte for byte the list-building chart's."""
@@ -543,6 +552,20 @@ class TestLineChart:
     )
     def test_equals_the_list_building_chart_on_mixed_series(self, series, logy):
         assert chart_outcome(svgplot.line_chart, series, logy) == chart_outcome(reference_line_chart, series, logy)
+
+    @pytest.mark.parametrize("ys", [[1e8, 1e8 + 1.5e-8, 1e8], [1e16, 1e16], [1e300, 1e300]],
+                             ids=["spread-of-an-ulp", "flat-at-1e16", "flat-at-1e300"])
+    def test_axis_near_the_float_spacing_draws(self, ys):
+        # a tick step below the float spacing leaves v += step unchanged, and
+        # a pad of 1.0 gives a flat axis at 1e16 no span; in a child process
+        # capped at 1 GiB, a tick loop that never ends fails instead of hanging
+        code = ("import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                f"from ssrgd import svgplot\nprint(svgplot.line_chart([('a', {list(range(len(ys)))}, {ys!r})],"
+                " title='t', xlabel='x', ylabel='y'))")
+        svg = run_child(code, timeout=20)
+        root = ET.fromstring(svg)
+        assert (root.attrib["data-ymin"], root.attrib["data-ymax"]) == (repr(min(ys)), repr(max(ys)))
+        assert "nan" not in svg and "inf" not in svg and svg.count("<polyline") == 1
 
 
 class TestChartColumns:
@@ -709,6 +732,17 @@ seeds = 0
         ("object.json", '{"foo": 1}', "not an object whose 'cells' is a list of objects"),
         ("list.json", "[1, 2]", "not an object whose 'cells' is a list of objects"),
         ("cells.json", '{"cells": [1]}', "not an object whose 'cells' is a list of objects"),
+        ("fosp-word.json", '{"cells": [{"sfo_to_fosp": "x", "eps": 0.1}]}',
+         "constraint violated: sfo_to_fosp is a finite number >= 0 or null"),
+        ("fosp-infinite.json", '{"cells": [{"sfo_to_fosp": Infinity, "eps": 0.1}]}',
+         "constraint violated: sfo_to_fosp is a finite number >= 0 or null"),
+        ("fosp-negative.json", '{"cells": [{"sfo_to_fosp": -1, "eps": 0.1}]}',
+         "constraint violated: sfo_to_fosp is a finite number >= 0 or null"),
+        ("eps-word.json", '{"cells": [{"sfo_to_fosp": 10, "eps": "x"}]}', "constraint violated: eps > 0"),
+        ("eps-zero.json", '{"cells": [{"sfo_to_fosp": 10, "eps": 0}]}', "constraint violated: eps > 0"),
+        ("n-float.json", '{"cells": [{"sfo_to_fosp": 10, "n": 1.5}]}', "constraint violated: n is an integer >= 1"),
+        ("seed-word.json", '{"cells": [{"sfo_to_fosp": 10, "eps": 0.1, "seed": "0"}]}',
+         "constraint violated: seed is an integer"),
     ])
     def test_scaling_rejects_unreadable_aggregate(self, tmp_path, capsys, name, text, why):
         path = tmp_path / name
@@ -1991,8 +2025,4 @@ class TestColdImport:
             "import ssrgd.harness\n"
             f"print(json.dumps([m for m in {unused!r} if m in sys.modules and m not in before]))\n"
         )
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              timeout=120, check=True)
-        assert json.loads(done.stdout) == []
+        assert json.loads(run_child(code)) == []
