@@ -18,9 +18,9 @@ either the function value has dropped by ``fval_threshold`` below the
 trigger point or ``super_epoch_len`` steps have elapsed.  After a timeout
 the run simply continues; the event is logged for diagnostics.
 
-Termination is an artifact addition: an SFO budget, optional epoch and
-iteration caps, and an optional certification hook evaluated at each
-super-epoch trigger point (the hook is kept out of the inner loop on
+Termination is an artifact addition: an SFO budget, an optional iteration
+cap, and an optional certification hook evaluated at each super-epoch
+trigger point (the hook is kept out of the inner loop on
 purpose; escaping saddle points needs no curvature search).
 """
 
@@ -63,7 +63,7 @@ def _ceil_sqrt(n: float) -> int:
 class Termination(str, Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
     SOSP_CERTIFIED = "sosp_certified"
-    MAX_EPOCHS = "max_epochs"
+    MAX_ITERS = "max_iters"
 
 
 @dataclass
@@ -167,7 +167,7 @@ def run_ssrgd(
     full_trace: bool = True,
     step_callback: Callable[[OptState, Event], None] | None = None,
 ) -> SsrgdOutcome:
-    """Run SSRGD until the SFO budget, the epoch cap, or a certified point.
+    """Run SSRGD until the SFO budget, the iteration cap, or a certified point.
 
     ``full_trace=False`` records rows only at epoch starts and events,
     which keeps long runs cheap; the algorithm's path is identical either
@@ -177,14 +177,13 @@ def run_ssrgd(
     iterate update, including the perturbation itself.
 
     Each epoch is an anchor (x, g), perturbed if a super epoch starts, and
-    ``estimators.descend`` over the ``core.steps_left`` of m steps that
-    start below the SFO budget and ``cfg.max_iters``; an epoch so cut ends
-    the run.  All draws come from ``core.seeded_rng(cfg.seed, 0)``: per step
-    the minibatch, then (outside a super epoch) the random stop; one
-    ``core.epoch_block`` holds a finite-sum epoch's, drawn lazily online or if
-    it declines.  ``cfg.snapshot`` (SVRG) steps the estimator anchored at (x, g)
-    with no stop, on one ``core.sample_minibatch`` block per epoch.  The
-    iterate and the gradient estimate are checked together, by one finite dot
+    ``estimators.descend`` over the ``core.steps_left`` of m steps that start below the SFO
+    budget and ``cfg.max_iters``; an epoch so cut ends the run, as ``MAX_ITERS`` unless the
+    budget is spent.  All draws come from ``core.seeded_rng(cfg.seed, 0)``: per step the
+    minibatch, then (outside a super epoch) the random stop; one ``core.epoch_block`` holds a
+    finite-sum epoch's, drawn lazily online or if it declines.  ``cfg.snapshot`` runs SVRG,
+    the estimator anchored at (x, g) with no stop, on one ``core.sample_minibatch`` block per
+    epoch.  The iterate and the gradient estimate are checked together, by one finite dot
     product; a non-finite value raises ``NonFiniteError`` naming the iterate first.
     """
     cfg.validate(problem)
@@ -200,8 +199,7 @@ def run_ssrgd(
     se = cfg.super_epoch()
     iters = cfg.max_iters or math.inf
     t = 0
-    epoch = 0
-    watch_domain = problem.domain_radius is not None  # until an iterate leaves the box
+    box = problem.domain_radius  # None if undeclared or once an iterate has left it
     f_x = None  # f at the current x once a row has evaluated it; None after x moves
 
     def anchor(xp: Vector) -> Vector:
@@ -213,11 +211,10 @@ def run_ssrgd(
         return g
 
     while True:
-        # the epoch cap outranks the SFO budget, which outranks the iteration cap
-        if epoch >= (cfg.max_epochs or math.inf) or (t >= iters and sfo.raw < cfg.sfo_budget):
-            termination = Termination.MAX_EPOCHS
-            break
         if sfo.raw >= cfg.sfo_budget:
+            break
+        if t >= iters:
+            termination = Termination.MAX_ITERS
             break
 
         v = anchor(x)
@@ -250,6 +247,7 @@ def run_ssrgd(
         batches, stop, commit = drawn or (
             (core.sample_minibatch(rng, problem.n, cfg.minibatch) for _ in range(k_max)), None, None)
         steps = estimators.descend(problem, x, v, cfg.step_size, batches, sfo, snapshot=cfg.snapshot)
+        k = 0
         for k, (x, v, _) in enumerate(steps, 1):
             t += 1
             f_x = None
@@ -257,10 +255,11 @@ def run_ssrgd(
             finite = math.isfinite(np.vdot(x, v))
             if not finite:
                 core.ensure_finite(x, "iterate", trace, t)
-            if watch_domain and np.abs(x).max() > problem.domain_radius:  # the method skips np.max's wrapper
-                watch_domain = False
+            # prefilter: |x_i| > box gives fl(x.x) >= fl(box*box), as rounding is monotone and no term < 0
+            if box is not None and np.vdot(x, x) >= box * box and np.abs(x).max() > box:
                 logger.warning("iterate left the declared domain box (|x|_inf=%.3g > %.3g); Lipschitz metadata"
-                               " no longer guaranteed", float(np.abs(x).max()), problem.domain_radius)
+                               " no longer guaranteed", float(np.abs(x).max()), box)
+                box = None
             if not finite:
                 core.ensure_finite(v, "gradient estimate", trace, t)
 
@@ -278,12 +277,8 @@ def run_ssrgd(
                 trace.append(TraceRecord(t, f_x, None, sfo.raw, event))
             if event is not Event.NONE:
                 break
-        else:
-            if k_max < cfg.epoch_len:  # the budget or the cap cut this epoch short: the run ends above
-                continue
         if commit:
             commit(k)
-        epoch += 1
 
     return SsrgdOutcome(
         final_x=x,

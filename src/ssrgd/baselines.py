@@ -1,10 +1,10 @@
 """Reference optimizers on the same oracle and trace interfaces.
 
-Four kinds: full-batch gradient descent (``gd``), its perturbed variant
-(``perturbed_gd``), constant-step minibatch SGD (``sgd``), and snapshot
-SVRG (``svrg``).  All return ``SsrgdOutcome`` so any analysis that consumes
-an SSRGD trace consumes these unchanged.  SVRG runs as ``algorithm.run_ssrgd``
-with ``RunConfig.snapshot`` set and its ``max_iters`` as the iteration cap.
+Three kinds: full-batch gradient descent (``gd``), its perturbed variant
+(``perturbed_gd``) and constant-step minibatch SGD (``sgd``).  All return
+``SsrgdOutcome`` so any analysis that consumes an SSRGD trace consumes these
+unchanged.  Snapshot SVRG is not a kind here: it is ``algorithm.run_ssrgd``
+on a ``RunConfig`` with ``snapshot=True``.
 
 The perturbed variant runs the same ``core.SuperEpoch`` code as the main
 algorithm (gradient threshold, uniform-ball kick, f-decrease or timeout
@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, estimators
-from .algorithm import SsrgdOutcome, Termination, run_ssrgd
+from .algorithm import SsrgdOutcome, Termination
 from .core import (
     ConfigError,
     Event,
     Mode,
     ProblemSpec,
-    RunConfig,
     SfoCounter,
     SuperEpoch,
     TraceRecord,
@@ -36,7 +35,7 @@ from .core import (
     Vector,
 )
 
-KINDS = ("gd", "perturbed_gd", "sgd", "svrg")
+KINDS = ("gd", "perturbed_gd", "sgd")
 
 # SGD draws its minibatches this many steps at a time (fewer near the end).
 SGD_CHUNK = 256
@@ -49,7 +48,6 @@ class BaselineKind:
     kind: str
     step_size: float
     minibatch: int = 1
-    epoch_len: int | None = None
     perturb_radius: float = 0.0
     grad_threshold: float = 0.0
     fval_threshold: float = math.inf
@@ -62,8 +60,6 @@ class BaselineKind:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown baseline kind {self.kind!r}; valid: {KINDS}")
         core.check_settings(self)
-        if self.kind == "svrg" and self.epoch_len is None:
-            raise ConfigError("svrg needs epoch_len")
         if self.kind == "perturbed_gd":
             self.super_epoch().check("perturbed_gd")
 
@@ -81,7 +77,6 @@ def run_baseline(
     sfo_budget: int,
     *,
     x0: Vector | None = None,
-    full_trace: bool = True,
 ) -> SsrgdOutcome:
     """Run the requested baseline under an SFO budget, on the stream
     ``core.seeded_rng(kind.seed, 0)``; every kind but ``sgd`` needs a finite sum."""
@@ -90,10 +85,6 @@ def run_baseline(
     x = core.initial_point(x0, problem.d)
     if kind.kind != "sgd" and problem.mode is not Mode.FINITE_SUM:
         raise UnsupportedOracleError(f"{kind.kind} needs the finite-sum full gradient")
-    if kind.kind == "svrg":
-        cfg = RunConfig(step_size=kind.step_size, epoch_len=kind.epoch_len, minibatch=kind.minibatch, eps=0.0,
-                        sfo_budget=sfo_budget, seed=kind.seed, max_iters=kind.max_iters, snapshot=True)
-        return run_ssrgd(problem, cfg, x0=x, full_trace=full_trace)
     run = _run_sgd if kind.kind == "sgd" else _run_gd
     return run(kind, problem, sfo_budget, core.seeded_rng(kind.seed, 0), x)
 
@@ -107,7 +98,7 @@ def _run_gd(kind, problem, budget, rng, x):
     term = Termination.BUDGET_EXHAUSTED
     while sfo.raw < budget:
         if t >= (kind.max_iters or math.inf):
-            term = Termination.MAX_EPOCHS
+            term = Termination.MAX_ITERS
             break
         g = estimators.full_gradient(problem, x, sfo=sfo)
         gn = float(np.linalg.norm(g))
@@ -147,7 +138,7 @@ def _run_sgd(kind, problem, budget, rng, x):
     measure(0)
     while sfo.raw < budget:
         if t >= cap:
-            term = Termination.MAX_EPOCHS
+            term = Termination.MAX_ITERS
             break
         steps = core.steps_left(min(SGD_CHUNK, cap - t), budget - sfo.raw, b)
         for batch in core.sample_minibatch(rng, problem.n, b, steps=steps):

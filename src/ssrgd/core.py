@@ -53,9 +53,9 @@ SETTING_RULES = {
     **dict.fromkeys(("scale", "x0_scale"), ((lambda v: abs(v) < math.inf, "is finite"),)),
     "flip_prob": ((lambda v: 0 <= v <= 1, "in [0, 1]"),),
     "sfo_budget": ((lambda v: v >= 0, ">= 0"),),
-    **dict.fromkeys(("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs",
-                     "max_iters", "eval_every", "n", "d", "d_cap", "iters", "replications", "pairs",
-                     "max_paths", "workers"), _COUNT),
+    **dict.fromkeys(("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_iters",
+                     "eval_every", "n", "d", "d_cap", "iters", "replications", "pairs", "max_paths",
+                     "workers"), _COUNT),
     "epochs": ((lambda v: isinstance(v, numbers.Integral) and v >= 2, "is an integer >= 2"),),
     "seed": ((lambda v: isinstance(v, numbers.Integral), "is an integer"),),
 }
@@ -193,8 +193,8 @@ class RunConfig:
     factors the convergence statements hide: it multiplies
     ``fval_threshold``, ``super_epoch_len`` and ``perturb_radius`` and
     relaxes the step-size cap in second-order mode.  Second-order mode is
-    active whenever ``perturb_radius > 0``.  ``snapshot`` (SVRG's estimator, with
-    no random stop or step cap) and ``max_iters`` serve ``svrg``, which sets no super epoch.
+    active whenever ``perturb_radius > 0``.  ``max_iters`` caps the steps; ``snapshot`` runs SVRG,
+    the snapshot estimator with no random stop or step-size cap, on a finite sum only.
     """
 
     step_size: float
@@ -210,7 +210,6 @@ class RunConfig:
     super_epoch_len: int = 0
     delta: float = 0.0
     logfactor: float = 1.0
-    max_epochs: int | None = None
     max_iters: int | None = None
     snapshot: bool = False
 
@@ -235,6 +234,8 @@ class RunConfig:
         cap = step_factor / problem.lipschitz_grad
         if self.step_size > cap * (1 + _REL_TOL) and not self.snapshot:
             raise ConfigError(f"step_size {self.step_size:g} exceeds {order} cap {cap:g}")
+        if problem.mode is Mode.ONLINE and self.snapshot:
+            raise UnsupportedOracleError("svrg needs the finite-sum full gradient")
         if problem.mode is Mode.ONLINE and self.large_batch is None:
             raise ConfigError("online mode needs large_batch")
 

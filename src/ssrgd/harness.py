@@ -106,7 +106,6 @@ _OPTIMIZER_KEYS = {
     "fval_threshold": float,
     "super_epoch_len": int,
     "sfo_budget": 10**7,
-    "max_epochs": int,
     "max_iters": int,
     "eval_every": int,
     "trace": "full",
@@ -114,7 +113,7 @@ _OPTIMIZER_KEYS = {
 core.SETTING_RULES.update(order=core.one_of("first", "second"), trace=core.one_of("full", "epoch"))
 OPTIMIZERS = {
     "ssrgd": ("order", "logfactor", "trace", "step_size", "epoch_len", "minibatch",
-              "large_batch", "max_epochs", *core.SUPER_EPOCH_KEYS),
+              "large_batch", "max_iters", *core.SUPER_EPOCH_KEYS),
     "gd": ("step_size", "max_iters"),
     "perturbed_gd": ("step_size", "max_iters", *core.SUPER_EPOCH_KEYS),
     "sgd": ("step_size", "minibatch", "eval_every", "max_iters"),
@@ -361,9 +360,11 @@ def resolve_settings(oparams: dict, spec, eps: float | None) -> tuple[dict, floa
 
 
 def build_run_config(spec, seed: int, settings: dict, eps: float, delta: float | None) -> RunConfig:
-    """Derived defaults for the problem at a cell's eps and run delta, then the
-    settings ``resolve_settings`` gave as overrides."""
+    """Derived defaults for the problem at a cell's eps and run delta (``svrg``: a 0.1/L
+    step and the snapshot estimator), then the settings ``resolve_settings`` gave as overrides."""
     cfg = algorithm.derive_config(spec, eps, delta, settings["logfactor"], seed=seed)
+    if settings["kind"] == "svrg":
+        cfg = dataclasses.replace(cfg, step_size=0.1 / spec.lipschitz_grad, snapshot=True)
     derived_from = ("eps", "delta", "logfactor")  # inputs of the derivation, not overrides
     overrides = {f.name: settings[f.name] for f in dataclasses.fields(RunConfig)
                  if f.name in settings and f.name not in derived_from}
@@ -442,8 +443,8 @@ def run_cell(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
 
     ``runs`` is the run table of the cell's row (see ``run_plan``); its
     key is what the optimizer receives that may differ within a row:
-    SSRGD's run config with eps fixed, or the baseline kind and its SFO
-    budget, plus the n of an ``axis = n`` sweep.  A stored
+    the run config of SSRGD or SVRG with eps fixed, or the baseline kind and
+    its SFO budget, plus the n of an ``axis = n`` sweep.  A stored
     outcome is read instead of run again; a run that raises is not stored.
     First-order finite-sum SSRGD, ``gd``, ``sgd`` and ``svrg`` never read
     eps, so the cells of an eps sweep share their run.  The table also keeps
@@ -459,7 +460,6 @@ def run_cell(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
         cell.optimizer, inst.spec, cell.sweep_value if cell.sweep_axis == "eps" else None
     )
     okind = settings["kind"]
-    full_trace = settings["trace"] == "full"
 
     summary: dict = {
         **cell.summary_header(),
@@ -471,18 +471,18 @@ def run_cell(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
 
     # a second-order cell is certified at its run's delta, a first-order one at the key's
     delta = run_delta or settings["delta"]
-    if okind == "ssrgd":
+    if okind in baselines.KINDS:
+        kind = _baseline_from_params(inst.spec, cell.seed, settings, eps, run_delta)
+        key = (n_override, dataclasses.astuple(kind), settings["sfo_budget"])
+        run = functools.partial(baselines.run_baseline, kind, inst.spec, settings["sfo_budget"])
+    else:
         cfg = build_run_config(inst.spec, cell.seed, settings, eps, run_delta)
         # run_ssrgd reads cfg.eps only to check it, and 0 passes that check;
         # eps-derived settings (second order, online) stay in the key
         key = (n_override, dataclasses.astuple(dataclasses.replace(cfg, eps=0.0)))
-        run = functools.partial(algorithm.run_ssrgd, inst.spec, cfg)
-    else:
-        kind = _baseline_from_params(inst.spec, cell.seed, settings, eps, run_delta)
-        key = (n_override, dataclasses.astuple(kind), settings["sfo_budget"])
-        run = functools.partial(baselines.run_baseline, kind, inst.spec, settings["sfo_budget"])
+        run = functools.partial(algorithm.run_ssrgd, inst.spec, cfg, full_trace=settings["trace"] == "full")
     if key not in runs:
-        runs[key] = run(x0=x0, full_trace=full_trace)
+        runs[key] = run(x0=x0)
     outcome = runs[key]
 
     first_fosp = sfo_at_first_fosp(outcome.trace, eps)
@@ -524,14 +524,11 @@ def _last_grad_norm(trace: list[TraceRecord]) -> float | None:
 
 def _baseline_from_params(spec, seed, settings, eps, delta) -> BaselineKind:
     """The resolved settings' fields over derived ones, over ``BaselineKind``'s: a 0.9/L
-    (``gd``, ``perturbed_gd``) or 0.1/L step, ``svrg``'s m and b from ``derive_config``,
-    and ``perturbed_gd``'s super-epoch settings at the run delta."""
+    (``gd``, ``perturbed_gd``) or 0.1/L (``sgd``) step, and ``perturbed_gd``'s
+    super-epoch settings at the run delta."""
     kind = settings["kind"]
     given = {f.name: settings[f.name] for f in dataclasses.fields(BaselineKind) if f.name in settings}
     derived = {"step_size": (0.9 if kind in ("gd", "perturbed_gd") else 0.1) / spec.lipschitz_grad}
-    if kind == "svrg":
-        cfg = algorithm.derive_config(spec, eps)
-        derived.update(epoch_len=cfg.epoch_len, minibatch=cfg.minibatch)
     if kind == "perturbed_gd" and any(key not in given for key in core.SUPER_EPOCH_KEYS):
         step = given.get("step_size", derived["step_size"])
         derived.update(algorithm.super_epoch_params(spec, eps, delta, 1.0, step))
@@ -613,7 +610,7 @@ def _run_row(cells: list[Cell]) -> list[tuple[dict, list[TraceRecord]]]:
 def _run_cell_safely(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
     try:
         return run_cell(cell, runs)
-    except SsrgdError as exc:
+    except (SsrgdError, MemoryError) as exc:  # an array too large for the memory left fails its cell alone
         logger.error("cell %s aborted: %s", cell.run_id, exc)
         summary = {
             **cell.summary_header(),
@@ -644,6 +641,8 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
         xval = s.get("eps") if axis == "eps" else s.get("n")
         if xval is None:
             continue
+        if axis == "eps" and 1.0 / float(xval) == math.inf:  # a subnormal eps
+            raise ConfigError("constraint violated: 1/eps is a finite float")
         y = float(s["sfo_to_fosp"])
         if subtract_n:
             y -= float(s["n"])
@@ -789,8 +788,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    try:
-        aggregate = json.loads(Path(args.aggregate).read_text(encoding="utf-8"))
+    try:  # an integer past the float range reads as inf, which the checks below refuse
+        aggregate = json.loads(Path(args.aggregate).read_text(encoding="utf-8"),
+                               parse_int=lambda text: int(text) if abs(float(text)) < math.inf else float(text))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"aggregate {args.aggregate}: {exc}") from exc
     cells = aggregate.get("cells") if isinstance(aggregate, dict) else None

@@ -51,6 +51,7 @@ def assemble_hessian(problem: ProblemSpec, x: Vector) -> np.ndarray:
         e[j] = 1.0
         H[:, j] = problem.hvp(x, e)
         e[j] = 0.0
+    core.ensure_finite(H, "Hessian")  # an eigensolver fails on a non-finite entry
     return 0.5 * (H + H.T)
 
 

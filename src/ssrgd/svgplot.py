@@ -8,11 +8,14 @@ and the run ids a chart was built from are embedded as an XML comment.
 from __future__ import annotations
 
 import math
+import sys
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 WIDTH, HEIGHT = 720, 480
+# caps spans and tick ends: from a step of 1 up the ticks are ints, and every int is <= inf
+FLOAT_MAX = sys.float_info.max
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 
 
@@ -27,9 +30,15 @@ def _axis_end(lo: float, hi: float) -> float:
     return hi if hi > lo else lo + max(1.0, abs(lo) * 1e-12)
 
 
+def _scaled(lo: float, hi: float) -> tuple[float, float, float]:
+    """(s, s * lo, s * (hi - lo)) at s = 1, or 0.5 where hi - lo overflows; s * v is exact."""
+    s = 1.0 if hi - lo < math.inf else 0.5
+    return s, s * lo, s * hi - s * lo
+
+
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     hi = _axis_end(lo, hi)
-    span = hi - lo
+    span = min(hi - lo, FLOAT_MAX)
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= count:
@@ -38,7 +47,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + 1e-12 * span:
+    while v <= min(hi + 1e-12 * span, FLOAT_MAX):
         ticks.append(v)
         if v + step == v:  # a step below the float spacing at v
             break
@@ -49,7 +58,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def _log_ticks(lo: float, hi: float) -> list[float]:
     ticks = []
     e = math.floor(math.log10(lo))
-    while 10**e <= hi * (1 + 1e-12):
+    while 10**e <= min(hi * (1 + 1e-12), FLOAT_MAX):
         if 10**e >= lo * (1 - 1e-12):
             ticks.append(10.0**e)
         e += 1
@@ -69,18 +78,18 @@ def _fmt(v: float) -> str:
 class _Frame:
     def __init__(self, xlo, xhi, ylo, yhi, logx, logy):
         self.logx, self.logy = logx, logy
-        self.xlo = math.log10(xlo) if logx else xlo
-        self.xhi = _axis_end(self.xlo, math.log10(xhi) if logx else xhi)
-        self.ylo = math.log10(ylo) if logy else ylo
-        self.yhi = _axis_end(self.ylo, math.log10(yhi) if logy else yhi)
+        xlo = math.log10(xlo) if logx else xlo
+        self.xs, self.xlo, self.xspan = _scaled(xlo, _axis_end(xlo, math.log10(xhi) if logx else xhi))
+        ylo = math.log10(ylo) if logy else ylo
+        self.ys, self.ylo, self.yspan = _scaled(ylo, _axis_end(ylo, math.log10(yhi) if logy else yhi))
 
     def px(self, x):
         x = math.log10(x) if self.logx else x
-        return MARGIN_L + (x - self.xlo) / (self.xhi - self.xlo) * (WIDTH - MARGIN_L - MARGIN_R)
+        return MARGIN_L + (x * self.xs - self.xlo) / self.xspan * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y):
         y = math.log10(y) if self.logy else y
-        return HEIGHT - MARGIN_B - (y - self.ylo) / (self.yhi - self.ylo) * (HEIGHT - MARGIN_T - MARGIN_B)
+        return HEIGHT - MARGIN_B - (y * self.ys - self.ylo) / self.yspan * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
 def _preamble(run_ids, **data) -> list[str]:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from ssrgd import core, estimators, problems
-from ssrgd.core import ProblemSpec
+from ssrgd.core import ProblemSpec, RunConfig
 
 
 def scalar_quadratic(a_values) -> ProblemSpec:
@@ -30,6 +30,12 @@ def assert_same_outcome(a, b) -> None:
     assert (a.sfo_raw, a.sfo_nominal, a.termination) == (b.sfo_raw, b.sfo_nominal, b.termination)
     assert [t for t, _ in a.sosp_candidates] == [t for t, _ in b.sosp_candidates]
     assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.sosp_candidates, b.sosp_candidates))
+
+
+def svrg_config(step_size, minibatch, epoch_len, sfo_budget, **more) -> RunConfig:
+    """SVRG as ``run_ssrgd`` runs it: the snapshot estimator at a fixed step, with no eps target."""
+    return RunConfig(step_size=step_size, epoch_len=epoch_len, minibatch=minibatch, eps=0.0,
+                     sfo_budget=sfo_budget, snapshot=True, **more)
 
 
 def on_stream(monkeypatch, rng, fn, *args, **kwargs):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrgd
-from ssrgd import algorithm, baselines, core, spectral
+from ssrgd import algorithm, core, spectral
 from ssrgd.core import ConfigError, Event, RunConfig
 from ssrgd.algorithm import Termination
 
-from conftest import assert_same_outcome, counting, online_rows, scalar_quadratic
+from conftest import assert_same_outcome, counting, online_rows, scalar_quadratic, svrg_config
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -270,13 +270,15 @@ class TestRunFirstOrder:
         out = ssrgd.run_ssrgd(inst.spec, cfg)
         assert out.trace == [] and out.termination is Termination.BUDGET_EXHAUSTED
 
-    def test_max_epochs(self):
+    def test_max_iters(self):
         inst = identical_quadratic(2, 4)
         cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=10**9)
-        cfg.max_epochs = 7
+        cfg.max_iters = 7
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=np.ones(2))
-        assert out.termination is Termination.MAX_EPOCHS
-        assert sum(1 for r in out.trace if r.event is Event.EPOCH_START) == 7
+        assert out.termination is Termination.MAX_ITERS
+        # one row per step, the last at step 7, and an epoch start before each epoch's steps
+        starts = sum(1 for r in out.trace if r.event is Event.EPOCH_START)
+        assert out.trace[-1].iteration == 7 and len(out.trace) == 7 + starts
 
     def test_online_mode_runs(self):
         base = ssrgd.make_quadratic(d=4, n=2, seed=0, spread=0.0)
@@ -288,37 +290,39 @@ class TestRunFirstOrder:
         starts = [r for r in out.trace if r.event is Event.EPOCH_START]
         assert starts and all(r.grad_norm is not None for r in starts)
 
-    def test_infinite_budget_runs_to_the_epoch_cap(self):
+    def test_infinite_budget_runs_to_the_iteration_cap(self):
         inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
-        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), max_epochs=5)
+        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), max_iters=30)
         out = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, sfo_budget=math.inf), x0=np.ones(5))
         assert_same_outcome(out, ssrgd.run_ssrgd(inst.spec, cfg, x0=np.ones(5)))
-        assert out.termination is Termination.MAX_EPOCHS and out.sfo_raw == 784
+        assert out.termination is Termination.MAX_ITERS and out.trace[-1].iteration == 30
+        # n = 64 per anchor and 2b = 16 per step
+        assert out.sfo_raw == 64 * sum(r.event is Event.EPOCH_START for r in out.trace) + 16 * 30
 
 
-def _recorded_run(spec, cfg, x0):
-    """A full-trace run and its step-callback sequence as (iteration, raw
-    SFO, event, bytes of x)."""
+def _recorded_run(spec, cfg, x0, full_trace=True):
+    """A run and its step-callback sequence as (iteration, raw SFO, event,
+    bytes of x)."""
     steps = []
 
     def record(state, event):
         steps.append((state.iteration, state.sfo_count, event, state.x.tobytes()))
 
-    return ssrgd.run_ssrgd(spec, cfg, x0=x0, full_trace=True, step_callback=record), steps
+    return ssrgd.run_ssrgd(spec, cfg, x0=x0, full_trace=full_trace, step_callback=record), steps
 
 
 def _cut_by_budget(trace, budget):
     """How a budget cuts a run whose full trace is ``trace``: the rows kept
     and whether the cut ended it.  The budget is tested before each anchor
-    and before each inner step, against the raw SFO spent before it; the
-    epoch cap, tested first at an epoch's top, ends the run only when no
-    budget test has."""
+    and before each inner step, against the raw SFO spent before it, and
+    outranks the iteration cap, which a run that ``trace`` ends may reach
+    with the budget spent."""
     spent = 0
     for i, row in enumerate(trace):
         if row.event is not Event.PERTURBATION and spent >= budget:
             return trace[:i], True
         spent = row.sfo_count
-    return trace, False
+    return trace, spent >= budget
 
 
 class TestBudgetCut:
@@ -329,7 +333,7 @@ class TestBudgetCut:
     @staticmethod
     def check_prefix(spec, cfg, x0, budgets, reach):
         unbounded, seq = _recorded_run(spec, cfg, x0)
-        assert unbounded.sfo_raw > max(budgets) or cfg.max_epochs is not None
+        assert unbounded.sfo_raw > max(budgets) or cfg.max_iters is not None
         for budget in budgets:
             out, got = _recorded_run(spec, dataclasses.replace(cfg, sfo_budget=budget), x0)
             rows, cut = _cut_by_budget(unbounded.trace, budget)
@@ -341,24 +345,24 @@ class TestBudgetCut:
             assert out.termination is (Termination.BUDGET_EXHAUSTED if cut else unbounded.termination)
             reach.add((cut, out.termination))
 
-    @pytest.mark.parametrize("max_epochs", [None, 1, 2])
-    def test_first_order_cut_is_a_prefix(self, max_epochs):
+    @pytest.mark.parametrize("max_iters", [None, 1, 7])
+    def test_first_order_cut_is_a_prefix(self, max_iters):
         inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
         cfg = ssrgd.derive_config(inst.spec, 0.01)
         a, cost = 64, 2 * cfg.minibatch  # m = b = 8
-        cap = 60 if max_epochs is None else max_epochs
+        cap = 500 if max_iters is None else max_iters
         budgets = [0, a, a + 1, a + 3 * cost - 1, a + 3 * cost, a + cfg.epoch_len * cost, 300, 1000]
         reach = set()
         for seed in range(6):
-            run_cfg = dataclasses.replace(cfg, seed=seed, max_epochs=cap, sfo_budget=10**12)
+            run_cfg = dataclasses.replace(cfg, seed=seed, max_iters=cap, sfo_budget=10**12)
             self.check_prefix(inst.spec, run_cfg, np.ones(5), budgets, reach)
-        if max_epochs is None:
+        if max_iters is None:
             assert reach == {(True, Termination.BUDGET_EXHAUSTED)}
-        else:  # both endings, and a cut on the capped epoch itself
-            assert {(True, Termination.BUDGET_EXHAUSTED), (False, Termination.MAX_EPOCHS)} <= reach
+        else:  # both endings, and a cut on the capped step itself
+            assert {(True, Termination.BUDGET_EXHAUSTED), (False, Termination.MAX_ITERS)} <= reach
 
-    @pytest.mark.parametrize("max_epochs", [None, 1, 2])
-    def test_second_order_cut_is_a_prefix(self, max_epochs):
+    @pytest.mark.parametrize("max_iters", [None, 1, 7])
+    def test_second_order_cut_is_a_prefix(self, max_iters):
         inst = ssrgd.make_separable_saddle(d=4, n=16, delta_plant=0.5, seed=0)
         cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 1.0)
         assert (cfg.epoch_len, cfg.minibatch) == (4, 4)
@@ -367,16 +371,16 @@ class TestBudgetCut:
         reach = set()
         for seed in range(4):
             run_cfg = dataclasses.replace(
-                cfg, seed=seed, max_epochs=max_epochs or 400, sfo_budget=10**12)
+                cfg, seed=seed, max_iters=max_iters or 1600, sfo_budget=10**12)
             self.check_prefix(inst.spec, run_cfg, np.zeros(4), budgets, reach)
         assert (True, Termination.BUDGET_EXHAUSTED) in reach
 
     @pytest.mark.parametrize("budget", [49, 52, 56])
-    def test_cut_on_the_capped_epoch_reports_the_budget(self, budget):
-        # the cut leaves 3 of the 4 steps of the only epoch allowed
+    def test_cut_on_the_capped_step_reports_the_budget(self, budget):
+        # the budget leaves 3 of the epoch's 4 steps, and the cap allows 3
         inst = ssrgd.make_separable_saddle(d=4, n=16, delta_plant=0.5, seed=0)
         cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 1.0, sfo_budget=budget)
-        out = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, max_epochs=1), x0=np.zeros(4))
+        out = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, max_iters=3), x0=np.zeros(4))
         assert [r.event for r in out.trace] == [Event.EPOCH_START, Event.PERTURBATION] + [Event.NONE] * 3
         assert out.termination is Termination.BUDGET_EXHAUSTED
 
@@ -389,8 +393,34 @@ class TestBudgetCut:
         events = [Event.EPOCH_START, Event.PERTURBATION] + [Event.NONE] * 4 + [Event.EPOCH_START]
         assert [r.event for r in out.trace] == events
         assert out.sfo_raw == 80 and out.termination is Termination.BUDGET_EXHAUSTED
-        capped = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, max_epochs=1), x0=np.zeros(4))
-        assert len(capped.trace) == 6 and capped.termination is Termination.MAX_EPOCHS
+        capped = ssrgd.run_ssrgd(inst.spec, dataclasses.replace(cfg, max_iters=4), x0=np.zeros(4))
+        assert len(capped.trace) == 6 and capped.termination is Termination.MAX_ITERS
+
+
+class TestIterationCap:
+    """``max_iters`` ends a run when t reaches it: the capped run is a prefix
+    of the uncapped one, up to and including step ``max_iters``."""
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    @pytest.mark.parametrize("full_trace", [True, False])
+    def test_capped_run_is_a_prefix(self, order, full_trace):
+        if order == "first":
+            inst, x0 = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0), np.ones(5)
+            cfg = ssrgd.derive_config(inst.spec, 0.01, sfo_budget=30_000, seed=3)
+        else:
+            inst, x0 = ssrgd.make_separable_saddle(d=4, n=16, delta_plant=0.5, seed=0), np.zeros(4)
+            cfg = ssrgd.derive_config(inst.spec, 0.05, 0.3, 1.0, sfo_budget=30_000, seed=3)
+        uncapped, seq = _recorded_run(inst.spec, cfg, x0, full_trace)
+        assert uncapped.trace[-1].iteration > 399
+        for cap in (1, 7, 50, 123, 399):
+            out, got = _recorded_run(inst.spec, dataclasses.replace(cfg, max_iters=cap), x0, full_trace)
+            assert out.termination is Termination.MAX_ITERS
+            assert got == seq[:len(got)] and got[-1][0] == cap
+            # every row before step cap and the step's own row; no anchor at cap
+            assert out.trace == [r for r in uncapped.trace
+                                 if r.iteration < cap or (r.iteration == cap and r.grad_norm is None)]
+            assert out.sfo_raw == got[-1][1]
+            assert np.array_equal(out.final_x, np.frombuffer(got[-1][3]))
 
 
 def scripted_problem(L, anchor, diffs):
@@ -533,6 +563,30 @@ class TestDomainBoxWarning:
         out, logged = self.run(caplog, 1.0, [0.5, -0.5, 0.0])
         assert np.max(np.abs(out.final_x)) < 0.5
         assert logged == []
+
+    @staticmethod
+    def run_scripted(caplog, r, x0, anchor):
+        """Three steps of 0.5 times the constant gradient ``anchor`` from ``x0``
+        in a box of radius r, with the iterate after each step."""
+        spec = dataclasses.replace(scripted_problem(1.0, anchor, itertools.repeat([0.0, 0.0])), domain_radius=r)
+        cfg = RunConfig(step_size=0.5, epoch_len=4, minibatch=1, eps=0.0, sfo_budget=100, max_iters=3)
+        points = []
+        with caplog.at_level(logging.WARNING, logger="ssrgd"):
+            ssrgd.run_ssrgd(spec, cfg, x0=np.array(x0), step_callback=lambda state, _: points.append(state.x))
+        return points, [r.getMessage() for r in caplog.records]
+
+    # at r = 1e-200 both x.x and r * r round to 0, so only a >= prefilter lets the exact test run
+    @pytest.mark.parametrize("r", [0.2, 1e-200])
+    def test_one_ulp_outside_the_face_warns_once(self, caplog, r):
+        outside = float(np.nextafter(r, math.inf))
+        points, warned = self.run_scripted(caplog, r, (0.0, 0.0), (-2 * outside, 0.0))
+        assert points[0].tolist() == [outside, 0.0]  # step 1 lands one ulp past the face
+        assert len(warned) == 1 and warned[0].startswith("iterate left the declared domain box")
+
+    @pytest.mark.parametrize("r", [0.2, 1e-200])
+    def test_standing_on_the_face_logs_nothing(self, caplog, r):
+        points, logged = self.run_scripted(caplog, r, (r, 0.0), (0.0, 0.0))
+        assert [p.tolist() for p in points] == [[r, 0.0]] * 3 and logged == []
 
 
 def walk_super_epochs(trace):
@@ -747,15 +801,11 @@ class TestFunctionValueReuse:
 
     def test_svrg_full_trace(self):
         inst = ssrgd.make_nonconvex_logistic(n=256, d=10, seed=1)
-        kind = baselines.BaselineKind(
-            "svrg", step_size=0.1 / inst.spec.lipschitz_grad, minibatch=8, epoch_len=16
-        )
+        cfg = svrg_config(0.1 / inst.spec.lipschitz_grad, minibatch=8, epoch_len=16, sfo_budget=8_000)
         runs = {}
         for full_trace in (True, False):
             spec = dataclasses.replace(inst.spec, value=counting(inst.spec.value))
-            out = baselines.run_baseline(
-                kind, spec, 8_000, x0=0.5 * np.ones(10), full_trace=full_trace
-            )
+            out = ssrgd.run_ssrgd(spec, cfg, x0=0.5 * np.ones(10), full_trace=full_trace)
             runs[full_trace] = out.trace, spec.value.calls
         (full, full_calls), (epochs, epoch_calls) = runs[True], runs[False]
         f_at = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -5,26 +6,38 @@ import numpy as np
 import pytest
 
 import ssrgd
-from ssrgd import baselines, core, estimators
+from ssrgd import baselines, core, estimators, harness
+from ssrgd.algorithm import Termination, run_ssrgd
 from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import ConfigError, Event, UnsupportedOracleError
-from ssrgd.harness import _baseline_from_params, resolve_settings, sfo_at_first_fosp
+from ssrgd.harness import _baseline_from_params, build_run_config, resolve_settings, sfo_at_first_fosp
 
 from conftest import (
     assert_same_outcome, quadratic_problem_from_components, random_quadratic_family, reference_epoch,
-    scalar_quadratic,
+    scalar_quadratic, svrg_config,
 )
 
 
-def run_on_own_stream(monkeypatch, bk, prob, budget, x0, full_trace=True):
-    """``run_baseline``'s outcome and the generator it drew from, which it
-    (or for ``svrg``, ``run_ssrgd``) makes once as ``core.seeded_rng(bk.seed, 0)``."""
+def run_on_own_stream(monkeypatch, run):
+    """``run()``'s outcome and the generator it drew from, which ``run_baseline``
+    (or for SVRG, ``run_ssrgd``) makes once as ``core.seeded_rng(seed, 0)``."""
     made, seeded = [], core.seeded_rng
     with monkeypatch.context() as patch:
         patch.setattr(core, "seeded_rng", lambda *args: made.append(seeded(*args)) or made[-1])
-        out = run_baseline(bk, prob, budget, x0=x0, full_trace=full_trace)
+        out = run()
     (rng,) = made
     return out, rng
+
+
+def section_run(oparams, inst, seed, eps, budget, x0):
+    """The run ``harness.run_cell`` makes for an optimizer section at a cell's
+    seed and eps, under ``budget``: ``run_baseline`` for a baseline kind,
+    ``run_ssrgd`` on the section's run config for ``ssrgd`` and ``svrg``."""
+    settings, eps, delta = resolve_settings(oparams, inst.spec, eps)
+    if settings["kind"] in baselines.KINDS:
+        return run_baseline(_baseline_from_params(inst.spec, seed, settings, eps, delta), inst.spec, budget, x0=x0)
+    cfg = build_run_config(inst.spec, seed, settings, eps, delta)
+    return run_ssrgd(inst.spec, dataclasses.replace(cfg, sfo_budget=budget), x0=x0)
 
 
 class TestValidation:
@@ -32,20 +45,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             BaselineKind(kind="adam", step_size=0.1).validate()
 
-    def test_svrg_needs_epoch_len(self):
-        with pytest.raises(ConfigError, match="epoch_len"):
-            BaselineKind(kind="svrg", step_size=0.1, minibatch=2).validate()
-
     def test_pgd_needs_window_params(self):
         with pytest.raises(ConfigError):
             BaselineKind(kind="perturbed_gd", step_size=0.1).validate()
 
 
 class TestRepeatable:
-    @pytest.mark.parametrize("kind", baselines.KINDS)
+    @pytest.mark.parametrize("kind", [*baselines.KINDS, "svrg"])
     def test_the_same_kind_runs_the_same_path(self, kind):
-        # harness.run_cell runs a (BaselineKind, SFO budget) pair once per
-        # row of a plan and hands its outcome to every cell of the row
+        # harness.run_cell runs a (BaselineKind, SFO budget) pair, or SVRG's
+        # run config, once per row of a plan and hands its outcome to every
+        # cell of the row
         def run():
             if kind == "perturbed_gd":
                 inst = ssrgd.make_separable_saddle(d=6, n=16, delta_plant=0.3, noise=0.1, seed=0)
@@ -53,9 +63,7 @@ class TestRepeatable:
             else:
                 inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=2)
                 x0 = 0.5 * np.ones(5)
-            resolved = resolve_settings({"kind": kind, "delta": 0.3}, inst.spec, 0.05)
-            bk = _baseline_from_params(inst.spec, 7, *resolved)
-            return run_baseline(bk, inst.spec, 3_000, x0=x0)
+            return section_run({"kind": kind, "delta": 0.3}, inst, 7, 0.05, 3_000, x0)
 
         a = run()
         assert_same_outcome(a, run())
@@ -63,19 +71,19 @@ class TestRepeatable:
 
 
 class TestInfiniteBudget:
-    """An infinite budget with an iteration cap runs every kind to the cap,
-    on the same path as a budget that is never reached."""
+    """An infinite budget with an iteration cap runs every optimizer kind to
+    the cap, on the same path as a budget that is never reached."""
 
-    @pytest.mark.parametrize("kind", ["gd", "sgd", "svrg"])
+    @pytest.mark.parametrize("kind", harness.OPTIMIZERS)
     def test_runs_to_the_cap(self, kind):
         # sgd and svrg used to die in math.ceil(inf) with an OverflowError
         inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
-        bk = BaselineKind(kind=kind, step_size=0.1, minibatch=4, epoch_len=5, max_iters=37, seed=1)
-        out = run_baseline(bk, inst.spec, math.inf, x0=np.ones(5))
-        assert out.termination.value == "max_epochs"
-        # gd writes each row before its step, the others after it
-        assert out.trace[-1].iteration == (36 if kind == "gd" else 37)
-        assert_same_outcome(out, run_baseline(bk, inst.spec, 10**12, x0=np.ones(5)))
+        section = {"kind": kind, "max_iters": 37, "delta": 0.3}
+        out = section_run(section, inst, 1, 0.05, math.inf, np.ones(5))
+        assert out.termination is Termination.MAX_ITERS
+        # gd and perturbed gd write each row before its step, the others after it
+        assert out.trace[-1].iteration == (36 if kind in ("gd", "perturbed_gd") else 37)
+        assert_same_outcome(out, section_run(section, inst, 1, 0.05, 10**12, np.ones(5)))
 
 
 class TestGd:
@@ -179,7 +187,7 @@ class TestSgdChunks:
         bk = BaselineKind(
             kind="sgd", step_size=0.05, minibatch=2, eval_every=40, seed=9, max_iters=max_iters
         )
-        out, rng = run_on_own_stream(monkeypatch, bk, prob, budget, x0)
+        out, rng = run_on_own_stream(monkeypatch, lambda: run_baseline(bk, prob, budget, x0=x0))
         ref_rng = core.seeded_rng(9, 0)
         assert np.array_equal(out.final_x, self.reference(prob, x0, 0.05, 2, steps, ref_rng))
         assert out.sfo_raw == 2 * steps and out.trace[-1].iteration == steps
@@ -187,6 +195,8 @@ class TestSgdChunks:
 
 
 class TestSvrg:
+    """SVRG is ``run_ssrgd`` with ``RunConfig.snapshot`` set."""
+
     # n = 7: an anchor costs 7 raw SFO, a step at b = 3 costs 6
     @pytest.mark.parametrize("budget, max_iters, epochs", [
         (10**6, 10, [5, 5]),  # the cap on an epoch boundary
@@ -197,9 +207,9 @@ class TestSvrg:
     def test_block_epochs_match_per_step_draws(self, budget, max_iters, epochs, monkeypatch):
         prob = quadratic_problem_from_components(random_quadratic_family(d=3, n=7, seed=13))
         x0 = np.array([1.0, -0.5, 2.0])
-        bk = BaselineKind(kind="svrg", step_size=0.2, minibatch=3, epoch_len=5, seed=9, max_iters=max_iters)
+        cfg = svrg_config(0.2, minibatch=3, epoch_len=5, sfo_budget=budget, seed=9, max_iters=max_iters)
         for full_trace in (True, False):  # an epoch-start trace keeps the same path
-            out, rng = run_on_own_stream(monkeypatch, bk, prob, budget, x0, full_trace)
+            out, rng = run_on_own_stream(monkeypatch, lambda: run_ssrgd(prob, cfg, x0=x0, full_trace=full_trace))
             ref_rng = core.seeded_rng(9, 0)
             x, sfo, t, rows = x0, core.SfoCounter(), 0, []
             for steps in epochs:
@@ -213,7 +223,7 @@ class TestSvrg:
                         rows.append(core.TraceRecord(t + k, float(prob.value(x)), None, start + 6 * k))
                 t += steps
             assert out.trace == rows
-            assert out.termination.value == ("max_epochs" if max_iters else "budget_exhausted")
+            assert out.termination.value == ("max_iters" if max_iters else "budget_exhausted")
             assert np.array_equal(out.final_x, x)
             assert (out.sfo_raw, out.sfo_nominal) == (sfo.raw, sfo.nominal)
             assert rng.random() == ref_rng.random()
@@ -222,9 +232,9 @@ class TestSvrg:
         # as SSRGD's run: from just off the planted saddle it descends to a
         # minimum at |x_3| = sqrt(0.3), outside a box of radius 0.2
         inst = ssrgd.make_separable_saddle(d=3, n=8, delta_plant=0.3, seed=0, box_radius=0.2)
-        bk = BaselineKind(kind="svrg", step_size=0.5 / inst.spec.lipschitz_grad, minibatch=3, epoch_len=3)
+        cfg = svrg_config(0.5 / inst.spec.lipschitz_grad, minibatch=3, epoch_len=3, sfo_budget=4000)
         with caplog.at_level(logging.WARNING, logger="ssrgd"):
-            out = run_baseline(bk, inst.spec, 4000, x0=np.array([0.0, 0.0, 0.1]), full_trace=False)
+            out = run_ssrgd(inst.spec, cfg, x0=np.array([0.0, 0.0, 0.1]), full_trace=False)
         warned = [r.getMessage() for r in caplog.records]
         assert np.max(np.abs(out.final_x)) > 0.5
         assert len(warned) == 1
@@ -234,17 +244,16 @@ class TestSvrg:
         # one anchor costs 64 raw SFO against a budget of 10: the budget is
         # overspent by more than a step's cost, so the epoch has no steps
         inst = ssrgd.make_quadratic(d=3, n=64, seed=0)
-        bk = BaselineKind(kind="svrg", step_size=0.1, minibatch=2, epoch_len=8, seed=9)
-        out, rng = run_on_own_stream(monkeypatch, bk, inst.spec, 10, np.ones(3))
+        cfg = svrg_config(0.1, minibatch=2, epoch_len=8, sfo_budget=10, seed=9)
+        out, rng = run_on_own_stream(monkeypatch, lambda: run_ssrgd(inst.spec, cfg, x0=np.ones(3)))
         assert (out.sfo_raw, len(out.trace), out.termination.value) == (64, 1, "budget_exhausted")
         assert np.array_equal(out.final_x, np.ones(3))
         assert rng.random() == core.seeded_rng(9, 0).random()
 
     def test_snapshot_norm_matches_exact(self):
         inst = ssrgd.make_quadratic(d=3, n=10, seed=2, spread=0.3)
-        bk = BaselineKind(kind="svrg", step_size=0.2 / inst.spec.lipschitz_grad,
-                          minibatch=3, epoch_len=3, seed=5)
-        out = run_baseline(bk, inst.spec, 5_000, x0=np.ones(3))
+        cfg = svrg_config(0.2 / inst.spec.lipschitz_grad, minibatch=3, epoch_len=3, sfo_budget=5_000, seed=5)
+        out = run_ssrgd(inst.spec, cfg, x0=np.ones(3))
         snapshots = [r for r in out.trace if r.event is Event.EPOCH_START]
         assert snapshots
         # replay the trajectory to recover snapshot points is overkill here:
@@ -256,17 +265,15 @@ class TestSvrg:
 
     def test_converges_on_quadratic(self):
         inst = ssrgd.make_quadratic(d=4, n=16, seed=3, spread=0.3)
-        bk = BaselineKind(kind="svrg", step_size=0.3 / inst.spec.lipschitz_grad,
-                          minibatch=4, epoch_len=4, seed=6)
-        out = run_baseline(bk, inst.spec, 60_000, x0=3.0 * np.ones(4))
+        cfg = svrg_config(0.3 / inst.spec.lipschitz_grad, minibatch=4, epoch_len=4, sfo_budget=60_000, seed=6)
+        out = run_ssrgd(inst.spec, cfg, x0=3.0 * np.ones(4))
         assert np.linalg.norm(out.final_x) < 0.05
 
     def test_sfo_accounting(self):
         # raw: n per snapshot + 2b per inner step; nominal: n + b per step
         prob = scalar_quadratic([1.0, 2.0, 3.0, 4.0, 5.0])
-        bk = BaselineKind(kind="svrg", step_size=0.05, minibatch=2, epoch_len=3,
-                          seed=0, max_iters=6)
-        out = run_baseline(bk, prob, 10**6, x0=np.array([1.0]))
+        cfg = svrg_config(0.05, minibatch=2, epoch_len=3, sfo_budget=10**6, max_iters=6)
+        out = run_ssrgd(prob, cfg, x0=np.array([1.0]))
         # 2 epochs of 3 steps: raw = 2*5 + 6*(2*2), nominal = 2*5 + 6*2
         assert out.sfo_raw == 10 + 24
         assert out.sfo_nominal == 10 + 12

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import ssrgd
 from ssrgd import baselines, core, diagnostics
 from ssrgd.core import (
-    ConfigError, Event, InvalidInputError, Mode, ProblemSpec, RunConfig, SuperEpoch,
+    ConfigError, Event, InvalidInputError, Mode, ProblemSpec, RunConfig, SuperEpoch, UnsupportedOracleError,
 )
 
-from conftest import scalar_quadratic
+from conftest import scalar_quadratic, svrg_config
 
 
 class TestSeededRng:
@@ -269,14 +269,22 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="large_batch"):
             cfg.validate(inst.spec)
 
+    def test_snapshot_needs_a_finite_sum(self):
+        # the error an online svrg cell reports, with or without a large batch
+        inst = ssrgd.make_online_stream(ssrgd.make_quadratic(3, 2, seed=0), 1.0)
+        for large_batch in (None, 8):
+            cfg = svrg_config(0.1, minibatch=2, epoch_len=2, sfo_budget=10, large_batch=large_batch)
+            with pytest.raises(UnsupportedOracleError, match="^svrg needs the finite-sum full gradient$"):
+                cfg.validate(inst.spec)
+
 
 class TestNanSettingsRefused:
     """NaN passes the `<= 0` tests, so each setting is checked as `not > 0`."""
 
     def test_run_config_budget(self):
-        # run_ssrgd used to ignore the budget and run to the epoch cap
+        # run_ssrgd used to ignore the budget and run to the cap
         inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
-        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), sfo_budget=math.nan, max_epochs=2000)
+        cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), sfo_budget=math.nan, max_iters=2000)
         with pytest.raises(ConfigError, match="sfo_budget"):
             ssrgd.run_ssrgd(inst.spec, cfg)
 
@@ -284,9 +292,12 @@ class TestNanSettingsRefused:
     def test_baseline_budget(self, kind):
         # it used to return a zero-step run marked budget_exhausted
         inst = ssrgd.make_nonconvex_logistic(n=64, d=5, seed=0)
-        bk = baselines.BaselineKind(kind=kind, step_size=0.1, minibatch=2, epoch_len=4)
         with pytest.raises(ConfigError, match="sfo_budget"):
-            baselines.run_baseline(bk, inst.spec, math.nan)
+            if kind == "svrg":
+                ssrgd.run_ssrgd(inst.spec, svrg_config(0.1, minibatch=2, epoch_len=4, sfo_budget=math.nan))
+            else:
+                baselines.run_baseline(baselines.BaselineKind(kind=kind, step_size=0.1, minibatch=2), inst.spec,
+                                       math.nan)
 
     def test_step_size(self):
         # the run used to die at iteration 1 with a NonFiniteError that blamed the iterate
@@ -294,8 +305,10 @@ class TestNanSettingsRefused:
         cfg = dataclasses.replace(ssrgd.derive_config(inst.spec, 0.01), step_size=math.nan)
         with pytest.raises(ConfigError, match="step_size"):
             ssrgd.run_ssrgd(inst.spec, cfg)
+        with pytest.raises(ConfigError, match="step_size"):
+            ssrgd.run_ssrgd(inst.spec, svrg_config(math.nan, minibatch=2, epoch_len=4, sfo_budget=1000))
         for kind in baselines.KINDS:
-            bk = baselines.BaselineKind(kind=kind, step_size=math.nan, minibatch=2, epoch_len=4)
+            bk = baselines.BaselineKind(kind=kind, step_size=math.nan, minibatch=2)
             with pytest.raises(ConfigError, match="step_size"):
                 baselines.run_baseline(bk, inst.spec, 1000)
 
@@ -451,7 +464,7 @@ class TestSfoAccounting:
         base.component_grad_batch = counting_batch
         cfg = RunConfig(
             step_size=0.1, epoch_len=5, minibatch=3, eps=0.0, sfo_budget=10**9,
-            seed=9, max_epochs=20,
+            seed=9, max_iters=60,
         )
         out = ssrgd.run_ssrgd(base, cfg, x0=np.array([5.0]))
         n_steps = sum(1 for r in out.trace if r.grad_norm is None)

@@ -7,13 +7,12 @@ import pytest
 
 from ssrgd import core, estimators
 from ssrgd.algorithm import derive_config, run_ssrgd
-from ssrgd.baselines import BaselineKind, run_baseline
 from ssrgd.core import ConfigError, NonFiniteError, ProblemSpec, UnsupportedOracleError
 from ssrgd.problems import make_nonconvex_logistic, make_online_stream, make_quadratic
 
 from conftest import (
     counting, quadratic_problem_from_components, random_quadratic_family, reference_epoch,
-    scalar_quadratic,
+    scalar_quadratic, svrg_config,
 )
 
 
@@ -437,8 +436,7 @@ def test_one_component_call_per_inner_step(step, monkeypatch):
     def run(problem):
         if step == "recursive_step":
             return run_ssrgd(problem, derive_config(problem, 0.05, sfo_budget=30_000, seed=3), x0=x0)
-        kind = BaselineKind("svrg", step_size=0.1, minibatch=8, epoch_len=10)
-        return run_baseline(kind, problem, 30_000, x0=x0)
+        return run_ssrgd(problem, svrg_config(0.1, minibatch=8, epoch_len=10, sfo_budget=30_000), x0=x0)
 
     plain = run(spec)
     oracle, steps = counting(spec.component_grad_batch), counting(getattr(estimators, step))
@@ -462,9 +460,9 @@ def test_svrg_non_finite_oracle_stops_at_the_same_iterate():
 
     poisoned.calls = 0
     prob = dataclasses.replace(prob, component_grad_batch=poisoned)
-    kind = BaselineKind("svrg", step_size=0.1, minibatch=2, epoch_len=10)
+    cfg = svrg_config(0.1, minibatch=2, epoch_len=10, sfo_budget=10_000)
     with pytest.raises(NonFiniteError, match="^gradient estimate contains non-finite entries$") as info:
-        run_baseline(kind, prob, 10_000, x0=np.array([1.0]))
+        run_ssrgd(prob, cfg, x0=np.array([1.0]))
     assert info.value.iteration == 4
     assert [row.iteration for row in info.value.trace] == [0, 1, 2, 3]
     assert all(math.isfinite(row.f_value) for row in info.value.trace)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -510,8 +511,9 @@ def run_child(code: str, timeout: float = 120) -> str:
     imports this package; it fails after ``timeout`` seconds rather than hang."""
     src = str(Path(harness.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=timeout, check=True).stdout
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 class TestLineChart:
@@ -565,6 +567,49 @@ class TestLineChart:
         svg = run_child(code, timeout=20)
         root = ET.fromstring(svg)
         assert (root.attrib["data-ymin"], root.attrib["data-ymax"]) == (repr(min(ys)), repr(max(ys)))
+        assert "nan" not in svg and "inf" not in svg and svg.count("<polyline") == 1
+
+    def test_axis_near_the_float_spacing_draws_in_process(self):
+        # the spread-of-an-ulp case above in this process, where a line-coverage
+        # run sees the tick loop's exit; an alarm turns a loop that never ends
+        # into a failure within a second, before its tick list grows large
+        def overdue(signum, frame):
+            raise TimeoutError("line_chart did not return within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(1)
+        try:
+            svg = svgplot.line_chart([("a", [0, 1, 2], [1e8, 1e8 + 1.5e-8, 1e8])], title="t", xlabel="x", ylabel="y")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ET.fromstring(svg).attrib["data-ymax"] == repr(1e8 + 1.5e-8)
+        assert "nan" not in svg and "inf" not in svg and svg.count("<polyline") == 1
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0, 1], [-1e308, 1e308]), ([-1e308, 1e308], [0, 1]), ([-1.7e308, 1.7e308], [-1.7e308, 1.7e308]),
+    ])
+    def test_span_past_the_float_range_draws(self, xs, ys):
+        # hi - lo is inf: the ticks took floor(log10(inf)) and raised OverflowError,
+        # and the frame would have placed every point at nan
+        svg = svgplot.line_chart([("a", xs, ys)], title="t", xlabel="x", ylabel="y")
+        assert ET.fromstring(svg).attrib["data-ymax"] == repr(float(ys[1]))
+        assert "nan" not in svg and "inf" not in svg
+        assert '<polyline points="70.00,425.00 700.00,40.00"' in svg  # corner to corner
+
+    @pytest.mark.parametrize("ys, logy", [
+        ([-5.9e191, 1.7976931348623157e308], False), ([1e-3, 1.7976931348623157e308], True),
+        ([1.7976931348623157e308] * 2, False),
+    ], ids=["nice-ticks", "log-ticks", "flat-at-the-largest-float"])
+    def test_ticks_ending_near_the_largest_float_draw(self, ys, logy):
+        # from a step of 1 up the ticks are ints, and an end of hi + 1e-12 * span
+        # past the float range is inf: every int passed it, so the loop ran until
+        # memory ran out; the log ticks raised OverflowError at 10.0 ** 309
+        code = ("import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                f"from ssrgd import svgplot\nprint(svgplot.line_chart([('a', [0, 1], {ys!r})], logy={logy},"
+                " title='t', xlabel='x', ylabel='y'))")
+        svg = run_child(code, timeout=20)
+        assert ET.fromstring(svg).attrib["data-ymax"] == repr(ys[1])
         assert "nan" not in svg and "inf" not in svg and svg.count("<polyline") == 1
 
 
@@ -683,11 +728,23 @@ seeds = 0
         assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
         agg = json.loads((tmp_path / "runs" / "aggregate.json").read_text())
         by_opt = {c["optimizer"]: c for c in agg["cells"]}
-        assert by_opt["svrg"]["failed"] and "svrg" in by_opt["svrg"]["error"]
+        assert by_opt["svrg"]["failed"] and by_opt["svrg"]["error"] == "svrg needs the finite-sum full gradient"
         assert agg["failed"] == [by_opt["svrg"]["run_id"]]
         assert not by_opt["sgd"]["failed"] and by_opt["sgd"]["sfo_raw"] > 0
         trace = tmp_path / "runs" / by_opt["sgd"]["run_id"] / "trace.csv"
         assert trace.read_text().count("\n") > 1
+
+    def test_cell_out_of_memory_fails_alone(self, tmp_path, monkeypatch):
+        # an online certificate's large batch can outgrow the memory left; the
+        # MemoryError used to end the plan in a traceback with no aggregate
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 288. MiB for an array with shape (3428211, 11)")
+
+        monkeypatch.setattr(harness.spectral, "certify", out_of_memory)
+        text = MINIMAL.replace("[output]", "[optimizer:gd]\nkind = gd\nsfo_budget = 100\n\n[output]")
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 1
+        cells = json.loads((tmp_path / "runs" / "aggregate.json").read_text())["cells"]
+        assert [c["error"] for c in cells] == ["Unable to allocate 288. MiB for an array with shape (3428211, 11)"] * 2
 
     def test_sgd_without_measurements_exits_2_before_any_cell(self, tmp_path, capsys):
         # eval_every = 0 would divide by zero inside the run; the section parse
@@ -743,6 +800,12 @@ seeds = 0
         ("n-float.json", '{"cells": [{"sfo_to_fosp": 10, "n": 1.5}]}', "constraint violated: n is an integer >= 1"),
         ("seed-word.json", '{"cells": [{"sfo_to_fosp": 10, "eps": 0.1, "seed": "0"}]}',
          "constraint violated: seed is an integer"),
+        # an integer past the float range reads as inf; float() of it raised OverflowError
+        ("fosp-huge.json", '{"cells": [{"sfo_to_fosp": 1%s, "eps": 0.1}]}' % ("0" * 400),
+         "constraint violated: sfo_to_fosp is a finite number >= 0 or null"),
+        ("eps-huge.json", '{"cells": [{"sfo_to_fosp": 10, "eps": 1%s}]}' % ("0" * 400), "constraint violated: eps < inf"),
+        ("n-huge.json", '{"cells": [{"sfo_to_fosp": 10, "n": 1%s}]}' % ("0" * 400),
+         "constraint violated: n is an integer >= 1"),
     ])
     def test_scaling_rejects_unreadable_aggregate(self, tmp_path, capsys, name, text, why):
         path = tmp_path / name
@@ -752,6 +815,26 @@ seeds = 0
         err = capsys.readouterr().err
         assert err.startswith(f"config error: aggregate {path}: ") and why in err
         assert err.count("\n") == 1
+
+    def test_scaling_refuses_a_subnormal_eps(self, tmp_path, capsys):
+        # log(1 / 5e-324) is log(inf): np.polyfit raised LinAlgError, a traceback
+        cells = [{"eps": eps, "n": 16, "seed": 0, "sfo_to_fosp": 100 * k} for k, eps in enumerate((5e-324, 0.1, 0.01), 1)]
+        path = tmp_path / "aggregate.json"
+        path.write_text(json.dumps({"cells": cells}))
+        assert harness.main(["scaling", str(path), "--axis", "eps"]) == 2
+        assert capsys.readouterr().err == "config error: constraint violated: 1/eps is a finite float\n"
+        with pytest.raises(ConfigError, match=r"^constraint violated: 1/eps is a finite float$"):
+            harness.scaling_report({"cells": cells}, "eps")
+
+    def test_subnormal_eps_sweep_plots_without_its_fit(self, tmp_path):
+        # the run wrote its cells, then emit_plots' fit raised LinAlgError: exit 1, no plots.json
+        text = ("[problem]\nkind = separable_saddle\nd = 4\nn = 16\nx0 = saddle\n\n"
+                "[optimizer]\nkind = ssrgd\nsfo_budget = 2000\n\n[sweep]\naxis = eps\ngrid = 5e-324, 0.1, 0.01\n\n"
+                "[output]\ndir = {out}\nplot = true\nseeds = 0\n")
+        assert harness.main(["run", str(write_config(tmp_path, text))]) == 0
+        runs = tmp_path / "runs"
+        assert json.loads((runs / "plots.json").read_text()) == ["trace_f_vs_sfo.svg", "trace_gradnorm_vs_sfo.svg"]
+        assert [c["eps"] for c in json.loads((runs / "aggregate.json").read_text())["cells"]] == [5e-324, 0.1, 0.01]
 
     def test_plan_over_the_cell_cap_creates_nothing(self, tmp_path, capsys):
         text = MINIMAL.replace("seeds = 0", "seeds = 0\nmax_cells = 2")
@@ -927,10 +1010,11 @@ class TestOneDerivation:
         text = f"[problem]\nkind = nonconvex_logistic\nn = 256\n\n[optimizer]\nkind = svrg\n{given}\n"
         plan = parse_config(write_config(tmp_path, text))
         inst = build_problem(plan.problems[0][1])
-        bk = baseline_kind(plan.optimizers[0][1], inst, 0, 0.01)
+        cfg = run_config(plan.optimizers[0][1], inst)
         key, value = given.split(" = ")
-        assert getattr(bk, key) == int(value)
-        assert getattr(bk, unset) == ssrgd.derive_config(inst.spec, 0.01).minibatch == 16
+        assert getattr(cfg, key) == int(value)
+        assert getattr(cfg, unset) == ssrgd.derive_config(inst.spec, 0.01).minibatch == 16
+        assert cfg.snapshot and cfg.step_size == 0.1 / inst.spec.lipschitz_grad
 
     def test_online_svrg_cell_fails_for_want_of_the_full_gradient(self, tmp_path):
         text = ONLINE_SADDLE.replace("kind = ssrgd", "kind = svrg\nsfo_budget = 1000")
@@ -1086,7 +1170,7 @@ class TestParseRefusals:
 # ranges (integer m, b >= 1, positive finite step and thresholds, finite
 # L, rho and sigma) rather than read back from the table
 POSITIVE_KEYS = ("step_size", "eps", "delta", "logfactor", "perturb_radius", "grad_threshold", "fval_threshold")
-COUNT_KEYS = ("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_epochs", "max_iters", "eval_every")
+COUNT_KEYS = ("epoch_len", "minibatch", "large_batch", "super_epoch_len", "max_iters", "eval_every")
 OPTIMIZER_ROWS = (*POSITIVE_KEYS, "sfo_budget", *COUNT_KEYS, "seed")
 # Rows that a function argument reads, not a section key or a dataclass field:
 # sample_uniform_ball's radius, lambda_min_power's length, the diagnostics'
@@ -1123,8 +1207,8 @@ def library_settings():
     (the super-epoch ones too, so a positive perturb_radius passes)."""
     spec = ssrgd.make_quadratic(d=2, n=4, scale=1e-4, spread=0.0).spec
     cfg = RunConfig(step_size=0.1, epoch_len=4, minibatch=4, eps=0.1, sfo_budget=100, large_batch=8,
-                    grad_threshold=0.1, fval_threshold=0.1, super_epoch_len=5, delta=0.1, max_epochs=3)
-    bk = BaselineKind(kind="sgd", step_size=0.1, minibatch=2, epoch_len=4, perturb_radius=0.1, grad_threshold=0.1,
+                    grad_threshold=0.1, fval_threshold=0.1, super_epoch_len=5, delta=0.1, max_iters=3)
+    bk = BaselineKind(kind="sgd", step_size=0.1, minibatch=2, perturb_radius=0.1, grad_threshold=0.1,
                       fval_threshold=0.1, super_epoch_len=5, eval_every=10, max_iters=20)
     return spec, cfg, bk
 
@@ -2026,3 +2110,10 @@ class TestColdImport:
             f"print(json.dumps([m for m in {unused!r} if m in sys.modules and m not in before]))\n"
         )
         assert json.loads(run_child(code)) == []
+
+
+def test_no_input_ends_in_a_traceback_or_a_hang():
+    # the Hypothesis properties of robustness_properties.py, in a child process
+    # that caps its own memory; the deadline turns a hang into a failure
+    script = Path(__file__).with_name("robustness_properties.py")
+    assert run_child(f"import runpy\nrunpy.run_path({str(script)!r}, run_name='__main__')", timeout=120) == "ok\n"

@@ -54,6 +54,12 @@ class TestDense:
         with pytest.raises(ConfigError, match="lambda_min_power"):
             spectral.lambda_min_dense(spec, np.zeros(12))
 
+    def test_non_finite_hessian_raises(self):
+        # eigvalsh raised LinAlgError ("Eigenvalues did not converge") on a NaN entry
+        spec = dataclasses.replace(make_quadratic(d=3, n=4).spec, hvp=lambda x, v: np.full(3, math.nan))
+        with pytest.raises(ssrgd.NonFiniteError, match="^Hessian contains non-finite entries$"):
+            spectral.certify(spec, np.zeros(3), 0.1, 0.1)
+
     def test_needs_hvp(self):
         spec, _ = random_symmetric_problem(4, seed=6)
         spec.hvp = None

@@ -83,9 +83,13 @@ def _ssrgd(inst, eps, delta=None, logfactor=1.0, *, budget, seed, x0, full_trace
 
 
 def _baseline(inst, kind, *, budget, seed, x0, full_trace=True, **params):
-    resolved = harness.resolve_settings({"kind": kind, **params}, inst.spec, 0.05)
+    """A baseline section's run at eps 0.05, set up as ``harness.run_cell`` sets it up."""
+    resolved = harness.resolve_settings({"kind": kind, "sfo_budget": budget, **params}, inst.spec, 0.05)
+    if kind == "svrg":
+        cfg = harness.build_run_config(inst.spec, seed, *resolved)
+        return algorithm.run_ssrgd(inst.spec, cfg, x0=x0, full_trace=full_trace)
     bk = harness._baseline_from_params(inst.spec, seed, *resolved)
-    return baselines.run_baseline(bk, inst.spec, budget, x0=x0, full_trace=full_trace)
+    return baselines.run_baseline(bk, inst.spec, budget, x0=x0)
 
 
 def _digest(*parts, paths: bool = False) -> str:
