@@ -621,7 +621,7 @@ def _run_cell_safely(cell: Cell, runs: dict) -> tuple[dict, list[TraceRecord]]:
         return summary, getattr(exc, "trace", [])
 
 
-def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict:
+def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False, where: str = "") -> dict:
     """Least-squares exponent of SFO-to-FOSP against the sweep axis.
 
     For ``axis='eps'`` the fit is log(sfo) vs log(1/eps) (expected slope 2);
@@ -629,6 +629,7 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
     gradient term n, vs log(n) (expected slope 1/2 after subtraction).
     The confidence interval comes from per-seed slopes.  Nonpositive counts
     are left out; the fitted cells must share one (problem, optimizer) pair.
+    ``where`` prefixes the refusal of a cell's field, as ``check_setting``'s does.
     """
     core.check_setting("axis", axis)
     if subtract_n and axis != "n":
@@ -642,7 +643,7 @@ def scaling_report(aggregate: dict, axis: str, subtract_n: bool = False) -> dict
         if xval is None:
             continue
         if axis == "eps" and 1.0 / float(xval) == math.inf:  # a subnormal eps
-            raise ConfigError("constraint violated: 1/eps is a finite float")
+            raise ConfigError(f"{where}constraint violated: 1/eps is a finite float")
         y = float(s["sfo_to_fosp"])
         if subtract_n:
             y -= float(s["n"])
@@ -804,7 +805,7 @@ def _cmd_scaling(args) -> int:
         for key in ("eps", "n", "seed"):
             if cell.get(key) is not None:
                 core.check_setting(key, cell[key] if isinstance(cell[key], (int, float)) else math.nan, where)
-    rep = scaling_report(aggregate, args.axis, subtract_n=args.subtract_n)
+    rep = scaling_report(aggregate, args.axis, subtract_n=args.subtract_n, where=where)
     print(json.dumps(rep, indent=2))
     return 0
 

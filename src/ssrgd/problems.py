@@ -35,6 +35,7 @@ RATIONAL_REG_D3_MAX = 5.0
 LOGISTIC_FEATURE_SCALE = 8.0
 LOGISTIC_CONDITION = 160.0
 LOGISTIC_ROW_CAP = 3.2
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -227,9 +228,19 @@ def _noisy_gradients(full_grad, noise):
     return component_grad_batch, grad_diff_batch
 
 
+def _logistic_weights(t: np.ndarray, num: float) -> np.ndarray:
+    """``num / (1 + exp(t))`` in place in the fresh array ``t``.  t is clamped at
+    the largest float whose exp is finite: nothing overflows, no finite weight moves."""
+    np.minimum(t, LOG_FLOAT_MAX, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(num, t, out=t)
+
+
 def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInstance:
     """The nonconvex logistic problem on rows ``A`` and labels ``y``.
 
+    Every oracle reads only the signed rows ``Ay``, the one (n, d) array kept.
     Work is done once per point.  One ``_point_slot`` holds the margins
     ``Ay @ x``, which ``value``, ``full_grad`` and ``hvp`` read, so an epoch
     start's anchor and its f share one product.  The component oracle
@@ -257,23 +268,20 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
         return float(np.add.reduce(loss) / n) + reg_value(x)
 
     def full_grad(x):
-        s = 1.0 / (1.0 + np.exp(margins(x)))  # sigmoid(-margin)
+        s = _logistic_weights(margins(x).copy(), 1.0)  # sigmoid(-margin)
         return -(Ay.T @ s) / n + reg * 2.0 * x / (1.0 + x * x) ** 2
 
     def component_grad_batch(idx, x):
         g = Ay.take(idx, axis=0)
-        w = np.matmul(g, x[..., None])  # a margin column per point of the stack
-        np.exp(w, out=w)
-        w += 1.0
-        np.divide(-1.0, w, out=w)  # -sigmoid(-margin): (-1)/d is -(1/d) exactly
-        g = g * w
+        # a margin column per point of the stack, turned into -sigmoid(-margin): (-1)/d is -(1/d) exactly
+        g = g * _logistic_weights(np.matmul(g, x[..., None]), -1.0)
         g += (reg * 2.0 * x / (1.0 + x * x) ** 2)[..., None, :]
         return g
 
     def hvp(x, vec):
-        s = 1.0 / (1.0 + np.exp(-margins(x)))
+        s = _logistic_weights(-margins(x), 1.0)  # sigmoid(margin)
         w = s * (1.0 - s)
-        return A.T @ (w * (A @ vec)) / n + reg_hess_diag(x) * vec
+        return Ay.T @ (w * (Ay @ vec)) / n + reg_hess_diag(x) * vec
 
     spec = ProblemSpec(
         n=n,

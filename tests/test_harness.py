@@ -822,7 +822,7 @@ seeds = 0
         path = tmp_path / "aggregate.json"
         path.write_text(json.dumps({"cells": cells}))
         assert harness.main(["scaling", str(path), "--axis", "eps"]) == 2
-        assert capsys.readouterr().err == "config error: constraint violated: 1/eps is a finite float\n"
+        assert capsys.readouterr().err == f"config error: aggregate {path}: constraint violated: 1/eps is a finite float\n"
         with pytest.raises(ConfigError, match=r"^constraint violated: 1/eps is a finite float$"):
             harness.scaling_report({"cells": cells}, "eps")
 

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -518,14 +520,63 @@ class TestLogisticOracles:
     def test_per_index_gradient_is_the_batched_row_where_margins_overflow_exp(self):
         spec = make_nonconvex_logistic(n=64, d=5, seed=0).spec
         x = 400.0 * np.ones(5)
-        with np.errstate(over="ignore"):
-            batch = spec.component_grad_batch(np.arange(64), x)
-            for i in range(64):
-                row = spec.component_grad_batch(np.array([i]), x)[0]
-                assert np.isfinite(row).all()
-                # a whole-batch call forms its margins in one BLAS product,
-                # which can round differently from a one-row product
-                assert np.allclose(row, batch[i], rtol=1e-14, atol=0)
+        batch = spec.component_grad_batch(np.arange(64), x)
+        for i in range(64):
+            row = spec.component_grad_batch(np.array([i]), x)[0]
+            assert np.isfinite(row).all()
+            # a whole-batch call forms its margins in one BLAS product,
+            # which can round differently from a one-row product
+            assert np.allclose(row, batch[i], rtol=1e-14, atol=0)
+
+    def test_no_oracle_overflows_far_from_the_data(self):
+        # margins reach about +-2000 here, so an unclamped exp overflows
+        spec = make_nonconvex_logistic(n=64, d=5, seed=0).spec
+        x = 400.0 * np.ones(5)
+        idx = np.arange(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            answers = [spec.component_grad_batch(idx, np.stack([x, -x]))]
+            for point in (x, -x):
+                answers += [spec.value(point), spec.full_grad(point), spec.component_grad_batch(idx, point),
+                            spec.hvp(point, np.ones(5))]
+        assert all(np.isfinite(a).all() for a in answers)
+
+    def test_the_instance_keeps_only_the_signed_rows(self):
+        # every oracle equals, bit for bit, the formula on A and y separately,
+        # and the caller's A is freed once the instance exists
+        rng = np.random.default_rng(21)
+        n, d, reg = 40, 6, 0.05
+        A = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        A_ref, Ay = A.copy(), A * y[:, None]
+        gone = weakref.ref(A)
+        spec = problems._logistic_instance(A, y, reg).spec
+        del A
+        gc.collect()
+        assert gone() is None
+
+        def rows_grad(idx, x):
+            rows = Ay[idx]
+            return rows * (-(1.0 / (1.0 + np.exp(rows @ x))))[:, None] + reg * 2.0 * x / (1.0 + x * x) ** 2
+
+        idx = rng.integers(0, n, size=9)
+        for trial in range(20):
+            x, x2, v = 2.0 * rng.standard_normal((3, d))
+            m = Ay @ x
+            assert np.max(np.abs(m)) < 700.0
+            loss = np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+            value = float(np.add.reduce(loss) / n) + reg * float(np.add.reduce(x * x / (1.0 + x * x)))
+            grad = -(Ay.T @ (1.0 / (1.0 + np.exp(m)))) / n + reg * 2.0 * x / (1.0 + x * x) ** 2
+            s = 1.0 / (1.0 + np.exp(-m))
+            x2 = x * x
+            hess_diag = reg * (2.0 - 6.0 * x2) / (1.0 + x2) ** 3
+            hvp = A_ref.T @ (s * (1.0 - s) * (A_ref @ v)) / n + hess_diag * v
+            assert spec.value(x) == value, trial
+            assert np.array_equal(spec.full_grad(x), grad), trial
+            assert np.array_equal(spec.hvp(x, v), hvp), trial
+            assert np.array_equal(spec.component_grad_batch(idx, x), rows_grad(idx, x)), trial
+            stacked = spec.component_grad_batch(idx, np.stack([x, x2]))
+            assert np.array_equal(stacked, np.stack([rows_grad(idx, x), rows_grad(idx, x2)])), trial
 
 
 class TestLogisticSlots:
