@@ -9,6 +9,7 @@ proves the stated bound a fortiori while keeping the suite fast.
 import dataclasses
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -101,6 +102,9 @@ N_C2 = 4096
 D_C2 = 20
 REG_C2 = 0.01
 X0_C2 = 0.4 / math.sqrt(D_C2)  # per-coordinate start offset
+# Added to the run seeds of criteria 2 and 4, never to their data seeds, so
+# that tools/gate_audit.py can rerun them at other offsets; Tier-1 leaves it at 0.
+RUN_SEED_OFFSET = int(os.environ.get("SSRGD_GATE_SEED_OFFSET", "0"))
 
 
 def _logistic_x0(d):
@@ -115,7 +119,7 @@ def test_criterion_02_first_order_convergence():
     worst = 0
     for seed in range(20):
         inst = ssrgd.make_nonconvex_logistic(N_C2, D_C2, REG_C2, seed)
-        cfg = ssrgd.derive_config(inst.spec, eps, sfo_budget=4_000_000, seed=seed)
+        cfg = ssrgd.derive_config(inst.spec, eps, sfo_budget=4_000_000, seed=seed + RUN_SEED_OFFSET)
         out = ssrgd.run_ssrgd(inst.spec, cfg, x0=_logistic_x0(D_C2), full_trace=False)
         sfo = sfo_at_first_fosp(out.trace, eps)
         if sfo is not None and sfo <= allowance:
@@ -180,7 +184,7 @@ def test_criterion_04_n_scaling():
         for seed in range(10):
             inst = ssrgd.make_nonconvex_logistic(n, D_C2, REG_C2, seed)
             cfg = ssrgd.derive_config(inst.spec, eps,
-                                      sfo_budget=2_000_000, seed=seed)
+                                      sfo_budget=2_000_000, seed=seed + RUN_SEED_OFFSET)
             out = ssrgd.run_ssrgd(inst.spec, cfg, x0=_logistic_x0(D_C2),
                                   full_trace=False)
             cells.append({
@@ -192,7 +196,7 @@ def test_criterion_04_n_scaling():
     rep = scaling_report({"cells": cells, "failed": []}, "n", subtract_n=True)
     elapsed = time.time() - t0
     ok = 0.3 <= rep["slope"] <= 0.7 and elapsed < 900.0
-    report(4, ok, f"(SFO-to-FOSP - n) vs n slope {rep['slope']:.3f} "
+    report(4, ok, f"(SFO-to-FOSP - n) vs n slope {rep['slope']:.4f} "
                   f"(ci [{rep['ci_low']:.2f}, {rep['ci_high']:.2f}]), {elapsed:.0f}s")
 
 

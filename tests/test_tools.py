@@ -167,6 +167,57 @@ def test_ab_refuses_no_pairs_and_bad_seconds(ab, flag, capsys):
     assert exc.value.code == 2 and "--pairs must be >= 1 and --seconds finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def gate_audit():
+    return load_tool("gate_audit")
+
+
+def audit_output(hits=20, worst=812345, slope="0.5900", verdict4="PASS"):
+    """Standard output of ``pytest tests/test_acceptance.py -s -q`` over
+    criteria 2 and 4, as ``gate_audit.run_offset`` reads it."""
+    return (
+        "\n[criterion  2] PASS - %d/20 seeds reached eps=0.01 (worst SFO %d vs allowance 32204800), 15s\n"
+        ".\n[criterion  4] %s - (SFO-to-FOSP - n) vs n slope %s (ci [0.52, 0.66]), 12s\n"
+        ".\n2 passed, 10 deselected in 27.31s\n" % (hits, worst, verdict4, slope)
+    )
+
+
+def test_gate_audit_reads_each_criterions_verdict_and_statistics(gate_audit):
+    assert gate_audit.parse_reports(audit_output(19, 90210, "0.7060", "FAIL")) == {
+        2: {"passed": True, "hits": 19, "worst_sfo": 90210},
+        4: {"passed": False, "slope": 0.706},
+    }
+    # criteria the audit does not cover are skipped; a missing line is left out
+    other = "[criterion  3] PASS - SFO-to-FOSP vs 1/eps slope 2.012 (ci [1.9, 2.1]), 4s\n"
+    assert gate_audit.parse_reports(other + audit_output().split(".\n")[0]) == {
+        2: {"passed": True, "hits": 20, "worst_sfo": 812345},
+    }
+    with pytest.raises(ValueError, match="criterion 4: unreadable report"):
+        gate_audit.parse_reports("[criterion  4] PASS - no slope here\n")
+
+
+def test_gate_audit_summary_gives_spread_and_pass_rate(gate_audit):
+    runs = [gate_audit.parse_reports(audit_output(20 - k, 1000 * (k + 1), slope, verdict))
+            for k, (slope, verdict) in enumerate([("0.5900", "PASS"), ("0.7060", "FAIL"), ("0.6290", "PASS")])]
+    record = json.loads(json.dumps(gate_audit.summarize([0, 1000, 2000], runs)))  # as --out writes it
+    assert record["offsets"] == [0, 1000, 2000] and record["build"] == load_tool("fingerprint").build()
+    c2, c4 = record["criteria"]["2"], record["criteria"]["4"]
+    assert c2["test"] == "test_criterion_02_first_order_convergence" and c4["bound"] == "0.3 <= slope <= 0.7"
+    assert [r["offset"] for r in c4["runs"]] == [0, 1000, 2000]
+    assert c2["pass_rate"] == 1.0 and c4["pass_rate"] == 2 / 3
+    assert c2["spread"]["hits"] == {"mean": 19.0, "std": 1.0, "min": 18, "max": 20}
+    assert c2["spread"]["worst_sfo"]["max"] == 3000
+    slope = c4["spread"]["slope"]
+    assert (slope["min"], slope["max"]) == (0.59, 0.706) and slope["mean"] == pytest.approx(0.6416666666666666)
+    assert slope["std"] == pytest.approx(np.std([0.59, 0.706, 0.629], ddof=1))
+    lines = gate_audit.table(record)
+    assert lines[0] == "criterion 2 (>= 19 of 20 seeds reach eps within the allowance): pass rate 1.00"
+    assert "  offset   1000  FAIL  slope 0.706" in lines
+    # the tool moves the seeds through the variable the acceptance suite reads
+    suite = (SCRIPT.parents[1] / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert f'os.environ.get("{gate_audit.OFFSET_VARIABLE}", "0")' in suite
+
+
 def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     # Under warnings as errors, Hypothesis's failure report raised a
     # DeprecationWarning out of a pytest hook: INTERNALERROR, and no later test ran.
