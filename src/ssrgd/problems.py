@@ -228,13 +228,13 @@ def _noisy_gradients(full_grad, noise):
     return component_grad_batch, grad_diff_batch
 
 
-def _logistic_weights(t: np.ndarray, num: float) -> np.ndarray:
-    """``num / (1 + exp(t))`` in place in the fresh array ``t``.  t is clamped at
-    the largest float whose exp is finite: nothing overflows, no finite weight moves."""
-    np.minimum(t, LOG_FLOAT_MAX, out=t)
-    np.exp(t, out=t)
-    t += 1.0
-    return np.divide(num, t, out=t)
+def _logistic_weights(t: np.ndarray, num: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``num / (1 + exp(t))`` in ``out`` (which may be t) or a fresh array.  t is clamped
+    at the largest float whose exp is finite: nothing overflows, no finite weight moves."""
+    s = np.minimum(t, LOG_FLOAT_MAX, out=out)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(num, s, out=s)
 
 
 def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInstance:
@@ -249,8 +249,8 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
     """
     core.check_values(reg=reg)
     n, d = A.shape
+    row_norms = np.linalg.norm(A, axis=1)  # before Ay, so its (n, d) temporary is gone first
     Ay = A * y[:, None]
-    row_norms = np.linalg.norm(A, axis=1)
     L = float(np.max(row_norms) ** 2 / 4.0 + 2.0 * reg)
     rho = float(SIGMOID_D2_MAX * np.max(row_norms) ** 3 + RATIONAL_REG_D3_MAX * reg)
     margins = _point_slot(lambda x: Ay @ x)
@@ -268,18 +268,19 @@ def _logistic_instance(A: np.ndarray, y: np.ndarray, reg: float) -> ProblemInsta
         return float(np.add.reduce(loss) / n) + reg_value(x)
 
     def full_grad(x):
-        s = _logistic_weights(margins(x).copy(), 1.0)  # sigmoid(-margin)
+        s = _logistic_weights(margins(x), 1.0)  # sigmoid(-margin)
         return -(Ay.T @ s) / n + reg * 2.0 * x / (1.0 + x * x) ** 2
 
     def component_grad_batch(idx, x):
         g = Ay.take(idx, axis=0)
-        # a margin column per point of the stack, turned into -sigmoid(-margin): (-1)/d is -(1/d) exactly
-        g = g * _logistic_weights(np.matmul(g, x[..., None]), -1.0)
+        w = np.matmul(g, x[..., None])  # a margin column per point of the stack
+        g = g * _logistic_weights(w, -1.0, out=w)  # -sigmoid(-margin): (-1)/d is -(1/d) exactly
         g += (reg * 2.0 * x / (1.0 + x * x) ** 2)[..., None, :]
         return g
 
     def hvp(x, vec):
-        s = _logistic_weights(-margins(x), 1.0)  # sigmoid(margin)
+        s = -margins(x)
+        _logistic_weights(s, 1.0, out=s)  # sigmoid(margin)
         w = s * (1.0 - s)
         return Ay.T @ (w * (Ay @ vec)) / n + reg_hess_diag(x) * vec
 

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -568,8 +569,8 @@ class TestLogisticOracles:
             value = float(np.add.reduce(loss) / n) + reg * float(np.add.reduce(x * x / (1.0 + x * x)))
             grad = -(Ay.T @ (1.0 / (1.0 + np.exp(m)))) / n + reg * 2.0 * x / (1.0 + x * x) ** 2
             s = 1.0 / (1.0 + np.exp(-m))
-            x2 = x * x
-            hess_diag = reg * (2.0 - 6.0 * x2) / (1.0 + x2) ** 3
+            xx = x * x
+            hess_diag = reg * (2.0 - 6.0 * xx) / (1.0 + xx) ** 3
             hvp = A_ref.T @ (s * (1.0 - s) * (A_ref @ v)) / n + hess_diag * v
             assert spec.value(x) == value, trial
             assert np.array_equal(spec.full_grad(x), grad), trial
@@ -577,6 +578,20 @@ class TestLogisticOracles:
             assert np.array_equal(spec.component_grad_batch(idx, x), rows_grad(idx, x)), trial
             stacked = spec.component_grad_batch(idx, np.stack([x, x2]))
             assert np.array_equal(stacked, np.stack([rows_grad(idx, x), rows_grad(idx, x2)])), trial
+
+    def test_building_the_instance_holds_one_new_copy_of_the_data_at_a_time(self):
+        # the row norms' (n, d) temporary is freed before Ay is made, so the
+        # build never holds A, Ay and a third (n, d) array at once
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4000, 20))
+        y = np.where(rng.random(4000) < 0.5, -1.0, 1.0)
+        tracemalloc.start()
+        try:
+            problems._logistic_instance(A, y, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A.nbytes <= peak < 1.5 * A.nbytes
 
 
 class TestLogisticSlots:
