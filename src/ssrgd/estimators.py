@@ -13,9 +13,10 @@ Four estimators, each a function of the values it reads:
 The same index multiset is used for both evaluation points of a step, in
 one oracle call: ``grad_diff_batch`` when the problem has it, otherwise
 ``component_grad_batch`` on the point stack ``[x_old, x_new]`` (the stack
-contract of ``ProblemSpec``), each endpoint's rows reduced in fixed slot
-order, so results do not depend on how the oracle evaluates the batch.
-Batch means are ``np.add.reduce(g, axis=-2) / b``, as ``ndarray.mean``.
+contract of ``ProblemSpec``).  Batch means are ``np.add.reduce(g, axis=-2) / b``,
+as ``ndarray.mean``: pairwise where the oracle lays the minibatch axis out
+contiguously (the logistic one does), in slot order otherwise; either way a
+mean depends on the oracle's answer alone, not on how it evaluated the batch.
 
 ``descend`` is the one epoch shape: from an anchor point and its gradient
 it runs the recursive (SSRGD) or the snapshot (SVRG) steps over minibatches
@@ -64,8 +65,9 @@ def _mean_grad_diff(problem: ProblemSpec, batch, x_new: Vector, x_old: Vector, s
         if g.shape != (2,) + idx.shape + x.shape[-1:]:
             raise UnsupportedOracleError(f"component_grad_batch answers a {x.shape} point stack with"
                                          f" shape {g.shape}, against the stack contract")
-        g_old, g_new = np.add.reduce(g, axis=-2) / idx.shape[-1]
-        diff = g_new - g_old
+        means = np.add.reduce(g, axis=-2)
+        means /= idx.shape[-1]
+        diff = np.subtract(means[1], means[0], out=means[1])
     if sfo is not None:
         sfo.add(2 * idx.size, idx.size)
     return diff
@@ -133,7 +135,8 @@ def descend(
     stacks row by row; the coupled escape experiment runs in lockstep so."""
     anchor, v = x, g
     for batch in batches:
-        x_old, x = x, x - step_size * v
+        x_old, x = x, step_size * v
+        np.subtract(x_old, x, out=x)
         if snapshot:
             v = svrg_step(problem, anchor, g, x, batch, sfo)
         else:

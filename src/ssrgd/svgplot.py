@@ -152,7 +152,8 @@ def line_chart(
     ``logy``, y > 0; a series with no such point is left out.  Each ``xs``
     and ``ys`` is read twice, once for the extents and once for the
     polyline, and no list of points is built, so columns of any length
-    cost no more memory than their polyline text.
+    cost no more memory than their polyline text.  Series that pass the
+    same ``xs`` and ``ys`` objects share one polyline text, built once.
     """
     def points(xs, ys):
         for x, y in zip(xs, ys):
@@ -186,9 +187,13 @@ def line_chart(
 
     parts = _preamble(run_ids, xmin=xlo, xmax=xhi, ymin=ylo, ymax=yhi, series=len(drawn))
     _axes(parts, frame, xticks, yticks, title, xlabel, ylabel)
+    coords_of = {}  # polyline text per distinct (xs, ys) pair; ``drawn`` keeps each id live
     for k, (label, xs, ys) in enumerate(drawn):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in points(xs, ys))
+        key = id(xs), id(ys)
+        if key not in coords_of:
+            coords_of[key] = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in points(xs, ys))
+        coords = coords_of[key]
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

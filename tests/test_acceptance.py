@@ -102,7 +102,7 @@ N_C2 = 4096
 D_C2 = 20
 REG_C2 = 0.01
 X0_C2 = 0.4 / math.sqrt(D_C2)  # per-coordinate start offset
-# Added to the run seeds of criteria 2 and 4, never to their data seeds, so
+# Added to the run seeds of criteria 2, 3 and 4, never to their data seeds, so
 # that tools/gate_audit.py can rerun them at other offsets; Tier-1 leaves it at 0.
 RUN_SEED_OFFSET = int(os.environ.get("SSRGD_GATE_SEED_OFFSET", "0"))
 
@@ -166,7 +166,7 @@ seeds = {", ".join(str(s) for s in seeds)}
 def test_criterion_03_eps_scaling(tmp_path):
     t0 = time.time()
     agg = _run_sweep(tmp_path, "eps", [0.1, 0.05, 0.025, 0.0125], 0.0125,
-                     3_000_000, range(10))
+                     3_000_000, range(RUN_SEED_OFFSET, RUN_SEED_OFFSET + 10))
     rep = scaling_report(agg, "eps")
     elapsed = time.time() - t0
     ok = 1.6 <= rep["slope"] <= 2.4 and not agg["failed"] and elapsed < 600.0

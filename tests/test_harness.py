@@ -541,6 +541,24 @@ class TestLineChart:
                                                   title="t", xlabel="x", ylabel="y"))
         assert (second.attrib["data-xmin"], second.attrib["data-ymax"]) == ("-0.0", "0.0")
 
+    def test_shared_columns_draw_their_polyline_once(self, monkeypatch):
+        # the eps cells of one run pass one columns object under their own labels
+        xs, ys = array("d", [0, 1, 2, NAN, 4]), array("d", [3.0, INF, 0.5, 1.0, 0.25])
+        other = (array("d", [1, 3]), array("d", [2.0, 1.5]))
+        shared = [("a", xs, ys), ("b", xs, ys), ("c", xs, ys), ("d", *other)]
+        copies = [(label, array("d", xs), array("d", ys)) for label in "abc"] + [("d", *other)]
+        for logy in (False, True):
+            svg = chart_outcome(svgplot.line_chart, shared, logy)
+            assert svg == chart_outcome(svgplot.line_chart, copies, logy)
+            assert svg == chart_outcome(reference_line_chart, shared, logy)
+        calls = []
+        px = svgplot._Frame.px
+        monkeypatch.setattr(svgplot._Frame, "px", lambda frame, x: calls.append(x) or px(frame, x))
+        svgplot.line_chart(shared, title="t", xlabel="x", ylabel="y")
+        ticks = svgplot._nice_ticks(0.0, 4.0)
+        # each tick, then the three drawn points of (xs, ys) once and the two of ``other``
+        assert calls == ticks + [0.0, 2.0, 4.0, 1.0, 3.0]
+
     @settings(max_examples=200, deadline=None)
     @given(
         series=st.lists(st.tuples(

@@ -675,6 +675,81 @@ class TestLogisticBatchKernel:
         assert np.array_equal(spec.component_grad_batch(everything, x), formula(everything, x))
 
 
+def signed_rows(spec):
+    """The one (n, d) array a logistic instance keeps, from its component oracle."""
+    [Ay] = [cell.cell_contents for cell in spec.component_grad_batch.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+    assert Ay.shape == (spec.n, spec.d)
+    return Ay
+
+
+class TestLogisticLayout:
+    """The batch oracle lays the minibatch axis out contiguously, so every
+    mean over it is numpy's pairwise pass; the rows keep their bits."""
+
+    def instance(self):
+        rng = np.random.default_rng(35)
+        n, d, reg = 300, 7, 0.05
+        A = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        Ay = A * y[:, None]
+
+        def rows_grad(idx, x):  # as in TestLogisticOracles.test_the_instance_keeps_only_the_signed_rows
+            rows = Ay[idx]
+            return rows * (-(1.0 / (1.0 + np.exp(rows @ x))))[:, None] + reg * 2.0 * x / (1.0 + x * x) ** 2
+
+        return problems._logistic_instance(A, y, reg).spec, rows_grad, rng
+
+    @staticmethod
+    def pairwise_mean_diff(g):
+        """``new - old`` of the means of a ``(2, ..., b, d)`` stack of rows,
+        each a reduce over the last axis of its C-ordered ``(..., d, b)`` copy."""
+        means = np.add.reduce(np.ascontiguousarray(g.swapaxes(-1, -2)), axis=-1) / g.shape[-2]
+        return means[1] - means[0]
+
+    @pytest.mark.parametrize("b", [1, 9, 64, 150])
+    def test_rows_lie_along_memory_and_keep_their_bits(self, b):
+        spec, rows_grad, rng = self.instance()
+        X = 2.0 * rng.standard_normal((3, spec.d))
+        idx = rng.integers(0, spec.n, b)
+        block = rng.integers(0, spec.n, (3, b))
+        cases = {
+            "point": (idx, X[0], rows_grad(idx, X[0])),
+            "pair": (idx, X[:2], np.stack([rows_grad(idx, x) for x in X[:2]])),
+            "block": (block, X, np.stack([rows_grad(i, x) for i, x in zip(block, X)])),
+        }
+        for name, (ids, x, want) in cases.items():
+            got = spec.component_grad_batch(ids, x)
+            assert got.shape == want.shape and got.swapaxes(-1, -2).flags.c_contiguous, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("b", [1, 9, 64, 150])
+    def test_mean_difference_is_the_pairwise_reduce(self, b):
+        spec, rows_grad, rng = self.instance()
+        x_old, x_new = 2.0 * rng.standard_normal((2, spec.d))
+        idx = rng.integers(0, spec.n, b)
+        want = self.pairwise_mean_diff(np.stack([rows_grad(idx, x_old), rows_grad(idx, x_new)]))
+        assert np.array_equal(estimators._mean_grad_diff(spec, idx, x_new, x_old, None), want)
+        # a (k, b) block with a (k, d) stack, as the coupled experiment asks
+        X_old, X_new = 2.0 * rng.standard_normal((2, 3, spec.d))
+        block = rng.integers(0, spec.n, (3, b))
+        g = np.stack([[rows_grad(i, x) for i, x in zip(block, X)] for X in (X_old, X_new)])
+        got = estimators._mean_grad_diff(spec, block, X_new, X_old, None)
+        assert got.shape == (3, spec.d) and np.array_equal(got, self.pairwise_mean_diff(g))
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 5), (96, 7), (257, 3), (4096, 20)])
+    def test_signed_rows_start_on_a_64_byte_boundary(self, n, d):
+        for seed in range(3):
+            assert signed_rows(make_nonconvex_logistic(n, d, seed=seed).spec).ctypes.data % 64 == 0, seed
+
+    def test_a_libsvm_files_signed_rows_start_on_a_64_byte_boundary(self, tmp_path):
+        path = tmp_path / "data.svm"
+        path.write_text("1 1:0.5 3:-2\n-1 2:1.25\n1 1:3 2:-1 3:0.25\n")
+        Ay = signed_rows(load_libsvm(path, d_cap=3).spec)
+        assert Ay.ctypes.data % 64 == 0
+        assert np.array_equal(Ay, [[0.5, 0.0, -2.0], [-0.0, -1.25, -0.0], [3.0, -1.0, 0.25]])
+
+
 def parent_logistic_rows(Ay, reg, idx, x):
     """The logistic component oracle at one point as it was written before
     it answered point stacks."""

@@ -172,23 +172,25 @@ def gate_audit():
     return load_tool("gate_audit")
 
 
-def audit_output(hits=20, worst=812345, slope="0.5900", verdict4="PASS"):
+def audit_output(hits=20, worst=812345, slope="0.5900", verdict4="PASS", slope3="1.925", verdict3="PASS"):
     """Standard output of ``pytest tests/test_acceptance.py -s -q`` over
-    criteria 2 and 4, as ``gate_audit.run_offset`` reads it."""
+    criteria 2, 3 and 4, as ``gate_audit.run_offset`` reads it."""
     return (
         "\n[criterion  2] PASS - %d/20 seeds reached eps=0.01 (worst SFO %d vs allowance 32204800), 15s\n"
+        ".\n[criterion  3] %s - SFO-to-FOSP vs 1/eps slope %s (ci [1.80, 2.05]), 4s\n"
         ".\n[criterion  4] %s - (SFO-to-FOSP - n) vs n slope %s (ci [0.52, 0.66]), 12s\n"
-        ".\n2 passed, 10 deselected in 27.31s\n" % (hits, worst, verdict4, slope)
+        ".\n3 passed, 9 deselected in 31.52s\n" % (hits, worst, verdict3, slope3, verdict4, slope)
     )
 
 
 def test_gate_audit_reads_each_criterions_verdict_and_statistics(gate_audit):
     assert gate_audit.parse_reports(audit_output(19, 90210, "0.7060", "FAIL")) == {
         2: {"passed": True, "hits": 19, "worst_sfo": 90210},
+        3: {"passed": True, "slope": 1.925},
         4: {"passed": False, "slope": 0.706},
     }
     # criteria the audit does not cover are skipped; a missing line is left out
-    other = "[criterion  3] PASS - SFO-to-FOSP vs 1/eps slope 2.012 (ci [1.9, 2.1]), 4s\n"
+    other = "[criterion  5] PASS - 20/20 seeds escaped (median 1234 SFO), 3s\n"
     assert gate_audit.parse_reports(other + audit_output().split(".\n")[0]) == {
         2: {"passed": True, "hits": 20, "worst_sfo": 812345},
     }
@@ -196,15 +198,25 @@ def test_gate_audit_reads_each_criterions_verdict_and_statistics(gate_audit):
         gate_audit.parse_reports("[criterion  4] PASS - no slope here\n")
 
 
+def test_gate_audit_reads_criterion_3s_slope(gate_audit):
+    assert gate_audit.parse_reports(audit_output(slope3="2.4130", verdict3="FAIL"))[3] == {
+        "passed": False, "slope": 2.413}
+    assert gate_audit.parse_reports(audit_output(slope3="-0.250"))[3] == {"passed": True, "slope": -0.25}
+    with pytest.raises(ValueError, match="criterion 3: unreadable report"):
+        gate_audit.parse_reports("[criterion  3] PASS - SFO-to-FOSP vs 1/eps slope nan (ci [nan, nan]), 4s\n")
+
+
 def test_gate_audit_summary_gives_spread_and_pass_rate(gate_audit):
     runs = [gate_audit.parse_reports(audit_output(20 - k, 1000 * (k + 1), slope, verdict))
             for k, (slope, verdict) in enumerate([("0.5900", "PASS"), ("0.7060", "FAIL"), ("0.6290", "PASS")])]
     record = json.loads(json.dumps(gate_audit.summarize([0, 1000, 2000], runs)))  # as --out writes it
     assert record["offsets"] == [0, 1000, 2000] and record["build"] == load_tool("fingerprint").build()
-    c2, c4 = record["criteria"]["2"], record["criteria"]["4"]
+    c2, c3, c4 = record["criteria"]["2"], record["criteria"]["3"], record["criteria"]["4"]
     assert c2["test"] == "test_criterion_02_first_order_convergence" and c4["bound"] == "0.3 <= slope <= 0.7"
     assert [r["offset"] for r in c4["runs"]] == [0, 1000, 2000]
     assert c2["pass_rate"] == 1.0 and c4["pass_rate"] == 2 / 3
+    assert c3["test"] == "test_criterion_03_eps_scaling" and c3["bound"] == "1.6 <= slope <= 2.4"
+    assert c3["pass_rate"] == 1.0 and c3["spread"]["slope"]["min"] == c3["spread"]["slope"]["max"] == 1.925
     assert c2["spread"]["hits"] == {"mean": 19.0, "std": 1.0, "min": 18, "max": 20}
     assert c2["spread"]["worst_sfo"]["max"] == 3000
     slope = c4["spread"]["slope"]

@@ -1,10 +1,11 @@
-"""How firmly the stochastic acceptance gates pass: criteria 2 and 4 rerun at
-several run-seed offsets.
+"""How firmly the stochastic acceptance gates pass: criteria 2, 3 and 4 rerun
+at several run-seed offsets.
 
 For each offset it runs
 
     SSRGD_GATE_SEED_OFFSET=<offset> python3 -m pytest tests/test_acceptance.py -s \\
-        -k "test_criterion_02_first_order_convergence or test_criterion_04_n_scaling"
+        -k "test_criterion_02_first_order_convergence or test_criterion_03_eps_scaling
+            or test_criterion_04_n_scaling"
 
 in a fresh process.  ``tests/test_acceptance.py`` adds the offset to those
 criteria's run seeds only; their data seeds, sizes and bounds stay as
@@ -12,7 +13,7 @@ Tier-1 runs them (offset 0).  From each run it reads the ``[criterion N]``
 lines the suite prints, and for each criterion it prints the statistic at
 every offset, its spread (mean, sample standard deviation, min, max) and the
 pass rate: criterion 2's seeds that reach eps within the allowance and the
-worst SFO among them, criterion 4's fitted slope.
+worst SFO among them, the fitted slopes of criteria 3 and 4.
 
     python3 tools/gate_audit.py
     python3 tools/gate_audit.py --offsets 0 1000 --out GATES.json
@@ -46,6 +47,8 @@ REPORT = re.compile(r"\[criterion +(\d+)\] (PASS|FAIL) - (.*)$")
 CRITERIA = {
     2: ("test_criterion_02_first_order_convergence", ">= 19 of 20 seeds reach eps within the allowance",
         re.compile(r"^(?P<hits>\d+)/\d+ seeds reached eps=\S+ \(worst SFO (?P<worst_sfo>\d+) vs ")),
+    3: ("test_criterion_03_eps_scaling", "1.6 <= slope <= 2.4",
+        re.compile(r"slope (?P<slope>-?\d+\.\d+) \(ci")),
     4: ("test_criterion_04_n_scaling", "0.3 <= slope <= 0.7",
         re.compile(r"slope (?P<slope>-?\d+\.\d+) \(ci")),
 }
