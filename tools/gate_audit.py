@@ -42,15 +42,14 @@ import fingerprint  # noqa: E402
 
 OFFSET_VARIABLE = "SSRGD_GATE_SEED_OFFSET"
 REPORT = re.compile(r"\[criterion +(\d+)\] (PASS|FAIL) - (.*)$")
+SLOPE = re.compile(r"slope (?P<slope>-?\d+\.\d+) \(ci")
 # per criterion: its test, its bound as the test states it, and the pattern
 # of its detail text whose named groups are the statistics (integers or floats)
 CRITERIA = {
     2: ("test_criterion_02_first_order_convergence", ">= 19 of 20 seeds reach eps within the allowance",
         re.compile(r"^(?P<hits>\d+)/\d+ seeds reached eps=\S+ \(worst SFO (?P<worst_sfo>\d+) vs ")),
-    3: ("test_criterion_03_eps_scaling", "1.6 <= slope <= 2.4",
-        re.compile(r"slope (?P<slope>-?\d+\.\d+) \(ci")),
-    4: ("test_criterion_04_n_scaling", "0.3 <= slope <= 0.7",
-        re.compile(r"slope (?P<slope>-?\d+\.\d+) \(ci")),
+    3: ("test_criterion_03_eps_scaling", "1.6 <= slope <= 2.4", SLOPE),
+    4: ("test_criterion_04_n_scaling", "0.3 <= slope <= 0.7", SLOPE),
 }
 
 
